@@ -315,33 +315,68 @@ def scatter_add_rows(target: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
-    """out[i] = a[idx[i]]; repeated indices allowed (backward scatter-adds)."""
+    """out[i] = a[idx.flat[i]]; repeated indices allowed (backward scatter-adds).
+
+    `idx` is 1-D, or 2-D B x t for windows of t rows each, gathered in row
+    order. A 2-D index whose rows are all column 0 shifted by the same
+    offsets, with distinct rows in column 0, has distinct rows in every
+    column; that is the layout of windows over a date-major calendar. Its
+    backward then adds one column of gradient rows at a time, without the
+    sort that repeated indices need.
+    """
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_rows index must be 1-D, got {idx.shape}")
+    if idx.ndim not in (1, 2):
+        raise ShapeError(f"gather_rows index must be 1-D or 2-D, got {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
         raise ShapeError(f"gather_rows index out of range for {a.shape}")
+    flat = idx.reshape(-1)
+    by_column = (
+        _grad_enabled
+        and a.requires_grad
+        and idx.ndim == 2
+        and idx.size > 0
+        and np.array_equal(idx - idx[:, :1], np.broadcast_to(idx[:1] - idx[0, 0], idx.shape))
+        and np.unique(idx[:, 0]).size == idx.shape[0]
+    )
 
     def backward(g):
         if a.requires_grad:
             a._ensure_grad()
-            scatter_add_rows(a.grad, idx, g)
+            if by_column:
+                g3 = g.reshape(idx.shape[0], idx.shape[1], -1)
+                for j in range(idx.shape[1]):
+                    a.grad[idx[:, j]] += g3[:, j]
+            else:
+                scatter_add_rows(a.grad, flat, g)
 
-    return node(a.values[idx], (a,), backward)
+    return node(a.values[flat], (a,), backward)
 
 
 # ---------------------------------------------------------------------------
 # nonlinearities
 
 
+def sigmoid_values(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: e = exp(-|x|), then num / (1 + e).
+
+    The numerator max(e, x >= 0) is 1 for x >= 0 and e below, so this is
+    bit-identical to 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below,
+    reaches exactly 0 where exp(x) underflows and propagates NaN, without
+    a mask or a select over the two branches.
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    denom = e + 1.0
+    np.maximum(e, x >= 0, out=e)
+    e /= denom
+    return e
+
+
 def sigmoid(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out_vals = np.empty_like(a.values)
-    pos = a.values >= 0
-    out_vals[pos] = 1.0 / (1.0 + np.exp(-a.values[pos]))
-    ex = np.exp(a.values[~pos])
-    out_vals[~pos] = ex / (1.0 + ex)
+    out_vals = sigmoid_values(a.values)
 
     def backward(g):
         if a.requires_grad:

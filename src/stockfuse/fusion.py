@@ -8,9 +8,19 @@ from the guide selects what survives. Stage 1 fuses indicators with
 documents; stage 2 fuses that result with the graph features. The design
 chains: any stage's stable output is t x d and can guide another stage.
 
-`block_cross_attention` is the batched equivalent operating on row-stacked
-windows ((B*t) x d with block size t); it is one tape node with a
-hand-derived backward and is property-tested against the per-window path.
+Because the head score matrices are averaged before the one softmax, M heads
+of width dh are exactly one head of width d' = M*dh: with Q, K and V the
+per-head projections concatenated column-wise (d x d'),
+sum_m Q_m K_m^T = Q K^T, so the attention matrix is
+softmax(Q K^T / (M * sqrt(d'))) and the concatenated output is that matrix
+times V.
+
+The batched ops work on row-stacked windows ((B*t) x d with block size t)
+and are one tape node each with a hand-derived backward:
+`block_cross_attention` runs the wide head (three d x d' projections, one
+score matmul, softmax and attention-times-values per window), and
+`block_gated_selection` runs the gate. Both are tested against the
+per-window functions above, which are the reference.
 """
 
 from __future__ import annotations
@@ -181,7 +191,7 @@ def fuse_trimodal(
 
 
 # ---------------------------------------------------------------------------
-# fused batched attention over row-stacked windows
+# fused batched stage ops over row-stacked windows
 
 
 def block_cross_attention(
@@ -190,58 +200,114 @@ def block_cross_attention(
     """cross_attention applied independently to each block of `block` rows.
 
     Input rows are B windows stacked as (B*block) x d; output is
-    (B*block) x d'. Numerically identical to slicing, running
-    cross_attention per window, and re-stacking.
+    (B*block) x d'. Runs as one wide head (see the module docstring): the
+    per-head weights are concatenated into d x d' matrices, so the
+    projections are three GEMMs and each window needs one score matmul,
+    one softmax and one attention-times-values product. Matches slicing,
+    running cross_attention per window and re-stacking, up to the order of
+    floating-point sums.
     """
     if query_st.rows != kv_st.rows or query_st.rows % block:
         raise ShapeError(
             f"stacked inputs {query_st.shape}/{kv_st.shape} not divisible into blocks of {block}"
         )
+    if query_st.cols != kv_st.cols:
+        raise ShapeError(f"query {query_st.shape} and kv {kv_st.shape} widths differ")
     n_blocks = query_st.rows // block
-    d = query_st.cols
-    m = params.n_heads
-    k = params.head_dim
-    inv_scale = 1.0 / math.sqrt(params.out_dim)
-    x3 = query_st.values.reshape(n_blocks, block, d)
-    y3 = kv_st.values.reshape(n_blocks, block, d)
-    wq = np.stack([h[0].values for h in params.heads])  # m x d x k
-    wk = np.stack([h[1].values for h in params.heads])
-    wv = np.stack([h[2].values for h in params.heads])
-    # all contractions phrased as (batched) matmul / tensordot so BLAS runs them
-    q4 = x3[None] @ wq[:, None]  # m x b x t x k
-    k4 = y3[None] @ wk[:, None]
-    v4 = y3[None] @ wv[:, None]
-    scores = (q4 @ k4.transpose(0, 1, 3, 2)).sum(axis=0) * (inv_scale / m)  # b x t x s
-    shifted = scores - scores.max(axis=2, keepdims=True)
-    ex = np.exp(shifted)
-    attn = ex / ex.sum(axis=2, keepdims=True)  # b x t x s
-    out4 = attn[None] @ v4
-    out_vals = np.ascontiguousarray(out4.transpose(1, 2, 0, 3)).reshape(
-        n_blocks * block, m * k
+    dp = params.out_dim
+    head_dim = params.head_dim
+    score_scale = 1.0 / (params.n_heads * math.sqrt(dp))
+    wq, wk, wv = (
+        np.concatenate([head[i].values for head in params.heads], axis=1) for i in range(3)
     )
-
-    head_params = [p.tensor for trio in params.heads for p in trio]
+    x, y = query_st.values, kv_st.values
+    q3 = (x @ wq).reshape(n_blocks, block, dp)
+    k3 = (y @ wk).reshape(n_blocks, block, dp)
+    v3 = (y @ wv).reshape(n_blocks, block, dp)
+    attn = q3 @ k3.transpose(0, 2, 1)  # b x t x s
+    attn *= score_scale
+    attn -= attn.max(axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=2, keepdims=True)
+    out_vals = (attn @ v3).reshape(n_blocks * block, dp)
 
     def backward(g):
-        g4 = np.ascontiguousarray(g.reshape(n_blocks, block, m, k).transpose(2, 0, 1, 3))
-        d_attn = (g4 @ v4.transpose(0, 1, 3, 2)).sum(axis=0)
-        d_v4 = attn.transpose(0, 2, 1)[None] @ g4
-        dot = (d_attn * attn).sum(axis=2, keepdims=True)
-        d_scores = attn * (d_attn - dot) * (inv_scale / m)
-        d_q4 = d_scores[None] @ k4
-        d_k4 = d_scores.transpose(0, 2, 1)[None] @ q4
+        g3 = g.reshape(n_blocks, block, dp)
+        d_scores = g3 @ v3.transpose(0, 2, 1)
+        d_v = (attn.transpose(0, 2, 1) @ g3).reshape(-1, dp)
+        d_scores -= (d_scores * attn).sum(axis=2, keepdims=True)
+        d_scores *= attn
+        d_scores *= score_scale
+        d_q = (d_scores @ k3).reshape(-1, dp)
+        d_k = (d_scores.transpose(0, 2, 1) @ q3).reshape(-1, dp)
         if query_st.requires_grad:
             query_st._ensure_grad()
-            query_st.grad += (d_q4 @ wq.transpose(0, 2, 1)[:, None]).sum(axis=0).reshape(-1, d)
+            query_st.grad += d_q @ wq.T
         if kv_st.requires_grad:
             kv_st._ensure_grad()
-            d_y3 = (d_k4 @ wk.transpose(0, 2, 1)[:, None]).sum(axis=0)
-            d_y3 += (d_v4 @ wv.transpose(0, 2, 1)[:, None]).sum(axis=0)
-            kv_st.grad += d_y3.reshape(-1, d)
-        for i, (h_wq, h_wk, h_wv) in enumerate(params.heads):
-            for p, dp4, src in ((h_wq, d_q4, x3), (h_wk, d_k4, y3), (h_wv, d_v4, y3)):
-                if p.tensor.requires_grad:
-                    p.tensor._ensure_grad()
-                    p.tensor.grad += np.tensordot(src, dp4[i], axes=([0, 1], [0, 1]))
+            kv_st.grad += d_k @ wk.T + d_v @ wv.T
+        for i, (src, d_proj) in enumerate(((x, d_q), (y, d_k), (y, d_v))):
+            trainable = [head[i].tensor for head in params.heads]
+            if not any(p.requires_grad for p in trainable):
+                continue
+            d_w = src.T @ d_proj  # d x d'
+            for m, p in enumerate(trainable):
+                if p.requires_grad:
+                    p._ensure_grad()
+                    p.grad += d_w[:, m * head_dim : (m + 1) * head_dim]
 
+    head_params = [p.tensor for trio in params.heads for p in trio]
     return ad.node(out_vals, (query_st, kv_st, *head_params), backward)
+
+
+def block_gated_selection(
+    unstable: Tensor, guide: Tensor, params: GateParams, gated: bool = True
+) -> tuple[Tensor, Tensor]:
+    """gated_selection over stacked rows as one tape node.
+
+    Computes h_a = U·Wa + ba, the gate σ(G·Wb + bb) and h_a ⊙ gate, with a
+    hand-derived backward that keeps only the output and the gate (the
+    gate's pre-activation gradient is g ⊙ out ⊙ (1 - gate)). With
+    `gated=False` (the ca_fusion variant) the output is h_a itself, the guide
+    is not read and the returned gate is all ones. Returns (stable, gate);
+    the gate tensor is a plain value for diagnostics, not a tape node.
+    """
+    if unstable.rows != guide.rows:
+        raise ShapeError(f"unstable {unstable.shape} and guide {guide.shape} row counts differ")
+    h_a = unstable.values @ params.w_a.values
+    h_a += params.b_a.values
+    if gated:
+        pre = guide.values @ params.w_b.values
+        pre += params.b_b.values
+        gate = ad.sigmoid_values(pre)
+        out_vals = h_a * gate
+    else:
+        gate = np.ones_like(h_a)
+        out_vals = h_a
+
+    def backward(g):
+        d_h = g
+        if gated:
+            d_h = g * gate
+            d_pre = g * out_vals
+            d_pre *= 1.0 - gate
+            _linear_backward(guide, params.w_b, params.b_b, d_pre)
+        _linear_backward(unstable, params.w_a, params.b_a, d_h)
+
+    parents = (unstable, params.w_a.tensor, params.b_a.tensor)
+    if gated:
+        parents += (guide, params.w_b.tensor, params.b_b.tensor)
+    return ad.node(out_vals, parents, backward), Tensor(gate)
+
+
+def _linear_backward(src: Tensor, w: Parameter, b: Parameter, d_out: np.ndarray) -> None:
+    """Accumulate the grads of out = src·w + b given d_out."""
+    if src.requires_grad:
+        src._ensure_grad()
+        src.grad += d_out @ w.values.T
+    if w.tensor.requires_grad:
+        w.tensor._ensure_grad()
+        w.tensor.grad += src.values.T @ d_out
+    if b.tensor.requires_grad:
+        b.tensor._ensure_grad()
+        b.tensor.grad += d_out.sum(axis=0, keepdims=True)

@@ -4,13 +4,16 @@ The batched forward works on a date-major packing of the panel: all stocks'
 feature rows for one calendar date sit together, so the indicator encoder
 runs once over the whole calendar, the graph encoder runs once per date, and
 every window is just a row-gather. Windows are then processed as row-stacked
-blocks through the fused attention/time-reduction ops. A slow per-sample
-reference path (`forward_sample`) composes the public per-window functions
-and is used to pin the batched path in tests.
+blocks through the fused attention/time-reduction ops. Each fusion stage is
+two tape nodes: `block_cross_attention`, all heads run as one wide head, and
+`block_gated_selection`, the gate's two affine maps, sigmoid and product
+with a hand-derived backward. A slow per-sample reference path
+(`forward_sample`) composes the public per-window functions and is used to
+pin the batched path in tests.
 
 Variant wiring:
   glu_fusion       attention replaced by a linear map of the kv modality
-  ca_fusion        gate forced to 1 (pure cross-attention)
+  ca_fusion        gate forced to 1 (pure cross-attention); no sigmoid runs
   drop_docs        document features zeroed; stage 1 skipped
   drop_graph       graph features zeroed; stage 2 skipped
   drop_indicators  indicator features zeroed (which also silences the graph
@@ -43,6 +46,7 @@ from .fusion import (
     GateParams,
     TrimodalOutput,
     block_cross_attention,
+    block_gated_selection,
     fuse_trimodal,
 )
 from .predictor import (
@@ -284,11 +288,9 @@ class TrimodalModel:
                 unstable = ad.matmul(kv, stage.glu.tensor)
             else:
                 unstable = block_cross_attention(query, kv, stage.attn, block)
-            h_a = ad.add(ad.matmul(unstable, stage.gate.w_a.tensor), stage.gate.b_a.tensor)
-            gate = ad.sigmoid(
-                ad.add(ad.matmul(guide, stage.gate.w_b.tensor), stage.gate.b_b.tensor)
+            stable, gate = block_gated_selection(
+                unstable, guide, stage.gate, gated=self.variant != "ca_fusion"
             )
-            stable = h_a if self.variant == "ca_fusion" else ad.mul(h_a, gate)
             out = (unstable, stable, gate)
             query = guide = stable
         return out
@@ -308,7 +310,7 @@ class TrimodalModel:
         lo = int(start.min())
         hi = int(start.max()) + t
         vi_cal, vd_cal, vg_cal = self._calendar_features(packed, lo * n, hi * n, lo, hi)
-        idx = ((start[:, None] - lo + np.arange(t)[None, :]) * n + stock_idx[:, None]).reshape(-1)
+        idx = (start[:, None] - lo + np.arange(t)[None, :]) * n + stock_idx[:, None]  # B x t
         q_i = ad.gather_rows(vi_cal, idx)
         d_w = ad.gather_rows(vd_cal, idx)
         g_w = ad.gather_rows(vg_cal, idx)

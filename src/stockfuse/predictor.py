@@ -1,11 +1,18 @@
 """Prediction head: time-axis reduction, feature-axis reduction, and loss.
 
 The time MLP reduces t -> ceil(t/2) -> ceil(t/4) -> 1 along the window axis
-with a ReLU after every layer and is applied with shared weights to both the
-fused features and the raw indicator features; concatenating the two
-d-vectors lets the classifier fall back on the primary modality alone. The
+with ReLUs after the first two layers only, and is applied with shared
+weights to both the fused features and the raw indicator features;
+concatenating the two d-vectors lets the classifier fall back on the primary
+modality alone. Its last layer is linear: a ReLU there would be a single
+unit fed by nonnegative inputs, dead for every input (and so without
+gradient, for both branches at once) whenever its weights start <= 0. The
 feature MLP reduces 2d -> d -> ceil(d/2) -> 3 with ReLUs after the first two
 layers only, leaving unbounded logits for the softmax cross-entropy.
+
+`HEAD_VERSION` names this function of the head's weights; checkpoints record
+it, because the shapes alone cannot tell a head whose last time layer had a
+ReLU (version 1) from this one.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from .autodiff import Parameter, Tensor
 from .errors import ShapeError
 
 log = logging.getLogger(__name__)
+
+HEAD_VERSION = 2
 
 
 def time_mlp_widths(t: int) -> tuple[int, int, int]:
@@ -45,10 +54,12 @@ class PredictorParams:
 
 
 def _reduce_time(x: Tensor, params: PredictorParams) -> Tensor:
-    """t x d -> 1 x d through the shared time stack (ReLU after each layer)."""
+    """t x d -> 1 x d through the shared time stack (last layer linear)."""
     h = ad.transpose(x)  # d x t
-    for w, b in params.time_layers:
-        h = ad.relu(ad.add(ad.matmul(h, w.tensor), b.tensor))
+    for i, (w, b) in enumerate(params.time_layers):
+        h = ad.add(ad.matmul(h, w.tensor), b.tensor)
+        if i < len(params.time_layers) - 1:
+            h = ad.relu(h)
     return ad.transpose(h)  # 1 x d
 
 
@@ -130,11 +141,12 @@ def block_reduce_time(x_st: Tensor, params: PredictorParams, block: int) -> Tens
     """
     h = x_st
     cur = block
-    for w, b in params.time_layers:
+    for i, (w, b) in enumerate(params.time_layers):
         u = w.values.shape[1]
         h = block_time_matmul(h, w, cur)
         h = _add_block_bias_row(h, b, u)
-        h = ad.relu(h)
+        if i < len(params.time_layers) - 1:
+            h = ad.relu(h)
         cur = u
     return h  # cur == 1, so (B*1) x d
 

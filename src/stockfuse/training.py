@@ -23,6 +23,7 @@ from .data import DatasetSplit, RelationalGraph, batch_iter
 from .errors import CheckpointError, ConfigError, FormatError, NumericError
 from .metrics import accuracy, confusion_matrix, mcc
 from .model import PackedPanel, TrimodalModel, sample_refs
+from .predictor import HEAD_VERSION
 
 log = logging.getLogger(__name__)
 
@@ -253,6 +254,7 @@ def save_checkpoint(
         arrays[f"best/{name}"] = arr
     meta = {
         "kind": CHECKPOINT_KIND,
+        "head_version": HEAD_VERSION,
         "config": model.cfg.to_dict(),
         "variant": model.variant,
         "doc_dim": model.doc_dim,
@@ -272,6 +274,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"unreadable checkpoint: {exc}") from exc
     if meta.get("kind") != CHECKPOINT_KIND:
         raise CheckpointError(f"{path} is not a checkpoint bundle")
+    if meta.get("head_version") != HEAD_VERSION:
+        raise CheckpointError(
+            f"{path} was written for prediction head version {meta.get('head_version', 1)}, "
+            f"this build runs version {HEAD_VERSION}; retrain the model"
+        )
     best = meta["best_valid_mcc"]
     return Checkpoint(
         config=TrainConfig.from_dict(meta["config"]),

@@ -177,3 +177,66 @@ def test_gather_and_scatter_roundtrip(rng):
     for i in idx:
         expected[i] += 1.0
     npt.assert_array_equal(p.tensor.grad, expected)
+
+
+class TestGatherWindows:
+    """2-D window indices: the per-column backward must equal np.add.at."""
+
+    @staticmethod
+    def _grads(idx, n_rows=16, d=3, seed=0):
+        rng = np.random.default_rng(seed)
+        p = tensor_param("table", rng.normal(size=(n_rows, d)))
+        upstream = rng.normal(size=(np.asarray(idx).size, d))
+        out = ad.gather_rows(p.tensor, idx)
+        npt.assert_array_equal(out.values, p.values[np.asarray(idx).reshape(-1)])
+        ad.sum_all(ad.mul(out, Tensor(upstream))).backward()
+        expected = np.zeros((n_rows, d))
+        np.add.at(expected, np.asarray(idx).reshape(-1), upstream)
+        return p.tensor.grad, expected
+
+    def test_distinct_windows(self):
+        # date-major layout with 3 stocks: row = (start + j) * 3 + stock
+        stock, start = np.array([0, 2, 1, 0]), np.array([0, 0, 1, 1])
+        idx = (start[:, None] + np.arange(2)[None, :]) * 3 + stock[:, None]
+        grad, expected = self._grads(idx)
+        npt.assert_allclose(grad, expected, rtol=0, atol=1e-15)
+
+    def test_duplicate_windows(self):
+        stock, start = np.array([1, 1, 2, 1]), np.array([0, 0, 1, 2])
+        idx = (start[:, None] + np.arange(3)[None, :]) * 3 + stock[:, None]
+        grad, expected = self._grads(idx)
+        npt.assert_allclose(grad, expected, rtol=0, atol=1e-15)
+
+    def test_distinct_first_column_with_colliding_later_columns(self):
+        idx = np.array([[0, 5], [1, 5], [2, 7]])
+        grad, expected = self._grads(idx)
+        npt.assert_allclose(grad, expected, rtol=0, atol=1e-15)
+
+    def test_rejects_3d_index(self):
+        with pytest.raises(ShapeError):
+            ad.gather_rows(Tensor(np.zeros((4, 2))), np.zeros((1, 1, 1), dtype=int))
+
+
+def _sigmoid_by_mask(x):
+    """The masked two-branch formula sigmoid used before sigmoid_values."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_bit_identical_to_masked_formula(dtype):
+    rng = np.random.default_rng(5)
+    x = np.concatenate([
+        rng.normal(scale=6.0, size=4000),
+        [0.0, -0.0, 40.0, -40.0, 800.0, -800.0, 1e-30, -1e-30],
+    ]).astype(dtype).reshape(-1, 8)
+    with np.errstate(over="ignore"):
+        expected = _sigmoid_by_mask(x)
+    out = ad.sigmoid(Tensor(x)).values
+    assert out.dtype == dtype
+    npt.assert_array_equal(out, expected)
+    assert out[x == -800.0].max() == 0.0 and out[x == 800.0].min() == 1.0

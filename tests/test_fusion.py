@@ -12,6 +12,7 @@ from stockfuse.fusion import (
     GateParams,
     attention_matrix,
     block_cross_attention,
+    block_gated_selection,
     cross_attention,
     fuse_stage,
     fuse_trimodal,
@@ -290,7 +291,115 @@ class TestBlockCrossAttention:
 
         assert grad_check(f, params.all() + extras, eps=1e-5) < 1e-4
 
+    @pytest.mark.parametrize("d,heads,head_dim", [(3, 2, None), (4, 3, 2), (3, 1, 5), (2, 2, 3)])
+    def test_gradients_match_per_window_composition(self, d, heads, head_dim):
+        rng = np.random.default_rng(d * 100 + heads * 10 + (head_dim or 0))
+        n_blocks, t = 3, 4
+        params = make_attn(d, heads=heads, head_dim=head_dim, rng=rng, scale=0.7)
+        query = rng.normal(size=(n_blocks * t, d))
+        kv = rng.normal(size=(n_blocks * t, d))
+        upstream = rng.normal(size=(n_blocks * t, params.out_dim))
+
+        def grads(forward):
+            for p in params.all():
+                p.zero_grad()
+            q_in = Tensor(query, requires_grad=True)
+            kv_in = Tensor(kv, requires_grad=True)
+            out = forward(q_in, kv_in)
+            ad.sum_all(ad.mul(out, Tensor(upstream))).backward()
+            return out.values, [q_in.grad, kv_in.grad] + [p.tensor.grad for p in params.all()]
+
+        def per_window(q_in, kv_in):
+            return ad.concat_rows([
+                cross_attention(
+                    ad.slice_rows(q_in, b * t, (b + 1) * t),
+                    ad.slice_rows(kv_in, b * t, (b + 1) * t),
+                    params,
+                )
+                for b in range(n_blocks)
+            ])
+
+        fused_out, fused_grads = grads(lambda q, kv: block_cross_attention(q, kv, params, t))
+        ref_out, ref_grads = grads(per_window)
+        npt.assert_allclose(fused_out, ref_out, rtol=0, atol=1e-13)
+        for got, want in zip(fused_grads, ref_grads):
+            assert got.shape == want.shape
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_shared_query_and_kv_gradients(self, rng):
+        params = make_attn(3, heads=2, head_dim=2, rng=rng)
+        x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        extras = [Parameter("x_in", x)]
+
+        def f():
+            out = block_cross_attention(x, x, params, block=3)
+            return ad.sum_all(ad.mul(out, out))
+
+        assert grad_check(f, params.all() + extras, eps=1e-5) < 1e-4
+
     def test_indivisible_rows_rejected(self, rng):
         params = make_attn(3, rng=rng)
         with pytest.raises(ShapeError):
             block_cross_attention(Tensor(np.zeros((7, 3))), Tensor(np.zeros((7, 3))), params, block=3)
+
+
+class TestBlockGatedSelection:
+    @pytest.mark.parametrize("gated", [True, False])
+    def test_matches_composed_ops(self, rng, gated):
+        d, heads, rows = 4, 2, 9
+        params = make_gate(d, heads=heads, rng=rng)
+        unstable = rng.normal(size=(rows, heads * d))
+        guide = rng.normal(size=(rows, d)) * 3
+
+        def grads(forward):
+            for p in params.all():
+                p.zero_grad()
+            u_in = Tensor(unstable, requires_grad=True)
+            g_in = Tensor(guide, requires_grad=True)
+            out = forward(u_in, g_in)
+            ad.sum_all(ad.mul(out, out)).backward()
+            return out.values, [u_in.grad, g_in.grad] + [p.tensor.grad for p in params.all()]
+
+        def composed(u_in, g_in):
+            if gated:
+                return gated_selection(u_in, g_in, params)
+            return ad.add(ad.matmul(u_in, params.w_a.tensor), params.b_a.tensor)
+
+        fused_out, fused_grads = grads(
+            lambda u, g: block_gated_selection(u, g, params, gated=gated)[0]
+        )
+        ref_out, ref_grads = grads(composed)
+        npt.assert_array_equal(fused_out, ref_out)
+        for got, want in zip(fused_grads, ref_grads):
+            if want is None:  # the ca_fusion form reads neither guide nor Wb, bb
+                assert got is None
+            else:
+                npt.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+    def test_gate_values(self, rng):
+        params = make_gate(3, rng=rng)
+        unstable = Tensor(rng.normal(size=(5, 6)))
+        guide = Tensor(rng.normal(size=(5, 3)))
+        _, gate = block_gated_selection(unstable, guide, params)
+        pre = guide.values @ params.w_b.values + params.b_b.values
+        npt.assert_allclose(gate.values, 1.0 / (1.0 + np.exp(-pre)), rtol=0, atol=1e-15)
+        assert not gate.requires_grad
+        _, ones = block_gated_selection(unstable, guide, params, gated=False)
+        npt.assert_array_equal(ones.values, np.ones((5, 3)))
+
+    def test_grad_check(self, rng):
+        params = make_gate(3, rng=rng)
+        unstable = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        guide = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        extras = [Parameter("u_in", unstable), Parameter("g_in", guide)]
+
+        def f():
+            stable, _ = block_gated_selection(unstable, guide, params)
+            return ad.sum_all(ad.mul(stable, stable))
+
+        assert grad_check(f, params.all() + extras, eps=1e-5) < 1e-4
+
+    def test_row_mismatch_rejected(self, rng):
+        params = make_gate(3, rng=rng)
+        with pytest.raises(ShapeError):
+            block_gated_selection(Tensor(np.zeros((4, 6))), Tensor(np.zeros((5, 3))), params)

@@ -79,6 +79,26 @@ class TestAggregateTime:
         out = aggregate_time(Tensor(x), Tensor(np.zeros((4, 1))), params)
         npt.assert_allclose(out.values[0, 0], h3[0, 0], atol=1e-12)
 
+    def test_last_time_layer_is_linear(self):
+        # inputs and weights make the last pre-activation negative; a ReLU
+        # there would output 0 and pass no gradient back
+        params = PredictorParams(
+            time_layers=[
+                (P("w1", [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.0, 0.5]]), P("b1", [[0.0, 0.0]])),
+                (P("w2", [[0.5], [0.5]]), P("b2", [[0.0]])),
+                (P("w3", [[-2.0]]), P("b3", [[0.0]])),
+            ],
+            feat_layers=[],
+        )
+        x = Tensor(np.array([[1.0], [2.0], [0.0], [2.0]]), requires_grad=True)
+        out = aggregate_time(x, Tensor(np.zeros((4, 1))), params)
+        npt.assert_allclose(out.values, [[-4.0, 0.0]], atol=1e-15)
+        ad.sum_all(out).backward()
+        npt.assert_allclose(params.time_layers[2][0].tensor.grad, [[2.0]], atol=1e-15)
+        assert np.all(x.grad != 0)
+        stacked = block_reduce_time(Tensor(x.values), params, 4)
+        npt.assert_allclose(stacked.values, [[-4.0]], atol=1e-15)
+
     def test_swapped_branches_permute_halves(self, rng):
         params = make_params(5, 3, rng)
         a = Tensor(rng.normal(size=(5, 3)))
