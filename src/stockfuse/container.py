@@ -9,6 +9,8 @@ which the dataset-build and synth determinism contracts rely on.
 from __future__ import annotations
 
 import json
+import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -21,7 +23,12 @@ FORMAT_VERSION = 1
 
 
 def save_bundle(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -> None:
-    """Write arrays and a JSON-serializable meta dict to `path`."""
+    """Write arrays and a JSON-serializable meta dict to `path`.
+
+    The bundle is written and synced to a temporary file next to `path`,
+    then renamed over it, so a crash or a failed write leaves the earlier
+    file intact and no partial bundle under `path`.
+    """
     entries = []
     blobs = []
     for name, arr in arrays.items():
@@ -35,12 +42,21 @@ def save_bundle(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
         sort_keys=True,
         separators=(",", ":"),
     ).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(header)))
+            fh.write(header)
+            for blob in blobs:
+                fh.write(blob)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_bundle(path) -> tuple[dict[str, np.ndarray], dict]:

@@ -236,11 +236,16 @@ def load_documents(path) -> list[DocumentDay]:
 
 
 def load_embeddings(path, dim: int | None = None) -> EmbeddingTable:
-    """Parse embeddings JSONL: {"symbol","date","vector":[...]} per line."""
+    """Parse embeddings JSONL: {"symbol","date","vector":[...]} per line.
+
+    A bad line raises FormatError, except a final line without its newline:
+    that is a write cut short (the table is appended to line by line), so it
+    is dropped with a warning.
+    """
     table = None
     with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
             if not line:
                 continue
             try:
@@ -248,6 +253,9 @@ def load_embeddings(path, dim: int | None = None) -> EmbeddingTable:
                 vec = obj["vector"]
                 symbol, date = str(obj["symbol"]), str(obj["date"])
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                if not raw.endswith("\n"):  # only the last line can lack one
+                    log.warning("%s:%d: dropping torn last line: %s", path, lineno, exc)
+                    break
                 raise FormatError(f"{path}:{lineno}: bad embedding line: {exc}") from exc
             if table is None:
                 table = EmbeddingTable(dim=dim if dim is not None else len(vec))
@@ -605,7 +613,8 @@ def save_split(path, split: DatasetSplit, graph: RelationalGraph | None = None) 
         "symbols": p.symbols,
         "calendar": p.calendar,
         "label_spec": list(split.label_spec),
-        "ws": len(split.train[0].dates) if split.train else 0,
+        "ws": next((len(part[0].dates) for part in (split.train, split.valid, split.test)
+                    if part), 0),
         "adjacency": {s: nb for s, nb in sorted(graph.adjacency.items())} if graph else None,
         "graph_edges": [list(e) for e in graph.edges] if graph else None,
     }

@@ -137,12 +137,16 @@ def _post_batch(cfg: ProviderConfig, model: str, texts: list[str], headers) -> l
     )
 
 
-def embed_texts(req: EmbedRequest, cfg: ProviderConfig) -> list[np.ndarray]:
-    """One vector per input text, in input order."""
+def embed_texts(req: EmbedRequest, cfg: ProviderConfig, *, _cache=None) -> list[np.ndarray]:
+    """One vector per input text, in input order.
+
+    `_cache` is the parsed `file` cache, which `build_embedding_table` reads
+    once per table build; left out, the cache file is parsed on this call.
+    """
     req.validate()
     cfg.validate()
     if cfg.backend == "file":
-        cache = _load_text_cache(cfg.endpoint)
+        cache = _load_text_cache(cfg.endpoint) if _cache is None else _cache
         keys = [text_cache_key(req.model, t) for t in req.texts]
         missing = [
             f"{k[:12]}... ({t[:30]!r})" for k, t in zip(keys, req.texts) if k not in cache
@@ -164,6 +168,30 @@ def embed_texts(req: EmbedRequest, cfg: ProviderConfig) -> list[np.ndarray]:
     return [vec for batch in results for vec in batch]
 
 
+def _cut_unterminated_tail(path: Path) -> None:
+    """Truncate a last line that lacks its newline: a write cut short.
+
+    Appending after it would glue the next entry onto the fragment. The
+    entry it held, if any, is not in the table read afterwards, so it is
+    embedded again.
+    """
+    with open(path, "rb+") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        pos = end
+        while pos > 0:
+            step = min(pos, 1 << 16)
+            fh.seek(pos - step)
+            chunk = fh.read(step)
+            cut = chunk.rfind(b"\n")
+            if cut >= 0:
+                pos += cut + 1 - step
+                break
+            pos -= step
+        if pos < end:
+            log.warning("%s: dropping %d bytes of an unterminated last line", path, end - pos)
+            fh.truncate(pos)
+
+
 def build_embedding_table(
     days: list[DocumentDay], cfg: ProviderConfig, out_path=None
 ) -> EmbeddingTable:
@@ -171,11 +199,13 @@ def build_embedding_table(
 
     Idempotent: existing entries in `out_path` are kept and skipped, and
     each new entry is flushed as soon as it is computed, so a partial run
-    leaves a valid, resumable file.
+    leaves a valid, resumable file. The `file` backend's cache is parsed
+    once per call, and only if there is a day to embed.
     """
     cfg.validate()
     out_path = Path(out_path) if out_path is not None else None
     if out_path is not None and out_path.exists():
+        _cut_unterminated_tail(out_path)
         table = load_embeddings(out_path, dim=cfg.dim)
     else:
         table = EmbeddingTable(dim=cfg.dim)
@@ -183,10 +213,11 @@ def build_embedding_table(
         d for d in sorted(days, key=lambda d: (d.symbol, d.date))
         if d.texts and (d.symbol, d.date) not in table
     ]
+    cache = _load_text_cache(cfg.endpoint) if todo and cfg.backend == "file" else None
     fh = open(out_path, "a") if out_path is not None else None
     try:
         for day in todo:
-            vectors = embed_texts(EmbedRequest(texts=day.texts, model=cfg.model), cfg)
+            vectors = embed_texts(EmbedRequest(texts=day.texts, model=cfg.model), cfg, _cache=cache)
             pooled = np.mean(vectors, axis=0)
             table.put(day.symbol, day.date, pooled)
             if fh is not None:

@@ -4,6 +4,16 @@ The indicator and document encoders are per-row affine maps, so the same
 function serves a single window or a whole stacked calendar. The graph
 encoder runs multi-head attention over all stocks at one timestamp; the
 model stacks it across timestamps with shared weights.
+
+`gat_encode_graph` is the per-timestamp composition of tape ops; it masks a
+dense n x n score matrix and is kept as the reference. The model runs
+`block_gat_encode`, GAT's masked attention in edge-list form (Velickovic et
+al. 2018): each layer is one tape node that scores and softmaxes only the
+neighbour pairs of all timestamps, so its elementwise work grows with the
+edge count, not with n^2. Only the aggregation is dense: the edge weights
+are scattered into a zero-filled n x n matrix per head and timestamp for one
+batched GEMM, which moves fewer values than gathering E neighbour rows of
+width d whenever E * d > n^2.
 """
 
 from __future__ import annotations
@@ -152,56 +162,120 @@ def gat_encode_graph(
 
 
 def block_gat_encode(features_st: Tensor, neighbors: np.ndarray, params: GatParams) -> Tensor:
-    """gat_encode_graph applied per block of n stacked node sets.
+    """gat_encode_graph applied per block of n stacked node sets, scoring only edges.
 
     Input is T timestamps' node features stacked as (T*n) x d; each layer is
-    one tape node doing all timestamps' attention with batched matmuls.
-    Numerically identical to looping gat_encode_graph per timestamp.
+    one tape node doing all timestamps' attention at once. Only the pairs
+    (i, j) with `neighbors[i, j]` are scored: leaky-relu scores and the
+    softmax over each row's neighbours run on K x T x E edge arrays, with
+    segment reductions over the destination rows. The attention weights are
+    then scattered into a zero-filled K x T x n x n matrix for one batched
+    aggregation GEMM. Matches looping gat_encode_graph per timestamp up to
+    the order of floating-point sums. Every row needs at least one
+    neighbour (`RelationalGraph.neighbor_mask` always sets the diagonal);
+    a row without one raises ShapeError.
     """
     neighbors = np.asarray(neighbors, dtype=bool)
     n = neighbors.shape[0]
+    if neighbors.shape != (n, n):
+        raise ShapeError(f"neighbor mask {neighbors.shape} is not square")
     if features_st.rows % n:
         raise ShapeError(f"{features_st.rows} rows not divisible by {n} nodes")
+    lonely = np.flatnonzero(~neighbors.any(axis=1))
+    if lonely.size:
+        raise ShapeError(f"GAT rows without a neighbour: {lonely[:10].tolist()}")
+    edges = _GatEdges.from_mask(neighbors)
     n_blocks = features_st.rows // n
-    mask_bias = np.where(neighbors, 0.0, NEG_MASK).astype(features_st.values.dtype)
     h = features_st
     for layer in params.layers:
-        h = _block_gat_layer(h, layer, mask_bias, n_blocks, n)
+        h = _block_gat_layer(h, layer, edges, n_blocks)
     return h
 
 
-def _block_gat_layer(x_st: Tensor, layer, mask_bias: np.ndarray, n_blocks: int, n: int) -> Tensor:
+@dataclass
+class _GatEdges:
+    """Edge list of an n x n neighbour mask: edge e scores pair (dst[e], src[e]).
+
+    Edges are sorted by destination row (CSR), so `dst_starts` are the
+    row segments for reduceat. `by_src` is the stable permutation that sorts
+    them by source; `src_nodes` are the sources that have an edge, and
+    `src_starts` their segments in that order.
+    """
+
+    n: int
+    dst: np.ndarray
+    src: np.ndarray
+    flat: np.ndarray  # dst * n + src, the position in a row-major n x n matrix
+    dst_starts: np.ndarray
+    by_src: np.ndarray
+    src_nodes: np.ndarray
+    src_starts: np.ndarray
+
+    @classmethod
+    def from_mask(cls, neighbors: np.ndarray) -> "_GatEdges":
+        n = neighbors.shape[0]
+        dst, src = np.nonzero(neighbors)
+        by_src = np.argsort(src, kind="stable")
+        src_nodes, src_starts = np.unique(src[by_src], return_index=True)
+        return cls(
+            n=n,
+            dst=dst,
+            src=src,
+            flat=dst * n + src,
+            dst_starts=np.searchsorted(dst, np.arange(n)),
+            by_src=by_src,
+            src_nodes=src_nodes,
+            src_starts=src_starts,
+        )
+
+    def sum_by_dst(self, e: np.ndarray) -> np.ndarray:
+        """Sum a ... x E edge array over each destination row: ... x n."""
+        return np.add.reduceat(e, self.dst_starts, axis=-1)
+
+    def sum_by_src(self, e: np.ndarray) -> np.ndarray:
+        """Sum a ... x E edge array over each source node: ... x n, 0 where none."""
+        out = np.zeros(e.shape[:-1] + (self.n,), dtype=e.dtype)
+        out[..., self.src_nodes] = np.add.reduceat(e[..., self.by_src], self.src_starts, axis=-1)
+        return out
+
+
+def _block_gat_layer(x_st: Tensor, layer, edges: _GatEdges, n_blocks: int) -> Tensor:
     k_heads = len(layer)
+    n = edges.n
     d = x_st.cols
     x3 = x_st.values.reshape(n_blocks, n, d)
     w_all = np.stack([w.values for w, _ in layer])  # K x d x d
     a_src = np.stack([a.values[:d] for _, a in layer])  # K x d x 1
     a_dst = np.stack([a.values[d:] for _, a in layer])
     hw = x3[None] @ w_all[:, None]  # K x T x n x d
-    left = hw @ a_src[:, None]  # K x T x n x 1
-    right = hw @ a_dst[:, None]
-    s_raw = left + right.transpose(0, 1, 3, 2)  # K x T x n x n
-    s_leaky = np.where(s_raw > 0, s_raw, LEAKY_SLOPE * s_raw) + mask_bias[None, None]
-    shifted = s_leaky - s_leaky.max(axis=3, keepdims=True)
-    ex = np.exp(shifted)
-    attn = ex / ex.sum(axis=3, keepdims=True)
+    left = (hw @ a_src[:, None])[..., 0]  # K x T x n, indexed by destination row
+    right = (hw @ a_dst[:, None])[..., 0]  # indexed by source column
+    s_raw = left[..., edges.dst] + right[..., edges.src]  # K x T x E
+    s_leaky = np.maximum(s_raw, LEAKY_SLOPE * s_raw)  # leaky relu, as 0 < slope < 1
+    ex = np.exp(s_leaky - np.maximum.reduceat(s_leaky, edges.dst_starts, axis=-1)[..., edges.dst])
+    alpha = ex / edges.sum_by_dst(ex)[..., edges.dst]
+    attn = np.zeros((k_heads * n_blocks, n * n), dtype=hw.dtype)
+    for row, weights in zip(attn, alpha.reshape(-1, alpha.shape[-1])):
+        row[edges.flat] = weights  # one row scatter per (head, date): faster than 2-D indexing
+    attn = attn.reshape(hw.shape[:2] + (n, n))  # K x T x n x n, zero off the edges
     pre = (attn @ hw).mean(axis=0)  # T x n x d
-    out = np.where(pre > 0, pre, np.expm1(np.minimum(pre, 0.0)))
+    out = np.maximum(pre, 0.0) + np.expm1(np.minimum(pre, 0.0))  # elu, without a branch
 
     param_tensors = [p.tensor for pair in layer for p in pair]
 
     def backward(g):
-        g3 = g.reshape(n_blocks, n, d) * np.where(pre > 0, 1.0, out + 1.0)
+        g3 = g.reshape(n_blocks, n, d) * (np.minimum(out, 0.0) + 1.0)  # elu'
         gh = (g3 / k_heads)[None]  # 1 x T x n x d, broadcast over heads
-        d_attn = gh @ hw.transpose(0, 1, 3, 2)
+        d_alpha = (gh @ hw.transpose(0, 1, 3, 2)).reshape(attn.shape[:2] + (n * n,))
+        d_alpha = d_alpha[..., edges.flat]  # K x T x E
         d_hw = attn.transpose(0, 1, 3, 2) @ np.broadcast_to(gh, hw.shape)
-        dot = (d_attn * attn).sum(axis=3, keepdims=True)
-        d_s = attn * (d_attn - dot)
-        d_s = d_s * np.where(s_raw > 0, 1.0, LEAKY_SLOPE)
-        d_left = d_s.sum(axis=3, keepdims=True)  # K x T x n x 1
-        d_right = d_s.sum(axis=2)[..., None]
-        d_hw += d_left @ a_src.transpose(0, 2, 1)[:, None]
-        d_hw += d_right @ a_dst.transpose(0, 2, 1)[:, None]
+        dot = edges.sum_by_dst(d_alpha * alpha)
+        d_s = alpha * (d_alpha - dot[..., edges.dst])
+        d_s = np.where(s_raw > 0, d_s, LEAKY_SLOPE * d_s)
+        d_left = edges.sum_by_dst(d_s)[..., None]  # K x T x n x 1
+        d_right = edges.sum_by_src(d_s)[..., None]
+        d_hw += d_left * a_src.transpose(0, 2, 1)[:, None]  # outer products, no GEMM
+        d_hw += d_right * a_dst.transpose(0, 2, 1)[:, None]
         if x_st.requires_grad:
             x_st._ensure_grad()
             x_st.grad += (d_hw @ w_all.transpose(0, 2, 1)[:, None]).sum(axis=0).reshape(-1, d)

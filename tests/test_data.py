@@ -427,3 +427,98 @@ def test_documents_jsonl_roundtrip(tmp_path):
         ("A", "2020-01-02", ["hello", "world"]),
         ("B", "2020-01-03", []),
     ]
+
+
+def test_split_roundtrip_with_empty_train_part(tmp_path):
+    series, days, table, graph, _ = synth_dataset(4, 60, 6, 2.0, 0.3, 0.1, 2, seed=5)
+    split = D.build_dataset(series, days, table, graph, ws=10, label_spec=(-0.01, 0.01))
+    split.train = []
+    D.save_split(tmp_path / "s.sfb", split, graph)
+    _, meta = load_bundle(tmp_path / "s.sfb")
+    assert meta["ws"] == 10
+    loaded, _ = D.load_split(tmp_path / "s.sfb")
+    assert loaded.train == []
+    for part in ("valid", "test"):
+        orig, new = split.part(part), loaded.part(part)
+        assert len(new) == len(orig) > 0
+        for a, b in zip(orig, new):
+            assert a.dates == b.dates
+            npt.assert_array_equal(a.indicators, b.indicators)
+            npt.assert_array_equal(a.doc_embeddings, b.doc_embeddings)
+
+
+class TestSaveBundleAtomic:
+    class FailingFile:
+        """A binary file whose third write fails, after some bytes went out."""
+
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError("no space left on device")
+            return self.fh.write(data)
+
+    def test_failed_write_keeps_earlier_file_and_leaves_no_temp(self, tmp_path, monkeypatch):
+        from stockfuse import container
+
+        path = tmp_path / "x.sfb"
+        save_bundle(path, {"a": np.ones((3, 3))}, {"kind": "old"})
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            container, "open", lambda p, mode: self.FailingFile(open(p, mode)), raising=False
+        )
+        with pytest.raises(OSError, match="no space"):
+            save_bundle(path, {"a": np.zeros((50, 50))}, {"kind": "new"})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["x.sfb"]
+        arrays, meta = load_bundle(path)
+        assert meta == {"kind": "old"}
+        npt.assert_array_equal(arrays["a"], np.ones((3, 3)))
+
+    def test_overwrite_replaces_content(self, tmp_path):
+        path = tmp_path / "x.sfb"
+        save_bundle(path, {"a": np.ones((3, 3))}, {"kind": "old"})
+        save_bundle(path, {"b": np.arange(4.0)}, {"kind": "new"})
+        arrays, meta = load_bundle(path)
+        assert meta == {"kind": "new"} and list(arrays) == ["b"]
+        assert [p.name for p in tmp_path.iterdir()] == ["x.sfb"]
+
+
+class TestLoadEmbeddingsTornLine:
+    LINES = [
+        json.dumps({"symbol": "A", "date": "2020-01-02", "vector": [1.0, 2.0]}),
+        json.dumps({"symbol": "B", "date": "2020-01-02", "vector": [3.0, 4.0]}),
+    ]
+
+    def test_torn_last_line_dropped_with_warning(self, tmp_path, caplog):
+        path = tmp_path / "e.jsonl"
+        path.write_text("\n".join(self.LINES) + '\n{"symbol": "C", "date": "2020-01-0')
+        with caplog.at_level(logging.WARNING):
+            table = D.load_embeddings(path)
+        assert sorted(table.entries) == [("A", "2020-01-02"), ("B", "2020-01-02")]
+        assert "torn last line" in caplog.text
+
+    def test_complete_last_line_without_newline_kept(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        path.write_text("\n".join(self.LINES))
+        assert len(D.load_embeddings(path).entries) == 2
+
+    def test_bad_terminated_last_line_raises(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        path.write_text("\n".join(self.LINES) + '\n{"symbol": "C"\n')
+        with pytest.raises(FormatError, match=":3:"):
+            D.load_embeddings(path)
+
+    def test_bad_middle_line_raises(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        path.write_text(self.LINES[0] + '\n{"symbol": "C", "da\n' + self.LINES[1])
+        with pytest.raises(FormatError, match=":2:"):
+            D.load_embeddings(path)

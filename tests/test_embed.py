@@ -261,3 +261,64 @@ class TestBuildEmbeddingTable:
         days = [DocumentDay(symbol="A", date="2020-01-02", texts=[])]
         table = build_embedding_table(days, http_cfg(url), out_path=tmp_path / "e.jsonl")
         assert not table.entries and state.requests == 0
+
+
+class TestFileBackendTable:
+    def write_cache(self, tmp_path, texts):
+        path = tmp_path / "cache.jsonl"
+        with open(path, "w") as fh:
+            for i, t in enumerate(texts):
+                vec = [float(i), float(len(t))] + [0.5] * (DIM - 2)
+                fh.write(json.dumps({"key": text_cache_key("m", t), "vector": vec}) + "\n")
+        return path
+
+    def days(self):
+        return [
+            DocumentDay(symbol="A", date="2020-01-02", texts=["a", "bb"]),
+            DocumentDay(symbol="A", date="2020-01-03", texts=["ccc"]),
+            DocumentDay(symbol="B", date="2020-01-02", texts=["bb", "dddd", "a"]),
+            DocumentDay(symbol="B", date="2020-01-03", texts=[]),
+        ]
+
+    def test_cache_parsed_once_per_table_build(self, tmp_path, monkeypatch):
+        from stockfuse import embed
+
+        cfg = ProviderConfig(
+            backend="file", endpoint=str(self.write_cache(tmp_path, ["a", "bb", "ccc", "dddd"])),
+            dim=DIM, model="m",
+        )
+        expected = {
+            (d.symbol, d.date): np.mean(embed_texts(EmbedRequest(texts=d.texts, model="m"), cfg),
+                                        axis=0)
+            for d in self.days() if d.texts
+        }
+        parses = []
+        real = embed._load_text_cache
+        monkeypatch.setattr(embed, "_load_text_cache", lambda p: parses.append(p) or real(p))
+        out = tmp_path / "e.jsonl"
+        table = build_embedding_table(self.days(), cfg, out_path=out)
+        assert len(parses) == 1
+        assert table.entries.keys() == expected.keys()
+        for key, vec in expected.items():
+            npt.assert_array_equal(table.entries[key], vec)
+        reread = load_embeddings(out, dim=DIM)
+        for key, vec in expected.items():
+            npt.assert_array_equal(reread.entries[key], vec)
+        # a resumed build with nothing left to embed does not read the cache
+        build_embedding_table(self.days(), cfg, out_path=out)
+        assert len(parses) == 1
+
+    def test_resume_after_torn_last_line(self, tmp_path, caplog):
+        cfg = ProviderConfig(
+            backend="file", endpoint=str(self.write_cache(tmp_path, ["a", "bb", "ccc", "dddd"])),
+            dim=DIM, model="m",
+        )
+        full = tmp_path / "full.jsonl"
+        build_embedding_table(self.days(), cfg, out_path=full)
+        lines = full.read_text().splitlines(keepends=True)
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text(lines[0] + lines[1][: len(lines[1]) // 2])
+        table = build_embedding_table(self.days(), cfg, out_path=torn)
+        assert "unterminated last line" in caplog.text
+        assert torn.read_text() == full.read_text()
+        assert table.entries.keys() == load_embeddings(full, dim=DIM).entries.keys()

@@ -278,3 +278,97 @@ class TestBlockGat:
             return ad.sum_all(ad.mul(out, out))
 
         assert grad_check(f, params.all(), eps=1e-5) < 1e-4
+
+    @staticmethod
+    def loop_and_block(h, neighbors, params, g):
+        """Output and gradients (input first) of block_gat_encode and of the per-timestamp loop."""
+        n = neighbors.shape[0]
+        x = P("x", h)
+        results = []
+        for per_timestamp in (False, True):
+            for p in (x, *params.all()):
+                p.zero_grad()
+            if per_timestamp:
+                out = ad.concat_rows([
+                    gat_encode_graph(ad.slice_rows(x.tensor, i, i + n), neighbors, params)
+                    for i in range(0, h.shape[0], n)
+                ])
+            else:
+                out = block_gat_encode(x.tensor, neighbors, params)
+            ad.sum_all(ad.mul(out, Tensor(g))).backward()
+            results.append([out.values] + [p.tensor.grad.copy() for p in (x, *params.all())])
+        return results
+
+    def assert_matches_loop(self, rng, neighbors, params, T=3, tol=1e-12):
+        n, d = neighbors.shape[0], params.layers[0][0][0].values.shape[0]
+        h = rng.normal(size=(T * n, d))
+        block, loop = self.loop_and_block(h, neighbors, params, rng.normal(size=(T * n, d)))
+        for got, want in zip(block, loop):
+            npt.assert_allclose(got, want, rtol=tol, atol=tol)
+
+    def test_input_gradient(self, rng):
+        params = make_gat_params(3, heads=2, layers=2)
+        x = P("x", rng.normal(size=(6, 3)))  # 2 timestamps x 3 nodes
+        neighbors = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=bool)
+
+        def f():
+            out = block_gat_encode(x.tensor, neighbors, params)
+            return ad.sum_all(ad.mul(out, out))
+
+        assert grad_check(f, [x, *params.all()], eps=1e-5) < 1e-4
+
+    def test_asymmetric_mask(self, rng):
+        neighbors = np.eye(6, dtype=bool) | (rng.random((6, 6)) < 0.3)
+        assert (neighbors != neighbors.T).any()
+        self.assert_matches_loop(rng, neighbors, make_gat_params(4, heads=2, layers=2))
+
+    def test_node_whose_only_neighbour_is_itself(self, rng):
+        neighbors = np.ones((5, 5), dtype=bool)
+        neighbors[2, :] = neighbors[:, 2] = False
+        neighbors[2, 2] = True
+        params = make_gat_params(4, heads=2)
+        self.assert_matches_loop(rng, neighbors, params)
+        h = rng.normal(size=(10, 4))
+        out = block_gat_encode(Tensor(h), neighbors, params).values
+        # attention weight 1 on itself: heads averaged over h W, then ELU
+        pre = np.mean([h[[2, 7]] @ w.values for w, _ in params.layers[0]], axis=0)
+        npt.assert_allclose(out[[2, 7]], np.where(pre > 0, pre, np.expm1(pre)), atol=1e-12)
+
+    def test_node_no_row_attends_to(self, rng):
+        # column 0 is empty: node 0 is no row's neighbour, so as a source it
+        # has no edges and its score-vector gradient segment is empty
+        neighbors = np.ones((5, 5), dtype=bool)
+        neighbors[:, 0] = False
+        self.assert_matches_loop(rng, neighbors, make_gat_params(4, heads=2, layers=2))
+
+    def test_three_heads_two_layers(self, rng):
+        neighbors = np.eye(7, dtype=bool) | (rng.random((7, 7)) < 0.4)
+        self.assert_matches_loop(rng, neighbors, make_gat_params(5, heads=3, layers=2), T=4)
+
+    def test_float32_stays_float32(self, rng):
+        params = make_gat_params(4, heads=2, layers=2)
+        for p in params.all():
+            p.tensor.values = p.values.astype(np.float32)
+        x = Parameter("x", Tensor(rng.normal(size=(10, 4)).astype(np.float32), requires_grad=True))
+        neighbors = np.eye(5, dtype=bool) | (rng.random((5, 5)) < 0.4)
+        out = block_gat_encode(x.tensor, neighbors, params)
+        assert out.values.dtype == np.float32
+        ad.sum_all(ad.mul(out, out)).backward()
+        for p in (x, *params.all()):
+            assert p.tensor.grad.dtype == np.float32, p.name
+
+    def test_row_without_neighbour_rejected(self, rng):
+        neighbors = np.eye(4, dtype=bool)
+        neighbors[1, 1] = False
+        with pytest.raises(ShapeError, match="without a neighbour"):
+            block_gat_encode(Tensor(rng.normal(size=(8, 3))), neighbors, make_gat_params(3))
+
+    def test_two_hundred_nodes_ten_sectors(self, rng):
+        symbols = [f"S{i:03d}" for i in range(200)]
+        graph = build_graph(
+            [(s, "sector", f"sec{k}") for s, k in zip(symbols, rng.integers(0, 10, 200))],
+            stocks=symbols,
+        )
+        neighbors = graph.neighbor_mask(symbols)
+        assert 0.05 < neighbors.mean() < 0.2
+        self.assert_matches_loop(rng, neighbors, make_gat_params(8, heads=2), T=2)
