@@ -28,11 +28,11 @@ from .data import (
 )
 from .embed import ProviderConfig, build_embedding_table
 from .errors import CheckpointError, ConfigError, DataError, NumericError, ProviderError
-from .evaluation import evaluate_model, run_variant, stability_report, write_reports, write_stability
+from .evaluation import run_variant, stability_report, write_reports, write_stability
 from .metrics import accuracy, confusion_matrix, mcc
 from .model import PackedPanel
 from .synth import synth_dataset, write_synth_files
-from .training import model_from_checkpoint, train_model
+from .training import evaluate_part, model_from_checkpoint, train_model
 
 log = logging.getLogger(__name__)
 
@@ -199,7 +199,7 @@ def _cmd_train(args) -> int:
         resume_from=args.resume,
     )
     packed = PackedPanel.from_panel(split.panel, graph, cfg.train.dtype)
-    test_acc, test_mcc = evaluate_model(model, packed, split.test)
+    test_acc, test_mcc = evaluate_part(model, packed, split.test)
     best = max((h.valid_mcc for h in history), default=float("nan"))
     summary = {
         "variant": args.variant,
@@ -217,12 +217,23 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _checkpoint_and_split(args):
+    """The checkpoint's model and the split it runs on, checked against each other."""
     model, ckpt = model_from_checkpoint(args.checkpoint)
     split, graph = load_split(args.splits)
     if graph is None:
         raise DataError(f"{args.splits} carries no graph")
+    if split.panel.dim != ckpt.doc_dim:
+        raise DataError(
+            f"{args.splits} has document width {split.panel.dim}, but the checkpoint "
+            f"{args.checkpoint} was trained on width {ckpt.doc_dim}"
+        )
     packed = PackedPanel.from_panel(split.panel, graph, ckpt.config.dtype)
+    return model, ckpt, split, packed
+
+
+def _cmd_eval(args) -> int:
+    model, ckpt, split, packed = _checkpoint_and_split(args)
     preds = model.predict_part(packed, split.test)
     labels = np.array([s.label for s in split.test])
     cm = confusion_matrix(labels, preds)
@@ -263,11 +274,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_dump_features(args) -> int:
-    model, ckpt = model_from_checkpoint(args.checkpoint)
-    split, graph = load_split(args.splits)
-    if graph is None:
-        raise DataError(f"{args.splits} carries no graph")
-    packed = PackedPanel.from_panel(split.panel, graph, ckpt.config.dtype)
+    model, _, split, packed = _checkpoint_and_split(args)
     by_symbol: dict[str, list] = {}
     for s in split.test:
         by_symbol.setdefault(s.symbol, []).append(s)

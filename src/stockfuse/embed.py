@@ -5,7 +5,9 @@ against a read-only JSONL cache keyed by content hash (the primary path --
 no network, fully reproducible), and `http` POSTs batches to a generic
 embeddings service speaking {"model", "input": [...]} ->
 {"data": [{"index", "embedding"}]}. Batches run concurrently up to
-`max_parallel`; results always come back in input order.
+`max_parallel`; results always come back in input order. A failed
+connection, a 5xx or a 429 (rate limited) is retried with exponential
+backoff, `RETRY_ATTEMPTS` attempts in all; any other status fails at once.
 
 `build_embedding_table` mean-pools each day's texts into one vector per
 (symbol, date) and appends to embeddings.jsonl as it goes, so an interrupted
@@ -111,8 +113,8 @@ def _post_batch(cfg: ProviderConfig, model: str, texts: list[str], headers) -> l
             last_exc = exc
             log.warning("embed request attempt %d failed: %s", attempt + 1, exc)
             continue
-        if resp.status_code >= 500:
-            last_exc = ProviderError(f"server error {resp.status_code}")
+        if resp.status_code >= 500 or resp.status_code == 429:  # 429: rate limited
+            last_exc = ProviderError(f"HTTP {resp.status_code}")
             log.warning("embed request attempt %d: HTTP %d", attempt + 1, resp.status_code)
             continue
         if resp.status_code != 200:

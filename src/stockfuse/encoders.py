@@ -1,19 +1,24 @@
 """Modality encoders mapping each input channel into the shared t x d space.
 
 The indicator and document encoders are per-row affine maps, so the same
-function serves a single window or a whole stacked calendar. The graph
-encoder runs multi-head attention over all stocks at one timestamp; the
-model stacks it across timestamps with shared weights.
+function serves a single window or a whole stacked calendar. The indicator
+encoder has no activation, so its lifts and projection fold into one 3 x d
+affine map, run as a single tape node. The graph encoder runs multi-head
+attention over all stocks at one timestamp; the model stacks it across
+timestamps with shared weights.
 
 `gat_encode_graph` is the per-timestamp composition of tape ops; it masks a
 dense n x n score matrix and is kept as the reference. The model runs
 `block_gat_encode`, GAT's masked attention in edge-list form (Velickovic et
 al. 2018): each layer is one tape node that scores and softmaxes only the
 neighbour pairs of all timestamps, so its elementwise work grows with the
-edge count, not with n^2. Only the aggregation is dense: the edge weights
-are scattered into a zero-filled n x n matrix per head and timestamp for one
-batched GEMM, which moves fewer values than gathering E neighbour rows of
-width d whenever E * d > n^2.
+edge count, not with n^2. The aggregation is dense per block: attention
+only mixes neighbours, so whole connected components are packed into
+blocks of m nodes (m the largest component, as Cluster-GCN batches
+clusters, Chiang et al. 2019), and the edge weights are scattered into a
+zero-filled m x m matrix per block, head and timestamp for one batched GEMM.
+That costs n * m per head and timestamp instead of n^2, and moves fewer
+values than gathering E neighbour rows of width d whenever E * d > n * m.
 """
 
 from __future__ import annotations
@@ -82,24 +87,55 @@ class GatParams:
 
 
 def encode_indicators(x: Tensor, params: IndicatorEncoderParams) -> Tensor:
-    """Lift each indicator column to width d, concat, and project to d."""
+    """Lift each indicator column to width d, concat, and project to d.
+
+    The map has no activation, so it folds into one affine map from the 3
+    input columns: `x @ W + c`, where row k of W (3 x d) is `w_k @ W_mix[k]`
+    for the lifts k = close, open, high and the matching d-row blocks of
+    W_mix, and `c = b_mix + sum_k b_k @ W_mix[k]`. It runs as one tape node;
+    backward needs only `x^T g` (3 x d) and the column sums of g, and chains
+    them into the eight parameters, which keep their names and shapes.
+    """
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.cols != 3:
         raise ShapeError(f"indicator input must be t x 3, got {x.shape}")
     if not np.all(np.isfinite(x.values)):
         raise DataError("indicator input contains non-finite values")
-    lifted = []
-    for col, (w, b) in enumerate(
-        [
-            (params.w_close, params.b_close),
-            (params.w_open, params.b_open),
-            (params.w_high, params.b_high),
-        ]
-    ):
-        s = ad.slice_cols(x, col, col + 1)
-        lifted.append(ad.add(ad.matmul(s, w.tensor), b.tensor))
-    stacked = ad.concat_cols(lifted)
-    return ad.add(ad.matmul(stacked, params.w_mix.tensor), params.b_mix.tensor)
+    lifts = [
+        (params.w_close, params.b_close),
+        (params.w_open, params.b_open),
+        (params.w_high, params.b_high),
+    ]
+    d = params.w_mix.values.shape[1]
+    mix = params.w_mix.values.reshape(3, d, d)  # block k maps lift k
+    w_fold = np.concatenate([w.values @ mix[k] for k, (w, _) in enumerate(lifts)])  # 3 x d
+    c_fold = params.b_mix.values + sum(b.values @ mix[k] for k, (_, b) in enumerate(lifts))
+    out = x.values @ w_fold
+    out += c_fold
+
+    def backward(g):
+        xg = x.values.T @ g  # 3 x d: the gradient of w_fold
+        col = g.sum(axis=0, keepdims=True)  # 1 x d: the gradient of c_fold
+        for k, (w, b) in enumerate(lifts):
+            if w.tensor.requires_grad:
+                w.tensor._ensure_grad()
+                w.tensor.grad += xg[k : k + 1] @ mix[k].T
+            if b.tensor.requires_grad:
+                b.tensor._ensure_grad()
+                b.tensor.grad += col @ mix[k].T
+        if params.w_mix.tensor.requires_grad:
+            params.w_mix.tensor._ensure_grad()
+            params.w_mix.tensor.grad += np.concatenate(
+                [w.values.T @ xg[k : k + 1] + b.values.T @ col for k, (w, b) in enumerate(lifts)]
+            )
+        if params.b_mix.tensor.requires_grad:
+            params.b_mix.tensor._ensure_grad()
+            params.b_mix.tensor.grad += col
+        if x.requires_grad:
+            x._ensure_grad()
+            x.grad += g @ w_fold.T
+
+    return ad.node(out, (x, *(p.tensor for p in params.all())), backward)
 
 
 def encode_documents(doc: Tensor, mask, params: DocEncoderParams) -> Tensor:
@@ -162,18 +198,29 @@ def gat_encode_graph(
 
 
 def block_gat_encode(features_st: Tensor, neighbors: np.ndarray, params: GatParams) -> Tensor:
-    """gat_encode_graph applied per block of n stacked node sets, scoring only edges.
+    """gat_encode_graph applied to T stacked node sets, per connected-component block.
 
     Input is T timestamps' node features stacked as (T*n) x d; each layer is
     one tape node doing all timestamps' attention at once. Only the pairs
     (i, j) with `neighbors[i, j]` are scored: leaky-relu scores and the
     softmax over each row's neighbours run on K x T x E edge arrays, with
-    segment reductions over the destination rows. The attention weights are
-    then scattered into a zero-filled K x T x n x n matrix for one batched
-    aggregation GEMM. Matches looping gat_encode_graph per timestamp up to
-    the order of floating-point sums. Every row needs at least one
-    neighbour (`RelationalGraph.neighbor_mask` always sets the diagonal);
-    a row without one raises ShapeError.
+    segment reductions over the destination rows.
+
+    Attention only mixes neighbours, so the layer factorises exactly over the
+    weakly connected components of the mask. Whole components are packed,
+    first-fit decreasing, into blocks of m nodes, m the size of the largest
+    component, so no edge crosses a block. The edge weights are scattered into
+    a zero-filled T x blocks x m x (m * K) matrix, the K heads side by side,
+    and aggregated with one batched GEMM against the K head projections of
+    the block's nodes: cost and saved memory grow with n * m, not n^2. Where
+    packing would not shrink the matrix (blocks * m^2 >= n^2, as for a
+    connected graph), all n nodes form one block in index order, which is
+    the dense n x n aggregation.
+
+    Matches looping gat_encode_graph per timestamp up to the order of
+    floating-point sums. Every row needs at least one neighbour
+    (`RelationalGraph.neighbor_mask` always sets the diagonal); a row
+    without one raises ShapeError.
     """
     neighbors = np.asarray(neighbors, dtype=bool)
     n = neighbors.shape[0]
@@ -185,31 +232,85 @@ def block_gat_encode(features_st: Tensor, neighbors: np.ndarray, params: GatPara
     if lonely.size:
         raise ShapeError(f"GAT rows without a neighbour: {lonely[:10].tolist()}")
     edges = _GatEdges.from_mask(neighbors)
-    n_blocks = features_st.rows // n
+    n_dates = features_st.rows // n
     h = features_st
     for layer in params.layers:
-        h = _block_gat_layer(h, layer, edges, n_blocks)
+        h = _block_gat_layer(h, layer, edges, n_dates)
     return h
+
+
+def _components(neighbors: np.ndarray) -> np.ndarray:
+    """Weakly connected component label per node: the smallest node index in it.
+
+    Every row of `neighbors` must have an edge.
+    """
+    dst, src = np.nonzero(neighbors | neighbors.T)  # every row has an edge
+    starts = np.searchsorted(dst, np.arange(neighbors.shape[0]))
+    labels = np.arange(neighbors.shape[0])
+    while True:
+        new = np.minimum(labels, np.minimum.reduceat(labels[src], starts))
+        new = new[new]  # jump to the label's label
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def _pack_components(labels: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """Block size m, block count and the slot (block * m + position) of each node.
+
+    Components go first-fit decreasing into blocks of m nodes, m the largest
+    component; nodes keep index order within a block. If that does not
+    shrink blocks * m^2 below n^2, the one block of all n nodes is used.
+    """
+    n = labels.size
+    _, comp, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    m = int(sizes.max())
+    room = np.full(sizes.size, m)
+    block = np.empty(sizes.size, dtype=np.intp)
+    for c in np.argsort(-sizes, kind="stable"):
+        k = block[c] = np.argmax(room >= sizes[c])  # first fit; an unused block always fits
+        room[k] -= sizes[c]
+    n_blocks = int(block.max()) + 1
+    if n_blocks * m * m >= n * n:
+        return n, 1, np.arange(n)
+    node_block = block[comp]
+    order = np.argsort(node_block, kind="stable")
+    in_order = node_block[order]
+    slot = np.empty(n, dtype=np.intp)
+    slot[order] = in_order * m + np.arange(n) - np.searchsorted(in_order, in_order)
+    return m, n_blocks, slot
 
 
 @dataclass
 class _GatEdges:
-    """Edge list of an n x n neighbour mask: edge e scores pair (dst[e], src[e]).
+    """Edge list of an n x n neighbour mask: edge e scores its row with src[e].
 
     Edges are sorted by destination row (CSR), so `dst_starts` are the
-    row segments for reduceat. `by_src` is the stable permutation that sorts
-    them by source; `src_nodes` are the sources that have an edge, and
-    `src_starts` their segments in that order.
+    row segments for reduceat and `dst_counts` their lengths (every row has
+    an edge). `by_src` is the stable permutation that sorts them by source;
+    `src_nodes` are the sources that have an edge, and `src_starts` their
+    segments in that order.
+
+    The aggregation runs on `n_blocks` blocks of `m` nodes, no edge across
+    two blocks: `slot_node` is the node in each of the n_blocks * m slots
+    (padding repeats node 0; no edge reaches a padding slot), `node_slot` the
+    slot of each node, and `flat` the position of each edge in a row-major
+    n_blocks x m x m array. `slot_node` and `node_slot` are None when the
+    layout is the identity (one block of all n nodes in index order).
     """
 
     n: int
-    dst: np.ndarray
     src: np.ndarray
-    flat: np.ndarray  # dst * n + src, the position in a row-major n x n matrix
     dst_starts: np.ndarray
+    dst_counts: np.ndarray
     by_src: np.ndarray
     src_nodes: np.ndarray
     src_starts: np.ndarray
+    m: int
+    n_blocks: int
+    slot_node: np.ndarray | None
+    node_slot: np.ndarray | None
+    flat: np.ndarray
 
     @classmethod
     def from_mask(cls, neighbors: np.ndarray) -> "_GatEdges":
@@ -217,15 +318,24 @@ class _GatEdges:
         dst, src = np.nonzero(neighbors)
         by_src = np.argsort(src, kind="stable")
         src_nodes, src_starts = np.unique(src[by_src], return_index=True)
+        m, n_blocks, node_slot = _pack_components(_components(neighbors))
+        slot_node = np.zeros(n_blocks * m, dtype=np.intp)  # padding repeats node 0
+        slot_node[node_slot] = np.arange(n)
+        identity = slot_node.size == n and bool(np.all(node_slot == np.arange(n)))
+        block, pos = np.divmod(node_slot, m)
         return cls(
             n=n,
-            dst=dst,
             src=src,
-            flat=dst * n + src,
             dst_starts=np.searchsorted(dst, np.arange(n)),
+            dst_counts=np.bincount(dst, minlength=n),
             by_src=by_src,
             src_nodes=src_nodes,
             src_starts=src_starts,
+            m=m,
+            n_blocks=n_blocks,
+            slot_node=None if identity else slot_node,
+            node_slot=None if identity else node_slot,
+            flat=(block[dst] * m + pos[dst]) * m + pos[src],
         )
 
     def sum_by_dst(self, e: np.ndarray) -> np.ndarray:
@@ -235,58 +345,101 @@ class _GatEdges:
     def sum_by_src(self, e: np.ndarray) -> np.ndarray:
         """Sum a ... x E edge array over each source node: ... x n, 0 where none."""
         out = np.zeros(e.shape[:-1] + (self.n,), dtype=e.dtype)
-        out[..., self.src_nodes] = np.add.reduceat(e[..., self.by_src], self.src_starts, axis=-1)
+        by_src = np.take(e, self.by_src, axis=-1)
+        out[..., self.src_nodes] = np.add.reduceat(by_src, self.src_starts, axis=-1)
         return out
 
+    def per_edge(self, rows: np.ndarray) -> np.ndarray:
+        """... x n values per destination row -> ... x E, one per edge."""
+        return np.repeat(rows, self.dst_counts, axis=-1)
 
-def _block_gat_layer(x_st: Tensor, layer, edges: _GatEdges, n_blocks: int) -> Tensor:
+    def to_blocks(self, a: np.ndarray) -> np.ndarray:
+        """... x n x d node rows -> ... x n_blocks x m x d, laid out by block."""
+        if self.slot_node is not None:
+            a = a[..., self.slot_node, :]
+        return a.reshape(a.shape[:-2] + (self.n_blocks, self.m, a.shape[-1]))
+
+    def from_blocks(self, a: np.ndarray) -> np.ndarray:
+        """... x n_blocks x m x d -> ... x n x d in node order, padding dropped."""
+        a = a.reshape(a.shape[:-3] + (self.n_blocks * self.m, a.shape[-1]))
+        return a if self.node_slot is None else a[..., self.node_slot, :]
+
+
+def _block_gat_layer(x_st: Tensor, layer, edges: _GatEdges, n_dates: int) -> Tensor:
     k_heads = len(layer)
-    n = edges.n
+    n, m, n_blocks = edges.n, edges.m, edges.n_blocks
     d = x_st.cols
-    x3 = x_st.values.reshape(n_blocks, n, d)
-    w_all = np.stack([w.values for w, _ in layer])  # K x d x d
-    a_src = np.stack([a.values[:d] for _, a in layer])  # K x d x 1
-    a_dst = np.stack([a.values[d:] for _, a in layer])
-    hw = x3[None] @ w_all[:, None]  # K x T x n x d
-    left = (hw @ a_src[:, None])[..., 0]  # K x T x n, indexed by destination row
-    right = (hw @ a_dst[:, None])[..., 0]  # indexed by source column
-    s_raw = left[..., edges.dst] + right[..., edges.src]  # K x T x E
-    s_leaky = np.maximum(s_raw, LEAKY_SLOPE * s_raw)  # leaky relu, as 0 < slope < 1
-    ex = np.exp(s_leaky - np.maximum.reduceat(s_leaky, edges.dst_starts, axis=-1)[..., edges.dst])
-    alpha = ex / edges.sum_by_dst(ex)[..., edges.dst]
-    attn = np.zeros((k_heads * n_blocks, n * n), dtype=hw.dtype)
-    for row, weights in zip(attn, alpha.reshape(-1, alpha.shape[-1])):
-        row[edges.flat] = weights  # one row scatter per (head, date): faster than 2-D indexing
-    attn = attn.reshape(hw.shape[:2] + (n, n))  # K x T x n x n, zero off the edges
-    pre = (attn @ hw).mean(axis=0)  # T x n x d
-    out = np.maximum(pre, 0.0) + np.expm1(np.minimum(pre, 0.0))  # elu, without a branch
+    x = x_st.values  # (T*n) x d
+    w_cat = np.concatenate([w.values for w, _ in layer], axis=1)  # d x K*d, head k at k*d
+    # score projections: left = x W_k a_src_k (destination), right = x W_k a_dst_k (source)
+    wa = np.concatenate(
+        [w.values @ a.values[:d] for w, a in layer] + [w.values @ a.values[d:] for w, a in layer],
+        axis=1,
+    )  # d x 2K
+    lr = (wa.T @ x.T).reshape(2 * k_heads, n_dates, n)  # left rows, then right rows
+    # edge arrays are K x T x E, built in place; repeat() and take() keep them
+    # contiguous, where fancy indexing would return a transposed layout
+    alpha = edges.per_edge(lr[:k_heads])
+    alpha += np.take(lr[k_heads:], edges.src, axis=-1)
+    slope = np.where(alpha > 0, alpha.dtype.type(1), alpha.dtype.type(LEAKY_SLOPE))
+    alpha *= slope  # leaky relu; backward scales by the same factor
+    alpha -= edges.per_edge(np.maximum.reduceat(alpha, edges.dst_starts, axis=-1))
+    np.exp(alpha, out=alpha)
+    # softmax over each row's edges, divided by K as well: the weights also
+    # average the heads
+    alpha /= edges.per_edge(edges.sum_by_dst(alpha) * k_heads)
+    # aggregation by block, heads folded into the inner dimension: attention
+    # column j*K + k of a block weighs row j*K + k of hw, slot j projected by head k
+    x_b = edges.to_blocks(x.reshape(n_dates, n, d))  # T x blocks x m x d
+    hw = (x_b.reshape(-1, d) @ w_cat).reshape(n_dates, n_blocks, m * k_heads, d)
+    flat = edges.flat * k_heads + np.arange(k_heads)[:, None]  # K x E
+    attn = np.zeros((n_dates, n_blocks * m * m * k_heads), dtype=hw.dtype)
+    for tau, row in enumerate(attn):
+        for f, weights in zip(flat, alpha[:, tau]):
+            row[f] = weights  # 1-D scatters: faster than 2-D or 3-D indexing
+    attn = attn.reshape(n_dates, n_blocks, m, m * k_heads)  # zero off the edges
+    pre = edges.from_blocks(attn @ hw)  # T x n x d
+    expm1 = np.expm1(np.minimum(pre, 0.0))
+    out = np.maximum(pre, 0.0, out=pre)
+    out += expm1  # elu, without a branch
 
     param_tensors = [p.tensor for pair in layer for p in pair]
 
     def backward(g):
-        g3 = g.reshape(n_blocks, n, d) * (np.minimum(out, 0.0) + 1.0)  # elu'
-        gh = (g3 / k_heads)[None]  # 1 x T x n x d, broadcast over heads
-        d_alpha = (gh @ hw.transpose(0, 1, 3, 2)).reshape(attn.shape[:2] + (n * n,))
-        d_alpha = d_alpha[..., edges.flat]  # K x T x E
-        d_hw = attn.transpose(0, 1, 3, 2) @ np.broadcast_to(gh, hw.shape)
-        dot = edges.sum_by_dst(d_alpha * alpha)
-        d_s = alpha * (d_alpha - dot[..., edges.dst])
-        d_s = np.where(s_raw > 0, d_s, LEAKY_SLOPE * d_s)
-        d_left = edges.sum_by_dst(d_s)[..., None]  # K x T x n x 1
-        d_right = edges.sum_by_src(d_s)[..., None]
-        d_hw += d_left * a_src.transpose(0, 2, 1)[:, None]  # outer products, no GEMM
-        d_hw += d_right * a_dst.transpose(0, 2, 1)[:, None]
+        g3 = np.minimum(out, 0.0)
+        g3 += 1.0
+        g3 *= g.reshape(n_dates, n, d)  # through elu'
+        gh = edges.to_blocks(g3)  # T x blocks x m x d
+        d_attn = (gh @ hw.swapaxes(-1, -2)).reshape(n_dates, -1)
+        d_s = np.empty_like(alpha)  # K x T x E, the gradient of the weights
+        for f, out_k in zip(flat, d_s):
+            np.take(d_attn, f, axis=1, out=out_k)
+        d_hw = (attn.swapaxes(-1, -2) @ gh).reshape(-1, k_heads * d)  # as x_b @ w_cat
+        # softmax backward; the weights are the softmax divided by K, which
+        # puts a factor K on the row dot product
+        dot = edges.sum_by_dst(d_s * alpha)
+        dot *= k_heads
+        d_s -= edges.per_edge(dot)
+        d_s *= alpha
+        d_s *= slope
+        d_lr = np.concatenate([edges.sum_by_dst(d_s), edges.sum_by_src(d_s)])
+        d_lr = d_lr.reshape(2 * k_heads, -1)  # as lr
         if x_st.requires_grad:
             x_st._ensure_grad()
-            x_st.grad += (d_hw @ w_all.transpose(0, 2, 1)[:, None]).sum(axis=0).reshape(-1, d)
+            gx = edges.from_blocks((d_hw @ w_cat.T).reshape(x_b.shape))
+            x_st.grad += gx.reshape(-1, d) + d_lr.T @ wa.T
+        d_w_cat = x_b.reshape(-1, d).T @ d_hw  # padding slots have zero d_hw rows
+        d_wa = x.T @ d_lr.T
         for i, (w, a) in enumerate(layer):
+            g_left, g_right = d_wa[:, i : i + 1], d_wa[:, k_heads + i : k_heads + i + 1]
             if w.tensor.requires_grad:
                 w.tensor._ensure_grad()
-                w.tensor.grad += np.tensordot(x3, d_hw[i], axes=([0, 1], [0, 1]))
+                w.tensor.grad += d_w_cat[:, i * d : (i + 1) * d]
+                w.tensor.grad += g_left @ a.values[:d].T + g_right @ a.values[d:].T
             if a.tensor.requires_grad:
                 a.tensor._ensure_grad()
-                a.tensor.grad[:d] += np.tensordot(hw[i], d_left[i], axes=([0, 1], [0, 1]))
-                a.tensor.grad[d:] += np.tensordot(hw[i], d_right[i], axes=([0, 1], [0, 1]))
+                a.tensor.grad[:d] += w.values.T @ g_left
+                a.tensor.grad[d:] += w.values.T @ g_right
 
     return ad.node(out.reshape(-1, d), (x_st, *param_tensors), backward)
 

@@ -22,9 +22,9 @@ from .config import VARIANTS, TrainConfig
 from .container import save_bundle
 from .data import DatasetSplit, RelationalGraph
 from .errors import ConfigError
-from .metrics import accuracy, confusion_matrix, mcc, pca_project_1d, smoothness
+from .metrics import pca_project_1d, smoothness
 from .model import PackedPanel, TrimodalModel, sample_refs
-from .training import train_model
+from .training import evaluate_part, train_model
 
 log = logging.getLogger(__name__)
 
@@ -47,13 +47,6 @@ class EvalReport:
         return asdict(self)
 
 
-def evaluate_model(model: TrimodalModel, packed: PackedPanel, samples) -> tuple[float, float]:
-    preds = model.predict_part(packed, samples)
-    _, _, labels = sample_refs(samples)
-    cm = confusion_matrix(labels, preds)
-    return accuracy(cm), mcc(cm)
-
-
 def run_variant(
     variant: str,
     split: DatasetSplit,
@@ -73,7 +66,7 @@ def run_variant(
         model, history = train_model(split, graph, cfg.replace(seed=seed), variant=variant)
         if packed is None:
             packed = PackedPanel.from_panel(split.panel, graph, cfg.dtype)
-        acc, m = evaluate_model(model, packed, split.test)
+        acc, m = evaluate_part(model, packed, split.test)
         accs.append(acc)
         mccs.append(m)
         if history:

@@ -29,6 +29,7 @@ class StubState:
     def __init__(self):
         self.requests = 0
         self.fail_first = 0
+        self.fail_status = 503
         self.in_flight = 0
         self.max_in_flight = 0
         self.delay = 0.0
@@ -67,7 +68,7 @@ class StubHandler(BaseHTTPRequestHandler):
                 time.sleep(st.delay)
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
             if fail:
-                self.send_response(503)
+                self.send_response(st.fail_status)
                 self.end_headers()
                 return
             width = DIM + 1 if st.wrong_width else DIM
@@ -166,6 +167,27 @@ class TestHttpBackend:
         with pytest.raises(ProviderError, match="3 attempts"):
             embed_texts(EmbedRequest(texts=["a"]), http_cfg(url))
         assert state.requests == 3
+
+    def test_rate_limit_retried(self, stub_server):
+        url, state = stub_server
+        state.fail_first, state.fail_status = 2, 429
+        out = embed_texts(EmbedRequest(texts=["a"]), http_cfg(url))
+        npt.assert_array_equal(out[0], _stub_vector("a", 0))
+        assert state.requests == 3
+
+    def test_rate_limit_retries_exhausted(self, stub_server):
+        url, state = stub_server
+        state.fail_first, state.fail_status = 99, 429
+        with pytest.raises(ProviderError, match="3 attempts.*429"):
+            embed_texts(EmbedRequest(texts=["a"]), http_cfg(url))
+        assert state.requests == 3
+
+    def test_client_error_not_retried(self, stub_server):
+        url, state = stub_server
+        state.fail_first, state.fail_status = 99, 400
+        with pytest.raises(ProviderError, match="HTTP 400"):
+            embed_texts(EmbedRequest(texts=["a"]), http_cfg(url))
+        assert state.requests == 1
 
     def test_wrong_width_contract_error(self, stub_server):
         url, state = stub_server

@@ -10,6 +10,7 @@ from stockfuse.encoders import (
     GatParams,
     IndicatorEncoderParams,
     LEAKY_SLOPE,
+    _GatEdges,
     block_gat_encode,
     encode_documents,
     encode_indicators,
@@ -100,6 +101,57 @@ class TestIndicatorEncoder:
             return ad.sum_all(ad.mul(out, out))
 
         assert grad_check(f, params.all(), eps=1e-5) < 1e-4
+
+
+def composed_indicators(x: Tensor, params: IndicatorEncoderParams) -> Tensor:
+    """The encoder as separate tape ops: slice, lift, concat, project."""
+    lifted = [
+        ad.add(ad.matmul(ad.slice_cols(x, col, col + 1), w.tensor), b.tensor)
+        for col, (w, b) in enumerate(
+            [(params.w_close, params.b_close), (params.w_open, params.b_open),
+             (params.w_high, params.b_high)]
+        )
+    ]
+    return ad.add(ad.matmul(ad.concat_cols(lifted), params.w_mix.tensor), params.b_mix.tensor)
+
+
+class TestFoldedIndicatorEncoder:
+    def outputs_and_grads(self, encode, x, params, g):
+        for p in (x, *params.all()):
+            p.zero_grad()
+        out = encode(x.tensor, params)
+        ad.sum_all(ad.mul(out, Tensor(g))).backward()
+        return [out.values] + [p.tensor.grad.copy() for p in (x, *params.all())]
+
+    @pytest.mark.parametrize("d", [1, 4, 9])
+    def test_matches_composed_ops(self, rng, d):
+        params = make_indicator_params(d, rng)
+        x = P("x", rng.normal(size=(11, 3)) * 3.0)
+        g = rng.normal(size=(11, d))
+        folded = self.outputs_and_grads(encode_indicators, x, params, g)
+        composed = self.outputs_and_grads(composed_indicators, x, params, g)
+        assert len(folded) == 10  # output, input gradient, eight parameter gradients
+        for got, want in zip(folded, composed):
+            npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_one_tape_node(self, rng):
+        params = make_indicator_params(3, rng)
+        out = encode_indicators(Tensor(rng.normal(size=(4, 3))), params)
+        assert set(map(id, out._parents)) == {id(p.tensor) for p in params.all()}
+
+    def test_width_checked(self, rng):
+        with pytest.raises(ShapeError, match="t x 3"):
+            encode_indicators(Tensor(rng.normal(size=(4, 2))), make_indicator_params(3, rng))
+
+    def test_float32_stays_float32(self, rng):
+        params = make_indicator_params(3, rng)
+        for p in params.all():
+            p.tensor.values = p.values.astype(np.float32)
+        out = encode_indicators(Tensor(rng.normal(size=(5, 3)).astype(np.float32)), params)
+        assert out.values.dtype == np.float32
+        ad.sum_all(out).backward()
+        for p in params.all():
+            assert p.tensor.grad.dtype == np.float32
 
 
 class TestDocEncoder:
@@ -372,3 +424,69 @@ class TestBlockGat:
         neighbors = graph.neighbor_mask(symbols)
         assert 0.05 < neighbors.mean() < 0.2
         self.assert_matches_loop(rng, neighbors, make_gat_params(8, heads=2), T=2)
+
+
+def sector_mask(sectors, links=()):
+    """Neighbour mask of stocks by sector (None: no sector) plus stock-stock links."""
+    symbols = [f"S{i:03d}" for i in range(len(sectors))]
+    edges = [(s, "sector", f"sec{k}") for s, k in zip(symbols, sectors) if k is not None]
+    edges += [(symbols[a], "peer", symbols[b]) for a, b in links]
+    return build_graph(edges, stocks=symbols).neighbor_mask(symbols)
+
+
+def block_of(edges, nodes):
+    """Block index of each node in the aggregation layout."""
+    slot = np.arange(edges.n) if edges.node_slot is None else edges.node_slot
+    return {int(i) // edges.m for i in slot[nodes]}
+
+
+class TestComponentBlocks:
+    """block_gat_encode against the per-timestamp loop on graphs whose
+    connected components it packs into blocks; output and every gradient."""
+
+    def check(self, rng, neighbors, T=3):
+        params = make_gat_params(4, heads=2, layers=2, rng=rng)
+        TestBlockGat().assert_matches_loop(rng, neighbors, params, T=T, tol=1e-12)
+        return _GatEdges.from_mask(neighbors)
+
+    def test_unequal_components_share_a_block(self, rng):
+        # sectors of 4 and 2 plus two isolated stocks, interleaved: a block
+        # for the 4, and the 2 and both singletons packed into a second one
+        neighbors = sector_mask([0, 1, None, 0, 0, 1, None, 0])
+        edges = self.check(rng, neighbors)
+        assert (edges.m, edges.n_blocks) == (4, 2)
+        assert block_of(edges, [0, 3, 4, 7]) != block_of(edges, [1, 2, 5, 6])
+        assert len(block_of(edges, [1, 2, 5, 6])) == 1
+
+    def test_stock_edge_merges_two_sectors(self, rng):
+        sectors = [0, 1, 2, 0, 1, 3, 0, 1, 2, 3]
+        assert _GatEdges.from_mask(sector_mask(sectors)).m == 3
+        neighbors = sector_mask(sectors, links=[(0, 1)])  # S000 (sector 0) - S001 (sector 1)
+        edges = self.check(rng, neighbors)
+        assert (edges.m, edges.n_blocks) == (6, 2)
+        assert len(block_of(edges, [0, 1, 3, 4, 6, 7])) == 1
+
+    def test_directed_edge_joins_components(self, rng):
+        neighbors = np.eye(9, dtype=bool)
+        neighbors[np.ix_([0, 3, 6], [0, 3, 6])] = True
+        neighbors[np.ix_([1, 4, 5], [1, 4, 5])] = True
+        neighbors[1, 2] = True  # 1 attends to 2, which attends to no other node
+        edges = self.check(rng, neighbors)
+        assert edges.m == 4
+        assert len(block_of(edges, [1, 2, 4, 5])) == 1
+
+    def test_one_component_is_one_dense_block(self, rng):
+        edges = self.check(rng, sector_mask([0] * 12))
+        assert (edges.m, edges.n_blocks, edges.slot_node) == (12, 1, None)
+
+    def test_large_component_with_singletons(self, rng):
+        # blocks of 150 would need 2 * 150^2 > 200^2 entries: one block of all
+        sectors = [None] * 200
+        for i in rng.permutation(200)[:150]:
+            sectors[i] = 0
+        edges = self.check(rng, sector_mask(sectors), T=2)
+        assert (edges.m, edges.n_blocks, edges.slot_node) == (200, 1, None)
+
+    def test_padded_blocks_over_two_hundred_nodes(self, rng):
+        edges = self.check(rng, sector_mask(list(rng.integers(0, 10, 200))), T=2)
+        assert edges.n_blocks * edges.m > 200 and edges.n_blocks * edges.m**2 < 200**2

@@ -2,9 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from stockfuse.autodiff import grad_check
 from stockfuse.config import VARIANTS, TrainConfig
 from stockfuse.data import build_dataset
 from stockfuse.model import PackedPanel, TrimodalModel
+from stockfuse.predictor import cross_entropy_loss
 from stockfuse.synth import synth_dataset
 
 
@@ -91,3 +93,28 @@ def test_diagnostics_return_unstable_stable_gate_per_stage(variant):
             npt.assert_array_equal(gate.values, 1.0)
         else:
             assert np.all((gate.values > 0) & (gate.values < 1))
+
+
+def test_model_grad_check_every_parameter():
+    """Finite differences over every weight of a tiny float64 model, GAT
+    with two layers over a graph of two sectors and one isolated stock."""
+    rng = np.random.default_rng(11)
+    packed = random_packed(rng, n_stocks=5, n_dates=8, dim=3)
+    sector = np.array([0, 1, 0, 1, 2])  # stock 4 is alone
+    packed.neighbors = sector[:, None] == sector[None, :]
+    cfg = TrainConfig(d=4, ws=4, heads=2, head_dim=2, gat_heads=2, gat_layers=2, seed=0)
+    model = TrimodalModel(cfg, doc_dim=3)
+    for p in model.params:  # nonzero biases keep every ReLU input off its kink
+        p.tensor.values = p.values + 0.1 * rng.normal(size=p.values.shape)
+        if p.name.startswith("gat."):  # scores that vary, so attention weights matter
+            p.tensor.values *= 3.0
+    stock_idx, start = np.array([0, 4, 1, 3, 2]), np.array([0, 1, 2, 4, 3])
+    labels = np.array([0, 1, 2, 1, 0])
+
+    def loss():
+        return cross_entropy_loss(model.forward_batch(packed, stock_idx, start), labels)
+
+    params = list(model.params)
+    assert grad_check(loss, params, eps=1e-6) < 1e-8
+    with_grad = {p.name for p in params if p.tensor.grad is not None and np.any(p.tensor.grad)}
+    assert with_grad == set(model.params.names())  # ind.*, gat.* and all the rest
