@@ -8,19 +8,28 @@ from the guide selects what survives. Stage 1 fuses indicators with
 documents; stage 2 fuses that result with the graph features. The design
 chains: any stage's stable output is t x d and can guide another stage.
 
-Because the head score matrices are averaged before the one softmax, M heads
-of width dh are exactly one head of width d' = M*dh: with Q, K and V the
-per-head projections concatenated column-wise (d x d'),
-sum_m Q_m K_m^T = Q K^T, so the attention matrix is
-softmax(Q K^T / (M * sqrt(d'))) and the concatenated output is that matrix
-times V.
+The per-window functions (`cross_attention`, `gated_selection`,
+`fuse_stage`, `fuse_trimodal`) compose tape ops head by head and are the
+reference. The model runs `block_cross_attention`: a whole stage over
+row-stacked windows ((B*t) x d, block size t) as one tape node with a
+hand-derived backward. It rests on two fold identities. With Q, K and V
+the per-head projections concatenated column-wise (d x d', d' = M*dh) and
+s = 1/(M*sqrt(d')):
 
-The batched ops work on row-stacked windows ((B*t) x d with block size t)
-and are one tape node each with a hand-derived backward:
-`block_cross_attention` runs the wide head (three d x d' projections, one
-score matmul, softmax and attention-times-values per window), and
-`block_gated_selection` runs the gate. Both are tested against the
-per-window functions above, which are the reference.
+  scores   sum_m s*(x Q_m)(y K_m)^T = (x P) y^T,  P = s*Q K^T  (d x d)
+  h_a      softmax(.)(y V) W_a + b_a = softmax(.)(y N) + b_a,  N = V W_a  (d x d)
+
+so the score is one bilinear form (the heads share one softmax) and the
+d'-wide "unstable" feature, whose only reader is W_a, is never formed; for
+glu_fusion N = glu W_a and there is no softmax. P and N cost d^2*d' once
+per call; every row-level product is then d x d (projections) or t x t
+per window (scores, mixing), so no row array is wider than d. At
+B*t = 20,480, d = 64, d' = 128, forward plus backward of a stage needs
+about 1.8 GFLOP against 5.2 for the wide-head form. The fold costs more
+only if d' < d, which no shipped config uses. Backward chains dP and dN
+into the per-head weights: dQ = s*dP K, dK = s*dP^T Q, dV = dN W_a^T and
+dW_a = V^T dN. `block_unstable` recomputes the unstable feature off the
+tape from the returned attention weights, for diagnostics.
 """
 
 from __future__ import annotations
@@ -53,6 +62,10 @@ class CrossAttnParams:
     def out_dim(self) -> int:
         """Concatenated width d' = M * head_dim; also the score scale."""
         return self.n_heads * self.head_dim
+
+    def projection(self, i: int) -> np.ndarray:
+        """Projection i (0 query, 1 key, 2 value) of every head side by side, d x d'."""
+        return np.concatenate([head[i].values for head in self.heads], axis=1)
 
     def all(self):
         return [p for head in self.heads for p in head]
@@ -154,10 +167,13 @@ def fuse_stage(
         else:
             unstable = cross_attention(query, kv, params.attn)
         h_a = ad.add(ad.matmul(unstable, params.gate.w_a.tensor), params.gate.b_a.tensor)
-        gate = ad.sigmoid(
-            ad.add(ad.matmul(guide, params.gate.w_b.tensor), params.gate.b_b.tensor)
-        )
-        stable = h_a if variant == "ca_fusion" else ad.mul(h_a, gate)
+        if variant == "ca_fusion":  # the gate is forced to 1
+            stable, gate = h_a, Tensor(np.ones_like(h_a.values))
+        else:
+            gate = ad.sigmoid(
+                ad.add(ad.matmul(guide, params.gate.w_b.tensor), params.gate.b_b.tensor)
+            )
+            stable = ad.mul(h_a, gate)
         out = FusionStageOutput(unstable=unstable, stable=stable, gate_values=gate)
         query = guide = stable
     return out
@@ -191,123 +207,147 @@ def fuse_trimodal(
 
 
 # ---------------------------------------------------------------------------
-# fused batched stage ops over row-stacked windows
+# the batched stage op over row-stacked windows
 
 
 def block_cross_attention(
-    query_st: Tensor, kv_st: Tensor, params: CrossAttnParams, block: int
-) -> Tensor:
-    """cross_attention applied independently to each block of `block` rows.
+    query_st: Tensor,
+    kv_st: Tensor,
+    guide_st: Tensor,
+    stage: FusionStageParams,
+    block: int,
+    gated: bool = True,
+) -> tuple[Tensor, Tensor | None, np.ndarray | None]:
+    """One layer of fuse_stage on each block of `block` rows, as one tape node.
 
-    Input rows are B windows stacked as (B*block) x d; output is
-    (B*block) x d'. Runs as one wide head (see the module docstring): the
-    per-head weights are concatenated into d x d' matrices, so the
-    projections are three GEMMs and each window needs one score matmul,
-    one softmax and one attention-times-values product. Matches slicing,
-    running cross_attention per window and re-stacking, up to the order of
-    floating-point sums.
+    Rows are B windows stacked as (B*block) x d. The mixing is attention,
+    or the glu_fusion linear map when `stage.glu` is set. With `gated=False`
+    (ca_fusion) the output is the pre-gate projection h and the guide is not
+    read. Both d x d' maps are folded into d x d products before any row is
+    touched (see the module docstring), so no row array is wider than d, and
+    backward chains the folded gradients into the unchanged per-head weights.
+
+    Returns (stable, gate, attn): the (B*block) x d output node, the gate as
+    a plain value (None when ungated) and the B x block x block attention
+    weights (None for glu_fusion). Matches fuse_stage run per window, up to
+    the order of floating-point sums.
     """
-    if query_st.rows != kv_st.rows or query_st.rows % block:
+    rows = kv_st.rows
+    if query_st.rows != rows or guide_st.rows != rows or rows % block:
         raise ShapeError(
-            f"stacked inputs {query_st.shape}/{kv_st.shape} not divisible into blocks of {block}"
+            f"stacked query {query_st.shape}, kv {kv_st.shape} and guide {guide_st.shape} "
+            f"not divisible into the same blocks of {block}"
         )
     if query_st.cols != kv_st.cols:
         raise ShapeError(f"query {query_st.shape} and kv {kv_st.shape} widths differ")
-    n_blocks = query_st.rows // block
-    dp = params.out_dim
-    head_dim = params.head_dim
-    score_scale = 1.0 / (params.n_heads * math.sqrt(dp))
-    wq, wk, wv = (
-        np.concatenate([head[i].values for head in params.heads], axis=1) for i in range(3)
-    )
-    x, y = query_st.values, kv_st.values
-    q3 = (x @ wq).reshape(n_blocks, block, dp)
-    k3 = (y @ wk).reshape(n_blocks, block, dp)
-    v3 = (y @ wv).reshape(n_blocks, block, dp)
-    attn = q3 @ k3.transpose(0, 2, 1)  # b x t x s
-    attn *= score_scale
-    attn -= attn.max(axis=2, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=2, keepdims=True)
-    out_vals = (attn @ v3).reshape(n_blocks * block, dp)
-
-    def backward(g):
-        g3 = g.reshape(n_blocks, block, dp)
-        d_scores = g3 @ v3.transpose(0, 2, 1)
-        d_v = (attn.transpose(0, 2, 1) @ g3).reshape(-1, dp)
-        d_scores -= (d_scores * attn).sum(axis=2, keepdims=True)
-        d_scores *= attn
-        d_scores *= score_scale
-        d_q = (d_scores @ k3).reshape(-1, dp)
-        d_k = (d_scores.transpose(0, 2, 1) @ q3).reshape(-1, dp)
-        if query_st.requires_grad:
-            query_st._ensure_grad()
-            query_st.grad += d_q @ wq.T
-        if kv_st.requires_grad:
-            kv_st._ensure_grad()
-            kv_st.grad += d_k @ wk.T + d_v @ wv.T
-        for i, (src, d_proj) in enumerate(((x, d_q), (y, d_k), (y, d_v))):
-            trainable = [head[i].tensor for head in params.heads]
-            if not any(p.requires_grad for p in trainable):
-                continue
-            d_w = src.T @ d_proj  # d x d'
-            for m, p in enumerate(trainable):
-                if p.requires_grad:
-                    p._ensure_grad()
-                    p.grad += d_w[:, m * head_dim : (m + 1) * head_dim]
-
-    head_params = [p.tensor for trio in params.heads for p in trio]
-    return ad.node(out_vals, (query_st, kv_st, *head_params), backward)
-
-
-def block_gated_selection(
-    unstable: Tensor, guide: Tensor, params: GateParams, gated: bool = True
-) -> tuple[Tensor, Tensor]:
-    """gated_selection over stacked rows as one tape node.
-
-    Computes h_a = U·Wa + ba, the gate σ(G·Wb + bb) and h_a ⊙ gate, with a
-    hand-derived backward that keeps only the output and the gate (the
-    gate's pre-activation gradient is g ⊙ out ⊙ (1 - gate)). With
-    `gated=False` (the ca_fusion variant) the output is h_a itself, the guide
-    is not read and the returned gate is all ones. Returns (stable, gate);
-    the gate tensor is a plain value for diagnostics, not a tape node.
-    """
-    if unstable.rows != guide.rows:
-        raise ShapeError(f"unstable {unstable.shape} and guide {guide.shape} row counts differ")
-    h_a = unstable.values @ params.w_a.values
-    h_a += params.b_a.values
-    if gated:
-        pre = guide.values @ params.w_b.values
-        pre += params.b_b.values
-        gate = ad.sigmoid_values(pre)
-        out_vals = h_a * gate
+    n_blocks = rows // block
+    gate_p, attn_p = stage.gate, stage.attn
+    w_a, w_b = gate_p.w_a.values, gate_p.w_b.values
+    x, y, guide = query_st.values, kv_st.values, guide_st.values
+    glu = stage.glu is not None
+    w_mix = stage.glu.values if glu else attn_p.projection(2)  # d x d'
+    n_fold = w_mix @ w_a  # d x d
+    if glu:
+        attn = None
+        h = y @ n_fold
     else:
-        gate = np.ones_like(h_a)
-        out_vals = h_a
+        scale = 1.0 / (attn_p.n_heads * math.sqrt(attn_p.out_dim))
+        wq, wk = attn_p.projection(0), attn_p.projection(1)
+        p_fold = wq @ wk.T
+        p_fold *= scale
+        xp3 = (x @ p_fold).reshape(n_blocks, block, -1)
+        y3 = y.reshape(n_blocks, block, -1)
+        yn3 = (y @ n_fold).reshape(n_blocks, block, -1)
+        attn = xp3 @ y3.transpose(0, 2, 1)  # b x t x s
+        attn -= attn.max(axis=2, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=2, keepdims=True)
+        h = (attn @ yn3).reshape(rows, -1)
+    h += gate_p.b_a.values
+    out = h
+    gate = None
+    if gated:
+        pre = guide @ w_b
+        pre += gate_p.b_b.values
+        gate = ad.sigmoid_values(pre)
+        out *= gate
 
     def backward(g):
         d_h = g
         if gated:
             d_h = g * gate
-            d_pre = g * out_vals
-            d_pre *= 1.0 - gate
-            _linear_backward(guide, params.w_b, params.b_b, d_pre)
-        _linear_backward(unstable, params.w_a, params.b_a, d_h)
+            d_pre = g - d_h  # g * h * gate * (1 - gate) = (g - g * gate) * out
+            d_pre *= out
+            if guide_st.requires_grad:
+                _add_grad(guide_st, d_pre @ w_b.T)
+            _add_grad(gate_p.w_b.tensor, guide.T @ d_pre)
+            _add_grad(gate_p.b_b.tensor, d_pre.sum(axis=0, keepdims=True))
+        _add_grad(gate_p.b_a.tensor, d_h.sum(axis=0, keepdims=True))
+        if glu:
+            d_yn = d_h
+            if kv_st.requires_grad:
+                _add_grad(kv_st, d_h @ n_fold.T)
+        else:
+            d_h3 = d_h.reshape(yn3.shape)
+            d_s = d_h3 @ yn3.transpose(0, 2, 1)
+            d_yn = (attn.transpose(0, 2, 1) @ d_h3).reshape(rows, -1)
+            d_s -= (d_s * attn).sum(axis=2, keepdims=True)
+            d_s *= attn
+            d_xp = (d_s @ y3).reshape(rows, -1)
+            if query_st.requires_grad:
+                _add_grad(query_st, d_xp @ p_fold.T)
+            if kv_st.requires_grad:
+                d_y = (d_s.transpose(0, 2, 1) @ xp3).reshape(rows, -1)
+                d_y += d_yn @ n_fold.T
+                _add_grad(kv_st, d_y)
+            d_p = x.T @ d_xp  # d x d: the gradient of p_fold
+            d_p *= scale
+            _add_head_grads(attn_p, 0, d_p @ wk)
+            _add_head_grads(attn_p, 1, d_p.T @ wq)
+        d_n = y.T @ d_yn  # d x d: the gradient of n_fold
+        if glu:
+            _add_grad(stage.glu.tensor, d_n @ w_a.T)
+        else:
+            _add_head_grads(attn_p, 2, d_n @ w_a.T)
+        _add_grad(gate_p.w_a.tensor, w_mix.T @ d_n)
 
-    parents = (unstable, params.w_a.tensor, params.b_a.tensor)
+    parents = [kv_st, gate_p.w_a.tensor, gate_p.b_a.tensor]
+    if glu:
+        parents.append(stage.glu.tensor)
+    else:
+        parents += [query_st, *(p.tensor for p in attn_p.all())]
     if gated:
-        parents += (guide, params.w_b.tensor, params.b_b.tensor)
-    return ad.node(out_vals, parents, backward), Tensor(gate)
+        parents += [guide_st, gate_p.w_b.tensor, gate_p.b_b.tensor]
+    stable = ad.node(out, parents, backward)
+    return stable, None if gate is None else Tensor(gate), attn
 
 
-def _linear_backward(src: Tensor, w: Parameter, b: Parameter, d_out: np.ndarray) -> None:
-    """Accumulate the grads of out = src·w + b given d_out."""
-    if src.requires_grad:
-        src._ensure_grad()
-        src.grad += d_out @ w.values.T
-    if w.tensor.requires_grad:
-        w.tensor._ensure_grad()
-        w.tensor.grad += src.values.T @ d_out
-    if b.tensor.requires_grad:
-        b.tensor._ensure_grad()
-        b.tensor.grad += d_out.sum(axis=0, keepdims=True)
+def block_unstable(kv_st: Tensor, stage: FusionStageParams, attn: np.ndarray | None) -> Tensor:
+    """A stage's d'-wide pre-gate feature as a plain value, for diagnostics.
+
+    Recomputed from the attention weights block_cross_attention returned
+    (`attn`, None for glu_fusion): the stage op itself never forms it.
+    """
+    y = kv_st.values
+    if stage.glu is not None:
+        return Tensor(y @ stage.glu.values)
+    v3 = (y @ stage.attn.projection(2)).reshape(*attn.shape[:2], -1)
+    return Tensor((attn @ v3).reshape(kv_st.rows, -1))
+
+
+def _add_grad(t: Tensor, grad: np.ndarray) -> None:
+    """Accumulate `grad`, a fresh array no one else holds; the first write
+    assigns it, which saves a zero fill and an add per row array."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = grad
+    else:
+        t.grad += grad
+
+
+def _add_head_grads(params: CrossAttnParams, i: int, d_w: np.ndarray) -> None:
+    """Slice the gradient of projection i (d x d') back into the heads."""
+    hd = params.head_dim
+    for m, head in enumerate(params.heads):
+        _add_grad(head[i].tensor, d_w[:, m * hd : (m + 1) * hd].copy())

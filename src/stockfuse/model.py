@@ -4,12 +4,13 @@ The batched forward works on a date-major packing of the panel: all stocks'
 feature rows for one calendar date sit together, so the indicator encoder
 runs once over the whole calendar, the graph encoder runs once per date, and
 every window is just a row-gather. Windows are then processed as row-stacked
-blocks through the fused attention/time-reduction ops. Each fusion stage is
-two tape nodes: `block_cross_attention`, all heads run as one wide head, and
-`block_gated_selection`, the gate's two affine maps, sigmoid and product
-with a hand-derived backward. A slow per-sample reference path
-(`forward_sample`) composes the public per-window functions and is used to
-pin the batched path in tests.
+blocks through the fused attention/time-reduction ops. Each layer of a
+fusion stage is one tape node, `block_cross_attention`: attention (or the
+glu map), the gate's two affine maps, sigmoid and product, with its d x d'
+weights folded into d x d maps and a hand-derived backward. The d'-wide
+pre-gate feature is recomputed only for `diagnostics=True`. A slow
+per-sample reference path (`forward_sample`) composes the public
+per-window functions and is used to pin the batched path in tests.
 
 Variant wiring:
   glu_fusion       attention replaced by a linear map of the kv modality
@@ -29,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .config import VARIANTS, TrainConfig
-from .data import DatasetSplit, Panel, RelationalGraph, WindowSample
+from .data import Panel, RelationalGraph, WindowSample
 from .encoders import (
     DocEncoderParams,
     GatParams,
@@ -46,7 +47,7 @@ from .fusion import (
     GateParams,
     TrimodalOutput,
     block_cross_attention,
-    block_gated_selection,
+    block_unstable,
     fuse_trimodal,
 )
 from .predictor import (
@@ -281,19 +282,17 @@ class TrimodalModel:
             vg_cal = block_gat_encode(vi_cal, packed.neighbors, self.gat)
         return vi_cal, vd_cal, vg_cal
 
-    def _fuse_blocks(self, query, kv, guide, stage: FusionStageParams, block: int):
-        out = None
+    def _fuse_blocks(self, query, kv, guide, stage: FusionStageParams, block: int, diagnostics):
+        """Stable output of a stage; with diagnostics also (unstable, stable, gate)."""
+        gated = self.variant != "ca_fusion"
         for _ in range(max(1, self.cfg.fusion_layers)):
-            if self.variant == "glu_fusion":
-                unstable = ad.matmul(kv, stage.glu.tensor)
-            else:
-                unstable = block_cross_attention(query, kv, stage.attn, block)
-            stable, gate = block_gated_selection(
-                unstable, guide, stage.gate, gated=self.variant != "ca_fusion"
-            )
-            out = (unstable, stable, gate)
+            stable, gate, attn = block_cross_attention(query, kv, guide, stage, block, gated)
             query = guide = stable
-        return out
+        if not diagnostics:
+            return stable, None
+        if gate is None:
+            gate = Tensor(np.ones_like(stable.values))
+        return stable, (block_unstable(kv, stage, attn), stable, gate)
 
     def forward_batch(
         self,
@@ -319,13 +318,15 @@ class TrimodalModel:
             fused_docs = q_i
         else:
             query = guide = d_w if self.variant == "drop_indicators" else q_i
-            u1, fused_docs, gate1 = self._fuse_blocks(query, d_w, guide, self.stages[0], t)
-            diag["stage1"] = (u1, fused_docs, gate1)
+            fused_docs, diag["stage1"] = self._fuse_blocks(
+                query, d_w, guide, self.stages[0], t, diagnostics
+            )
         if self.variant == "drop_graph":
             fused_all = fused_docs
         else:
-            u2, fused_all, gate2 = self._fuse_blocks(fused_docs, g_w, fused_docs, self.stages[1], t)
-            diag["stage2"] = (u2, fused_all, gate2)
+            fused_all, diag["stage2"] = self._fuse_blocks(
+                fused_docs, g_w, fused_docs, self.stages[1], t, diagnostics
+            )
         h_fused = block_reduce_time(fused_all, self.pred, t)
         h_ind = block_reduce_time(q_i, self.pred, t)
         logits = aggregate_features(ad.concat_cols([h_fused, h_ind]), self.pred)
@@ -355,6 +356,14 @@ class TrimodalModel:
 
     def forward_sample(self, packed: PackedPanel, stock: int, start: int) -> Tensor:
         """Reference forward for one window, composing the public ops."""
+        fused, v_i = self.fuse_sample(packed, stock, start)
+        h = aggregate_time(fused.fused_all, v_i, self.pred)
+        return aggregate_features(h, self.pred)
+
+    def fuse_sample(
+        self, packed: PackedPanel, stock: int, start: int
+    ) -> tuple[TrimodalOutput, Tensor]:
+        """Reference encoders and fusion for one window, and its v_i."""
         t = self.cfg.ws
         n = packed.n_stocks
         dt = self.cfg.dtype
@@ -379,9 +388,8 @@ class TrimodalModel:
                 g_all = gat_encode_graph(all_feats, packed.neighbors, self.gat)
                 per_date.append(ad.slice_rows(g_all, stock, stock + 1))
             v_g = ad.concat_rows(per_date)
-        fused: TrimodalOutput = fuse_trimodal(
+        fused = fuse_trimodal(
             v_i, v_d, v_g, self.stages[0], self.stages[1],
             variant=self.variant, n_layers=self.cfg.fusion_layers,
         )
-        h = aggregate_time(fused.fused_all, v_i, self.pred)
-        return aggregate_features(h, self.pred)
+        return fused, v_i

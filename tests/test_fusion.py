@@ -12,7 +12,7 @@ from stockfuse.fusion import (
     GateParams,
     attention_matrix,
     block_cross_attention,
-    block_gated_selection,
+    block_unstable,
     cross_attention,
     fuse_stage,
     fuse_trimodal,
@@ -48,9 +48,16 @@ def make_gate(d, heads=2, head_dim=None, rng=None):
     )
 
 
-def make_stage(d, heads=2, rng=None):
+def make_stage(d, heads=2, rng=None, head_dim=None, glu=False):
+    """Stage weights of width d' = heads * head_dim, with a glu map if asked."""
     rng = rng or np.random.default_rng(2)
-    return FusionStageParams(attn=make_attn(d, heads, rng=rng), gate=make_gate(d, heads, rng=rng))
+    stage = FusionStageParams(
+        attn=make_attn(d, heads, head_dim=head_dim, rng=rng),
+        gate=make_gate(d, heads, head_dim=head_dim, rng=rng),
+    )
+    if glu:
+        stage.glu = P("glu", rng.normal(size=(d, stage.attn.out_dim)) * 0.5)
+    return stage
 
 
 def loop_attention_oracle(query, kv, params):
@@ -261,145 +268,209 @@ class TestTrimodal:
         )
 
 
+# The batched stage op against the per-window reference. Each mode is
+# (variant for fuse_stage, whether the stage has a glu map, gated).
+MODES = {
+    "gated": ("full", False, True),
+    "ca": ("ca_fusion", False, False),
+    "glu": ("glu_fusion", True, True),
+}
+
+
+def wired_inputs(rng, rows, d, wiring):
+    """(query, kv, guide) tensors; "guide" is the stage-2 wiring, "kv" shares query and kv."""
+    if wiring == "guide":
+        q = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
+        return q, Tensor(rng.normal(size=(rows, d)), requires_grad=True), q
+    x = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
+    return x, x, Tensor(rng.normal(size=(rows, d)) * 2, requires_grad=True)
+
+
+def per_window_stage(query, kv, guide, stage, variant, t):
+    """fuse_stage on each window slice, re-stacked: the reference."""
+    n_blocks = kv.rows // t
+    return ad.concat_rows([
+        fuse_stage(
+            *(ad.slice_rows(x, b * t, (b + 1) * t) for x in (query, kv, guide)),
+            stage, variant=variant,
+        ).stable
+        for b in range(n_blocks)
+    ])
+
+
+def run_with_grads(forward, inputs, params, upstream):
+    """Output values and the grads of every input and parameter (None if unread)."""
+    for p in params:
+        p.zero_grad()
+    fresh = {}
+    tensors = [fresh.setdefault(id(x), Tensor(x.values, requires_grad=True)) for x in inputs]
+    out = forward(*tensors)
+    ad.sum_all(ad.mul(out, Tensor(upstream))).backward()
+    return out.values, [x.grad for x in tensors] + [p.tensor.grad for p in params]
+
+
+def assert_same_grads(got, want, atol=1e-12):
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert g.shape == w.shape
+            npt.assert_allclose(g, w, rtol=0, atol=atol)
+
+
 class TestBlockCrossAttention:
+    """The whole gated stage as one node, against per-window fuse_stage."""
+
     @given(
         st.integers(1, 5), st.integers(1, 6), st.integers(1, 4), st.integers(1, 3),
-        st.integers(0, 10_000),
+        st.integers(1, 5), st.sampled_from(sorted(MODES)), st.integers(0, 10_000),
     )
-    @settings(max_examples=20)
-    def test_matches_per_window_composition(self, n_blocks, t, d, heads, seed):
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_window_composition(self, n_blocks, t, d, heads, head_dim, mode, seed):
         rng = np.random.default_rng(seed)
-        params = make_attn(d, heads=heads, rng=rng)
-        query = rng.normal(size=(n_blocks * t, d))
-        kv = rng.normal(size=(n_blocks * t, d))
-        fused = block_cross_attention(Tensor(query), Tensor(kv), params, block=t)
-        for b in range(n_blocks):
-            single = cross_attention(
-                Tensor(query[b * t : (b + 1) * t]), Tensor(kv[b * t : (b + 1) * t]), params
-            )
-            npt.assert_allclose(fused.values[b * t : (b + 1) * t], single.values, atol=1e-10)
+        variant, glu, gated = MODES[mode]
+        stage = make_stage(d, heads, rng, head_dim=head_dim, glu=glu)
+        q, kv, g = (Tensor(rng.normal(size=(n_blocks * t, d))) for _ in range(3))
+        stable, _, _ = block_cross_attention(q, kv, g, stage, t, gated=gated)
+        want = per_window_stage(q, kv, g, stage, variant, t)
+        npt.assert_allclose(stable.values, want.values, rtol=0, atol=1e-10)
 
     def test_block_gradients(self, rng):
-        params = make_attn(3, heads=2, rng=rng)
-        query = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-        kv = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-        extras = [Parameter("q_in", query), Parameter("kv_in", kv)]
+        stage = make_stage(3, rng=rng, head_dim=3)
+        q, kv, g = (Tensor(rng.normal(size=(6, 3)), requires_grad=True) for _ in range(3))
+        extras = [Parameter("q_in", q), Parameter("kv_in", kv), Parameter("g_in", g)]
 
         def f():
-            out = block_cross_attention(query, kv, params, block=3)
+            out, _, _ = block_cross_attention(q, kv, g, stage, block=3)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, params.all() + extras, eps=1e-5) < 1e-4
+        assert grad_check(f, stage.all() + extras, eps=1e-5) < 1e-4
 
-    @pytest.mark.parametrize("d,heads,head_dim", [(3, 2, None), (4, 3, 2), (3, 1, 5), (2, 2, 3)])
+    @pytest.mark.parametrize(
+        "d,heads,head_dim",
+        # d' > d for the first four, then d' = d and d' < d
+        [(3, 2, None), (4, 3, 2), (3, 1, 5), (2, 2, 3), (4, 2, 2), (5, 1, 3)],
+    )
     def test_gradients_match_per_window_composition(self, d, heads, head_dim):
-        rng = np.random.default_rng(d * 100 + heads * 10 + (head_dim or 0))
+        """Output and every input and parameter gradient, in each mode and wiring."""
         n_blocks, t = 3, 4
-        params = make_attn(d, heads=heads, head_dim=head_dim, rng=rng, scale=0.7)
-        query = rng.normal(size=(n_blocks * t, d))
-        kv = rng.normal(size=(n_blocks * t, d))
-        upstream = rng.normal(size=(n_blocks * t, params.out_dim))
-
-        def grads(forward):
-            for p in params.all():
-                p.zero_grad()
-            q_in = Tensor(query, requires_grad=True)
-            kv_in = Tensor(kv, requires_grad=True)
-            out = forward(q_in, kv_in)
-            ad.sum_all(ad.mul(out, Tensor(upstream))).backward()
-            return out.values, [q_in.grad, kv_in.grad] + [p.tensor.grad for p in params.all()]
-
-        def per_window(q_in, kv_in):
-            return ad.concat_rows([
-                cross_attention(
-                    ad.slice_rows(q_in, b * t, (b + 1) * t),
-                    ad.slice_rows(kv_in, b * t, (b + 1) * t),
-                    params,
+        for mode, (variant, glu, gated) in MODES.items():
+            for wiring in ("guide", "kv"):
+                rng = np.random.default_rng(d * 100 + heads * 10 + (head_dim or 0))
+                stage = make_stage(d, heads, rng, head_dim=head_dim, glu=glu)
+                inputs = wired_inputs(rng, n_blocks * t, d, wiring)
+                upstream = rng.normal(size=(n_blocks * t, d))
+                params = stage.all(variant)
+                fused_out, fused_grads = run_with_grads(
+                    lambda q, kv, g: block_cross_attention(q, kv, g, stage, t, gated)[0],
+                    inputs, params, upstream,
                 )
-                for b in range(n_blocks)
-            ])
-
-        fused_out, fused_grads = grads(lambda q, kv: block_cross_attention(q, kv, params, t))
-        ref_out, ref_grads = grads(per_window)
-        npt.assert_allclose(fused_out, ref_out, rtol=0, atol=1e-13)
-        for got, want in zip(fused_grads, ref_grads):
-            assert got.shape == want.shape
-            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+                ref_out, ref_grads = run_with_grads(
+                    lambda q, kv, g: per_window_stage(q, kv, g, stage, variant, t),
+                    inputs, params, upstream,
+                )
+                npt.assert_allclose(fused_out, ref_out, rtol=0, atol=1e-12, err_msg=mode)
+                assert_same_grads(fused_grads, ref_grads)
 
     def test_shared_query_and_kv_gradients(self, rng):
-        params = make_attn(3, heads=2, head_dim=2, rng=rng)
+        stage = make_stage(3, rng=rng, head_dim=2)
         x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         extras = [Parameter("x_in", x)]
 
-        def f():
-            out = block_cross_attention(x, x, params, block=3)
+        def f():  # x is query, kv and guide at once
+            out, _, _ = block_cross_attention(x, x, x, stage, block=3)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, params.all() + extras, eps=1e-5) < 1e-4
+        assert grad_check(f, stage.all() + extras, eps=1e-5) < 1e-4
+
+    def test_unstable_recomputed_from_attention(self, rng):
+        d, t = 3, 4
+        for glu in (False, True):
+            stage = make_stage(d, rng=rng, head_dim=2, glu=glu)
+            q, kv = (Tensor(rng.normal(size=(2 * t, d))) for _ in range(2))
+            _, _, attn = block_cross_attention(q, kv, q, stage, t)
+            unstable = block_unstable(kv, stage, attn)
+            for b in range(2):
+                rows = slice(b * t, (b + 1) * t)
+                want = fuse_stage(
+                    Tensor(q.values[rows]), Tensor(kv.values[rows]), Tensor(q.values[rows]),
+                    stage, variant="glu_fusion" if glu else "full",
+                ).unstable
+                npt.assert_allclose(unstable.values[rows], want.values, rtol=0, atol=1e-12)
+                if not glu:
+                    npt.assert_allclose(attn[b].sum(axis=1), 1.0, rtol=0, atol=1e-12)
+            assert (attn is None) == glu
 
     def test_indivisible_rows_rejected(self, rng):
-        params = make_attn(3, rng=rng)
+        stage = make_stage(3, rng=rng, head_dim=3)
+        x = Tensor(np.zeros((7, 3)))
         with pytest.raises(ShapeError):
-            block_cross_attention(Tensor(np.zeros((7, 3))), Tensor(np.zeros((7, 3))), params, block=3)
+            block_cross_attention(x, x, x, stage, block=3)
+        with pytest.raises(ShapeError, match="widths differ"):
+            block_cross_attention(Tensor(np.zeros((6, 2))), Tensor(np.zeros((6, 3))),
+                                  Tensor(np.zeros((6, 3))), stage, block=3)
 
 
 class TestBlockGatedSelection:
+    """The gate half of the stage op against the per-window gated_selection."""
+
     @pytest.mark.parametrize("gated", [True, False])
     def test_matches_composed_ops(self, rng, gated):
-        d, heads, rows = 4, 2, 9
-        params = make_gate(d, heads=heads, rng=rng)
-        unstable = rng.normal(size=(rows, heads * d))
-        guide = rng.normal(size=(rows, d)) * 3
-
-        def grads(forward):
-            for p in params.all():
-                p.zero_grad()
-            u_in = Tensor(unstable, requires_grad=True)
-            g_in = Tensor(guide, requires_grad=True)
-            out = forward(u_in, g_in)
-            ad.sum_all(ad.mul(out, out)).backward()
-            return out.values, [u_in.grad, g_in.grad] + [p.tensor.grad for p in params.all()]
-
-        def composed(u_in, g_in):
-            if gated:
-                return gated_selection(u_in, g_in, params)
-            return ad.add(ad.matmul(u_in, params.w_a.tensor), params.b_a.tensor)
-
-        fused_out, fused_grads = grads(
-            lambda u, g: block_gated_selection(u, g, params, gated=gated)[0]
+        d, t, n_blocks = 4, 3, 3
+        stage = make_stage(d, rng=rng, head_dim=d)
+        inputs = tuple(
+            Tensor(rng.normal(size=(n_blocks * t, d)) * s, requires_grad=True) for s in (1, 1, 3)
         )
-        ref_out, ref_grads = grads(composed)
-        npt.assert_array_equal(fused_out, ref_out)
-        for got, want in zip(fused_grads, ref_grads):
-            if want is None:  # the ca_fusion form reads neither guide nor Wb, bb
-                assert got is None
-            else:
-                npt.assert_allclose(got, want, rtol=0, atol=1e-13)
+        upstream = rng.normal(size=(n_blocks * t, d))
+        params = stage.all()
+
+        def composed(q, kv, g):
+            unstable = ad.concat_rows([
+                cross_attention(ad.slice_rows(q, b * t, (b + 1) * t),
+                                ad.slice_rows(kv, b * t, (b + 1) * t), stage.attn)
+                for b in range(n_blocks)
+            ])
+            if gated:
+                return gated_selection(unstable, g, stage.gate)
+            return ad.add(ad.matmul(unstable, stage.gate.w_a.tensor), stage.gate.b_a.tensor)
+
+        fused_out, fused_grads = run_with_grads(
+            lambda q, kv, g: block_cross_attention(q, kv, g, stage, t, gated)[0],
+            inputs, params, upstream,
+        )
+        ref_out, ref_grads = run_with_grads(composed, inputs, params, upstream)
+        npt.assert_allclose(fused_out, ref_out, rtol=0, atol=1e-12)
+        # the ca_fusion form reads neither guide nor Wb, bb: their grads stay None
+        assert_same_grads(fused_grads, ref_grads)
 
     def test_gate_values(self, rng):
-        params = make_gate(3, rng=rng)
-        unstable = Tensor(rng.normal(size=(5, 6)))
-        guide = Tensor(rng.normal(size=(5, 3)))
-        _, gate = block_gated_selection(unstable, guide, params)
-        pre = guide.values @ params.w_b.values + params.b_b.values
+        stage = make_stage(3, rng=rng, head_dim=3)
+        q, kv, guide = (Tensor(rng.normal(size=(6, 3))) for _ in range(3))
+        _, gate, _ = block_cross_attention(q, kv, guide, stage, block=3)
+        pre = guide.values @ stage.gate.w_b.values + stage.gate.b_b.values
         npt.assert_allclose(gate.values, 1.0 / (1.0 + np.exp(-pre)), rtol=0, atol=1e-15)
         assert not gate.requires_grad
-        _, ones = block_gated_selection(unstable, guide, params, gated=False)
-        npt.assert_array_equal(ones.values, np.ones((5, 3)))
+        _, none, _ = block_cross_attention(q, kv, guide, stage, block=3, gated=False)
+        assert none is None
+        stage.gate.b_b.tensor.values = np.full((1, 3), -800.0)  # exp underflows: closed exactly
+        stable, gate, _ = block_cross_attention(q, kv, guide, stage, block=3)
+        npt.assert_array_equal(gate.values, 0.0)
+        npt.assert_array_equal(stable.values, 0.0)
 
     def test_grad_check(self, rng):
-        params = make_gate(3, rng=rng)
-        unstable = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-        guide = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        extras = [Parameter("u_in", unstable), Parameter("g_in", guide)]
+        """The glu_fusion form: a linear map of kv, then the gate."""
+        stage = make_stage(3, rng=rng, head_dim=2, glu=True)
+        kv, guide = (Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(2))
+        extras = [Parameter("kv_in", kv), Parameter("g_in", guide)]
 
         def f():
-            stable, _ = block_gated_selection(unstable, guide, params)
+            stable, _, _ = block_cross_attention(kv, kv, guide, stage, block=2)
             return ad.sum_all(ad.mul(stable, stable))
 
-        assert grad_check(f, params.all() + extras, eps=1e-5) < 1e-4
+        assert grad_check(f, stage.all("glu_fusion") + extras, eps=1e-5) < 1e-4
 
     def test_row_mismatch_rejected(self, rng):
-        params = make_gate(3, rng=rng)
+        stage = make_stage(3, rng=rng, head_dim=3)
+        x = Tensor(np.zeros((4, 3)))
         with pytest.raises(ShapeError):
-            block_gated_selection(Tensor(np.zeros((4, 6))), Tensor(np.zeros((5, 3))), params)
+            block_cross_attention(x, x, Tensor(np.zeros((5, 3))), stage, block=2)

@@ -95,6 +95,28 @@ def test_diagnostics_return_unstable_stable_gate_per_stage(variant):
             assert np.all((gate.values > 0) & (gate.values < 1))
 
 
+@pytest.mark.parametrize("fusion_layers", [1, 2])
+@pytest.mark.parametrize("variant", ["full", "ca_fusion", "glu_fusion", "drop_indicators"])
+def test_diagnostics_match_per_window_fusion(variant, fusion_layers):
+    """(unstable, stable, gate) per stage equal the per-window fuse_trimodal
+    values, including the unstable feature the stage op recomputes off tape."""
+    packed = random_packed(np.random.default_rng(fusion_layers))
+    cfg = TrainConfig(d=4, ws=4, heads=2, head_dim=3, gat_heads=2, fusion_layers=fusion_layers,
+                      seed=5)
+    model = TrimodalModel(cfg, doc_dim=5, variant=variant)
+    stock_idx, start = np.array([0, 2, 1, 2]), np.array([0, 1, 3, 5])
+    _, diag = model.forward_batch(packed, stock_idx, start, diagnostics=True)
+    assert sorted(diag) == ["stage1", "stage2"]
+    t = cfg.ws
+    for b, (s, t0) in enumerate(zip(stock_idx, start)):
+        fused, _ = model.fuse_sample(packed, int(s), int(t0))
+        for k, ref in enumerate(fused.stages, start=1):
+            unstable, stable, gate = (x.values[b * t : (b + 1) * t] for x in diag[f"stage{k}"])
+            npt.assert_allclose(unstable, ref.unstable.values, rtol=0, atol=1e-12)
+            npt.assert_allclose(stable, ref.stable.values, rtol=0, atol=1e-12)
+            npt.assert_allclose(gate, ref.gate_values.values, rtol=0, atol=1e-12)
+
+
 def test_model_grad_check_every_parameter():
     """Finite differences over every weight of a tiny float64 model, GAT
     with two layers over a graph of two sectors and one isolated stock."""

@@ -7,6 +7,7 @@ from stockfuse.config import TrainConfig
 from stockfuse.container import load_bundle, save_bundle
 from stockfuse.data import build_dataset
 from stockfuse.errors import CheckpointError
+from stockfuse import training
 from stockfuse.model import TrimodalModel
 from stockfuse.synth import synth_dataset
 from stockfuse.training import load_checkpoint, model_from_checkpoint, save_checkpoint, train_model
@@ -70,3 +71,65 @@ def test_checkpoint_without_head_version_refused(tmp_path):
     save_bundle(path, arrays, meta)
     with pytest.raises(CheckpointError, match="head version 1"):
         load_checkpoint(path)
+
+
+def _csv_without_timing(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    keep = [i for i, name in enumerate(rows[0]) if name not in ("seconds", "peak_mem_bytes")]
+    return [[row[i] for i in keep] for row in rows]
+
+
+@pytest.mark.parametrize("precision", ["float64", "float32"])
+def test_training_is_deterministic(tiny_split, tmp_path, precision):
+    split, graph = tiny_split
+    cfg = tiny_config().replace(epochs=2, precision=precision)
+    models = []
+    for run in ("a", "b"):
+        model, _ = train_model(split, graph, cfg, metrics_csv=tmp_path / f"{run}.csv")
+        models.append(model.params.snapshot())
+    table = _csv_without_timing(tmp_path / "a.csv")
+    assert len(table) == 3 and table[0] == ["epoch", "train_loss", "valid_acc", "valid_mcc"]
+    assert table == _csv_without_timing(tmp_path / "b.csv")
+    for name, values in models[0].items():
+        npt.assert_array_equal(models[1][name], values)
+
+
+class Interrupted(Exception):
+    pass
+
+
+def test_resume_after_interrupt_continues_the_exact_run(tiny_split, tmp_path, monkeypatch):
+    """Interrupted in epoch 2, resumed from the epoch-1 checkpoint: the same
+    history and the same final state as a run that was never interrupted."""
+    split, graph = tiny_split
+    cfg = tiny_config().replace(epochs=3, batch_size=16)
+    whole_model, whole = train_model(split, graph, cfg, checkpoint_path=tmp_path / "whole.ckpt")
+
+    orig_batches = training.batch_iter
+
+    def batches_until_epoch_2(samples, batch_size, seed, epoch):
+        for i, batch in enumerate(orig_batches(samples, batch_size, seed, epoch)):
+            if epoch == 2 and i == 1:
+                raise Interrupted
+            yield batch
+
+    monkeypatch.setattr(training, "batch_iter", batches_until_epoch_2)
+    path = tmp_path / "broken.ckpt"
+    with pytest.raises(Interrupted):
+        train_model(split, graph, cfg, checkpoint_path=path)
+    monkeypatch.setattr(training, "batch_iter", orig_batches)
+    assert load_checkpoint(path).epoch == 1
+    resumed_model, resumed = train_model(split, graph, cfg, checkpoint_path=path, resume_from=path)
+
+    assert [h.epoch for h in resumed] == [1, 2, 3]
+    npt.assert_array_equal(history_rows(resumed), history_rows(whole))
+    for name, values in whole_model.params.snapshot().items():
+        npt.assert_array_equal(resumed_model.params[name].values, values)
+    whole_arrays, whole_meta = load_bundle(tmp_path / "whole.ckpt")
+    resumed_arrays, resumed_meta = load_bundle(path)
+    assert sorted(resumed_arrays) == sorted(whole_arrays)  # last and best weights, Adam moments
+    for key, values in whole_arrays.items():
+        npt.assert_array_equal(resumed_arrays[key], values, err_msg=key)
+    assert (resumed_meta["step"], resumed_meta["best_epoch"]) == (
+        whole_meta["step"], whole_meta["best_epoch"]
+    )
