@@ -139,6 +139,21 @@ def node(values: np.ndarray, parents, backward) -> Tensor:
     return out
 
 
+def add_grad(t: Tensor, grad: np.ndarray) -> None:
+    """Accumulate `grad`, a fresh array no one else holds, into t.grad.
+
+    The first write assigns it, which saves a zero fill and an add. Pass
+    neither the upstream gradient itself nor a view of it: the two
+    gradients would then share one array.
+    """
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = grad
+    else:
+        t.grad += grad
+
+
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 

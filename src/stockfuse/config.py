@@ -24,9 +24,12 @@ VARIANTS = ("full", "glu_fusion", "ca_fusion", "drop_graph", "drop_docs", "drop_
 class TrainConfig:
     d: int = 64  # shared latent width
     ws: int = 20  # window size
+    # heads and head_dim give d' = heads * head_dim, the width of the stored
+    # d x d' query/key/value projections; heads also sets the score scale
+    # 1/(heads * sqrt(d')), and head_dim the glorot bound of each head's block
     heads: int = 2  # cross-attention heads
     head_dim: int | None = None  # per-head width, defaults to d
-    gat_heads: int = 2
+    gat_heads: int = 2  # graph-attention heads, each with its own softmax
     gat_layers: int = 1
     fusion_layers: int = 1
     epochs: int = 200

@@ -190,7 +190,7 @@ def load_prices(path) -> list[PriceSeries]:
                 o, h, c = (float(row[k]) for k in ("open", "high", "close"))
                 if not date or not symbol:
                     raise ValueError("empty date or symbol")
-            except (TypeError, ValueError):
+            except (AttributeError, TypeError, ValueError):  # a short row has None fields
                 bad_rows.append(lineno)
                 continue
             if not (np.isfinite(o) and np.isfinite(h) and np.isfinite(c)):

@@ -5,7 +5,10 @@ function serves a single window or a whole stacked calendar. The indicator
 encoder has no activation, so its lifts and projection fold into one 3 x d
 affine map, run as a single tape node. The graph encoder runs multi-head
 attention over all stocks at one timestamp; the model stacks it across
-timestamps with shared weights.
+timestamps with shared weights. Each layer stores its K heads as two
+matrices: the projections W side by side (d x K*d, head k in columns
+k*d .. (k+1)*d) and the score vectors a as columns (2d x K). The heads keep
+separate softmaxes, so the references loop over these column slices.
 
 `gat_encode_graph` is the per-timestamp composition of tape ops; it masks a
 dense n x n score matrix and is kept as the reference. The model runs
@@ -70,9 +73,10 @@ class DocEncoderParams:
 
 @dataclass
 class GatParams:
-    """Per-layer, per-head projection W (d x d) and score vector a (2d x 1)."""
+    """Per layer, the K heads' projections W (d x K*d, head k in columns
+    k*d .. (k+1)*d) and score vectors a (2d x K, column k for head k)."""
 
-    layers: list  # [[(w, a), ...heads], ...layers]
+    layers: list  # [(w, a), ...layers]
 
     @property
     def n_layers(self) -> int:
@@ -80,10 +84,10 @@ class GatParams:
 
     @property
     def n_heads(self) -> int:
-        return len(self.layers[0])
+        return self.layers[0][1].values.shape[1]
 
     def all(self):
-        return [p for layer in self.layers for head in layer for p in head]
+        return [p for layer in self.layers for p in layer]
 
 
 def encode_indicators(x: Tensor, params: IndicatorEncoderParams) -> Tensor:
@@ -94,7 +98,7 @@ def encode_indicators(x: Tensor, params: IndicatorEncoderParams) -> Tensor:
     for the lifts k = close, open, high and the matching d-row blocks of
     W_mix, and `c = b_mix + sum_k b_k @ W_mix[k]`. It runs as one tape node;
     backward needs only `x^T g` (3 x d) and the column sums of g, and chains
-    them into the eight parameters, which keep their names and shapes.
+    them into the eight stored parameters.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.cols != 3:
@@ -117,23 +121,17 @@ def encode_indicators(x: Tensor, params: IndicatorEncoderParams) -> Tensor:
         xg = x.values.T @ g  # 3 x d: the gradient of w_fold
         col = g.sum(axis=0, keepdims=True)  # 1 x d: the gradient of c_fold
         for k, (w, b) in enumerate(lifts):
-            if w.tensor.requires_grad:
-                w.tensor._ensure_grad()
-                w.tensor.grad += xg[k : k + 1] @ mix[k].T
-            if b.tensor.requires_grad:
-                b.tensor._ensure_grad()
-                b.tensor.grad += col @ mix[k].T
-        if params.w_mix.tensor.requires_grad:
-            params.w_mix.tensor._ensure_grad()
-            params.w_mix.tensor.grad += np.concatenate(
+            ad.add_grad(w.tensor, xg[k : k + 1] @ mix[k].T)
+            ad.add_grad(b.tensor, col @ mix[k].T)
+        ad.add_grad(
+            params.w_mix.tensor,
+            np.concatenate(
                 [w.values.T @ xg[k : k + 1] + b.values.T @ col for k, (w, b) in enumerate(lifts)]
-            )
-        if params.b_mix.tensor.requires_grad:
-            params.b_mix.tensor._ensure_grad()
-            params.b_mix.tensor.grad += col
+            ),
+        )
         if x.requires_grad:
-            x._ensure_grad()
-            x.grad += g @ w_fold.T
+            ad.add_grad(x, g @ w_fold.T)
+        ad.add_grad(params.b_mix.tensor, col)  # last: col itself becomes the gradient
 
     return ad.node(out, (x, *(p.tensor for p in params.all())), backward)
 
@@ -178,22 +176,20 @@ def gat_encode_graph(
     ones_row = Tensor(np.ones((1, n), dtype=features.values.dtype))
     ones_col = Tensor(np.ones((n, 1), dtype=features.values.dtype))
     h = features
-    for layer in params.layers:
-        head_outs = []
-        for w, a in layer:
-            d = w.values.shape[0]
-            hw = ad.matmul(h, w.tensor)
-            a_src = ad.slice_rows(a.tensor, 0, d)
-            a_dst = ad.slice_rows(a.tensor, d, 2 * d)
-            left = ad.matmul(ad.matmul(hw, a_src), ones_row)
-            right = ad.matmul(ones_col, ad.transpose(ad.matmul(hw, a_dst)))
+    for w, a in params.layers:
+        d, k_heads = h.cols, a.values.shape[1]
+        hw_all = ad.matmul(h, w.tensor)
+        total = None
+        for k in range(k_heads):  # heads are column blocks with separate softmaxes
+            hw = ad.slice_cols(hw_all, k * d, (k + 1) * d)
+            a_k = ad.slice_cols(a.tensor, k, k + 1)
+            left = ad.matmul(ad.matmul(hw, ad.slice_rows(a_k, 0, d)), ones_row)
+            right = ad.matmul(ones_col, ad.transpose(ad.matmul(hw, ad.slice_rows(a_k, d, 2 * d))))
             scores = ad.leaky_relu(ad.add(left, right), LEAKY_SLOPE)
             alpha = ad.softmax_rows(ad.add(scores, mask_bias))
-            head_outs.append(ad.matmul(alpha, hw))
-        total = head_outs[0]
-        for extra in head_outs[1:]:
-            total = ad.add(total, extra)
-        h = ad.elu(ad.scale(total, 1.0 / len(layer)))
+            head = ad.matmul(alpha, hw)
+            total = head if total is None else ad.add(total, head)
+        h = ad.elu(ad.scale(total, 1.0 / k_heads))
     return h
 
 
@@ -366,16 +362,16 @@ class _GatEdges:
 
 
 def _block_gat_layer(x_st: Tensor, layer, edges: _GatEdges, n_dates: int) -> Tensor:
-    k_heads = len(layer)
+    w, a = layer
+    k_heads = a.values.shape[1]
     n, m, n_blocks = edges.n, edges.m, edges.n_blocks
     d = x_st.cols
     x = x_st.values  # (T*n) x d
-    w_cat = np.concatenate([w.values for w, _ in layer], axis=1)  # d x K*d, head k at k*d
+    w_cat = w.values  # d x K*d, head k at k*d
+    w3 = w_cat.reshape(d, k_heads, d).swapaxes(0, 1)  # K x d x d, one W per head
+    a3 = a.values.T.reshape(k_heads, 2, d).swapaxes(0, 1)  # 2 x K x d: a_src, a_dst per head
     # score projections: left = x W_k a_src_k (destination), right = x W_k a_dst_k (source)
-    wa = np.concatenate(
-        [w.values @ a.values[:d] for w, a in layer] + [w.values @ a.values[d:] for w, a in layer],
-        axis=1,
-    )  # d x 2K
+    wa = (w3 @ a3[..., None]).reshape(2 * k_heads, d).T  # d x 2K
     lr = (wa.T @ x.T).reshape(2 * k_heads, n_dates, n)  # left rows, then right rows
     # edge arrays are K x T x E, built in place; repeat() and take() keep them
     # contiguous, where fancy indexing would return a transposed layout
@@ -403,8 +399,6 @@ def _block_gat_layer(x_st: Tensor, layer, edges: _GatEdges, n_dates: int) -> Ten
     out = np.maximum(pre, 0.0, out=pre)
     out += expm1  # elu, without a branch
 
-    param_tensors = [p.tensor for pair in layer for p in pair]
-
     def backward(g):
         g3 = np.minimum(out, 0.0)
         g3 += 1.0
@@ -425,23 +419,18 @@ def _block_gat_layer(x_st: Tensor, layer, edges: _GatEdges, n_dates: int) -> Ten
         d_lr = np.concatenate([edges.sum_by_dst(d_s), edges.sum_by_src(d_s)])
         d_lr = d_lr.reshape(2 * k_heads, -1)  # as lr
         if x_st.requires_grad:
-            x_st._ensure_grad()
             gx = edges.from_blocks((d_hw @ w_cat.T).reshape(x_b.shape))
-            x_st.grad += gx.reshape(-1, d) + d_lr.T @ wa.T
-        d_w_cat = x_b.reshape(-1, d).T @ d_hw  # padding slots have zero d_hw rows
-        d_wa = x.T @ d_lr.T
-        for i, (w, a) in enumerate(layer):
-            g_left, g_right = d_wa[:, i : i + 1], d_wa[:, k_heads + i : k_heads + i + 1]
-            if w.tensor.requires_grad:
-                w.tensor._ensure_grad()
-                w.tensor.grad += d_w_cat[:, i * d : (i + 1) * d]
-                w.tensor.grad += g_left @ a.values[:d].T + g_right @ a.values[d:].T
-            if a.tensor.requires_grad:
-                a.tensor._ensure_grad()
-                a.tensor.grad[:d] += w.values.T @ g_left
-                a.tensor.grad[d:] += w.values.T @ g_right
+            ad.add_grad(x_st, gx.reshape(-1, d) + d_lr.T @ wa.T)
+        d_w = x_b.reshape(-1, d).T @ d_hw  # padding slots have zero d_hw rows
+        d_wa = (x.T @ d_lr.T).T.reshape(2, k_heads, d)  # the gradient of wa, laid out as a3
+        # the score terms: head k's W gets g_src_k a_src_k^T + g_dst_k a_dst_k^T
+        score = d_wa[0].T[:, :, None] * a3[0] + d_wa[1].T[:, :, None] * a3[1]
+        d_w += score.reshape(d, -1)
+        ad.add_grad(w.tensor, d_w)
+        d_a = (w3.swapaxes(1, 2) @ d_wa[..., None])[..., 0]  # 2 x K x d: W_k^T g per half
+        ad.add_grad(a.tensor, d_a.transpose(0, 2, 1).reshape(2 * d, k_heads))
 
-    return ad.node(out.reshape(-1, d), (x_st, *param_tensors), backward)
+    return ad.node(out.reshape(-1, d), (x_st, w.tensor, a.tensor), backward)
 
 
 def gat_attention_coefficients(
@@ -449,13 +438,13 @@ def gat_attention_coefficients(
 ) -> list[np.ndarray]:
     """First-layer attention matrices per head (diagnostic / invariants)."""
     features = features if isinstance(features, Tensor) else Tensor(features)
+    w, a = params.layers[0]
+    d = features.cols
+    hw_all = features.values @ w.values
     out = []
-    for w, a in params.layers[0]:
-        d = w.values.shape[0]
-        hw = features.values @ w.values
-        left = hw @ a.values[:d]
-        right = hw @ a.values[d:]
-        scores = left + right.T
+    for k in range(a.values.shape[1]):
+        hw = hw_all[:, k * d : (k + 1) * d]
+        scores = hw @ a.values[:d, k : k + 1] + (hw @ a.values[d:, k : k + 1]).T
         scores = np.where(scores > 0, scores, LEAKY_SLOPE * scores)
         scores = np.where(neighbors, scores, NEG_MASK)
         shifted = scores - scores.max(axis=1, keepdims=True)

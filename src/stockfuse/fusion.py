@@ -8,28 +8,33 @@ from the guide selects what survives. Stage 1 fuses indicators with
 documents; stage 2 fuses that result with the graph features. The design
 chains: any stage's stable output is t x d and can guide another stage.
 
+Each projection W_Q, W_K, W_V is stored as one d x d' matrix, d' = M*dh,
+head m in columns m*dh .. (m+1)*dh, the usual multi-head layout (Vaswani
+et al. 2017). Because the M heads share one softmax, they need no loop:
+with s = 1/(M*sqrt(d')), the averaged head scores are
+sum_m s*(x Q_m)(y K_m)^T = s*(x W_Q)(y W_K)^T, and the heads' outputs side by
+side are A (y W_V).
+
 The per-window functions (`cross_attention`, `gated_selection`,
-`fuse_stage`, `fuse_trimodal`) compose tape ops head by head and are the
-reference. The model runs `block_cross_attention`: a whole stage over
-row-stacked windows ((B*t) x d, block size t) as one tape node with a
-hand-derived backward. It rests on two fold identities. With Q, K and V
-the per-head projections concatenated column-wise (d x d', d' = M*dh) and
-s = 1/(M*sqrt(d')):
+`fuse_stage`, `fuse_trimodal`) compose tape ops and are the reference. The
+model runs `block_cross_attention`: a whole stage over row-stacked windows
+((B*t) x d, block size t) as one tape node with a hand-derived backward. It
+rests on two fold identities:
 
-  scores   sum_m s*(x Q_m)(y K_m)^T = (x P) y^T,  P = s*Q K^T  (d x d)
-  h_a      softmax(.)(y V) W_a + b_a = softmax(.)(y N) + b_a,  N = V W_a  (d x d)
+  scores   s*(x W_Q)(y W_K)^T = (x P) y^T,  P = s*W_Q W_K^T  (d x d)
+  h_a      softmax(.)(y W_V) W_a + b_a = softmax(.)(y N) + b_a,  N = W_V W_a  (d x d)
 
-so the score is one bilinear form (the heads share one softmax) and the
-d'-wide "unstable" feature, whose only reader is W_a, is never formed; for
-glu_fusion N = glu W_a and there is no softmax. P and N cost d^2*d' once
-per call; every row-level product is then d x d (projections) or t x t
-per window (scores, mixing), so no row array is wider than d. At
-B*t = 20,480, d = 64, d' = 128, forward plus backward of a stage needs
-about 1.8 GFLOP against 5.2 for the wide-head form. The fold costs more
-only if d' < d, which no shipped config uses. Backward chains dP and dN
-into the per-head weights: dQ = s*dP K, dK = s*dP^T Q, dV = dN W_a^T and
-dW_a = V^T dN. `block_unstable` recomputes the unstable feature off the
-tape from the returned attention weights, for diagnostics.
+so the score is one bilinear form and the d'-wide "unstable" feature, whose
+only reader is W_a, is never formed; for glu_fusion N = glu W_a and there is
+no softmax. P and N cost d^2*d' once per call; every row-level product is
+then d x d (projections) or t x t per window (scores, mixing), so no row
+array is wider than d. At B*t = 20,480, d = 64, d' = 128, forward plus
+backward of a stage needs about 1.8 GFLOP against 5.2 for the wide-head
+form. The fold costs more only if d' < d, which no shipped config uses.
+Backward chains dP and dN into the stored projections: dW_Q = s*dP W_K,
+dW_K = s*dP^T W_Q, dW_V = dN W_a^T and dW_a = W_V^T dN. `block_unstable`
+recomputes the unstable feature off the tape from the returned attention
+weights, for diagnostics.
 """
 
 from __future__ import annotations
@@ -46,29 +51,25 @@ from .errors import ShapeError
 
 @dataclass
 class CrossAttnParams:
-    """Per-head query/key/value projections, each d x head_dim."""
+    """Query/key/value projections, d x d' each, head m in columns m*dh .. (m+1)*dh."""
 
-    heads: list  # [(wq, wk, wv), ...]
-
-    @property
-    def n_heads(self) -> int:
-        return len(self.heads)
-
-    @property
-    def head_dim(self) -> int:
-        return self.heads[0][0].values.shape[1]
+    wq: Parameter
+    wk: Parameter
+    wv: Parameter
+    n_heads: int
 
     @property
     def out_dim(self) -> int:
-        """Concatenated width d' = M * head_dim; also the score scale."""
-        return self.n_heads * self.head_dim
+        """Concatenated width d' = M * head_dim."""
+        return self.wq.values.shape[1]
 
-    def projection(self, i: int) -> np.ndarray:
-        """Projection i (0 query, 1 key, 2 value) of every head side by side, d x d'."""
-        return np.concatenate([head[i].values for head in self.heads], axis=1)
+    @property
+    def score_scale(self) -> float:
+        """s = 1/(M*sqrt(d')): the heads' mean of scores scaled by 1/sqrt(d')."""
+        return 1.0 / (self.n_heads * math.sqrt(self.out_dim))
 
     def all(self):
-        return [p for head in self.heads for p in head]
+        return [self.wq, self.wk, self.wv]
 
 
 @dataclass
@@ -117,29 +118,18 @@ def cross_attention(query_src: Tensor, kv_src: Tensor, params: CrossAttnParams) 
         raise ShapeError(f"query {query_src.shape} and kv {kv_src.shape} widths differ")
     if query_src.rows != kv_src.rows:
         raise ShapeError(f"query {query_src.shape} and kv {kv_src.shape} lengths differ")
-    inv_scale = 1.0 / math.sqrt(params.out_dim)
-    score_sum = None
-    values = []
-    for wq, wk, wv in params.heads:
-        q = ad.matmul(query_src, wq.tensor)
-        k = ad.matmul(kv_src, wk.tensor)
-        values.append(ad.matmul(kv_src, wv.tensor))
-        s = ad.scale(ad.matmul(q, ad.transpose(k)), inv_scale)
-        score_sum = s if score_sum is None else ad.add(score_sum, s)
-    attn = ad.softmax_rows(ad.scale(score_sum, 1.0 / params.n_heads))
-    return ad.concat_cols([ad.matmul(attn, v) for v in values])
+    q = ad.matmul(query_src, params.wq.tensor)
+    k = ad.matmul(kv_src, params.wk.tensor)
+    scores = ad.scale(ad.matmul(q, ad.transpose(k)), params.score_scale)
+    return ad.matmul(ad.softmax_rows(scores), ad.matmul(kv_src, params.wv.tensor))
 
 
 def attention_matrix(query_src: Tensor, kv_src: Tensor, params: CrossAttnParams) -> np.ndarray:
     """The shared attention matrix alone (for invariant checks)."""
-    inv_scale = 1.0 / math.sqrt(params.out_dim)
-    total = np.zeros((query_src.rows, kv_src.rows))
-    for wq, wk, _ in params.heads:
-        q = query_src.values @ wq.values
-        k = kv_src.values @ wk.values
-        total += (q @ k.T) * inv_scale
-    total /= params.n_heads
-    shifted = total - total.max(axis=1, keepdims=True)
+    q = query_src.values @ params.wq.values
+    k = kv_src.values @ params.wk.values
+    scores = (q @ k.T) * params.score_scale
+    shifted = scores - scores.max(axis=1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=1, keepdims=True)
 
@@ -225,7 +215,7 @@ def block_cross_attention(
     (ca_fusion) the output is the pre-gate projection h and the guide is not
     read. Both d x d' maps are folded into d x d products before any row is
     touched (see the module docstring), so no row array is wider than d, and
-    backward chains the folded gradients into the unchanged per-head weights.
+    backward chains the folded gradients into the stored projections.
 
     Returns (stable, gate, attn): the (B*block) x d output node, the gate as
     a plain value (None when ungated) and the B x block x block attention
@@ -245,14 +235,15 @@ def block_cross_attention(
     w_a, w_b = gate_p.w_a.values, gate_p.w_b.values
     x, y, guide = query_st.values, kv_st.values, guide_st.values
     glu = stage.glu is not None
-    w_mix = stage.glu.values if glu else attn_p.projection(2)  # d x d'
+    mix = stage.glu if glu else attn_p.wv  # d x d'
+    w_mix = mix.values
     n_fold = w_mix @ w_a  # d x d
     if glu:
         attn = None
         h = y @ n_fold
     else:
-        scale = 1.0 / (attn_p.n_heads * math.sqrt(attn_p.out_dim))
-        wq, wk = attn_p.projection(0), attn_p.projection(1)
+        scale = attn_p.score_scale
+        wq, wk = attn_p.wq.values, attn_p.wk.values
         p_fold = wq @ wk.T
         p_fold *= scale
         xp3 = (x @ p_fold).reshape(n_blocks, block, -1)
@@ -279,14 +270,14 @@ def block_cross_attention(
             d_pre = g - d_h  # g * h * gate * (1 - gate) = (g - g * gate) * out
             d_pre *= out
             if guide_st.requires_grad:
-                _add_grad(guide_st, d_pre @ w_b.T)
-            _add_grad(gate_p.w_b.tensor, guide.T @ d_pre)
-            _add_grad(gate_p.b_b.tensor, d_pre.sum(axis=0, keepdims=True))
-        _add_grad(gate_p.b_a.tensor, d_h.sum(axis=0, keepdims=True))
+                ad.add_grad(guide_st, d_pre @ w_b.T)
+            ad.add_grad(gate_p.w_b.tensor, guide.T @ d_pre)
+            ad.add_grad(gate_p.b_b.tensor, d_pre.sum(axis=0, keepdims=True))
+        ad.add_grad(gate_p.b_a.tensor, d_h.sum(axis=0, keepdims=True))
         if glu:
             d_yn = d_h
             if kv_st.requires_grad:
-                _add_grad(kv_st, d_h @ n_fold.T)
+                ad.add_grad(kv_st, d_h @ n_fold.T)
         else:
             d_h3 = d_h.reshape(yn3.shape)
             d_s = d_h3 @ yn3.transpose(0, 2, 1)
@@ -295,27 +286,22 @@ def block_cross_attention(
             d_s *= attn
             d_xp = (d_s @ y3).reshape(rows, -1)
             if query_st.requires_grad:
-                _add_grad(query_st, d_xp @ p_fold.T)
+                ad.add_grad(query_st, d_xp @ p_fold.T)
             if kv_st.requires_grad:
                 d_y = (d_s.transpose(0, 2, 1) @ xp3).reshape(rows, -1)
                 d_y += d_yn @ n_fold.T
-                _add_grad(kv_st, d_y)
+                ad.add_grad(kv_st, d_y)
             d_p = x.T @ d_xp  # d x d: the gradient of p_fold
             d_p *= scale
-            _add_head_grads(attn_p, 0, d_p @ wk)
-            _add_head_grads(attn_p, 1, d_p.T @ wq)
+            ad.add_grad(attn_p.wq.tensor, d_p @ wk)
+            ad.add_grad(attn_p.wk.tensor, d_p.T @ wq)
         d_n = y.T @ d_yn  # d x d: the gradient of n_fold
-        if glu:
-            _add_grad(stage.glu.tensor, d_n @ w_a.T)
-        else:
-            _add_head_grads(attn_p, 2, d_n @ w_a.T)
-        _add_grad(gate_p.w_a.tensor, w_mix.T @ d_n)
+        ad.add_grad(mix.tensor, d_n @ w_a.T)
+        ad.add_grad(gate_p.w_a.tensor, w_mix.T @ d_n)
 
-    parents = [kv_st, gate_p.w_a.tensor, gate_p.b_a.tensor]
-    if glu:
-        parents.append(stage.glu.tensor)
-    else:
-        parents += [query_st, *(p.tensor for p in attn_p.all())]
+    parents = [kv_st, mix.tensor, gate_p.w_a.tensor, gate_p.b_a.tensor]
+    if not glu:
+        parents += [query_st, attn_p.wq.tensor, attn_p.wk.tensor]
     if gated:
         parents += [guide_st, gate_p.w_b.tensor, gate_p.b_b.tensor]
     stable = ad.node(out, parents, backward)
@@ -331,23 +317,6 @@ def block_unstable(kv_st: Tensor, stage: FusionStageParams, attn: np.ndarray | N
     y = kv_st.values
     if stage.glu is not None:
         return Tensor(y @ stage.glu.values)
-    v3 = (y @ stage.attn.projection(2)).reshape(*attn.shape[:2], -1)
+    v3 = (y @ stage.attn.wv.values).reshape(*attn.shape[:2], -1)
     return Tensor((attn @ v3).reshape(kv_st.rows, -1))
 
-
-def _add_grad(t: Tensor, grad: np.ndarray) -> None:
-    """Accumulate `grad`, a fresh array no one else holds; the first write
-    assigns it, which saves a zero fill and an add per row array."""
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = grad
-    else:
-        t.grad += grad
-
-
-def _add_head_grads(params: CrossAttnParams, i: int, d_w: np.ndarray) -> None:
-    """Slice the gradient of projection i (d x d') back into the heads."""
-    hd = params.head_dim
-    for m, head in enumerate(params.heads):
-        _add_grad(head[i].tensor, d_w[:, m * hd : (m + 1) * hd].copy())

@@ -12,6 +12,11 @@ pre-gate feature is recomputed only for `diagnostics=True`. A slow
 per-sample reference path (`forward_sample`) composes the public
 per-window functions and is used to pin the batched path in tests.
 
+Each multi-head projection is one parameter, the heads side by side:
+`fuse{k}.wq/wk/wv` are d x d', `gat.l{i}.w` is d x K*d and `gat.l{i}.a`
+is 2d x K. At init each head's glorot block is drawn in head order and the
+blocks are concatenated.
+
 Variant wiring:
   glu_fusion       attention replaced by a linear map of the kv modality
   ca_fusion        gate forced to 1 (pure cross-attention); no sigmoid runs
@@ -40,7 +45,7 @@ from .encoders import (
     encode_indicators,
     gat_encode_graph,
 )
-from .errors import ConfigError, ShapeError
+from .errors import CheckpointError, ConfigError
 from .fusion import (
     CrossAttnParams,
     FusionStageParams,
@@ -90,9 +95,6 @@ class ParamStore:
         for p in self._params.values():
             p.zero_grad()
 
-    def n_entries(self) -> int:
-        return sum(p.values.size for p in self._params.values())
-
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {}
         for name, p in self._params.items():
@@ -101,23 +103,31 @@ class ParamStore:
             out[f"adam_v/{name}"] = p.adam_v
         return out
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+    def read_arrays(self, arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+        """Array `prefix/name` of every parameter, cast to its dtype.
+
+        A missing array, or one of another shape, raises CheckpointError.
+        """
+        out = {}
         for name, p in self._params.items():
-            for prefix, target in (("param", "values"), ("adam_m", None), ("adam_v", None)):
-                key = f"{prefix}/{name}"
-                if key not in arrays:
-                    raise ConfigError(f"checkpoint missing array {key!r}")
-                arr = arrays[key].astype(p.values.dtype)
-                if arr.shape != p.values.shape:
-                    raise ShapeError(
-                        f"checkpoint array {key} has shape {arr.shape}, expected {p.values.shape}"
-                    )
-                if prefix == "param":
-                    p.tensor.values = arr
-                elif prefix == "adam_m":
-                    p.adam_m = arr
-                else:
-                    p.adam_v = arr
+            key = f"{prefix}/{name}"
+            if key not in arrays:
+                raise CheckpointError(f"checkpoint missing array {key!r}; retrain the model")
+            arr = arrays[key].astype(p.values.dtype)
+            if arr.shape != p.values.shape:
+                raise CheckpointError(
+                    f"checkpoint array {key} has shape {arr.shape}, expected {p.values.shape}"
+                )
+            out[name] = arr
+        return out
+
+    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        """Load values and Adam moments; nothing changes if an array is refused."""
+        values, adam_m, adam_v = (
+            self.read_arrays(arrays, prefix) for prefix in ("param", "adam_m", "adam_v")
+        )
+        for name, p in self._params.items():
+            p.tensor.values, p.adam_m, p.adam_v = values[name], adam_m[name], adam_v[name]
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: p.values.copy() for name, p in self._params.items()}
@@ -197,6 +207,11 @@ class TrimodalModel:
         def bias(name, width, rows=1):
             return store.add(name, np.zeros((rows, width), dtype=dt))
 
+        def heads(names, shapes, n_heads):
+            """One matrix per name: the heads' glorot draws, head-major, side by side."""
+            draws = [[glorot(rng, shape, dt) for shape in shapes] for _ in range(n_heads)]
+            return [store.add(nm, np.concatenate(b, axis=1)) for nm, b in zip(names, zip(*draws))]
+
         self.ind = IndicatorEncoderParams(
             w_close=weight("ind.close.w", (1, d)), b_close=bias("ind.close.b", d),
             w_open=weight("ind.open.w", (1, d)), b_open=bias("ind.open.b", d),
@@ -206,13 +221,7 @@ class TrimodalModel:
         self.doc = DocEncoderParams(w=weight("doc.w", (doc_dim, d)), b=bias("doc.b", d))
         self.gat = GatParams(
             layers=[
-                [
-                    (
-                        weight(f"gat.l{li}.h{k}.w", (d, d)),
-                        weight(f"gat.l{li}.h{k}.a", (2 * d, 1)),
-                    )
-                    for k in range(cfg.gat_heads)
-                ]
+                heads((f"gat.l{li}.w", f"gat.l{li}.a"), ((d, d), (2 * d, 1)), cfg.gat_heads)
                 for li in range(cfg.gat_layers)
             ]
         )
@@ -220,16 +229,8 @@ class TrimodalModel:
         d_prime = cfg.heads * dh
         self.stages = []
         for si in (1, 2):
-            attn = CrossAttnParams(
-                heads=[
-                    (
-                        weight(f"fuse{si}.h{m}.wq", (d, dh)),
-                        weight(f"fuse{si}.h{m}.wk", (d, dh)),
-                        weight(f"fuse{si}.h{m}.wv", (d, dh)),
-                    )
-                    for m in range(cfg.heads)
-                ]
-            )
+            names = (f"fuse{si}.wq", f"fuse{si}.wk", f"fuse{si}.wv")
+            attn = CrossAttnParams(*heads(names, [(d, dh)] * 3, cfg.heads), n_heads=cfg.heads)
             gate = GateParams(
                 w_a=weight(f"fuse{si}.gate.wa", (d_prime, d)),
                 b_a=bias(f"fuse{si}.gate.ba", d),

@@ -10,9 +10,12 @@ gradient, for both branches at once) whenever its weights start <= 0. The
 feature MLP reduces 2d -> d -> ceil(d/2) -> 3 with ReLUs after the first two
 layers only, leaving unbounded logits for the softmax cross-entropy.
 
-`HEAD_VERSION` names this function of the head's weights; checkpoints record
-it, because the shapes alone cannot tell a head whose last time layer had a
-ReLU (version 1) from this one.
+`HEAD_VERSION` names this function of the head's weights and the model's
+parameter layout; checkpoints record it, and a checkpoint of another version
+is refused. The shapes alone cannot tell a head whose last time layer had a
+ReLU (version 1) from this one. Version 2 stored every attention and graph
+attention head as its own parameters; version 3 stores each multi-head
+projection as one matrix, the heads side by side.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import ShapeError
 
 log = logging.getLogger(__name__)
 
-HEAD_VERSION = 2
+HEAD_VERSION = 3
 
 
 def time_mlp_widths(t: int) -> tuple[int, int, int]:
@@ -124,11 +127,10 @@ def block_time_matmul(x_st: Tensor, w: Parameter, block: int) -> Tensor:
     def backward(g):
         g3 = g.reshape(n_blocks, t_out, d)
         if x_st.requires_grad:
-            x_st._ensure_grad()
-            x_st.grad += (g3.transpose(0, 2, 1) @ w.values.T).transpose(0, 2, 1).reshape(-1, d)
-        if w.tensor.requires_grad:
-            w.tensor._ensure_grad()
-            w.tensor.grad += np.tensordot(x3, g3, axes=([0, 2], [0, 2]))
+            ad.add_grad(
+                x_st, (g3.transpose(0, 2, 1) @ w.values.T).transpose(0, 2, 1).reshape(-1, d)
+            )
+        ad.add_grad(w.tensor, np.tensordot(x3, g3, axes=([0, 2], [0, 2])))
 
     return ad.node(np.ascontiguousarray(out3).reshape(n_blocks * t_out, d), (x_st, w.tensor), backward)
 

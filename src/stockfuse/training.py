@@ -3,7 +3,11 @@
 One run is fully determined by (seed, config, data): parameter init comes
 from the config seed, batch order from (seed, epoch), and there is no other
 randomness, so histories are bit-identical across reruns in the same
-precision mode and checkpoint resume continues the exact trajectory.
+precision mode at the same BLAS thread count, and checkpoint resume
+continues the exact trajectory under the same two conditions. On another
+thread count, weight-gradient GEMMs whose inner dimension is the calendar
+length may sum in another order, and the runs drift apart from the first
+shuffled batch.
 """
 
 from __future__ import annotations
@@ -160,9 +164,7 @@ def train_model(
         if ckpt.config.to_dict() != cfg.to_dict() or ckpt.variant != variant:
             raise CheckpointError("checkpoint config/variant does not match this run")
         model.params.load_state_arrays(ckpt.arrays)
-        best_snap = {
-            name: ckpt.arrays[f"best/{name}"].astype(cfg.dtype) for name in model.params.names()
-        }
+        best_snap = model.params.read_arrays(ckpt.arrays, "best")
         history = list(ckpt.history)
         step = ckpt.step
         start_epoch = ckpt.epoch + 1
@@ -276,8 +278,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path} is not a checkpoint bundle")
     if meta.get("head_version") != HEAD_VERSION:
         raise CheckpointError(
-            f"{path} was written for prediction head version {meta.get('head_version', 1)}, "
-            f"this build runs version {HEAD_VERSION}; retrain the model"
+            f"{path} was written for head version {meta.get('head_version', 1)}, this build "
+            f"runs version {HEAD_VERSION} (head function and parameter layout); retrain the model"
         )
     best = meta["best_valid_mcc"]
     return Checkpoint(
@@ -299,9 +301,5 @@ def model_from_checkpoint(path, use_best: bool = True) -> tuple[TrimodalModel, C
     model = TrimodalModel(ckpt.config, doc_dim=ckpt.doc_dim, variant=ckpt.variant)
     model.params.load_state_arrays(ckpt.arrays)
     if use_best:
-        best = {
-            name: ckpt.arrays[f"best/{name}"].astype(ckpt.config.dtype)
-            for name in model.params.names()
-        }
-        model.params.restore(best)
+        model.params.restore(model.params.read_arrays(ckpt.arrays, "best"))
     return model, ckpt

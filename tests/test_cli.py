@@ -3,6 +3,7 @@ import json
 import pytest
 
 from stockfuse.cli import run_command
+from stockfuse.container import load_bundle, save_bundle
 
 
 def synth(out, dim):
@@ -59,6 +60,20 @@ def test_unreadable_checkpoint_exit_2(trained, tmp_path):
     code = run_command(["eval", "--checkpoint", str(bad),
                         "--splits", str(trained / "run" / "splits.sfb")])
     assert code == 2
+
+
+@pytest.mark.parametrize("damage", ["missing", "misshaped"])
+def test_checkpoint_array_missing_or_misshaped_exit_2(trained, tmp_path, caplog, damage):
+    arrays, meta = load_bundle(trained / "run" / "checkpoint.sfb")
+    if damage == "missing":
+        del arrays["param/doc.b"]
+    else:
+        arrays["param/doc.b"] = arrays["param/doc.b"].reshape(2, -1)
+    save_bundle(tmp_path / "damaged.sfb", arrays, meta)
+    code = run_command(["eval", "--checkpoint", str(tmp_path / "damaged.sfb"),
+                        "--splits", str(trained / "run" / "splits.sfb"), "--out", str(tmp_path)])
+    assert code == 2
+    assert "param/doc.b" in caplog.text
 
 
 def test_unknown_ini_key_exit_1(trained, tmp_path, caplog):

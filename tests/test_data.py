@@ -71,6 +71,14 @@ class TestLoadPrices:
         assert len(series[0]) == 1
         assert "3" in caplog.text  # offending line number
 
+    def test_short_row_counted_as_malformed(self, tmp_path, caplog):
+        """A row with missing fields reads them as None; it is rejected, not a crash."""
+        path = write_prices(tmp_path, ["2020-01-02", "2020-01-03,AAA,10,11,10.5", "2020-01-04,AAA"])
+        with caplog.at_level(logging.WARNING):
+            series = D.load_prices(path)
+        assert [s.dates for s in series] == [["2020-01-03"]]
+        assert "rejected 2 malformed rows (lines [2, 4])" in caplog.text
+
 
 class TestComputeLabels:
     def make(self, closes):

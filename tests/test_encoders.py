@@ -36,15 +36,23 @@ def make_indicator_params(d, rng=None, zero_bias=False):
 
 
 def make_gat_params(d, heads=2, layers=1, rng=None):
+    """Per-head draws in head order, stored side by side: W d x K*d, a 2d x K."""
     rng = rng or np.random.default_rng(1)
-    return GatParams(
-        layers=[
-            [(P(f"w{li}{k}", rng.normal(size=(d, d)) * 0.5),
-              P(f"a{li}{k}", rng.normal(size=(2 * d, 1)) * 0.5))
-             for k in range(heads)]
-            for li in range(layers)
-        ]
-    )
+    layer_params = []
+    for li in range(layers):
+        draws = [(rng.normal(size=(d, d)) * 0.5, rng.normal(size=(2 * d, 1)) * 0.5)
+                 for _ in range(heads)]
+        w, a = (np.concatenate(blocks, axis=1) for blocks in zip(*draws))
+        layer_params.append((P(f"w{li}", w), P(f"a{li}", a)))
+    return GatParams(layers=layer_params)
+
+
+def head_slices(layer):
+    """Each head's (W d x d, a 2d x 1) values, sliced from the layer's columns."""
+    w, a = layer
+    d = w.values.shape[0]
+    return [(w.values[:, k * d : (k + 1) * d], a.values[:, k : k + 1])
+            for k in range(a.values.shape[1])]
 
 
 class TestIndicatorEncoder:
@@ -203,9 +211,9 @@ def dense_gat_oracle(h, neighbors, params):
     x = h.copy()
     for layer in params.layers:
         heads = []
-        for w, a in layer:
-            hw = x @ w.values
-            d = w.values.shape[0]
+        for w, a in head_slices(layer):
+            hw = x @ w
+            d = w.shape[0]
             n = x.shape[0]
             alpha = np.zeros((n, n))
             for i in range(n):
@@ -213,7 +221,7 @@ def dense_gat_oracle(h, neighbors, params):
                 for j in range(n):
                     if not neighbors[i, j]:
                         continue
-                    s = float((hw[i] @ a.values[:d] + hw[j] @ a.values[d:]).item())
+                    s = float((hw[i] @ a[:d] + hw[j] @ a[d:]).item())
                     scores.append((j, s if s > 0 else LEAKY_SLOPE * s))
                 mx = max(s for _, s in scores)
                 zsum = sum(np.exp(s - mx) for _, s in scores)
@@ -230,7 +238,7 @@ class TestGraphEncoder:
         params = make_gat_params(3, heads=2)
         h = rng.normal(size=(1, 3))
         out = gat_encode_graph(Tensor(h), np.array([[True]]), params)
-        expected = np.mean([h @ w.values for w, _ in params.layers[0]], axis=0)
+        expected = np.mean([h @ w for w, _ in head_slices(params.layers[0])], axis=0)
         expected = np.where(expected > 0, expected, np.expm1(expected))
         npt.assert_allclose(out.values, expected, atol=1e-12)
 
@@ -352,7 +360,7 @@ class TestBlockGat:
         return results
 
     def assert_matches_loop(self, rng, neighbors, params, T=3, tol=1e-12):
-        n, d = neighbors.shape[0], params.layers[0][0][0].values.shape[0]
+        n, d = neighbors.shape[0], params.layers[0][0].values.shape[0]
         h = rng.normal(size=(T * n, d))
         block, loop = self.loop_and_block(h, neighbors, params, rng.normal(size=(T * n, d)))
         for got, want in zip(block, loop):
@@ -383,7 +391,7 @@ class TestBlockGat:
         h = rng.normal(size=(10, 4))
         out = block_gat_encode(Tensor(h), neighbors, params).values
         # attention weight 1 on itself: heads averaged over h W, then ELU
-        pre = np.mean([h[[2, 7]] @ w.values for w, _ in params.layers[0]], axis=0)
+        pre = np.mean([h[[2, 7]] @ w for w, _ in head_slices(params.layers[0])], axis=0)
         npt.assert_allclose(out[[2, 7]], np.where(pre > 0, pre, np.expm1(pre)), atol=1e-12)
 
     def test_node_no_row_attends_to(self, rng):

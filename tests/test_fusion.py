@@ -25,16 +25,12 @@ def P(name, values):
 
 
 def make_attn(d, heads=2, head_dim=None, rng=None, scale=1.0):
+    """Per-head (q, k, v) draws in head order, each projection stored d x heads*head_dim."""
     rng = rng or np.random.default_rng(0)
     k = head_dim or d
-    return CrossAttnParams(
-        heads=[
-            (P(f"wq{m}", rng.normal(size=(d, k)) * scale),
-             P(f"wk{m}", rng.normal(size=(d, k)) * scale),
-             P(f"wv{m}", rng.normal(size=(d, k)) * scale))
-            for m in range(heads)
-        ]
-    )
+    draws = [[rng.normal(size=(d, k)) * scale for _ in range(3)] for _ in range(heads)]
+    wq, wk, wv = (np.concatenate(blocks, axis=1) for blocks in zip(*draws))
+    return CrossAttnParams(P("wq", wq), P("wk", wk), P("wv", wv), n_heads=heads)
 
 
 def make_gate(d, heads=2, head_dim=None, rng=None):
@@ -61,16 +57,21 @@ def make_stage(d, heads=2, rng=None, head_dim=None, glu=False):
 
 
 def loop_attention_oracle(query, kv, params):
-    """Forms each head's scores, averages, softmaxes once, applies, concatenates."""
+    """Forms each head's scores, averages, softmaxes once, applies, concatenates.
+
+    Head h is the column block h*dh .. (h+1)*dh of each stored projection.
+    """
     m = params.n_heads
     d_prime = params.out_dim
+    dh = d_prime // m
     t = query.shape[0]
     total = np.zeros((t, kv.shape[0]))
     values = []
-    for wq, wk, wv in params.heads:
-        q = query @ wq.values
-        k = kv @ wk.values
-        values.append(kv @ wv.values)
+    for h in range(m):
+        cols = slice(h * dh, (h + 1) * dh)
+        q = query @ params.wq.values[:, cols]
+        k = kv @ params.wk.values[:, cols]
+        values.append(kv @ params.wv.values[:, cols])
         total += (q @ k.T) / np.sqrt(d_prime)
     total /= m
     shifted = total - total.max(axis=1, keepdims=True)
@@ -85,7 +86,7 @@ class TestCrossAttention:
         kv = rng.normal(size=(1, 3))
         out = cross_attention(Tensor(query), Tensor(kv), params)
         npt.assert_allclose(attention_matrix(Tensor(query), Tensor(kv), params), [[1.0]])
-        expected = np.concatenate([kv @ wv.values for _, _, wv in params.heads], axis=1)
+        expected = kv @ params.wv.values
         npt.assert_allclose(out.values, expected, atol=1e-12)
 
     def test_zero_kv_zero_output(self, rng):
@@ -400,6 +401,24 @@ class TestBlockCrossAttention:
                 if not glu:
                     npt.assert_allclose(attn[b].sum(axis=1), 1.0, rtol=0, atol=1e-12)
             assert (attn is None) == glu
+
+    @pytest.mark.parametrize("d,heads,head_dim", [(3, 1, 4), (4, 2, 3), (2, 3, 2), (5, 2, 5)])
+    def test_matches_per_head_loop_oracle(self, d, heads, head_dim):
+        """Every head sliced from its column block, scored, averaged and applied."""
+        rng = np.random.default_rng(d * 100 + heads * 10 + head_dim)
+        n_blocks, t = 3, 4
+        stage = make_stage(d, heads, rng, head_dim=head_dim)
+        q, kv, g = (Tensor(rng.normal(size=(n_blocks * t, d))) for _ in range(3))
+        for gated in (True, False):
+            stable, _, _ = block_cross_attention(q, kv, g, stage, t, gated=gated)
+            for b in range(n_blocks):
+                rows = slice(b * t, (b + 1) * t)
+                unstable = loop_attention_oracle(q.values[rows], kv.values[rows], stage.attn)
+                want = unstable @ stage.gate.w_a.values + stage.gate.b_a.values
+                if gated:
+                    pre = g.values[rows] @ stage.gate.w_b.values + stage.gate.b_b.values
+                    want = want / (1.0 + np.exp(-pre))
+                npt.assert_allclose(stable.values[rows], want, rtol=0, atol=1e-12)
 
     def test_indivisible_rows_rejected(self, rng):
         stage = make_stage(3, rng=rng, head_dim=3)

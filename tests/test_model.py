@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from stockfuse.autodiff import grad_check
 from stockfuse.config import VARIANTS, TrainConfig
 from stockfuse.data import build_dataset
-from stockfuse.model import PackedPanel, TrimodalModel
+from stockfuse.model import PackedPanel, TrimodalModel, glorot
 from stockfuse.predictor import cross_entropy_loss
 from stockfuse.synth import synth_dataset
 
@@ -140,3 +142,43 @@ def test_model_grad_check_every_parameter():
     assert grad_check(loss, params, eps=1e-6) < 1e-8
     with_grad = {p.name for p in params if p.tensor.grad is not None and np.any(p.tensor.grad)}
     assert with_grad == set(model.params.names())  # ind.*, gat.* and all the rest
+
+
+def test_multi_head_weights_are_the_per_head_draws_side_by_side():
+    """Each projection holds the heads' glorot draws, taken in head order (per
+    head q, k, v for fusion; w, a for GAT) and concatenated by columns, and
+    every other weight is drawn in between as before: the initial model is
+    the one that stored every head as its own parameters."""
+    cfg = TrainConfig(d=4, ws=4, heads=2, head_dim=3, gat_heads=2, gat_layers=2, seed=7)
+    model = TrimodalModel(cfg, doc_dim=5)
+    rng = np.random.default_rng(cfg.seed)
+    d, dt = cfg.d, cfg.dtype
+
+    def draw(*shapes):
+        return [glorot(rng, shape, dt) for shape in shapes]
+
+    def side_by_side(n_heads, *shapes):
+        per_head = [draw(*shapes) for _ in range(n_heads)]
+        return [np.concatenate(blocks, axis=1) for blocks in zip(*per_head)]
+
+    want = dict(zip(["ind.close.w", "ind.open.w", "ind.high.w", "ind.mix.w", "doc.w"],
+                    draw((1, d), (1, d), (1, d), (3 * d, d), (5, d))))
+    for li in range(cfg.gat_layers):
+        want[f"gat.l{li}.w"], want[f"gat.l{li}.a"] = side_by_side(2, (d, d), (2 * d, 1))
+    for si in (1, 2):
+        qkv = side_by_side(2, (d, 3), (d, 3), (d, 3))
+        want.update(zip([f"fuse{si}.wq", f"fuse{si}.wk", f"fuse{si}.wv"], qkv))
+        want[f"fuse{si}.gate.wa"], want[f"fuse{si}.gate.wb"] = draw((6, d), (d, d))
+    want["pred.time.l0.w"], = draw((4, 2))
+    for name, values in want.items():
+        npt.assert_array_equal(model.params[name].values, values, err_msg=name)
+    assert model.params["gat.l1.w"].values.shape == (4, 8)
+    assert model.params["gat.l1.a"].values.shape == (8, 2)
+    assert model.params["fuse2.wv"].values.shape == (4, 6)
+    assert not [name for name in model.params.names() if re.search(r"\.h\d+\.", name)]
+
+
+def test_default_model_parameter_count():
+    params = TrimodalModel(TrainConfig(), doc_dim=64).params
+    assert len(params) == 38
+    assert sum(p.values.size for p in params) == 110_034

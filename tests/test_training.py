@@ -55,8 +55,8 @@ def test_checkpoint_records_head_version(tmp_path):
     cfg = tiny_config()
     model = _save_fresh(tmp_path / "ok.ckpt", cfg, doc_dim=6)
     arrays, meta = load_bundle(tmp_path / "ok.ckpt")
-    assert meta["head_version"] == 2
-    for name in ("fuse1.h0.wq", "fuse1.h1.wv", "fuse2.gate.wa", "fuse2.gate.bb"):
+    assert meta["head_version"] == 3
+    for name in ("fuse1.wq", "fuse1.wv", "gat.l0.a", "fuse2.gate.wa", "fuse2.gate.bb"):
         assert f"param/{name}" in arrays
     loaded, _ = model_from_checkpoint(tmp_path / "ok.ckpt")
     for name, values in model.params.snapshot().items():
@@ -71,6 +71,17 @@ def test_checkpoint_without_head_version_refused(tmp_path):
     save_bundle(path, arrays, meta)
     with pytest.raises(CheckpointError, match="head version 1"):
         load_checkpoint(path)
+
+
+def test_checkpoint_of_the_per_head_layout_refused(tmp_path):
+    """Version 2 stored each head as its own parameters; it is refused by version."""
+    path = tmp_path / "v2.ckpt"
+    _save_fresh(path, tiny_config(), doc_dim=6)
+    arrays, meta = load_bundle(path)
+    meta["head_version"] = 2
+    save_bundle(path, arrays, meta)
+    with pytest.raises(CheckpointError, match="head version 2.*retrain the model"):
+        model_from_checkpoint(path)
 
 
 def _csv_without_timing(path):
