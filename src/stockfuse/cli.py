@@ -27,7 +27,7 @@ from .data import (
     save_split,
 )
 from .embed import ProviderConfig, build_embedding_table
-from .errors import CheckpointError, ConfigError, DataError, NumericError, ProviderError
+from .errors import CheckpointError, ConfigError, DataError, NumericError, ProviderError, ShapeError
 from .evaluation import run_variant, stability_report, write_reports, write_stability
 from .metrics import accuracy, confusion_matrix, mcc
 from .model import PackedPanel
@@ -228,15 +228,18 @@ def _checkpoint_and_split(args):
             f"{args.splits} has document width {split.panel.dim}, but the checkpoint "
             f"{args.checkpoint} was trained on width {ckpt.doc_dim}"
         )
+    if split.ws != ckpt.config.ws:
+        raise DataError(
+            f"{args.splits} has windows of {split.ws} dates, but the checkpoint "
+            f"{args.checkpoint} was trained on ws {ckpt.config.ws}"
+        )
     packed = PackedPanel.from_panel(split.panel, graph, ckpt.config.dtype)
     return model, ckpt, split, packed
 
 
 def _cmd_eval(args) -> int:
     model, ckpt, split, packed = _checkpoint_and_split(args)
-    preds = model.predict_part(packed, split.test)
-    labels = np.array([s.label for s in split.test])
-    cm = confusion_matrix(labels, preds)
+    cm = confusion_matrix(split.test.label, model.predict_part(packed, split.test))
     result = {
         "variant": ckpt.variant,
         "n_test": len(split.test),
@@ -275,15 +278,15 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_dump_features(args) -> int:
     model, _, split, packed = _checkpoint_and_split(args)
-    by_symbol: dict[str, list] = {}
-    for s in split.test:
-        by_symbol.setdefault(s.symbol, []).append(s)
-    if not by_symbol:
+    counts = np.bincount(split.test.stock_index, minlength=packed.n_stocks)
+    if not counts.any():
         raise DataError("test split has no windows")
-    symbol = args.symbol or max(by_symbol, key=lambda k: (len(by_symbol[k]), k))
-    if symbol not in by_symbol:
+    # most test windows; a tie goes to the greatest symbol, as symbols are sorted
+    symbol = args.symbol or packed.symbols[len(counts) - 1 - int(np.argmax(counts[::-1]))]
+    if symbol not in packed.symbols or counts[packed.symbols.index(symbol)] == 0:
         raise DataError(f"symbol {symbol!r} has no test windows")
-    report = stability_report(model, packed, by_symbol[symbol])
+    stock = packed.symbols.index(symbol)
+    report = stability_report(model, packed, split.test[split.test.stock_index == stock])
     csv_path, json_path, bundle_path = write_stability(report, args.out)
     for key, value in sorted(report.smoothness.items()):
         print(f"smoothness {key}: {value:.4f}")
@@ -315,7 +318,7 @@ def run_command(argv) -> int:
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return 1
-    except (DataError, CheckpointError, ProviderError) as exc:
+    except (DataError, CheckpointError, ProviderError, ShapeError) as exc:
         log.error("data error: %s", exc)
         return 2
     except NumericError as exc:

@@ -9,6 +9,7 @@ which the dataset-build and synth determinism contracts rely on.
 from __future__ import annotations
 
 import json
+import math
 import os
 import secrets
 import struct
@@ -60,7 +61,13 @@ def save_bundle(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
 
 
 def load_bundle(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a bundle; raises FormatError on corruption or version mismatch."""
+    """Read a bundle; raises FormatError on corruption or version mismatch.
+
+    The header must be a JSON object with an `arrays` list and a `meta` dict.
+    Each array entry needs a string name, a numeric (bool, int, uint or
+    float) dtype, a shape of non-negative ints, and `nbytes` equal to the
+    shape's element count times the dtype's item size.
+    """
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -80,20 +87,43 @@ def load_bundle(path) -> tuple[dict[str, np.ndarray], dict]:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path} has a corrupt header: {exc}") from exc
     off += hlen
+    if not isinstance(header, dict):
+        raise FormatError(f"{path} has a header that is not a JSON object")
     version = header.get("format_version")
     if version != FORMAT_VERSION:
         raise FormatError(
             f"{path}: format version {version} unsupported (expected {FORMAT_VERSION}); "
             "no migration path exists"
         )
+    if not isinstance(header.get("arrays"), list) or not isinstance(header.get("meta"), dict):
+        raise FormatError(f"{path} has a header without an 'arrays' list and a 'meta' dict")
     arrays = {}
-    for entry in header["arrays"]:
-        nbytes = entry["nbytes"]
+    for i, entry in enumerate(header["arrays"]):
+        name, dtype, shape, nbytes = _checked_entry(path, i, entry)
         if len(raw) < off + nbytes:
-            raise FormatError(f"{path} truncated in array {entry['name']!r}")
-        arr = np.frombuffer(raw[off : off + nbytes], dtype=np.dtype(entry["dtype"]))
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).copy()
+            raise FormatError(f"{path} truncated in array {name!r}")
+        arrays[name] = np.frombuffer(raw[off : off + nbytes], dtype=dtype).reshape(shape).copy()
         off += nbytes
     if off != len(raw):
         raise FormatError(f"{path} has {len(raw) - off} trailing bytes")
     return arrays, header["meta"]
+
+
+def _checked_entry(path, i: int, entry) -> tuple[str, np.dtype, list[int], int]:
+    """(name, dtype, shape, nbytes) of one header array entry, or FormatError."""
+    name = entry.get("name") if isinstance(entry, dict) else None
+    if not isinstance(name, str):
+        raise FormatError(f"{path}: array entry {i} has no string name")
+    spec = entry.get("dtype")
+    try:
+        dtype = np.dtype(spec) if isinstance(spec, str) else None
+    except (TypeError, ValueError, SyntaxError):  # numpy's parser raises all three
+        dtype = None
+    if dtype is None or dtype.kind not in "biuf":
+        raise FormatError(f"{path}: array {name!r} has dtype {spec!r}, not a numeric one")
+    shape, nbytes = entry.get("shape"), entry.get("nbytes")
+    if not (isinstance(shape, list) and all(type(k) is int and k >= 0 for k in shape)):
+        raise FormatError(f"{path}: array {name!r} has shape {shape!r}")
+    if type(nbytes) is not int or nbytes != math.prod(shape) * dtype.itemsize:
+        raise FormatError(f"{path}: array {name!r} of {shape} {dtype} cannot be {nbytes!r} bytes")
+    return name, dtype, shape, nbytes

@@ -2,8 +2,14 @@
 
 Raw inputs are a prices CSV, a documents JSONL, an embeddings JSONL, and a
 relational-graph TSV. Assembly aligns everything on a global trading
-calendar, computes 3-class trend labels from close-to-close returns, builds
-sliding windows, and splits them chronologically by label date.
+calendar, computes 3-class trend labels from close-to-close returns, finds
+every sliding window in one pass over the panel, and splits the windows
+chronologically by label date.
+
+A window is not an object: each split part is an `np.recarray` of
+(stock_index, start, label) refs into the shared panel, and the window size
+`ws` is stored on the split. A serialized split stores each part as its
+N x 3 int64 refs table.
 
 Class indices are fixed everywhere: down=0, flat=1, up=2.
 """
@@ -103,28 +109,13 @@ class RelationalGraph:
 
 
 @dataclass
-class WindowSample:
-    """One training instance: aligned window plus next-day label."""
-
-    symbol: str
-    dates: list[str]
-    indicators: np.ndarray  # ws x 3, columns (close, open, high), raw prices
-    doc_embeddings: np.ndarray  # ws x dim
-    doc_mask: np.ndarray  # ws
-    label: int
-    stock_index: int = 0
-    start: int = 0  # window start position on the panel calendar
-    label_date: str = ""
-
-
-@dataclass
 class Panel:
     """All modalities aligned on (stock, global calendar date).
 
-    `features` holds the model-side indicator rows: close/open/high divided
-    by the previous day's close (day 0 uses its own close), which keeps the
-    inputs scale-free and lets one row serve every window that covers the
-    date. `observed` is False where a price row was forward-filled to keep
+    `features` holds the model-side indicator rows, derived from the prices
+    on construction: close/open/high divided by the previous day's close
+    (day 0 uses its own close), which keeps the inputs scale-free and lets
+    one row serve every window that covers the date. `observed` is False where a price row was forward-filled to keep
     the calendar rectangular.
     """
 
@@ -133,11 +124,14 @@ class Panel:
     close: np.ndarray  # n x T
     open: np.ndarray
     high: np.ndarray
-    features: np.ndarray  # n x T x 3
+    features: np.ndarray = field(init=False)  # n x T x 3
     doc_emb: np.ndarray  # n x T x dim
     doc_mask: np.ndarray  # n x T
     observed: np.ndarray  # n x T bool
     labels: np.ndarray  # n x T int, NO_LABEL where undefined
+
+    def __post_init__(self):
+        self.features = _indicator_features(self.close, self.open, self.high)
 
     @property
     def n_stocks(self) -> int:
@@ -152,16 +146,33 @@ class Panel:
         return self.doc_emb.shape[2]
 
 
+REF_DTYPE = np.dtype([("stock_index", np.int64), ("start", np.int64), ("label", np.int64)])
+
+
+def as_refs(table: np.ndarray) -> np.recarray:
+    """View an N x 3 int64 (stock_index, start, label) table as window refs."""
+    table = np.ascontiguousarray(table, dtype=np.int64)
+    return table.view(REF_DTYPE).reshape(-1).view(np.recarray)
+
+
 @dataclass
 class DatasetSplit:
-    train: list[WindowSample]
-    valid: list[WindowSample]
-    test: list[WindowSample]
-    label_spec: tuple[float, float]
-    calendar: list[str]
-    panel: Panel | None = None
+    """Chronological train/valid/test window sets over one panel.
 
-    def part(self, name: str) -> list[WindowSample]:
+    Each part is an `np.recarray` of window refs with int64 fields
+    `stock_index`, `start` and `label`: the window covers calendar positions
+    [start, start + ws) of stock `stock_index`, and `label` is that stock's
+    class on date start + ws. The window size `ws` is stored on the split.
+    """
+
+    train: np.recarray
+    valid: np.recarray
+    test: np.recarray
+    label_spec: tuple[float, float]
+    ws: int
+    panel: Panel
+
+    def part(self, name: str) -> np.recarray:
         try:
             return getattr(self, name)
         except AttributeError:
@@ -365,65 +376,41 @@ def align_documents(
     return matrix, mask
 
 
-def build_windows(
-    series: PriceSeries,
-    doc_matrix: np.ndarray,
-    doc_mask: np.ndarray,
-    labels: np.ndarray,
-    ws: int,
-    stock_index: int = 0,
-    observed: np.ndarray | None = None,
-    calendar_offset: int = 0,
-) -> list[WindowSample]:
-    """Stride-1 sliding windows labeled by the day after the window.
+def window_refs(panel: Panel, ws: int) -> np.recarray:
+    """Every stride-1 window of the panel, ordered by stock, then start.
 
-    Yields len(series) - ws samples; shorter series are skipped with a
-    warning. Samples whose window or label date was forward-filled (per
-    `observed`) are dropped.
+    The window at start s covers calendar positions [s, s + ws) and is
+    labeled by position s + ws. It is kept only when that date has a label
+    and all ws + 1 dates are observed, not forward-filled. A calendar
+    shorter than ws + 1 dates yields no windows.
     """
     if ws < 2:
         raise ConfigError(f"window size must be >= 2, got {ws}")
-    n = len(series)
-    if n < ws + 1:
-        log.warning("skipping %s: %d dates < window %d + 1", series.symbol, n, ws)
-        return []
-    indicators = np.stack([series.close, series.open, series.high], axis=1)
-    samples = []
-    for start in range(n - ws):
-        label = int(labels[start + ws])
-        if label == NO_LABEL:
-            continue
-        if observed is not None and not observed[start : start + ws + 1].all():
-            continue
-        samples.append(
-            WindowSample(
-                symbol=series.symbol,
-                dates=series.dates[start : start + ws],
-                indicators=indicators[start : start + ws],
-                doc_embeddings=doc_matrix[start : start + ws],
-                doc_mask=doc_mask[start : start + ws],
-                label=label,
-                stock_index=stock_index,
-                start=start + calendar_offset,
-                label_date=series.dates[start + ws],
-            )
-        )
-    return samples
+    labels = panel.labels[:, ws:]
+    # unobserved dates before each position; a window's count is a difference
+    gaps = np.pad(np.cumsum(~panel.observed, axis=1), ((0, 0), (1, 0)))
+    valid = (labels != NO_LABEL) & (gaps[:, ws + 1 :] == gaps[:, : labels.shape[1]])
+    stock, start = np.nonzero(valid)
+    return as_refs(np.stack([stock, start, labels[stock, start]], axis=1))
 
 
 def chronological_split(
-    samples: list[WindowSample],
+    refs: np.recarray,
+    panel: Panel,
+    ws: int,
     ratios: tuple[float, float, float],
     label_spec: tuple[float, float] = (0.0, 0.0),
-    calendar: list[str] | None = None,
-    panel: Panel | None = None,
 ) -> DatasetSplit:
-    """Partition samples by label-date quantiles, oldest dates first."""
+    """Partition window refs by label-date quantiles, oldest dates first.
+
+    Each part is ordered by label date, then stock, then start. The calendar
+    and the symbols are sorted, so positions order like dates and names.
+    """
     if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
         raise ConfigError(f"ratios must be three positives summing to 1, got {ratios}")
-    if not samples:
-        raise ConfigError("cannot split an empty sample list")
-    label_dates = sorted({s.label_date for s in samples})
+    if len(refs) == 0:
+        raise ConfigError("cannot split an empty window set")
+    label_dates = np.unique(refs.start + ws)
     n_dates = len(label_dates)
     b1 = int(np.floor(n_dates * ratios[0]))
     b2 = int(np.floor(n_dates * (ratios[0] + ratios[1])))
@@ -431,29 +418,26 @@ def chronological_split(
         raise ConfigError(
             f"cannot form three nonempty chronological splits from {n_dates} label dates"
         )
-    rank = {d: i for i, d in enumerate(label_dates)}
-    parts: tuple[list, list, list] = ([], [], [])
-    for s in sorted(samples, key=lambda s: (s.label_date, s.symbol, s.start)):
-        r = rank[s.label_date]
-        parts[0 if r < b1 else 1 if r < b2 else 2].append(s)
+    refs = refs[np.lexsort((refs.start, refs.stock_index, refs.start + ws))]
+    cut1, cut2 = np.searchsorted(refs.start + ws, label_dates[[b1, b2]])
     return DatasetSplit(
-        train=parts[0],
-        valid=parts[1],
-        test=parts[2],
+        train=refs[:cut1],
+        valid=refs[cut1:cut2],
+        test=refs[cut2:],
         label_spec=tuple(label_spec),
-        calendar=calendar if calendar is not None else sorted({d for s in samples for d in s.dates} | {s.label_date for s in samples}),
+        ws=ws,
         panel=panel,
     )
 
 
-def batch_iter(samples: list, batch_size: int, seed: int, epoch: int = 0):
-    """Deterministic shuffled batches; order depends only on (seed, epoch)."""
+def batch_iter(refs: np.ndarray, batch_size: int, seed: int, epoch: int = 0):
+    """Deterministic shuffled batches of rows; order depends only on (seed, epoch)."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng([int(seed) & 0x7FFFFFFF, int(epoch)])
-    order = rng.permutation(len(samples))
-    for lo in range(0, len(samples), batch_size):
-        yield [samples[i] for i in order[lo : lo + batch_size]]
+    order = rng.permutation(len(refs))
+    for lo in range(0, len(refs), batch_size):
+        yield refs[order[lo : lo + batch_size]]
 
 
 # ---------------------------------------------------------------------------
@@ -464,16 +448,16 @@ FEATURE_SCALE = 100.0  # percent units keep encoder inputs O(1)
 
 
 def _indicator_features(close: np.ndarray, open_: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """Previous-close relative changes in percent, (T, 3), (close, open, high).
+    """Previous-close relative changes in percent, (n, T, 3), (close, open, high).
 
-    Row t is (close_t/close_{t-1} - 1, open_t/close_{t-1} - 1,
+    Row t of a stock is (close_t/close_{t-1} - 1, open_t/close_{t-1} - 1,
     high_t/close_{t-1} - 1) * 100; row 0 uses its own close as the base.
     Being per-date quantities, the same row serves every window covering the
     date, which the shared graph computation relies on.
     """
-    prev = np.concatenate(([close[0]], close[:-1]))
+    prev = np.concatenate((close[:, :1], close[:, :-1]), axis=1)
     return np.stack(
-        [close / prev - 1.0, open_ / prev - 1.0, high / prev - 1.0], axis=1
+        [close / prev - 1.0, open_ / prev - 1.0, high / prev - 1.0], axis=-1
     ) * FEATURE_SCALE
 
 
@@ -528,46 +512,17 @@ def build_panel(
         doc_mask[i, pos] = msk
     if filled_cells:
         log.warning("forward-filled %d missing (stock, date) price cells", filled_cells)
-    features = np.stack(
-        [_indicator_features(close[i], open_[i], high[i]) for i in range(n)], axis=0
-    )
     return Panel(
         symbols=symbols,
         calendar=calendar,
         close=close,
         open=open_,
         high=high,
-        features=features,
         doc_emb=doc_emb,
         doc_mask=doc_mask,
         observed=observed,
         labels=labels,
     )
-
-
-def panel_windows(panel: Panel, ws: int) -> list[WindowSample]:
-    """Build every stock's windows against the shared panel calendar."""
-    samples = []
-    for i, sym in enumerate(panel.symbols):
-        series = PriceSeries(
-            symbol=sym,
-            dates=panel.calendar,
-            open=panel.open[i],
-            high=panel.high[i],
-            close=panel.close[i],
-        )
-        samples.extend(
-            build_windows(
-                series,
-                panel.doc_emb[i],
-                panel.doc_mask[i],
-                panel.labels[i],
-                ws,
-                stock_index=i,
-                observed=panel.observed[i],
-            )
-        )
-    return samples
 
 
 def build_dataset(
@@ -580,110 +535,78 @@ def build_dataset(
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
 ) -> DatasetSplit:
     panel = build_panel(series_list, doc_days, table, label_spec)
-    samples = panel_windows(panel, ws)
-    return chronological_split(
-        samples, ratios, label_spec=label_spec, calendar=panel.calendar, panel=panel
-    )
+    return chronological_split(window_refs(panel, ws), panel, ws, ratios, label_spec)
 
 
 # ---------------------------------------------------------------------------
 # split serialization
 
 
+_PANEL_ARRAYS = ("close", "open", "high", "doc_emb", "doc_mask", "observed", "labels")
+_PARTS = ("train", "valid", "test")
+
+
 def save_split(path, split: DatasetSplit, graph: RelationalGraph | None = None) -> None:
-    if split.panel is None:
-        raise ConfigError("only panel-backed splits can be serialized")
     p = split.panel
-    arrays = {
-        "close": p.close,
-        "open": p.open,
-        "high": p.high,
-        "doc_emb": p.doc_emb,
-        "doc_mask": p.doc_mask,
-        "observed": p.observed,
-        "labels": p.labels,
-    }
-    for name in ("train", "valid", "test"):
+    arrays = {name: getattr(p, name) for name in _PANEL_ARRAYS}
+    for name in _PARTS:
         part = split.part(name)
-        arrays[f"{name}_refs"] = np.array(
-            [[s.stock_index, s.start, s.label] for s in part], dtype=np.int64
-        ).reshape(len(part), 3)
+        arrays[f"{name}_refs"] = np.stack([part.stock_index, part.start, part.label], axis=1)
     meta = {
         "kind": "dataset_split",
         "symbols": p.symbols,
         "calendar": p.calendar,
         "label_spec": list(split.label_spec),
-        "ws": next((len(part[0].dates) for part in (split.train, split.valid, split.test)
-                    if part), 0),
+        "ws": split.ws,
         "adjacency": {s: nb for s, nb in sorted(graph.adjacency.items())} if graph else None,
         "graph_edges": [list(e) for e in graph.edges] if graph else None,
     }
     save_bundle(path, arrays, meta)
 
 
+def _checked_refs(table, part: str, panel: Panel, ws: int) -> np.recarray:
+    """A stored refs table as window refs, each checked against the panel."""
+    if table is None or table.ndim != 2 or table.shape[1] != 3 or table.dtype.kind not in "iu":
+        raise FormatError(f"{part}: window refs must be an integer N x 3 array")
+    refs = as_refs(table)
+    n, T = panel.labels.shape
+    stock, start = refs.stock_index, refs.start
+    if not np.all((stock >= 0) & (stock < n) & (start >= 0) & (start + ws < T)):
+        raise FormatError(f"{part}: a window ref lies outside the {n} x {T} panel")
+    if not np.array_equal(panel.labels[stock, start + ws], refs.label):
+        raise FormatError(f"{part}: a window label disagrees with the panel")
+    return refs
+
+
 def load_split(path) -> tuple[DatasetSplit, RelationalGraph | None]:
+    """Read a split bundle, checking every window ref against its panel.
+
+    Each part must be an integer N x 3 refs table; each ref must lie inside
+    the panel (start + ws < T) and carry the panel's label at start + ws.
+    Any failure, or missing or malformed metadata, raises FormatError.
+    """
     arrays, meta = load_bundle(path)
     if meta.get("kind") != "dataset_split":
         raise FormatError(f"{path} is not a serialized dataset split")
-    symbols = list(meta["symbols"])
-    calendar = list(meta["calendar"])
-    ws = int(meta["ws"])
-    label_spec = tuple(meta["label_spec"])
-    features = np.stack(
-        [
-            _indicator_features(arrays["close"][i], arrays["open"][i], arrays["high"][i])
-            for i in range(len(symbols))
-        ],
-        axis=0,
-    )
-    panel = Panel(
-        symbols=symbols,
-        calendar=calendar,
-        close=arrays["close"],
-        open=arrays["open"],
-        high=arrays["high"],
-        features=features,
-        doc_emb=arrays["doc_emb"],
-        doc_mask=arrays["doc_mask"],
-        observed=arrays["observed"].astype(bool),
-        labels=arrays["labels"],
-    )
-    indicators = {
-        i: np.stack([panel.close[i], panel.open[i], panel.high[i]], axis=1)
-        for i in range(len(symbols))
-    }
-    parts = {}
-    for name in ("train", "valid", "test"):
-        rows = []
-        for stock_index, start, label in arrays[f"{name}_refs"]:
-            i, t0 = int(stock_index), int(start)
-            rows.append(
-                WindowSample(
-                    symbol=symbols[i],
-                    dates=calendar[t0 : t0 + ws],
-                    indicators=indicators[i][t0 : t0 + ws],
-                    doc_embeddings=panel.doc_emb[i, t0 : t0 + ws],
-                    doc_mask=panel.doc_mask[i, t0 : t0 + ws],
-                    label=int(label),
-                    stock_index=i,
-                    start=t0,
-                    label_date=calendar[t0 + ws],
-                )
-            )
-        parts[name] = rows
-    split = DatasetSplit(
-        train=parts["train"],
-        valid=parts["valid"],
-        test=parts["test"],
-        label_spec=label_spec,
-        calendar=calendar,
-        panel=panel,
-    )
-    graph = None
-    if meta.get("adjacency") is not None:
-        graph = RelationalGraph(
+    try:
+        symbols, calendar = list(meta["symbols"]), list(meta["calendar"])
+        ws, label_spec = int(meta["ws"]), tuple(meta["label_spec"])
+        panel_arrays = {name: arrays[name] for name in _PANEL_ARRAYS}
+        adjacency = meta.get("adjacency")
+        graph = None if adjacency is None else RelationalGraph(
             nodes=set(symbols),
             edges=[tuple(e) for e in meta.get("graph_edges") or []],
-            adjacency={s: list(nb) for s, nb in meta["adjacency"].items()},
+            adjacency={s: list(nb) for s, nb in adjacency.items()},
         )
-    return split, graph
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"{path} is a malformed dataset split: {exc!r}") from exc
+    shape = (len(symbols), len(calendar))
+    if any(a.shape[:2] != shape for a in panel_arrays.values()):
+        raise FormatError(f"{path}: a panel array is not {shape} stocks x dates")
+    panel_arrays["observed"] = panel_arrays["observed"].astype(bool)
+    panel = Panel(symbols=symbols, calendar=calendar, **panel_arrays)
+    parts = {
+        name: _checked_refs(arrays.get(f"{name}_refs"), f"{path} part {name!r}", panel, ws)
+        for name in _PARTS
+    }
+    return DatasetSplit(**parts, label_spec=label_spec, ws=ws, panel=panel), graph

@@ -23,7 +23,7 @@ from .container import save_bundle
 from .data import DatasetSplit, RelationalGraph
 from .errors import ConfigError
 from .metrics import pca_project_1d, smoothness
-from .model import PackedPanel, TrimodalModel, sample_refs
+from .model import PackedPanel, TrimodalModel
 from .training import evaluate_part, train_model
 
 log = logging.getLogger(__name__)
@@ -133,7 +133,7 @@ class StabilityReport:
 def stability_report(
     model: TrimodalModel,
     packed: PackedPanel,
-    samples,
+    refs: np.recarray,
 ) -> StabilityReport:
     """Per-stage 1-D feature series over one stock's windows.
 
@@ -143,27 +143,29 @@ def stability_report(
     date. Smoothness is the mean squared first difference of the z-scored
     series.
     """
-    samples = sorted(samples, key=lambda s: s.start)
-    if not samples:
+    if len(refs) == 0:
         raise ConfigError("stability report needs at least one window")
-    stocks = {s.stock_index for s in samples}
+    stocks = np.unique(refs.stock_index)
     if len(stocks) != 1:
         raise ConfigError(f"stability report expects one stock, got {len(stocks)}")
-    stock = stocks.pop()
+    stock = int(stocks[0])
     t = model.cfg.ws
-    stock_idx, start, _ = sample_refs(samples)
+    refs = refs[np.argsort(refs.start, kind="stable")]
     from . import autodiff as ad
 
     with ad.no_grad():
-        _, diag = model.forward_batch(packed, stock_idx, start, diagnostics=True)
+        _, diag = model.forward_batch(packed, refs.stock_index, refs.start, diagnostics=True)
     if not diag:
         raise ConfigError(f"variant {model.variant!r} exposes no fusion stages")
-    last_dates = [packed.calendar[s.start + t - 1] for s in samples]
-    closes = np.array([packed.close[stock, s.start + t - 1] for s in samples])
-    report = StabilityReport(symbol=samples[0].symbol, dates=last_dates, closes=closes)
+    last = refs.start + t - 1
+    report = StabilityReport(
+        symbol=packed.symbols[stock],
+        dates=[packed.calendar[i] for i in last],
+        closes=packed.close[stock, last],
+    )
     for stage_name, (unstable, stable, _) in sorted(diag.items()):
         for kind, tensor in (("unstable", unstable), ("stable", stable)):
-            per_window = tensor.values.reshape(len(samples), t, -1)[:, -1, :]
+            per_window = tensor.values.reshape(len(refs), t, -1)[:, -1, :]
             series, _ = pca_project_1d(per_window)
             key = f"{stage_name}/{kind}"
             report.series[key] = series

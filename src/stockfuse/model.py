@@ -35,7 +35,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .config import VARIANTS, TrainConfig
-from .data import Panel, RelationalGraph, WindowSample
+from .data import Panel, RelationalGraph
 from .encoders import (
     DocEncoderParams,
     GatParams,
@@ -177,13 +177,6 @@ class PackedPanel:
             close=panel.close,
             calendar=panel.calendar,
         )
-
-
-def sample_refs(samples: list[WindowSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    stock_idx = np.array([s.stock_index for s in samples], dtype=np.intp)
-    start = np.array([s.start for s in samples], dtype=np.intp)
-    labels = np.array([s.label for s in samples], dtype=np.int64)
-    return stock_idx, start, labels
 
 
 class TrimodalModel:
@@ -335,22 +328,20 @@ class TrimodalModel:
             return logits, diag
         return logits
 
-    def loss_batch(self, packed: PackedPanel, samples: list[WindowSample]):
-        stock_idx, start, labels = sample_refs(samples)
-        logits = self.forward_batch(packed, stock_idx, start)
-        return cross_entropy_loss(logits, labels), logits
+    def loss_batch(self, packed: PackedPanel, refs: np.recarray):
+        logits = self.forward_batch(packed, refs.stock_index, refs.start)
+        return cross_entropy_loss(logits, refs.label), logits
 
     def predict_part(
-        self, packed: PackedPanel, samples: list[WindowSample], batch_size: int = 4096
+        self, packed: PackedPanel, refs: np.recarray, batch_size: int = 4096
     ) -> np.ndarray:
-        """Predicted classes for a sample list, in list order (no tape)."""
-        stock_idx, start, _ = sample_refs(samples)
-        out = np.empty(len(samples), dtype=np.int64)
+        """Predicted classes for window refs, in their order (no tape)."""
+        out = np.empty(len(refs), dtype=np.int64)
         with ad.no_grad():
-            for b in range(0, len(samples), batch_size):
-                sl = slice(b, min(b + batch_size, len(samples)))
-                logits = self.forward_batch(packed, stock_idx[sl], start[sl])
-                out[sl] = logits.values.argmax(axis=1)
+            for b in range(0, len(refs), batch_size):
+                batch = refs[b : b + batch_size]
+                logits = self.forward_batch(packed, batch.stock_index, batch.start)
+                out[b : b + batch_size] = logits.values.argmax(axis=1)
         return out
 
     # -- per-sample reference path --------------------------------------

@@ -26,7 +26,7 @@ from .container import load_bundle, save_bundle
 from .data import DatasetSplit, RelationalGraph, batch_iter
 from .errors import CheckpointError, ConfigError, FormatError, NumericError
 from .metrics import accuracy, confusion_matrix, mcc
-from .model import PackedPanel, TrimodalModel, sample_refs
+from .model import PackedPanel, TrimodalModel
 from .predictor import HEAD_VERSION
 
 log = logging.getLogger(__name__)
@@ -118,12 +118,10 @@ def _param_norm_report(params) -> str:
     return f"total param norm {total:.3e}; largest: {top}"
 
 
-def evaluate_part(model: TrimodalModel, packed: PackedPanel, samples) -> tuple[float, float]:
-    if not samples:
+def evaluate_part(model: TrimodalModel, packed: PackedPanel, refs) -> tuple[float, float]:
+    if len(refs) == 0:
         return float("nan"), float("nan")
-    preds = model.predict_part(packed, samples)
-    _, _, labels = sample_refs(samples)
-    cm = confusion_matrix(labels, preds)
+    cm = confusion_matrix(refs.label, model.predict_part(packed, refs))
     return accuracy(cm), mcc(cm)
 
 
@@ -145,10 +143,10 @@ def train_model(
     last epoch's full state for resuming.
     """
     cfg.validate()
-    if not split.train:
+    if len(split.train) == 0:
         raise ConfigError("empty training split")
-    if split.panel is None:
-        raise ConfigError("training requires a panel-backed split")
+    if split.ws != cfg.ws:
+        raise ConfigError(f"the split's windows span {split.ws} dates, the config's ws is {cfg.ws}")
     model = TrimodalModel(cfg, doc_dim=split.panel.dim, variant=variant)
     packed = PackedPanel.from_panel(split.panel, graph, cfg.dtype)
     n_batches = -(-len(split.train) // cfg.batch_size)

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from stockfuse.cli import run_command
 from stockfuse.container import load_bundle, save_bundle
+from stockfuse.data import load_split
+from stockfuse.errors import FormatError
 
 
 def synth(out, dim):
@@ -94,3 +97,67 @@ def test_missing_inputs_and_bad_flags_exit_1(tmp_path):
 def test_diverging_training_exit_3(trained, tmp_path):
     data = trained / "data"
     assert run_command(train_args(data, tmp_path / "out", "--lr", "1e300")) == 3
+
+
+def edited_split(trained, tmp_path, edit):
+    arrays, meta = load_bundle(trained / "run" / "splits.sfb")
+    edit(arrays, meta)
+    save_bundle(tmp_path / "edited.sfb", arrays, meta)
+    return tmp_path / "edited.sfb"
+
+
+def on_split(trained, command, splits, *extra):
+    return run_command([command, "--checkpoint", str(trained / "run" / "checkpoint.sfb"),
+                        "--splits", str(splits), *extra])
+
+
+@pytest.mark.parametrize("damage", ["past_calendar", "wrong_label"])
+def test_split_ref_the_panel_cannot_serve_exit_2(trained, tmp_path, caplog, damage):
+    def edit(arrays, meta):
+        if damage == "past_calendar":
+            arrays["test_refs"][0, 1] = len(meta["calendar"]) - meta["ws"]
+        else:
+            arrays["test_refs"][0, 2] = (arrays["test_refs"][0, 2] + 1) % 3
+
+    splits = edited_split(trained, tmp_path, edit)
+    with pytest.raises(FormatError, match="'test'"):
+        load_split(splits)
+    assert on_split(trained, "eval", splits) == 2
+    assert "'test'" in caplog.text
+
+
+def test_shape_error_exit_2(trained, tmp_path, caplog):
+    """A stability dump of a single window cannot be projected: ShapeError, exit 2."""
+    def edit(arrays, meta):
+        arrays["test_refs"] = arrays["test_refs"][:1]
+
+    splits = edited_split(trained, tmp_path, edit)
+    assert on_split(trained, "dump-features", splits, "--out", str(tmp_path / "dump")) == 2
+    assert "PCA input" in caplog.text
+
+
+def test_dump_features_tie_goes_to_the_greatest_symbol(trained, tmp_path):
+    split, _ = load_split(trained / "run" / "splits.sfb")
+    symbols = split.panel.symbols
+    assert len(set(np.bincount(split.test.stock_index).tolist())) == 1
+    assert on_split(trained, "dump-features", trained / "run" / "splits.sfb",
+                    "--out", str(tmp_path / "tie")) == 0
+    assert json.loads((tmp_path / "tie" / "smoothness.json").read_text())["symbol"] == symbols[-1]
+
+    def edit(arrays, meta):  # one test window fewer for the last stock
+        refs = arrays["test_refs"]
+        arrays["test_refs"] = np.delete(refs, np.flatnonzero(refs[:, 0] == len(symbols) - 1)[0], 0)
+
+    splits = edited_split(trained, tmp_path, edit)
+    assert on_split(trained, "dump-features", splits, "--out", str(tmp_path / "fewer")) == 0
+    assert json.loads((tmp_path / "fewer" / "smoothness.json").read_text())["symbol"] == symbols[-2]
+
+
+def test_split_of_other_window_size(trained, tmp_path, caplog):
+    data = trained / "data"
+    assert run_command(train_args(data, tmp_path / "ws6", "--ws", "6", "--epochs", "0")) == 0
+    splits = tmp_path / "ws6" / "splits.sfb"
+    assert on_split(trained, "eval", splits) == 2
+    assert "windows of 6 dates" in caplog.text
+    assert run_command(train_args(data, tmp_path / "out", "--splits", str(splits))) == 1
+    assert "ws is 5" in caplog.text

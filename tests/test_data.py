@@ -1,5 +1,7 @@
 import json
 import logging
+import re
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -8,7 +10,13 @@ from hypothesis import given, strategies as st
 
 from stockfuse import data as D
 from stockfuse.container import load_bundle, save_bundle
-from stockfuse.errors import ConfigError, DataError, FormatError, MissingEmbeddingError
+from stockfuse.errors import (
+    ConfigError,
+    DataError,
+    FormatError,
+    MissingEmbeddingError,
+    StockfuseError,
+)
 from stockfuse.synth import synth_dataset
 
 
@@ -176,111 +184,167 @@ def make_series(n, symbol="S", start_price=100.0, seed=0):
     )
 
 
+def series_panel(n):
+    """A one-stock panel of `n` observed dates, no documents."""
+    return D.build_panel([make_series(n)], [], D.EmbeddingTable(dim=2), (-0.01, 0.01))
+
+
+def loop_window_refs(panel, ws):
+    """Oracle: the per-window loop, as (stock, start, label) rows."""
+    rows = []
+    for i in range(panel.n_stocks):
+        for start in range(panel.n_dates - ws):
+            label = int(panel.labels[i, start + ws])
+            if label != D.NO_LABEL and panel.observed[i, start : start + ws + 1].all():
+                rows.append((i, start, label))
+    return rows
+
+
+def loop_split(rows, panel, ws, ratios):
+    """Oracle: rows by label-date rank, each part sorted by (label date, symbol, start)."""
+    label_date = {row: panel.calendar[row[1] + ws] for row in rows}
+    rank = {d: k for k, d in enumerate(sorted(set(label_date.values())))}
+    b1 = int(np.floor(len(rank) * ratios[0]))
+    b2 = int(np.floor(len(rank) * (ratios[0] + ratios[1])))
+    parts = ([], [], [])
+    for row in sorted(rows, key=lambda r: (label_date[r], panel.symbols[r[0]], r[1])):
+        r = rank[label_date[row]]
+        parts[0 if r < b1 else 1 if r < b2 else 2].append(row)
+    return parts
+
+
+def gappy_panel():
+    """A synth panel with forward-filled cells and unlabeled observed dates."""
+    series, days, table, _, _ = synth_dataset(5, 60, 4, 2.0, 0.3, 0.1, 2, seed=9)
+    keep = np.ones(60, dtype=bool)
+    keep[[10, 11, 12, 13, 30]] = False  # dates missing mid-series
+    s = series[1]
+    series[1] = D.PriceSeries(s.symbol, [d for d, k in zip(s.dates, keep) if k],
+                              s.open[keep], s.high[keep], s.close[keep])
+    s = series[2]  # starts late
+    series[2] = D.PriceSeries(s.symbol, s.dates[8:], s.open[8:], s.high[8:], s.close[8:])
+    panel = D.build_panel(series, days, table, (-0.01, 0.01))
+    panel.labels[3, [20, 41]] = D.NO_LABEL
+    assert (~panel.observed).sum() == 5 + 8
+    return panel
+
+
 class TestBuildWindows:
-    def build(self, n, ws):
-        series = make_series(n)
-        docs = np.zeros((n, 2))
-        mask = np.zeros(n, dtype=np.int64)
-        labels = D.compute_labels(series, -0.01, 0.01)
-        return D.build_windows(series, docs, mask, labels, ws)
-
     def test_sample_count(self):
-        assert len(self.build(25, 20)) == 5
+        assert len(D.window_refs(series_panel(25), 20)) == 5
 
-    def test_boundary_zero_samples(self, caplog):
-        with caplog.at_level(logging.WARNING):
-            samples = self.build(20, 20)
-        assert samples == []
-        assert "skipping" in caplog.text
+    def test_boundary_zero_samples(self):
+        for n in (20, 15):  # T == ws and T < ws
+            refs = D.window_refs(series_panel(n), 20)
+            assert len(refs) == 0 and refs.dtype.names == ("stock_index", "start", "label")
 
-    def test_overlap_slice_equality(self):
-        samples = self.build(30, 10)
-        for k in range(len(samples) - 1):
-            npt.assert_array_equal(samples[k].indicators[1:], samples[k + 1].indicators[:-1])
-            assert samples[k].dates[1:] == samples[k + 1].dates[:-1]
+    def test_window_below_two_rejected(self):
+        with pytest.raises(ConfigError, match="window size"):
+            D.window_refs(series_panel(10), 1)
 
     def test_label_is_day_after_window(self):
         series = make_series(30)
         labels = D.compute_labels(series, -0.01, 0.01)
-        samples = self.build(30, 10)
-        for s in samples:
-            assert s.label == labels[s.start + 10]
+        refs = D.window_refs(series_panel(30), 10)
+        assert len(refs) == 20
+        npt.assert_array_equal(refs.label, labels[refs.start + 10])
+
+    @pytest.mark.parametrize("ws", [2, 5, 20])
+    def test_matches_loop_oracle(self, ws):
+        panel = gappy_panel()
+        rows = loop_window_refs(panel, ws)
+        assert D.window_refs(panel, ws).tolist() == rows
+        assert {r[0] for r in rows} == set(range(5))
+        ratios = (0.6, 0.2, 0.2)
+        split = D.chronological_split(D.window_refs(panel, ws), panel, ws, ratios)
+        for part, expected in zip(("train", "valid", "test"), loop_split(rows, panel, ws, ratios)):
+            assert split.part(part).tolist() == expected
 
     def test_masked_rows_zero_invariant(self):
         series, days, table, graph, _ = synth_dataset(3, 40, 6, 2.0, 0.5, 0.0, 2, seed=9)
         split = D.build_dataset(series, days, table, graph, ws=8, label_spec=(-0.01, 0.01))
-        for s in split.train + split.valid + split.test:
-            masked = s.doc_embeddings[s.doc_mask == 0]
-            assert not masked.any()
+        panel = split.panel
+        for part in ("train", "valid", "test"):
+            refs = split.part(part)
+            dates = refs.start[:, None] + np.arange(8)
+            stocks = refs.stock_index[:, None]
+            mask = panel.doc_mask[stocks, dates]
+            assert (mask == 0).any()
+            assert not panel.doc_emb[stocks, dates][mask == 0].any()
 
 
 class TestChronologicalSplit:
     def samples_on_dates(self, n_dates):
-        series = make_series(n_dates + 5)
-        labels = D.compute_labels(series, -0.01, 0.01)
-        docs = np.zeros((len(series), 2))
-        mask = np.zeros(len(series), dtype=np.int64)
-        return D.build_windows(series, docs, mask, labels, 5)
+        panel = series_panel(n_dates + 5)
+        return D.window_refs(panel, 5), panel
+
+    @staticmethod
+    def label_dates(split, part):
+        return [split.panel.calendar[s + split.ws] for s in split.part(part).start]
 
     def test_quantile_example(self):
         # 10 distinct label dates at ratios (.8, .1, .1) -> 8 / 1 / 1
-        samples = self.samples_on_dates(10)
-        assert len({s.label_date for s in samples}) == 10
-        split = D.chronological_split(samples, (0.8, 0.1, 0.1))
-        assert len({s.label_date for s in split.train}) == 8
-        assert len({s.label_date for s in split.valid}) == 1
-        assert len({s.label_date for s in split.test}) == 1
+        refs, panel = self.samples_on_dates(10)
+        assert len(np.unique(refs.start)) == 10
+        split = D.chronological_split(refs, panel, 5, (0.8, 0.1, 0.1))
+        assert len(set(self.label_dates(split, "train"))) == 8
+        assert len(set(self.label_dates(split, "valid"))) == 1
+        assert len(set(self.label_dates(split, "test"))) == 1
 
     def test_chronology_invariant(self):
-        samples = self.samples_on_dates(30)
-        split = D.chronological_split(samples, (0.8, 0.1, 0.1))
-        assert max(s.label_date for s in split.train) < min(s.label_date for s in split.valid)
-        assert max(s.label_date for s in split.valid) < min(s.label_date for s in split.test)
+        split = D.chronological_split(*self.samples_on_dates(30), 5, (0.8, 0.1, 0.1))
+        train, valid, test = (self.label_dates(split, p) for p in ("train", "valid", "test"))
+        assert max(train) < min(valid)
+        assert max(valid) < min(test)
 
     def test_degenerate_single_date(self):
-        samples = self.samples_on_dates(12)
-        one_date = [s for s in samples if s.label_date == samples[0].label_date]
+        refs, panel = self.samples_on_dates(12)
+        one_date = refs[refs.start == refs.start[0]]
         with pytest.raises(ConfigError):
-            D.chronological_split(one_date, (0.8, 0.1, 0.1))
+            D.chronological_split(one_date, panel, 5, (0.8, 0.1, 0.1))
 
     def test_order_invariance(self, rng):
-        samples = self.samples_on_dates(25)
-        split_a = D.chronological_split(list(samples), (0.8, 0.1, 0.1))
-        shuffled = list(samples)
-        rng.shuffle(shuffled)
-        split_b = D.chronological_split(shuffled, (0.8, 0.1, 0.1))
+        refs, panel = self.samples_on_dates(25)
+        split_a = D.chronological_split(refs, panel, 5, (0.8, 0.1, 0.1))
+        shuffled = refs[rng.permutation(len(refs))]
+        split_b = D.chronological_split(shuffled, panel, 5, (0.8, 0.1, 0.1))
         for part in ("train", "valid", "test"):
-            ids_a = {(s.symbol, s.start) for s in split_a.part(part)}
-            ids_b = {(s.symbol, s.start) for s in split_b.part(part)}
-            assert ids_a == ids_b
+            assert split_a.part(part).tolist() == split_b.part(part).tolist()
 
     def test_bad_ratios(self):
         with pytest.raises(ConfigError):
-            D.chronological_split(self.samples_on_dates(10), (0.5, 0.5, 0.5))
+            D.chronological_split(*self.samples_on_dates(10), 5, (0.5, 0.5, 0.5))
 
 
 class TestBatchIter:
     def test_batch_sizes(self):
-        batches = list(D.batch_iter(list(range(10)), 4, seed=1))
+        batches = list(D.batch_iter(np.arange(10), 4, seed=1))
         assert [len(b) for b in batches] == [4, 4, 2]
 
     def test_same_seed_same_epoch_identical(self):
-        a = list(D.batch_iter(list(range(20)), 6, seed=3, epoch=5))
-        b = list(D.batch_iter(list(range(20)), 6, seed=3, epoch=5))
-        assert a == b
+        a = list(D.batch_iter(np.arange(20), 6, seed=3, epoch=5))
+        b = list(D.batch_iter(np.arange(20), 6, seed=3, epoch=5))
+        assert [x.tolist() for x in a] == [x.tolist() for x in b]
 
     def test_epochs_differ(self):
-        a = [x for b in D.batch_iter(list(range(40)), 8, seed=3, epoch=0) for x in b]
-        b = [x for b in D.batch_iter(list(range(40)), 8, seed=3, epoch=1) for x in b]
-        assert a != b
+        a = np.concatenate(list(D.batch_iter(np.arange(40), 8, seed=3, epoch=0)))
+        b = np.concatenate(list(D.batch_iter(np.arange(40), 8, seed=3, epoch=1)))
+        assert not np.array_equal(a, b)
 
     @given(st.integers(1, 50), st.integers(1, 12))
     def test_partition_property(self, n, bs):
-        items = list(range(n))
+        items = np.arange(n)
         batches = list(D.batch_iter(items, bs, seed=0, epoch=2))
-        flat = [x for b in batches for x in b]
-        assert sorted(flat) == items
+        npt.assert_array_equal(np.sort(np.concatenate(batches)), items)
         assert all(len(b) == bs for b in batches[:-1])
+
+    def test_batches_of_refs_are_refs(self):
+        refs = D.window_refs(series_panel(30), 5)
+        order = np.concatenate([b.start for b in D.batch_iter(refs, 7, seed=2, epoch=1)])
+        batch = next(D.batch_iter(refs, 7, seed=2, epoch=1))
+        assert isinstance(batch, np.recarray) and len(batch) == 7
+        npt.assert_array_equal(np.sort(order), refs.start)
+        npt.assert_array_equal(batch.label, refs.label[batch.start])
 
 
 class TestLoadGraph:
@@ -398,14 +462,13 @@ class TestDatasetBuildDeterminism:
         D.save_split(tmp_path / "s.sfb", split, graph)
         loaded, graph2 = D.load_split(tmp_path / "s.sfb")
         assert graph2.adjacency == graph.adjacency
+        assert loaded.ws == 10 and loaded.panel.symbols == split.panel.symbols
         for part in ("train", "valid", "test"):
             orig, new = split.part(part), loaded.part(part)
-            assert len(orig) == len(new)
-            for a, b in zip(orig, new):
-                assert (a.symbol, a.start, a.label) == (b.symbol, b.start, b.label)
-                npt.assert_array_equal(a.indicators, b.indicators)
-                npt.assert_array_equal(a.doc_embeddings, b.doc_embeddings)
-        npt.assert_array_equal(split.panel.features, loaded.panel.features)
+            assert isinstance(new, np.recarray) and len(orig) == len(new) > 0
+            assert new.tolist() == orig.tolist()
+        for name in ("close", "open", "high", "doc_emb", "features"):
+            npt.assert_array_equal(getattr(split.panel, name), getattr(loaded.panel, name))
 
     def test_truncated_bundle_rejected(self, tmp_path):
         save_bundle(tmp_path / "x.sfb", {"a": np.ones((3, 3))}, {"kind": "test"})
@@ -421,6 +484,46 @@ class TestDatasetBuildDeterminism:
         (tmp_path / "v9.sfb").write_bytes(patched)
         with pytest.raises(FormatError, match="version"):
             load_bundle(tmp_path / "v9.sfb")
+
+
+class TestBundleHeaderSchema:
+    """Each header field `load_bundle` reads is checked before it is used."""
+
+    GOOD = {"format_version": 1, "meta": {},
+            "arrays": [{"name": "a", "dtype": "<f8", "shape": [2], "nbytes": 16}]}
+
+    def write(self, tmp_path, header, body=bytes(16)):
+        blob = json.dumps(header).encode()
+        path = tmp_path / "h.sfb"
+        path.write_bytes(b"SFBUNDLE1\n" + len(blob).to_bytes(8, "little") + blob + body)
+        return path
+
+    def test_good_header_loads(self, tmp_path):
+        arrays, meta = load_bundle(self.write(tmp_path, self.GOOD))
+        npt.assert_array_equal(arrays["a"], [0.0, 0.0])
+        assert meta == {}
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: [h], "not a JSON object"),
+        (lambda h: {**h, "meta": []}, "'meta' dict"),
+        (lambda h: {k: v for k, v in h.items() if k != "arrays"}, "'arrays' list"),
+        (lambda h: {**h, "arrays": ["a"]}, "entry 0 has no string name"),
+        (lambda h: {**h, "arrays": [{**h["arrays"][0], "name": 3}]}, "entry 0 has no string name"),
+        (lambda h: {**h, "arrays": [{**h["arrays"][0], "dtype": "<c8"}]}, "not a numeric"),
+        (lambda h: {**h, "arrays": [{**h["arrays"][0], "dtype": "|O"}]}, "not a numeric"),
+        (lambda h: {**h, "arrays": [{**h["arrays"][0], "dtype": "<q9"}]}, "not a numeric"),
+        (lambda h: {**h, "arrays": [{**h["arrays"][0], "dtype": ["<f8"]}]}, "not a numeric"),
+        (lambda h: {**h, "arrays": [{**h["arrays"][0], "shape": [-2]}]}, "shape"),
+        (lambda h: {**h, "arrays": [{**h["arrays"][0], "shape": "2"}]}, "shape"),
+        (lambda h: {**h, "arrays": [{**h["arrays"][0], "shape": [2.0]}]}, "shape"),
+        (lambda h: {**h, "arrays": [{**h["arrays"][0], "nbytes": 8}]}, "cannot be 8 bytes"),
+        (lambda h: {**h, "arrays": [{**h["arrays"][0], "nbytes": 16.0}]}, "cannot be 16.0 bytes"),
+    ], ids=["list", "meta_list", "no_arrays", "entry_str", "name_int", "complex", "object",
+            "bad_dtype", "dtype_list", "negative_dim", "shape_str", "shape_float", "nbytes_short",
+            "nbytes_float"])
+    def test_malformed_header_is_a_format_error(self, tmp_path, edit, message):
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_bundle(self.write(tmp_path, edit(self.GOOD)))
 
 
 def test_documents_jsonl_roundtrip(tmp_path):
@@ -440,19 +543,132 @@ def test_documents_jsonl_roundtrip(tmp_path):
 def test_split_roundtrip_with_empty_train_part(tmp_path):
     series, days, table, graph, _ = synth_dataset(4, 60, 6, 2.0, 0.3, 0.1, 2, seed=5)
     split = D.build_dataset(series, days, table, graph, ws=10, label_spec=(-0.01, 0.01))
-    split.train = []
+    split.train = split.train[:0]
     D.save_split(tmp_path / "s.sfb", split, graph)
     _, meta = load_bundle(tmp_path / "s.sfb")
     assert meta["ws"] == 10
     loaded, _ = D.load_split(tmp_path / "s.sfb")
-    assert loaded.train == []
+    assert len(loaded.train) == 0 and loaded.ws == 10
+    assert loaded.panel.calendar == split.panel.calendar
     for part in ("valid", "test"):
         orig, new = split.part(part), loaded.part(part)
         assert len(new) == len(orig) > 0
-        for a, b in zip(orig, new):
-            assert a.dates == b.dates
-            npt.assert_array_equal(a.indicators, b.indicators)
-            npt.assert_array_equal(a.doc_embeddings, b.doc_embeddings)
+        assert new.tolist() == orig.tolist()
+    npt.assert_array_equal(loaded.panel.features, split.panel.features)
+    npt.assert_array_equal(loaded.panel.doc_emb, split.panel.doc_emb)
+
+
+def small_split_bundle(path):
+    """A 3-stock x 24-day split bundle with ws 3; returns its path."""
+    series, days, table, graph, _ = synth_dataset(3, 24, 4, 2.0, 0.3, 0.1, 2, seed=5)
+    split = D.build_dataset(series, days, table, graph, ws=3, label_spec=(-0.01, 0.01))
+    D.save_split(path, split, graph)
+    return path
+
+
+class TestLoadSplitChecks:
+    """Every stored window ref is checked against the panel it indexes."""
+
+    def damaged(self, tmp_path, edit):
+        arrays, meta = load_bundle(small_split_bundle(tmp_path / "s.sfb"))
+        edit(arrays)
+        save_bundle(tmp_path / "bad.sfb", arrays, meta)
+        return tmp_path / "bad.sfb"
+
+    def test_intact_bundle_loads(self, tmp_path):
+        split, _ = D.load_split(small_split_bundle(tmp_path / "s.sfb"))
+        assert len(split.train) > 0 and split.ws == 3
+
+    def test_ref_past_calendar(self, tmp_path):
+        def edit(arrays):
+            arrays["test_refs"][-1, 1] = 24 - 3  # start + ws == T
+        with pytest.raises(FormatError, match="'test'.*outside"):
+            D.load_split(self.damaged(tmp_path, edit))
+
+    @pytest.mark.parametrize("column, value", [(0, -1), (0, 3), (1, -1)])
+    def test_stock_or_start_out_of_range(self, tmp_path, column, value):
+        def edit(arrays):
+            arrays["valid_refs"][0, column] = value
+        with pytest.raises(FormatError, match="'valid'.*outside"):
+            D.load_split(self.damaged(tmp_path, edit))
+
+    def test_label_disagrees_with_panel(self, tmp_path):
+        def edit(arrays):
+            arrays["train_refs"][5, 2] = (arrays["train_refs"][5, 2] + 1) % 3
+        with pytest.raises(FormatError, match="'train'.*disagrees"):
+            D.load_split(self.damaged(tmp_path, edit))
+
+    @pytest.mark.parametrize("damage", ["float", "two_columns", "missing"])
+    def test_refs_must_be_an_integer_n_by_3_array(self, tmp_path, damage):
+        def edit(arrays):
+            refs = arrays["test_refs"]
+            if damage == "missing":
+                del arrays["test_refs"]
+            else:
+                arrays["test_refs"] = refs.astype(float) if damage == "float" else refs[:, :2]
+        with pytest.raises(FormatError, match="'test'.*integer N x 3"):
+            D.load_split(self.damaged(tmp_path, edit))
+
+    def test_panel_array_of_other_shape(self, tmp_path):
+        def edit(arrays):
+            arrays["labels"] = arrays["labels"][:, :-1]
+        with pytest.raises(FormatError, match="panel array"):
+            D.load_split(self.damaged(tmp_path, edit))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore::DeprecationWarning")
+class TestSplitBundleMutations:
+    """Damaged split bundles load or fail with a package error, never a raw one.
+
+    The loader reads each mutated bundle from memory, so the test costs no
+    file I/O per mutation.
+    """
+
+    # each header byte is replaced by its 8 one-bit flips and by these
+    REPLACEMENTS = b'"0,-. e'
+
+    @pytest.fixture
+    def load(self, tmp_path, monkeypatch):
+        path = small_split_bundle(tmp_path / "s.sfb")
+        raw = path.read_bytes()
+        current = [raw]
+        monkeypatch.setattr(Path, "read_bytes", lambda self: current[0])
+
+        def load(mutated: bytes) -> bool:
+            current[0] = mutated
+            try:
+                D.load_split(path)
+            except StockfuseError:
+                return False
+            return True
+
+        return raw, load
+
+    def test_every_single_byte_header_change(self, load):
+        raw, load = load
+        lo = len(b"SFBUNDLE1\n") + 8
+        hi = lo + int.from_bytes(raw[lo - 8 : lo], "little")
+        loaded = tried = 0
+        for pos in range(lo, hi):
+            old = raw[pos]
+            values = {old ^ (1 << bit) for bit in range(8)} | set(self.REPLACEMENTS)
+            for value in sorted(values - {old}):
+                tried += 1
+                loaded += load(raw[:pos] + bytes([value]) + raw[pos + 1 :])
+        assert tried > 10_000 and 0 < loaded < tried
+
+    def test_seeded_bit_flips_in_refs_bodies(self, tmp_path, load):
+        raw, load = load
+        split, _ = D.load_split(tmp_path / "s.sfb")
+        refs_bytes = 24 * sum(len(split.part(p)) for p in ("train", "valid", "test"))
+        body = len(raw) - refs_bytes  # the refs arrays are stored last
+        rng = np.random.default_rng(17)
+        rejected = 0
+        for bit in rng.integers(0, refs_bytes * 8, size=400):
+            flipped = bytearray(raw)
+            flipped[body + bit // 8] ^= 1 << (bit % 8)
+            rejected += not load(bytes(flipped))
+        assert rejected > 300
 
 
 class TestSaveBundleAtomic:
