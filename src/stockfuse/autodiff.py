@@ -2,11 +2,16 @@
 
 Every value in the model is a `Tensor` wrapping a 2-D numpy array. Ops build
 a tape (parents + backward closure); `Tensor.backward()` walks it in reverse
-topological order and accumulates gradients in place. The op set is the small
-fixed vocabulary the model needs: matmul, broadcast add, elementwise product,
-concat along either axis, sigmoid/relu/leaky-relu/elu, row softmax and row
-log-softmax, sum/mean reduction, scalar scale, transpose, and row
+topological order and accumulates gradients. The op set is the small fixed
+vocabulary the model needs: matmul, affine (x @ w + b as one node),
+broadcast add, elementwise product, concat along either axis,
+sigmoid/relu/leaky-relu/elu, row softmax and row log-softmax, sum/mean
+reduction, scalar scale, transpose and per-block transpose, and row
 gather/slice for assembling windows from calendar-indexed features.
+
+A backward that computes a fresh gradient array hands it to `add_grad`,
+which assigns it on the first write; one that passes on the upstream
+gradient or a view of it adds into a zero-filled buffer instead.
 
 Gradient checking is done against central finite differences; run it in
 64-bit mode (the default dtype) so the comparison is meaningful.
@@ -170,13 +175,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._ensure_grad()
-            a.grad += g @ b.values.T
+            add_grad(a, g @ b.values.T)
         if b.requires_grad:
-            b._ensure_grad()
-            b.grad += a.values.T @ g
+            add_grad(b, a.values.T @ g)
 
     return node(out_vals, (a, b), backward)
+
+
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b as one node, with b a 1 x k row added to every row."""
+    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
+    if x.cols != w.rows:
+        raise ShapeError(f"affine: inner dims disagree, {x.shape} x {w.shape}")
+    if b.shape != (1, w.cols):
+        raise ShapeError(f"affine: bias {b.shape} is not a 1 x {w.cols} row")
+    out_vals = x.values @ w.values
+    out_vals += b.values
+
+    def backward(g):
+        if x.requires_grad:
+            add_grad(x, g @ w.values.T)
+        if w.requires_grad:
+            add_grad(w, x.values.T @ g)
+        add_grad(b, g.sum(axis=0, keepdims=True))
+
+    return node(out_vals, (x, w, b), backward)
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -223,11 +246,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._ensure_grad()
-            a.grad += _unbroadcast(g * b.values, a.shape)
+            add_grad(a, _unbroadcast(g * b.values, a.shape))
         if b.requires_grad:
-            b._ensure_grad()
-            b.grad += _unbroadcast(g * a.values, b.shape)
+            add_grad(b, _unbroadcast(g * a.values, b.shape))
 
     return node(out_vals, (a, b), backward)
 
@@ -238,9 +259,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     out_vals = a.values * c
 
     def backward(g):
-        if a.requires_grad:
-            a._ensure_grad()
-            a.grad += g * c
+        add_grad(a, g * c)
 
     return node(out_vals, (a,), backward)
 
@@ -254,6 +273,20 @@ def transpose(a: Tensor) -> Tensor:
             a.grad += g.T
 
     return node(a.values.T.copy(), (a,), backward)
+
+
+def block_transpose(a: Tensor, block: int) -> Tensor:
+    """Transpose each block of `block` rows: (n*block) x c -> (n*c) x block."""
+    a = _as_tensor(a)
+    if block < 1 or a.rows % block:
+        raise ShapeError(f"{a.rows} rows not divisible into blocks of {block}")
+    n, c = a.rows // block, a.cols
+    out_vals = a.values.reshape(n, block, c).transpose(0, 2, 1).reshape(n * c, block)
+
+    def backward(g):
+        add_grad(a, g.reshape(n, c, block).transpose(0, 2, 1).reshape(n * block, c))
+
+    return node(out_vals, (a,), backward)
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
@@ -394,9 +427,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out_vals = sigmoid_values(a.values)
 
     def backward(g):
-        if a.requires_grad:
-            a._ensure_grad()
-            a.grad += g * out_vals * (1.0 - out_vals)
+        add_grad(a, g * out_vals * (1.0 - out_vals))
 
     return node(out_vals, (a,), backward)
 
@@ -406,9 +437,7 @@ def relu(a: Tensor) -> Tensor:
     out_vals = np.maximum(a.values, 0.0)
 
     def backward(g):
-        if a.requires_grad:
-            a._ensure_grad()
-            a.grad += g * (a.values > 0)
+        add_grad(a, g * (a.values > 0))
 
     return node(out_vals, (a,), backward)
 
@@ -416,11 +445,10 @@ def relu(a: Tensor) -> Tensor:
 def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     a = _as_tensor(a)
     out_vals = np.where(a.values > 0, a.values, slope * a.values)
+    one = a.values.dtype.type(1)
 
     def backward(g):
-        if a.requires_grad:
-            a._ensure_grad()
-            a.grad += g * np.where(a.values > 0, 1.0, slope)
+        add_grad(a, g * np.where(a.values > 0, one, one * slope))
 
     return node(out_vals, (a,), backward)
 
@@ -431,9 +459,7 @@ def elu(a: Tensor) -> Tensor:
     out_vals = np.where(a.values > 0, a.values, neg)
 
     def backward(g):
-        if a.requires_grad:
-            a._ensure_grad()
-            a.grad += g * np.where(a.values > 0, 1.0, neg + 1.0)
+        add_grad(a, g * np.where(a.values > 0, 1.0, neg + 1.0))
 
     return node(out_vals, (a,), backward)
 
@@ -453,10 +479,8 @@ def softmax_rows(a: Tensor) -> Tensor:
     out_vals = _softmax(a.values)
 
     def backward(g):
-        if a.requires_grad:
-            a._ensure_grad()
-            dot = (g * out_vals).sum(axis=1, keepdims=True)
-            a.grad += out_vals * (g - dot)
+        dot = (g * out_vals).sum(axis=1, keepdims=True)
+        add_grad(a, out_vals * (g - dot))
 
     return node(out_vals, (a,), backward)
 
@@ -469,9 +493,7 @@ def log_softmax_rows(a: Tensor) -> Tensor:
     soft = np.exp(out_vals)
 
     def backward(g):
-        if a.requires_grad:
-            a._ensure_grad()
-            a.grad += g - soft * g.sum(axis=1, keepdims=True)
+        add_grad(a, g - soft * g.sum(axis=1, keepdims=True))
 
     return node(out_vals, (a,), backward)
 
@@ -485,9 +507,7 @@ def sum_all(a: Tensor) -> Tensor:
     out_vals = np.array([[a.values.sum()]], dtype=a.values.dtype)
 
     def backward(g):
-        if a.requires_grad:
-            a._ensure_grad()
-            a.grad += g[0, 0]
+        add_grad(a, np.full_like(a.values, g[0, 0]))
 
     return node(out_vals, (a,), backward)
 
@@ -498,9 +518,7 @@ def mean_all(a: Tensor) -> Tensor:
     inv = 1.0 / a.values.size
 
     def backward(g):
-        if a.requires_grad:
-            a._ensure_grad()
-            a.grad += g[0, 0] * inv
+        add_grad(a, np.full_like(a.values, g[0, 0] * inv))
 
     return node(out_vals, (a,), backward)
 

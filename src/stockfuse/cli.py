@@ -119,11 +119,16 @@ def _merge_run_config(args, with_train=True) -> RunConfig:
             setattr(cfg, key, val)
     if getattr(args, "out", None) is not None:
         cfg.outdir = args.out
-    if getattr(args, "thresholds", None) is not None:
-        lo, hi = (float(x) for x in args.thresholds.split(","))
-        cfg.thresholds = (lo, hi)
-    if getattr(args, "ratios", None) is not None:
-        cfg.ratios = tuple(float(x) for x in args.ratios.split(","))
+    try:
+        if getattr(args, "thresholds", None) is not None:
+            lo, hi = (float(x) for x in args.thresholds.split(","))
+            cfg.thresholds = (lo, hi)
+        if getattr(args, "ratios", None) is not None:
+            cfg.ratios = tuple(float(x) for x in args.ratios.split(","))
+        if getattr(args, "seeds", None) is not None:
+            cfg.seeds = tuple(int(s) for s in args.seeds.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"bad command-line value: {exc}") from exc
     if with_train:
         for flag, field in (
             ("d", "d"), ("ws", "ws"), ("heads", "heads"), ("epochs", "epochs"),
@@ -135,8 +140,6 @@ def _merge_run_config(args, with_train=True) -> RunConfig:
                 setattr(cfg.train, field, val)
     if getattr(args, "variants", None) is not None:
         cfg.variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
-    if getattr(args, "seeds", None) is not None:
-        cfg.seeds = tuple(int(s) for s in args.seeds.split(","))
     return cfg.validate()
 
 

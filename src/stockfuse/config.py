@@ -81,6 +81,13 @@ class TrainConfig:
         unknown = set(d) - names
         if unknown:
             raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
+        for name, value in d.items():
+            ftype = _TRAIN_TYPES[name].type  # "int", "float | None", ...
+            kinds = {"int": (int,), "float": (int, float), "str": (str,)}[ftype.split(" |")[0]]
+            if not (value is None and "None" in ftype) and (
+                not isinstance(value, kinds) or isinstance(value, bool)
+            ):
+                raise ConfigError(f"train config {name} = {value!r} is not of type {ftype}")
         return cls(**d).validate()
 
 

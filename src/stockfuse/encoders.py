@@ -2,13 +2,14 @@
 
 The indicator and document encoders are per-row affine maps, so the same
 function serves a single window or a whole stacked calendar. The indicator
-encoder has no activation, so its lifts and projection fold into one 3 x d
-affine map, run as a single tape node. The graph encoder runs multi-head
-attention over all stocks at one timestamp; the model stacks it across
-timestamps with shared weights. Each layer stores its K heads as two
-matrices: the projections W side by side (d x K*d, head k in columns
-k*d .. (k+1)*d) and the score vectors a as columns (2d x K). The heads keep
-separate softmaxes, so the references loop over these column slices.
+encoder has no activation, so its lifts and projection fold, on the tape,
+into one 3 x d affine map that is the only node the rows meet. The graph
+encoder runs multi-head attention over all stocks at one timestamp; the
+model stacks it across timestamps with shared weights. Each layer stores
+its K heads as two matrices: the projections W side by side (d x K*d, head
+k in columns k*d .. (k+1)*d) and the score vectors a as columns (2d x K).
+The heads keep separate softmaxes, so the references loop over these
+column slices.
 
 `gat_encode_graph` is the per-timestamp composition of tape ops; it masks a
 dense n x n score matrix and is kept as the reference. The model runs
@@ -96,9 +97,9 @@ def encode_indicators(x: Tensor, params: IndicatorEncoderParams) -> Tensor:
     The map has no activation, so it folds into one affine map from the 3
     input columns: `x @ W + c`, where row k of W (3 x d) is `w_k @ W_mix[k]`
     for the lifts k = close, open, high and the matching d-row blocks of
-    W_mix, and `c = b_mix + sum_k b_k @ W_mix[k]`. It runs as one tape node;
-    backward needs only `x^T g` (3 x d) and the column sums of g, and chains
-    them into the eight stored parameters.
+    W_mix, and `c = b_mix + sum_k b_k @ W_mix[k]`. The fold is built on the
+    tape from the d x d parameter blocks, so the rows meet one 3 x d affine
+    node and backward chains into the eight stored parameters by itself.
     """
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.cols != 3:
@@ -111,29 +112,11 @@ def encode_indicators(x: Tensor, params: IndicatorEncoderParams) -> Tensor:
         (params.w_high, params.b_high),
     ]
     d = params.w_mix.values.shape[1]
-    mix = params.w_mix.values.reshape(3, d, d)  # block k maps lift k
-    w_fold = np.concatenate([w.values @ mix[k] for k, (w, _) in enumerate(lifts)])  # 3 x d
-    c_fold = params.b_mix.values + sum(b.values @ mix[k] for k, (_, b) in enumerate(lifts))
-    out = x.values @ w_fold
-    out += c_fold
-
-    def backward(g):
-        xg = x.values.T @ g  # 3 x d: the gradient of w_fold
-        col = g.sum(axis=0, keepdims=True)  # 1 x d: the gradient of c_fold
-        for k, (w, b) in enumerate(lifts):
-            ad.add_grad(w.tensor, xg[k : k + 1] @ mix[k].T)
-            ad.add_grad(b.tensor, col @ mix[k].T)
-        ad.add_grad(
-            params.w_mix.tensor,
-            np.concatenate(
-                [w.values.T @ xg[k : k + 1] + b.values.T @ col for k, (w, b) in enumerate(lifts)]
-            ),
-        )
-        if x.requires_grad:
-            ad.add_grad(x, g @ w_fold.T)
-        ad.add_grad(params.b_mix.tensor, col)  # last: col itself becomes the gradient
-
-    return ad.node(out, (x, *(p.tensor for p in params.all())), backward)
+    mix = [ad.slice_rows(params.w_mix.tensor, k * d, (k + 1) * d) for k in range(3)]
+    w_fold = ad.concat_rows([ad.matmul(w.tensor, m) for (w, _), m in zip(lifts, mix)])
+    c_close, c_open, c_high = (ad.matmul(b.tensor, m) for (_, b), m in zip(lifts, mix))
+    c_fold = ad.add(params.b_mix.tensor, ad.add(ad.add(c_close, c_open), c_high))
+    return ad.affine(x, w_fold, c_fold)
 
 
 def encode_documents(doc: Tensor, mask, params: DocEncoderParams) -> Tensor:
@@ -146,7 +129,7 @@ def encode_documents(doc: Tensor, mask, params: DocEncoderParams) -> Tensor:
     mask = np.asarray(mask, dtype=doc.values.dtype).reshape(-1, 1)
     if mask.shape[0] != doc.rows:
         raise ShapeError(f"mask length {mask.shape[0]} != doc rows {doc.rows}")
-    projected = ad.add(ad.matmul(doc, params.w.tensor), params.b.tensor)
+    projected = ad.affine(doc, params.w.tensor, params.b.tensor)
     return ad.mul(projected, Tensor(mask))
 
 

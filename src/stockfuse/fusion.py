@@ -17,24 +17,25 @@ side are A (y W_V).
 
 The per-window functions (`cross_attention`, `gated_selection`,
 `fuse_stage`, `fuse_trimodal`) compose tape ops and are the reference. The
-model runs `block_cross_attention`: a whole stage over row-stacked windows
-((B*t) x d, block size t) as one tape node with a hand-derived backward. It
-rests on two fold identities:
+model runs `block_cross_attention`: a whole stage's row-level work over
+row-stacked windows ((B*t) x d, block size t) as one tape node with a
+hand-derived backward. It rests on two fold identities:
 
   scores   s*(x W_Q)(y W_K)^T = (x P) y^T,  P = s*W_Q W_K^T  (d x d)
   h_a      softmax(.)(y W_V) W_a + b_a = softmax(.)(y N) + b_a,  N = W_V W_a  (d x d)
 
 so the score is one bilinear form and the d'-wide "unstable" feature, whose
 only reader is W_a, is never formed; for glu_fusion N = glu W_a and there is
-no softmax. P and N cost d^2*d' once per call; every row-level product is
-then d x d (projections) or t x t per window (scores, mixing), so no row
-array is wider than d. At B*t = 20,480, d = 64, d' = 128, forward plus
-backward of a stage needs about 1.8 GFLOP against 5.2 for the wide-head
-form. The fold costs more only if d' < d, which no shipped config uses.
-Backward chains dP and dN into the stored projections: dW_Q = s*dP W_K,
-dW_K = s*dP^T W_Q, dW_V = dN W_a^T and dW_a = W_V^T dN. `block_unstable`
-recomputes the unstable feature off the tape from the returned attention
-weights, for diagnostics.
+no softmax. P and N are tape nodes built from the stored projections, d^2*d'
+each per call, and they are the stage node's parents: its backward emits
+x^T d(xP) into P and y^T d(yN) into N, and the tape chains those into W_Q,
+W_K, W_V (or glu) and W_a. Every row-level product is d x d (projections)
+or t x t per window (scores, mixing), so no row array is wider than d. At
+B*t = 20,480, d = 64, d' = 128, forward plus backward of a stage needs
+about 1.8 GFLOP against 5.2 for the wide-head form. The fold costs more
+only if d' < d, which no shipped config uses. `block_unstable` recomputes
+the unstable feature off the tape from the returned attention weights, for
+diagnostics.
 """
 
 from __future__ import annotations
@@ -213,9 +214,9 @@ def block_cross_attention(
     Rows are B windows stacked as (B*block) x d. The mixing is attention,
     or the glu_fusion linear map when `stage.glu` is set. With `gated=False`
     (ca_fusion) the output is the pre-gate projection h and the guide is not
-    read. Both d x d' maps are folded into d x d products before any row is
-    touched (see the module docstring), so no row array is wider than d, and
-    backward chains the folded gradients into the stored projections.
+    read. Both d x d' maps are folded on the tape into d x d products before
+    any row is touched (see the module docstring), so no row array is wider
+    than d; the node's backward stops at the folded maps.
 
     Returns (stable, gate, attn): the (B*block) x d output node, the gate as
     a plain value (None when ungated) and the B x block x block attention
@@ -232,20 +233,20 @@ def block_cross_attention(
         raise ShapeError(f"query {query_st.shape} and kv {kv_st.shape} widths differ")
     n_blocks = rows // block
     gate_p, attn_p = stage.gate, stage.attn
-    w_a, w_b = gate_p.w_a.values, gate_p.w_b.values
-    x, y, guide = query_st.values, kv_st.values, guide_st.values
     glu = stage.glu is not None
     mix = stage.glu if glu else attn_p.wv  # d x d'
-    w_mix = mix.values
-    n_fold = w_mix @ w_a  # d x d
+    n_node = ad.matmul(mix.tensor, gate_p.w_a.tensor)  # d x d
+    w_b = gate_p.w_b.values
+    x, y, guide = query_st.values, kv_st.values, guide_st.values
+    n_fold = n_node.values
     if glu:
         attn = None
         h = y @ n_fold
     else:
-        scale = attn_p.score_scale
-        wq, wk = attn_p.wq.values, attn_p.wk.values
-        p_fold = wq @ wk.T
-        p_fold *= scale
+        p_node = ad.scale(
+            ad.matmul(attn_p.wq.tensor, ad.transpose(attn_p.wk.tensor)), attn_p.score_scale
+        )  # d x d
+        p_fold = p_node.values
         xp3 = (x @ p_fold).reshape(n_blocks, block, -1)
         y3 = y.reshape(n_blocks, block, -1)
         yn3 = (y @ n_fold).reshape(n_blocks, block, -1)
@@ -291,17 +292,12 @@ def block_cross_attention(
                 d_y = (d_s.transpose(0, 2, 1) @ xp3).reshape(rows, -1)
                 d_y += d_yn @ n_fold.T
                 ad.add_grad(kv_st, d_y)
-            d_p = x.T @ d_xp  # d x d: the gradient of p_fold
-            d_p *= scale
-            ad.add_grad(attn_p.wq.tensor, d_p @ wk)
-            ad.add_grad(attn_p.wk.tensor, d_p.T @ wq)
-        d_n = y.T @ d_yn  # d x d: the gradient of n_fold
-        ad.add_grad(mix.tensor, d_n @ w_a.T)
-        ad.add_grad(gate_p.w_a.tensor, w_mix.T @ d_n)
+            ad.add_grad(p_node, x.T @ d_xp)
+        ad.add_grad(n_node, y.T @ d_yn)
 
-    parents = [kv_st, mix.tensor, gate_p.w_a.tensor, gate_p.b_a.tensor]
+    parents = [kv_st, n_node, gate_p.b_a.tensor]
     if not glu:
-        parents += [query_st, attn_p.wq.tensor, attn_p.wk.tensor]
+        parents += [query_st, p_node]
     if gated:
         parents += [guide_st, gate_p.w_b.tensor, gate_p.b_b.tensor]
     stable = ad.node(out, parents, backward)

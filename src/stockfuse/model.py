@@ -4,11 +4,14 @@ The batched forward works on a date-major packing of the panel: all stocks'
 feature rows for one calendar date sit together, so the indicator encoder
 runs once over the whole calendar, the graph encoder runs once per date, and
 every window is just a row-gather. Windows are then processed as row-stacked
-blocks through the fused attention/time-reduction ops. Each layer of a
-fusion stage is one tape node, `block_cross_attention`: attention (or the
-glu map), the gate's two affine maps, sigmoid and product, with its d x d'
-weights folded into d x d maps and a hand-derived backward. The d'-wide
-pre-gate feature is recomputed only for `diagnostics=True`. A slow
+blocks. The row-level work of each fusion stage layer is one tape node with
+a hand-derived backward, `block_cross_attention`: attention (or the glu
+map), the gate's two affine maps, sigmoid and product. Its d x d' weights
+are folded into d x d maps by ordinary tape ops, which also carry the
+gradient back to the stored factors. The time reduction transposes each
+window and runs the time layers as generic affine ops over (window,
+feature) rows. The d'-wide pre-gate feature is recomputed only for
+`diagnostics=True`. A slow
 per-sample reference path (`forward_sample`) composes the public
 per-window functions and is used to pin the batched path in tests.
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Tensor
 from .errors import ShapeError
 
 log = logging.getLogger(__name__)
@@ -80,7 +80,7 @@ def aggregate_features(h: Tensor, params: PredictorParams) -> Tensor:
     """2d feature vector(s) -> 3 raw logits per row."""
     out = h
     for i, (w, b) in enumerate(params.feat_layers):
-        out = ad.add(ad.matmul(out, w.tensor), b.tensor)
+        out = ad.affine(out, w.tensor, b.tensor)
         if i < len(params.feat_layers) - 1:
             out = ad.relu(out)
     return out
@@ -105,68 +105,19 @@ def predict_classes(logits: Tensor | np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# fused batched equivalents over row-stacked windows
-
-
-def block_time_matmul(x_st: Tensor, w: Parameter, block: int) -> Tensor:
-    """Right-multiply each (block x d) block along its time axis by w.
-
-    (B*block) x d with weight block x u -> (B*u) x d; identical to
-    transposing each window, multiplying, and transposing back.
-    """
-    if x_st.rows % block:
-        raise ShapeError(f"{x_st.rows} rows not divisible into blocks of {block}")
-    t_in, t_out = w.values.shape
-    if t_in != block:
-        raise ShapeError(f"weight rows {t_in} != block {block}")
-    n_blocks = x_st.rows // block
-    d = x_st.cols
-    x3 = x_st.values.reshape(n_blocks, block, d)
-    out3 = (x3.transpose(0, 2, 1) @ w.values).transpose(0, 2, 1)
-
-    def backward(g):
-        g3 = g.reshape(n_blocks, t_out, d)
-        if x_st.requires_grad:
-            ad.add_grad(
-                x_st, (g3.transpose(0, 2, 1) @ w.values.T).transpose(0, 2, 1).reshape(-1, d)
-            )
-        ad.add_grad(w.tensor, np.tensordot(x3, g3, axes=([0, 2], [0, 2])))
-
-    return ad.node(np.ascontiguousarray(out3).reshape(n_blocks * t_out, d), (x_st, w.tensor), backward)
+# the batched time reduction over row-stacked windows
 
 
 def block_reduce_time(x_st: Tensor, params: PredictorParams, block: int) -> Tensor:
     """Batched _reduce_time over stacked windows: (B*block) x d -> B x d.
 
-    Time-layer biases are stored 1 x u; they broadcast per block here via
-    their (u x 1) view, matching the per-window transpose layout.
+    Each window is transposed into d rows of its `block` time steps, so the
+    time layers run as affine maps over all B*d rows at once; the B x 1 x d
+    result is transposed back to one row per window.
     """
-    h = x_st
-    cur = block
+    h = ad.block_transpose(x_st, block)  # (B*d) x block
     for i, (w, b) in enumerate(params.time_layers):
-        u = w.values.shape[1]
-        h = block_time_matmul(h, w, cur)
-        h = _add_block_bias_row(h, b, u)
+        h = ad.affine(h, w.tensor, b.tensor)
         if i < len(params.time_layers) - 1:
             h = ad.relu(h)
-        cur = u
-    return h  # cur == 1, so (B*1) x d
-
-
-def _add_block_bias_row(x_st: Tensor, b: Parameter, block: int) -> Tensor:
-    n_blocks = x_st.rows // block
-    d = x_st.cols
-    bcol = b.values.reshape(block, 1)
-    out = x_st.values.reshape(n_blocks, block, d) + bcol[None, :, :]
-
-    def backward(g):
-        if x_st.requires_grad:
-            x_st._ensure_grad()
-            x_st.grad += g
-        if b.tensor.requires_grad:
-            b.tensor._ensure_grad()
-            b.tensor.grad += (
-                g.reshape(n_blocks, block, d).sum(axis=(0, 2)).reshape(b.values.shape)
-            )
-
-    return ad.node(out.reshape(-1, d), (x_st, b.tensor), backward)
+    return ad.block_transpose(h, x_st.cols)  # (B*d) x 1 -> B x d

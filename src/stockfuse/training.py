@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .autodiff import Parameter
-from .config import TrainConfig
+from .config import VARIANTS, TrainConfig
 from .container import load_bundle, save_bundle
 from .data import DatasetSplit, RelationalGraph, batch_iter
 from .errors import CheckpointError, ConfigError, FormatError, NumericError
@@ -279,18 +279,26 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path} was written for head version {meta.get('head_version', 1)}, this build "
             f"runs version {HEAD_VERSION} (head function and parameter layout); retrain the model"
         )
-    best = meta["best_valid_mcc"]
-    return Checkpoint(
-        config=TrainConfig.from_dict(meta["config"]),
-        variant=meta["variant"],
-        doc_dim=int(meta["doc_dim"]),
-        epoch=int(meta["epoch"]),
-        step=int(meta["step"]),
-        best_valid_mcc=-np.inf if best is None else float(best),
-        best_epoch=int(meta["best_epoch"]),
-        history=[EpochStats(**h) for h in meta["history"]],
-        arrays=arrays,
-    )
+    try:
+        best = meta["best_valid_mcc"]
+        ckpt = Checkpoint(
+            config=TrainConfig.from_dict(meta["config"]),
+            variant=meta["variant"],
+            doc_dim=int(meta["doc_dim"]),
+            epoch=int(meta["epoch"]),
+            step=int(meta["step"]),
+            best_valid_mcc=-np.inf if best is None else float(best),
+            best_epoch=int(meta["best_epoch"]),
+            history=[EpochStats(**h) for h in meta["history"]],
+            arrays=arrays,
+        )
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise CheckpointError(f"{path} has a malformed header: {exc!r}") from exc
+    if ckpt.variant not in VARIANTS or ckpt.doc_dim < 1:
+        raise CheckpointError(
+            f"{path} has a malformed header: variant {ckpt.variant!r}, doc_dim {ckpt.doc_dim}"
+        )
+    return ckpt
 
 
 def model_from_checkpoint(path, use_best: bool = True) -> tuple[TrimodalModel, Checkpoint]:

@@ -90,6 +90,20 @@ def test_grad_accumulates_on_reuse():
     out.backward()
     npt.assert_allclose(p.tensor.grad, [[7.0]])
 
+    # add passes its upstream gradient on unchanged, so the two operands of
+    # one add must not end up sharing that array as their gradient
+    x = tensor_param("x", [[1.0, -2.0]])
+    ad.sum_all(ad.scale(ad.add(x.tensor, x.tensor), 3.0)).backward()
+    npt.assert_array_equal(x.tensor.grad, [[6.0, 6.0]])
+
+    x.zero_grad()
+    y = tensor_param("y", [[0.5, 4.0]])
+    left = ad.add(x.tensor, y.tensor)  # x read by two adds, one of them a sum with itself
+    right = ad.add(ad.scale(x.tensor, 2.0), x.tensor)
+    ad.sum_all(ad.mul(ad.add(left, right), Tensor([[1.0, 10.0]]))).backward()
+    npt.assert_array_equal(x.tensor.grad, [[4.0, 40.0]])
+    npt.assert_array_equal(y.tensor.grad, [[1.0, 10.0]])
+
 
 class TestGradCheck:
     def test_quadratic(self):
@@ -124,8 +138,12 @@ def _op_cases(rng):
     row = rng.normal(size=(1, 4))
     col = rng.normal(size=(3, 1))
     idx = rng.integers(0, 3, size=6)
+    bias = rng.normal(size=(1, 2))
+    tall = rng.normal(size=(6, 4))
     return [
         ("matmul", (a, b), lambda x, y: ad.matmul(x, y)),
+        ("affine", (a, b, bias), lambda x, w, c: ad.affine(x, w, c)),
+        ("block_transpose", (tall,), lambda x: ad.block_transpose(x, 3)),
         ("add", (a, c), lambda x, y: ad.add(x, y)),
         ("add_row_broadcast", (a, row), lambda x, y: ad.add(x, y)),
         ("add_col_broadcast", (a, col), lambda x, y: ad.add(x, y)),

@@ -93,6 +93,33 @@ def test_missing_inputs_and_bad_flags_exit_1(tmp_path):
     assert run_command(["no-such-command"]) == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["train", "--thresholds", "0.1"],
+    ["train", "--thresholds", "x,y"],
+    ["train", "--ratios", "a,b,c"],
+    ["ablate", "--seeds", "1,x"],
+])
+def test_unparseable_list_flag_exit_1(tmp_path, caplog, flags):
+    assert run_command(flags + ["--out", str(tmp_path)]) == 1
+    assert "bad command-line value" in caplog.text
+
+
+@pytest.mark.parametrize("damage", ["history_extra_key", "config_d_not_int", "no_epoch"])
+def test_malformed_checkpoint_meta_exit_2(trained, tmp_path, caplog, damage):
+    arrays, meta = load_bundle(trained / "run" / "checkpoint.sfb")
+    if damage == "history_extra_key":
+        meta["history"][0]["extra"] = 1
+    elif damage == "config_d_not_int":
+        meta["config"]["d"] = "x"
+    else:
+        del meta["epoch"]
+    save_bundle(tmp_path / "damaged.sfb", arrays, meta)
+    code = run_command(["eval", "--checkpoint", str(tmp_path / "damaged.sfb"),
+                        "--splits", str(trained / "run" / "splits.sfb")])
+    assert code == 2
+    assert "malformed header" in caplog.text
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the point
 def test_diverging_training_exit_3(trained, tmp_path):
     data = trained / "data"

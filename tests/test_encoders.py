@@ -142,10 +142,19 @@ class TestFoldedIndicatorEncoder:
         for got, want in zip(folded, composed):
             npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    def test_one_tape_node(self, rng):
-        params = make_indicator_params(3, rng)
+    def test_rows_meet_only_the_folded_map(self, rng):
+        d = 5
+        params = make_indicator_params(d, rng)
         out = encode_indicators(Tensor(rng.normal(size=(4, 3))), params)
-        assert set(map(id, out._parents)) == {id(p.tensor) for p in params.all()}
+        # the rows meet one 3 x d map and one 1 x d shift, never a 3d-wide lift
+        assert sorted(p.shape for p in out._parents) == [(1, d), (3, d)]
+        stack, seen = list(out._parents), set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                stack.extend(node._parents)
+        assert {id(p.tensor) for p in params.all()} <= seen  # the fold reaches all eight
 
     def test_width_checked(self, rng):
         with pytest.raises(ShapeError, match="t x 3"):

@@ -182,3 +182,59 @@ def test_default_model_parameter_count():
     params = TrimodalModel(TrainConfig(), doc_dim=64).params
     assert len(params) == 38
     assert sum(p.values.size for p in params) == 110_034
+
+
+def tape_nodes(root):
+    """Every node reachable from `root` through the tape, `root` included."""
+    stack, seen = [root], {}
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+@pytest.fixture(scope="module")
+def contract_batch():
+    series, days, table, graph, _ = synth_dataset(12, 70, 16, 4.0, 0.2, 0.1, 3, seed=9)
+    split = build_dataset(series, days, table, graph, ws=10, label_spec=(-0.01, 0.01))
+    rng = np.random.default_rng(0)
+    batch = split.train[np.sort(rng.choice(len(split.train), size=96, replace=False))]
+    return split.panel, graph, batch
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_float32_numerics_contract(contract_batch, variant):
+    """float32 tracks float64 on the same weights: logits and every parameter
+    gradient within 1e-4 of their scale, and no tape node leaves float32."""
+    panel, graph, batch = contract_batch
+    cfg = TrainConfig(d=16, ws=10, heads=2, head_dim=12, gat_heads=2, seed=4)
+    rng = np.random.default_rng(1)
+    runs = {}
+    for dtype, precision in ((np.float64, "float64"), (np.float32, "float32")):
+        model = TrimodalModel(cfg.replace(precision=precision), doc_dim=16, variant=variant)
+        for p in model.params:
+            if "float64" in runs:  # the float64 weights, rounded once
+                p.tensor.values = runs["float64"][0].params[p.name].values.astype(dtype)
+            else:  # nonzero biases, so no variant starts with all-zero logits
+                p.tensor.values = p.values + 0.1 * rng.normal(size=p.values.shape)
+        loss, logits = model.loss_batch(PackedPanel.from_panel(panel, graph, dtype), batch)
+        loss.backward()
+        runs[precision] = model, logits, loss
+    model64, logits64, _ = runs["float64"]
+    model32, logits32, loss32 = runs["float32"]
+    for node in tape_nodes(loss32):
+        assert node.values.dtype == np.float32, node
+        assert node.grad is None or node.grad.dtype == np.float32, node
+    scale = np.abs(logits64.values).max()
+    assert scale > 0 and np.abs(logits32.values - logits64.values).max() <= 1e-4 * scale
+    for p32, p64 in zip(model32.params, model64.params):
+        g32, g64 = p32.tensor.grad, p64.tensor.grad
+        assert (g32 is None) == (g64 is None), p32.name
+        if g64 is not None:
+            assert g32.dtype == np.float32, p32.name
+            # exact zeros in both are fine: drop_indicators' stage 2 attends
+            # over all-zero graph rows, so its projections get no gradient
+            err, scale = np.abs(g32 - g64).max(), np.abs(g64).max()
+            assert err <= 1e-4 * scale, (p32.name, err, scale)

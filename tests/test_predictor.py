@@ -186,15 +186,40 @@ class TestCrossEntropy:
 
 
 def test_block_reduce_time_matches_per_window(rng):
-    t, d, B = 5, 3, 4
+    """Both branches, the input gradients and all six time-parameter gradients.
+
+    t = 5 and 20 give uneven ceil widths; t = 2 and 3 the clamped ones.
+    """
+    for t in (2, 3, 4, 5, 20):
+        check_block_reduce_time(rng, t)
+
+
+def check_block_reduce_time(rng, t):
+    d, B = 3, 4
     params = make_params(t, d, rng)
-    stacked = rng.normal(size=(B * t, d))
-    fused = block_reduce_time(Tensor(stacked), params, t)
-    assert fused.shape == (B, d)
-    for b in range(B):
-        window = Tensor(stacked[b * t : (b + 1) * t])
-        h = aggregate_time(window, Tensor(np.zeros((t, d))), params)
-        npt.assert_allclose(fused.values[b], h.values[0, :d], atol=1e-12)
+    time_params = [p for pair in params.time_layers for p in pair]
+    fused = P("fused", rng.normal(size=(B * t, d)))
+    ind = P("ind", rng.normal(size=(B * t, d)))
+    upstream = rng.normal(size=(B, 2 * d))
+
+    def grads():
+        return [p.tensor.grad.copy() for p in (fused, ind, *time_params)]
+
+    batched = ad.concat_cols([block_reduce_time(x.tensor, params, t) for x in (fused, ind)])
+    assert batched.shape == (B, 2 * d)
+    ad.sum_all(ad.mul(batched, Tensor(upstream))).backward()
+    got = grads()
+    for p in (fused, ind, *time_params):
+        p.zero_grad()
+    for b in range(B):  # the per-window references accumulate over the windows
+        lo, hi = b * t, (b + 1) * t
+        h = aggregate_time(ad.slice_rows(fused.tensor, lo, hi), ad.slice_rows(ind.tensor, lo, hi),
+                           params)
+        npt.assert_allclose(batched.values[b], h.values[0], rtol=0, atol=1e-12)
+        ad.sum_all(ad.mul(h, Tensor(upstream[b : b + 1]))).backward()
+    assert len(got) == 8
+    for g, want in zip(got, grads()):
+        npt.assert_allclose(g, want, rtol=0, atol=1e-12)
 
 
 def test_loss_decreases_over_ten_steps():

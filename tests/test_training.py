@@ -84,6 +84,29 @@ def test_checkpoint_of_the_per_head_layout_refused(tmp_path):
         model_from_checkpoint(path)
 
 
+@pytest.mark.parametrize("edit", [
+    {"d": 2.5}, {"ws": True}, {"lr": "fast"}, {"precision": 32}, {"head_dim": "none"},
+    {"variant": "no_such_variant"}, {"doc_dim": 0}, {"history": [[1, 2]]}, {"step": None},
+])
+def test_checkpoint_meta_of_wrong_type_refused(tmp_path, edit):
+    path = tmp_path / "edited.ckpt"
+    _save_fresh(path, tiny_config(), doc_dim=6)
+    arrays, meta = load_bundle(path)
+    for key, value in edit.items():
+        if key in meta:
+            meta[key] = value
+        else:
+            meta["config"][key] = value
+    save_bundle(path, arrays, meta)
+    with pytest.raises(CheckpointError, match="malformed header"):
+        load_checkpoint(path)
+
+
+def test_config_from_dict_keeps_well_typed_values():
+    cfg = tiny_config().replace(lr=1, grad_clip=None, head_dim=4)
+    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+
 def _csv_without_timing(path):
     rows = [line.split(",") for line in path.read_text().splitlines()]
     keep = [i for i, name in enumerate(rows[0]) if name not in ("seconds", "peak_mem_bytes")]
