@@ -4,10 +4,13 @@ Every value in the model is a `Tensor` wrapping a 2-D numpy array. Ops build
 a tape (parents + backward closure); `Tensor.backward()` walks it in reverse
 topological order and accumulates gradients. The op set is the small fixed
 vocabulary the model needs: matmul, affine (x @ w + b as one node),
-broadcast add, elementwise product, concat along either axis,
-sigmoid/relu/leaky-relu/elu, row softmax and row log-softmax, sum/mean
-reduction, scalar scale, transpose and per-block transpose, and row
-gather/slice for assembling windows from calendar-indexed features.
+broadcast add, elementwise product, concat along either axis, relu, row
+log-softmax, sum reduction, scalar scale, transpose and per-block
+transpose, and row gather/slice for assembling windows from
+calendar-indexed features. Fused ops elsewhere in the package build their
+own nodes with `node` and `add_grad`, and so do the reference path's extra
+ops in `tests/reference.py`. `sigmoid` serves that reference too: the
+model's gates apply `sigmoid_values` inside their stage node.
 
 A backward that computes a fresh gradient array hands it to `add_grad`,
 which assigns it on the first write; one that passes on the upstream
@@ -336,19 +339,6 @@ def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
     return node(a.values[lo:hi].copy(), (a,), backward)
 
 
-def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    a = _as_tensor(a)
-    if not (0 <= lo <= hi <= a.cols):
-        raise ShapeError(f"slice_cols[{lo}:{hi}] out of range for {a.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a._ensure_grad()
-            a.grad[:, lo:hi] += g
-
-    return node(a.values[:, lo:hi].copy(), (a,), backward)
-
-
 def scatter_add_rows(target: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
     """target[idx] += g with repeated indices, via sort + reduceat.
 
@@ -442,47 +432,8 @@ def relu(a: Tensor) -> Tensor:
     return node(out_vals, (a,), backward)
 
 
-def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
-    a = _as_tensor(a)
-    out_vals = np.where(a.values > 0, a.values, slope * a.values)
-    one = a.values.dtype.type(1)
-
-    def backward(g):
-        add_grad(a, g * np.where(a.values > 0, one, one * slope))
-
-    return node(out_vals, (a,), backward)
-
-
-def elu(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    neg = np.expm1(np.minimum(a.values, 0.0))
-    out_vals = np.where(a.values > 0, a.values, neg)
-
-    def backward(g):
-        add_grad(a, g * np.where(a.values > 0, 1.0, neg + 1.0))
-
-    return node(out_vals, (a,), backward)
-
-
 # ---------------------------------------------------------------------------
-# softmax family (row-stabilized)
-
-
-def _softmax(vals: np.ndarray) -> np.ndarray:
-    shifted = vals - vals.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
-
-
-def softmax_rows(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out_vals = _softmax(a.values)
-
-    def backward(g):
-        dot = (g * out_vals).sum(axis=1, keepdims=True)
-        add_grad(a, out_vals * (g - dot))
-
-    return node(out_vals, (a,), backward)
+# row log-softmax and reduction
 
 
 def log_softmax_rows(a: Tensor) -> Tensor:
@@ -498,27 +449,12 @@ def log_softmax_rows(a: Tensor) -> Tensor:
     return node(out_vals, (a,), backward)
 
 
-# ---------------------------------------------------------------------------
-# reductions
-
-
 def sum_all(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     out_vals = np.array([[a.values.sum()]], dtype=a.values.dtype)
 
     def backward(g):
         add_grad(a, np.full_like(a.values, g[0, 0]))
-
-    return node(out_vals, (a,), backward)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
-    out_vals = np.array([[a.values.mean()]], dtype=a.values.dtype)
-    inv = 1.0 / a.values.size
-
-    def backward(g):
-        add_grad(a, np.full_like(a.values, g[0, 0] * inv))
 
     return node(out_vals, (a,), backward)
 

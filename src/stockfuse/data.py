@@ -172,12 +172,6 @@ class DatasetSplit:
     ws: int
     panel: Panel
 
-    def part(self, name: str) -> np.recarray:
-        try:
-            return getattr(self, name)
-        except AttributeError:
-            raise ConfigError(f"unknown split part {name!r}") from None
-
 
 # ---------------------------------------------------------------------------
 # file loading
@@ -550,7 +544,7 @@ def save_split(path, split: DatasetSplit, graph: RelationalGraph | None = None) 
     p = split.panel
     arrays = {name: getattr(p, name) for name in _PANEL_ARRAYS}
     for name in _PARTS:
-        part = split.part(name)
+        part = getattr(split, name)
         arrays[f"{name}_refs"] = np.stack([part.stock_index, part.start, part.label], axis=1)
     meta = {
         "kind": "dataset_split",

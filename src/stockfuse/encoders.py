@@ -8,36 +8,31 @@ encoder runs multi-head attention over all stocks at one timestamp; the
 model stacks it across timestamps with shared weights. Each layer stores
 its K heads as two matrices: the projections W side by side (d x K*d, head
 k in columns k*d .. (k+1)*d) and the score vectors a as columns (2d x K).
-The heads keep separate softmaxes, so the references loop over these
-column slices.
+The heads keep separate softmaxes.
 
-`gat_encode_graph` is the per-timestamp composition of tape ops; it masks a
-dense n x n score matrix and is kept as the reference. The model runs
-`block_gat_encode`, GAT's masked attention in edge-list form (Velickovic et
-al. 2018): each layer is one tape node that scores and softmaxes only the
-neighbour pairs of all timestamps, so its elementwise work grows with the
-edge count, not with n^2. The aggregation is dense per block: attention
-only mixes neighbours, so whole connected components are packed into
-blocks of m nodes (m the largest component, as Cluster-GCN batches
-clusters, Chiang et al. 2019), and the edge weights are scattered into a
-zero-filled m x m matrix per block, head and timestamp for one batched GEMM.
+`block_gat_encode` is GAT's masked attention (Velickovic et al. 2018) in
+edge-list form, over T timestamps at once; the per-timestamp reference that
+masks a dense n x n score matrix lives in `tests/reference.py`. Each layer
+is one tape node that scores and softmaxes only the neighbour pairs of all
+timestamps, so its elementwise work grows with the edge count, not n^2.
+The aggregation is dense per block: attention only mixes neighbours, so
+whole connected components are packed into blocks of m nodes (m the
+largest component, as Cluster-GCN batches clusters, Chiang et al. 2019),
+and the edge weights are scattered into a zero-filled m x m matrix per
+block, head and timestamp for one batched GEMM.
 That costs n * m per head and timestamp instead of n^2, and moves fewer
 values than gathering E neighbour rows of width d whenever E * d > n * m.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .data import RelationalGraph
 from .errors import DataError, ShapeError
-
-log = logging.getLogger(__name__)
 
 LEAKY_SLOPE = 0.2
 NEG_MASK = -1e30
@@ -56,20 +51,11 @@ class IndicatorEncoderParams:
     w_mix: Parameter  # 3d x d
     b_mix: Parameter
 
-    def all(self):
-        return [
-            self.w_close, self.b_close, self.w_open, self.b_open,
-            self.w_high, self.b_high, self.w_mix, self.b_mix,
-        ]
-
 
 @dataclass
 class DocEncoderParams:
     w: Parameter  # dim x d
     b: Parameter  # 1 x d
-
-    def all(self):
-        return [self.w, self.b]
 
 
 @dataclass
@@ -86,9 +72,6 @@ class GatParams:
     @property
     def n_heads(self) -> int:
         return self.layers[0][1].values.shape[1]
-
-    def all(self):
-        return [p for layer in self.layers for p in layer]
 
 
 def encode_indicators(x: Tensor, params: IndicatorEncoderParams) -> Tensor:
@@ -133,54 +116,13 @@ def encode_documents(doc: Tensor, mask, params: DocEncoderParams) -> Tensor:
     return ad.mul(projected, Tensor(mask))
 
 
-def gat_encode_graph(
-    features: Tensor,
-    graph,
-    params: GatParams,
-    symbols: list[str] | None = None,
-) -> Tensor:
-    """One timestamp of multi-head graph attention over all stock nodes.
-
-    `graph` is either a RelationalGraph (requires `symbols` for row order)
-    or a precomputed boolean neighbor mask. Scores use the additive
-    leaky-relu form; heads are averaged and passed through an ELU.
-    """
-    features = features if isinstance(features, Tensor) else Tensor(features)
-    if isinstance(graph, RelationalGraph):
-        if symbols is None:
-            raise ShapeError("symbols required when passing a RelationalGraph")
-        neighbors = graph.neighbor_mask(symbols)
-    else:
-        neighbors = np.asarray(graph, dtype=bool)
-    n = features.rows
-    if neighbors.shape != (n, n):
-        raise ShapeError(f"neighbor mask {neighbors.shape} != ({n}, {n})")
-    mask_bias = Tensor(np.where(neighbors, 0.0, NEG_MASK).astype(features.values.dtype))
-    ones_row = Tensor(np.ones((1, n), dtype=features.values.dtype))
-    ones_col = Tensor(np.ones((n, 1), dtype=features.values.dtype))
-    h = features
-    for w, a in params.layers:
-        d, k_heads = h.cols, a.values.shape[1]
-        hw_all = ad.matmul(h, w.tensor)
-        total = None
-        for k in range(k_heads):  # heads are column blocks with separate softmaxes
-            hw = ad.slice_cols(hw_all, k * d, (k + 1) * d)
-            a_k = ad.slice_cols(a.tensor, k, k + 1)
-            left = ad.matmul(ad.matmul(hw, ad.slice_rows(a_k, 0, d)), ones_row)
-            right = ad.matmul(ones_col, ad.transpose(ad.matmul(hw, ad.slice_rows(a_k, d, 2 * d))))
-            scores = ad.leaky_relu(ad.add(left, right), LEAKY_SLOPE)
-            alpha = ad.softmax_rows(ad.add(scores, mask_bias))
-            head = ad.matmul(alpha, hw)
-            total = head if total is None else ad.add(total, head)
-        h = ad.elu(ad.scale(total, 1.0 / k_heads))
-    return h
-
-
 def block_gat_encode(features_st: Tensor, neighbors: np.ndarray, params: GatParams) -> Tensor:
-    """gat_encode_graph applied to T stacked node sets, per connected-component block.
+    """Multi-head graph attention on T stacked node sets, per connected-component block.
 
     Input is T timestamps' node features stacked as (T*n) x d; each layer is
-    one tape node doing all timestamps' attention at once. Only the pairs
+    one tape node doing all timestamps' attention at once: additive
+    leaky-relu scores, one softmax per head over each row's neighbours,
+    heads averaged, then ELU. Only the pairs
     (i, j) with `neighbors[i, j]` are scored: leaky-relu scores and the
     softmax over each row's neighbours run on K x T x E edge arrays, with
     segment reductions over the destination rows.
@@ -196,8 +138,8 @@ def block_gat_encode(features_st: Tensor, neighbors: np.ndarray, params: GatPara
     connected graph), all n nodes form one block in index order, which is
     the dense n x n aggregation.
 
-    Matches looping gat_encode_graph per timestamp up to the order of
-    floating-point sums. Every row needs at least one neighbour
+    Matches the per-timestamp reference up to the order of floating-point
+    sums. Every row needs at least one neighbour
     (`RelationalGraph.neighbor_mask` always sets the diagonal); a row
     without one raises ShapeError.
     """
@@ -415,22 +357,3 @@ def _block_gat_layer(x_st: Tensor, layer, edges: _GatEdges, n_dates: int) -> Ten
 
     return ad.node(out.reshape(-1, d), (x_st, w.tensor, a.tensor), backward)
 
-
-def gat_attention_coefficients(
-    features: Tensor, neighbors: np.ndarray, params: GatParams
-) -> list[np.ndarray]:
-    """First-layer attention matrices per head (diagnostic / invariants)."""
-    features = features if isinstance(features, Tensor) else Tensor(features)
-    w, a = params.layers[0]
-    d = features.cols
-    hw_all = features.values @ w.values
-    out = []
-    for k in range(a.values.shape[1]):
-        hw = hw_all[:, k * d : (k + 1) * d]
-        scores = hw @ a.values[:d, k : k + 1] + (hw @ a.values[d:, k : k + 1]).T
-        scores = np.where(scores > 0, scores, LEAKY_SLOPE * scores)
-        scores = np.where(neighbors, scores, NEG_MASK)
-        shifted = scores - scores.max(axis=1, keepdims=True)
-        ex = np.exp(shifted)
-        out.append(ex / ex.sum(axis=1, keepdims=True))
-    return out

@@ -15,11 +15,10 @@ with s = 1/(M*sqrt(d')), the averaged head scores are
 sum_m s*(x Q_m)(y K_m)^T = s*(x W_Q)(y W_K)^T, and the heads' outputs side by
 side are A (y W_V).
 
-The per-window functions (`cross_attention`, `gated_selection`,
-`fuse_stage`, `fuse_trimodal`) compose tape ops and are the reference. The
-model runs `block_cross_attention`: a whole stage's row-level work over
-row-stacked windows ((B*t) x d, block size t) as one tape node with a
-hand-derived backward. It rests on two fold identities:
+`block_cross_attention` runs a whole stage's row-level work over row-stacked
+windows ((B*t) x d, block size t) as one tape node with a hand-derived
+backward; the per-window composition of tape ops it is pinned against lives
+in `tests/reference.py`. It rests on two fold identities:
 
   scores   s*(x W_Q)(y W_K)^T = (x P) y^T,  P = s*W_Q W_K^T  (d x d)
   h_a      softmax(.)(y W_V) W_a + b_a = softmax(.)(y N) + b_a,  N = W_V W_a  (d x d)
@@ -41,7 +40,7 @@ diagnostics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,9 +68,6 @@ class CrossAttnParams:
         """s = 1/(M*sqrt(d')): the heads' mean of scores scaled by 1/sqrt(d')."""
         return 1.0 / (self.n_heads * math.sqrt(self.out_dim))
 
-    def all(self):
-        return [self.wq, self.wk, self.wv]
-
 
 @dataclass
 class GateParams:
@@ -80,125 +76,12 @@ class GateParams:
     w_b: Parameter  # d x d
     b_b: Parameter  # 1 x d
 
-    def all(self):
-        return [self.w_a, self.b_a, self.w_b, self.b_b]
-
 
 @dataclass
 class FusionStageParams:
     attn: CrossAttnParams
     gate: GateParams
     glu: Parameter | None = None  # d x d', used only by the glu_fusion variant
-
-    def all(self, variant: str = "full"):
-        params = list(self.gate.all())
-        if variant == "glu_fusion":
-            params.append(self.glu)
-        else:
-            params.extend(self.attn.all())
-        return params
-
-
-@dataclass
-class FusionStageOutput:
-    unstable: Tensor  # t x d'
-    stable: Tensor  # t x d
-    gate_values: Tensor  # t x d, strictly inside (0, 1)
-
-
-@dataclass
-class TrimodalOutput:
-    fused_docs: Tensor  # stage-1 stable, t x d
-    fused_all: Tensor  # stage-2 stable, t x d
-    stages: list = field(default_factory=list)  # FusionStageOutput per stage
-
-
-def cross_attention(query_src: Tensor, kv_src: Tensor, params: CrossAttnParams) -> Tensor:
-    """Shared-softmax multi-head cross-attention, output t x d'."""
-    if query_src.cols != kv_src.cols:
-        raise ShapeError(f"query {query_src.shape} and kv {kv_src.shape} widths differ")
-    if query_src.rows != kv_src.rows:
-        raise ShapeError(f"query {query_src.shape} and kv {kv_src.shape} lengths differ")
-    q = ad.matmul(query_src, params.wq.tensor)
-    k = ad.matmul(kv_src, params.wk.tensor)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k)), params.score_scale)
-    return ad.matmul(ad.softmax_rows(scores), ad.matmul(kv_src, params.wv.tensor))
-
-
-def attention_matrix(query_src: Tensor, kv_src: Tensor, params: CrossAttnParams) -> np.ndarray:
-    """The shared attention matrix alone (for invariant checks)."""
-    q = query_src.values @ params.wq.values
-    k = kv_src.values @ params.wk.values
-    scores = (q @ k.T) * params.score_scale
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=1, keepdims=True)
-
-
-def gated_selection(unstable: Tensor, guide: Tensor, params: GateParams) -> Tensor:
-    """Sigmoid gate from the guide, applied to a projection of the unstable."""
-    h_a = ad.add(ad.matmul(unstable, params.w_a.tensor), params.b_a.tensor)
-    h_b = ad.sigmoid(ad.add(ad.matmul(guide, params.w_b.tensor), params.b_b.tensor))
-    return ad.mul(h_a, h_b)
-
-
-def fuse_stage(
-    query: Tensor,
-    kv: Tensor,
-    guide: Tensor,
-    params: FusionStageParams,
-    variant: str = "full",
-    n_layers: int = 1,
-) -> FusionStageOutput:
-    """One gated cross-attention block, optionally stacked n_layers deep."""
-    out = None
-    for _ in range(max(1, n_layers)):
-        if variant == "glu_fusion":
-            unstable = ad.matmul(kv, params.glu.tensor)
-        else:
-            unstable = cross_attention(query, kv, params.attn)
-        h_a = ad.add(ad.matmul(unstable, params.gate.w_a.tensor), params.gate.b_a.tensor)
-        if variant == "ca_fusion":  # the gate is forced to 1
-            stable, gate = h_a, Tensor(np.ones_like(h_a.values))
-        else:
-            gate = ad.sigmoid(
-                ad.add(ad.matmul(guide, params.gate.w_b.tensor), params.gate.b_b.tensor)
-            )
-            stable = ad.mul(h_a, gate)
-        out = FusionStageOutput(unstable=unstable, stable=stable, gate_values=gate)
-        query = guide = stable
-    return out
-
-
-def fuse_trimodal(
-    v_i: Tensor,
-    v_d: Tensor,
-    v_g: Tensor,
-    stage1: FusionStageParams,
-    stage2: FusionStageParams,
-    variant: str = "full",
-    n_layers: int = 1,
-) -> TrimodalOutput:
-    """Indicators guide the document fusion; its output guides the graph fusion."""
-    stages = []
-    if variant == "drop_docs":
-        fused_docs = v_i
-    else:
-        query = guide = v_d if variant == "drop_indicators" else v_i
-        s1 = fuse_stage(query, v_d, guide, stage1, variant=variant, n_layers=n_layers)
-        stages.append(s1)
-        fused_docs = s1.stable
-    if variant == "drop_graph":
-        fused_all = fused_docs
-    else:
-        s2 = fuse_stage(fused_docs, v_g, fused_docs, stage2, variant=variant, n_layers=n_layers)
-        stages.append(s2)
-        fused_all = s2.stable
-    return TrimodalOutput(fused_docs=fused_docs, fused_all=fused_all, stages=stages)
-
-
-# ---------------------------------------------------------------------------
-# the batched stage op over row-stacked windows
 
 
 def block_cross_attention(
@@ -209,7 +92,7 @@ def block_cross_attention(
     block: int,
     gated: bool = True,
 ) -> tuple[Tensor, Tensor | None, np.ndarray | None]:
-    """One layer of fuse_stage on each block of `block` rows, as one tape node.
+    """One gated cross-attention stage layer on each block of `block` rows, as one tape node.
 
     Rows are B windows stacked as (B*block) x d. The mixing is attention,
     or the glu_fusion linear map when `stage.glu` is set. With `gated=False`
@@ -220,8 +103,8 @@ def block_cross_attention(
 
     Returns (stable, gate, attn): the (B*block) x d output node, the gate as
     a plain value (None when ungated) and the B x block x block attention
-    weights (None for glu_fusion). Matches fuse_stage run per window, up to
-    the order of floating-point sums.
+    weights (None for glu_fusion). Matches the per-window reference stage up
+    to the order of floating-point sums.
     """
     rows = kv_st.rows
     if query_st.rows != rows or guide_st.rows != rows or rows % block:

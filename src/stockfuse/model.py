@@ -11,9 +11,8 @@ are folded into d x d maps by ordinary tape ops, which also carry the
 gradient back to the stored factors. The time reduction transposes each
 window and runs the time layers as generic affine ops over (window,
 feature) rows. The d'-wide pre-gate feature is recomputed only for
-`diagnostics=True`. A slow
-per-sample reference path (`forward_sample`) composes the public
-per-window functions and is used to pin the batched path in tests.
+`diagnostics=True`. The per-window reference forward that pins this path
+for every variant lives in `tests/reference.py`.
 
 Each multi-head projection is one parameter, the heads side by side:
 `fuse{k}.wq/wk/wv` are d x d', `gat.l{i}.w` is d x K*d and `gat.l{i}.a`
@@ -23,10 +22,13 @@ blocks are concatenated.
 Variant wiring:
   glu_fusion       attention replaced by a linear map of the kv modality
   ca_fusion        gate forced to 1 (pure cross-attention); no sigmoid runs
-  drop_docs        document features zeroed; stage 1 skipped
-  drop_graph       graph features zeroed; stage 2 skipped
-  drop_indicators  indicator features zeroed (which also silences the graph
-                   encoder's input); documents serve as stage-1 query/guide
+  drop_docs        no document features; stage 1 skipped
+  drop_graph       no graph features; stage 2 skipped
+  drop_indicators  indicator features zeroed, so the graph encoder has no
+                   input and stage 2 is skipped; documents serve as the
+                   stage-1 query/guide
+
+A variant builds and gathers only the modalities it reads.
 """
 
 from __future__ import annotations
@@ -46,22 +48,18 @@ from .encoders import (
     block_gat_encode,
     encode_documents,
     encode_indicators,
-    gat_encode_graph,
 )
 from .errors import CheckpointError, ConfigError
 from .fusion import (
     CrossAttnParams,
     FusionStageParams,
     GateParams,
-    TrimodalOutput,
     block_cross_attention,
     block_unstable,
-    fuse_trimodal,
 )
 from .predictor import (
     PredictorParams,
     aggregate_features,
-    aggregate_time,
     block_reduce_time,
     cross_entropy_loss,
     feature_mlp_widths,
@@ -254,28 +252,16 @@ class TrimodalModel:
 
     # -- batched path --------------------------------------------------
 
-    def _calendar_features(self, packed: PackedPanel, r_lo: int, r_hi: int, lo: int, hi: int):
-        """Encoded per-(date, stock) features for calendar range [lo, hi)."""
-        n = packed.n_stocks
-        dt = self.cfg.dtype
-        rows = r_hi - r_lo
-        zeros = None
-        if self.variant == "drop_indicators":
-            vi_cal = Tensor(np.zeros((rows, self.cfg.d), dtype=dt))
-            zeros = vi_cal
-        else:
+    def _calendar_features(self, packed: PackedPanel, r_lo: int, r_hi: int):
+        """Encoded features of date-major rows [r_lo, r_hi), None where the variant reads none."""
+        vi_cal = vd_cal = vg_cal = None
+        if self.variant != "drop_indicators":
             vi_cal = encode_indicators(Tensor(packed.ind[r_lo:r_hi]), self.ind)
-        if self.variant == "drop_docs":
-            vd_cal = zeros if zeros is not None else Tensor(np.zeros((rows, self.cfg.d), dtype=dt))
-        else:
+        if self.variant != "drop_docs":
             vd_cal = encode_documents(
                 Tensor(packed.doc[r_lo:r_hi]), packed.mask[r_lo:r_hi], self.doc
             )
-        if self.variant in ("drop_graph", "drop_indicators"):
-            # an all-zero node field attends to zeros, so the encoder output
-            # is exactly zero; skip the computation
-            vg_cal = Tensor(np.zeros((rows, self.cfg.d), dtype=dt))
-        else:
+        if self.variant not in ("drop_graph", "drop_indicators"):
             vg_cal = block_gat_encode(vi_cal, packed.neighbors, self.gat)
         return vi_cal, vd_cal, vg_cal
 
@@ -305,26 +291,25 @@ class TrimodalModel:
         start = np.asarray(start, dtype=np.intp)
         lo = int(start.min())
         hi = int(start.max()) + t
-        vi_cal, vd_cal, vg_cal = self._calendar_features(packed, lo * n, hi * n, lo, hi)
+        vi_cal, vd_cal, vg_cal = self._calendar_features(packed, lo * n, hi * n)
         idx = (start[:, None] - lo + np.arange(t)[None, :]) * n + stock_idx[:, None]  # B x t
-        q_i = ad.gather_rows(vi_cal, idx)
-        d_w = ad.gather_rows(vd_cal, idx)
-        g_w = ad.gather_rows(vg_cal, idx)
-        diag = {}
-        if self.variant == "drop_docs":
-            fused_docs = q_i
+        if vi_cal is None:  # drop_indicators: the indicator branch reads zeros
+            q_i = Tensor(np.zeros((idx.size, self.cfg.d), dtype=self.cfg.dtype))
         else:
-            query = guide = d_w if self.variant == "drop_indicators" else q_i
-            fused_docs, diag["stage1"] = self._fuse_blocks(
-                query, d_w, guide, self.stages[0], t, diagnostics
+            q_i = ad.gather_rows(vi_cal, idx)
+        fused, diag = q_i, {}
+        if vd_cal is not None:
+            d_w = ad.gather_rows(vd_cal, idx)
+            query = d_w if vi_cal is None else q_i
+            fused, diag["stage1"] = self._fuse_blocks(
+                query, d_w, query, self.stages[0], t, diagnostics
             )
-        if self.variant == "drop_graph":
-            fused_all = fused_docs
-        else:
-            fused_all, diag["stage2"] = self._fuse_blocks(
-                fused_docs, g_w, fused_docs, self.stages[1], t, diagnostics
+        if vg_cal is not None:
+            g_w = ad.gather_rows(vg_cal, idx)
+            fused, diag["stage2"] = self._fuse_blocks(
+                fused, g_w, fused, self.stages[1], t, diagnostics
             )
-        h_fused = block_reduce_time(fused_all, self.pred, t)
+        h_fused = block_reduce_time(fused, self.pred, t)
         h_ind = block_reduce_time(q_i, self.pred, t)
         logits = aggregate_features(ad.concat_cols([h_fused, h_ind]), self.pred)
         if diagnostics:
@@ -346,45 +331,3 @@ class TrimodalModel:
                 logits = self.forward_batch(packed, batch.stock_index, batch.start)
                 out[b : b + batch_size] = logits.values.argmax(axis=1)
         return out
-
-    # -- per-sample reference path --------------------------------------
-
-    def forward_sample(self, packed: PackedPanel, stock: int, start: int) -> Tensor:
-        """Reference forward for one window, composing the public ops."""
-        fused, v_i = self.fuse_sample(packed, stock, start)
-        h = aggregate_time(fused.fused_all, v_i, self.pred)
-        return aggregate_features(h, self.pred)
-
-    def fuse_sample(
-        self, packed: PackedPanel, stock: int, start: int
-    ) -> tuple[TrimodalOutput, Tensor]:
-        """Reference encoders and fusion for one window, and its v_i."""
-        t = self.cfg.ws
-        n = packed.n_stocks
-        dt = self.cfg.dtype
-        rows = [(start + j) * n + stock for j in range(t)]
-        if self.variant == "drop_indicators":
-            v_i = Tensor(np.zeros((t, self.cfg.d), dtype=dt))
-        else:
-            v_i = encode_indicators(Tensor(packed.ind[rows]), self.ind)
-        if self.variant == "drop_docs":
-            v_d = Tensor(np.zeros((t, self.cfg.d), dtype=dt))
-        else:
-            v_d = encode_documents(Tensor(packed.doc[rows]), packed.mask[rows], self.doc)
-        if self.variant in ("drop_graph", "drop_indicators"):
-            v_g = Tensor(np.zeros((t, self.cfg.d), dtype=dt))
-        else:
-            per_date = []
-            for j in range(t):
-                tau = start + j
-                all_feats = encode_indicators(
-                    Tensor(packed.ind[tau * n : (tau + 1) * n]), self.ind
-                )
-                g_all = gat_encode_graph(all_feats, packed.neighbors, self.gat)
-                per_date.append(ad.slice_rows(g_all, stock, stock + 1))
-            v_g = ad.concat_rows(per_date)
-        fused = fuse_trimodal(
-            v_i, v_d, v_g, self.stages[0], self.stages[1],
-            variant=self.variant, n_layers=self.cfg.fusion_layers,
-        )
-        return fused, v_i

@@ -16,6 +16,9 @@ is refused. The shapes alone cannot tell a head whose last time layer had a
 ReLU (version 1) from this one. Version 2 stored every attention and graph
 attention head as its own parameters; version 3 stores each multi-head
 projection as one matrix, the heads side by side.
+
+The model runs the time MLP as `block_reduce_time` over row-stacked windows
+and the feature MLP as `aggregate_features` over one row per window.
 """
 
 from __future__ import annotations
@@ -52,29 +55,6 @@ class PredictorParams:
     time_layers: list  # [(w: t_in x t_out, b: 1 x t_out), ...] x 3
     feat_layers: list  # [(w, b), ...] x 3
 
-    def all(self):
-        return [p for pair in self.time_layers + self.feat_layers for p in pair]
-
-
-def _reduce_time(x: Tensor, params: PredictorParams) -> Tensor:
-    """t x d -> 1 x d through the shared time stack (last layer linear)."""
-    h = ad.transpose(x)  # d x t
-    for i, (w, b) in enumerate(params.time_layers):
-        h = ad.add(ad.matmul(h, w.tensor), b.tensor)
-        if i < len(params.time_layers) - 1:
-            h = ad.relu(h)
-    return ad.transpose(h)  # 1 x d
-
-
-def aggregate_time(fused: Tensor, indicators: Tensor, params: PredictorParams) -> Tensor:
-    """Collapse the window axis of both branches and concatenate to 1 x 2d."""
-    if fused.shape != indicators.shape:
-        raise ShapeError(f"branch shapes differ: {fused.shape} vs {indicators.shape}")
-    expect = params.time_layers[0][0].values.shape[0]
-    if fused.rows != expect:
-        raise ShapeError(f"window length {fused.rows} != time-MLP input {expect}")
-    return ad.concat_cols([_reduce_time(fused, params), _reduce_time(indicators, params)])
-
 
 def aggregate_features(h: Tensor, params: PredictorParams) -> Tensor:
     """2d feature vector(s) -> 3 raw logits per row."""
@@ -99,21 +79,13 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
     return ad.scale(ad.sum_all(ad.mul(logp, Tensor(onehot))), -1.0 / max(1, labels.size))
 
 
-def predict_classes(logits: Tensor | np.ndarray) -> np.ndarray:
-    vals = logits.values if isinstance(logits, Tensor) else np.asarray(logits)
-    return vals.argmax(axis=1)
-
-
-# ---------------------------------------------------------------------------
-# the batched time reduction over row-stacked windows
-
-
 def block_reduce_time(x_st: Tensor, params: PredictorParams, block: int) -> Tensor:
-    """Batched _reduce_time over stacked windows: (B*block) x d -> B x d.
+    """The time stack over stacked windows: (B*block) x d -> B x d.
 
     Each window is transposed into d rows of its `block` time steps, so the
     time layers run as affine maps over all B*d rows at once; the B x 1 x d
-    result is transposed back to one row per window.
+    result is transposed back to one row per window. The per-window
+    reference is in `tests/reference.py`.
     """
     h = ad.block_transpose(x_st, block)  # (B*d) x block
     for i, (w, b) in enumerate(params.time_layers):

@@ -72,7 +72,6 @@ def adam_step(
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
-    grads: dict[str, np.ndarray] | None = None,
 ) -> None:
     """Bias-corrected Adam update in place; parameters without grads keep."""
     if step < 1:
@@ -80,7 +79,7 @@ def adam_step(
     bc1 = 1.0 - beta1**step
     bc2 = 1.0 - beta2**step
     for p in params:
-        g = grads.get(p.name) if grads is not None else p.tensor.grad
+        g = p.tensor.grad
         if g is None:
             continue
         p.adam_m *= beta1
@@ -249,7 +248,6 @@ def save_checkpoint(
     history: list[EpochStats],
 ) -> None:
     arrays = model.params.state_arrays()
-    arrays = {k: v for k, v in arrays.items()}
     for name, arr in best_snap.items():
         arrays[f"best/{name}"] = arr
     meta = {

@@ -258,14 +258,14 @@ class TestBuildWindows:
         ratios = (0.6, 0.2, 0.2)
         split = D.chronological_split(D.window_refs(panel, ws), panel, ws, ratios)
         for part, expected in zip(("train", "valid", "test"), loop_split(rows, panel, ws, ratios)):
-            assert split.part(part).tolist() == expected
+            assert getattr(split, part).tolist() == expected
 
     def test_masked_rows_zero_invariant(self):
         series, days, table, graph, _ = synth_dataset(3, 40, 6, 2.0, 0.5, 0.0, 2, seed=9)
         split = D.build_dataset(series, days, table, graph, ws=8, label_spec=(-0.01, 0.01))
         panel = split.panel
         for part in ("train", "valid", "test"):
-            refs = split.part(part)
+            refs = getattr(split, part)
             dates = refs.start[:, None] + np.arange(8)
             stocks = refs.stock_index[:, None]
             mask = panel.doc_mask[stocks, dates]
@@ -280,7 +280,7 @@ class TestChronologicalSplit:
 
     @staticmethod
     def label_dates(split, part):
-        return [split.panel.calendar[s + split.ws] for s in split.part(part).start]
+        return [split.panel.calendar[s + split.ws] for s in getattr(split, part).start]
 
     def test_quantile_example(self):
         # 10 distinct label dates at ratios (.8, .1, .1) -> 8 / 1 / 1
@@ -309,7 +309,7 @@ class TestChronologicalSplit:
         shuffled = refs[rng.permutation(len(refs))]
         split_b = D.chronological_split(shuffled, panel, 5, (0.8, 0.1, 0.1))
         for part in ("train", "valid", "test"):
-            assert split_a.part(part).tolist() == split_b.part(part).tolist()
+            assert getattr(split_a, part).tolist() == getattr(split_b, part).tolist()
 
     def test_bad_ratios(self):
         with pytest.raises(ConfigError):
@@ -392,6 +392,13 @@ class TestLoadGraph:
             for b in nbs:
                 assert a in graph.adjacency[b]
 
+    def test_neighbor_mask_in_symbol_order(self, tmp_path):
+        path = self.write(tmp_path, [("A", "s", "x"), ("B", "s", "x")])
+        graph = D.load_graph(path, stocks=["A", "B", "C"])
+        mask = graph.neighbor_mask(["C", "B", "A"])
+        npt.assert_array_equal(mask, [[1, 0, 0], [0, 1, 1], [0, 1, 1]])
+        assert mask.dtype == bool
+
 
 def _lstsq_probe_accuracy(x_train, y_train, x_test, y_test):
     """Least-squares one-hot probe; independent of any model code."""
@@ -464,7 +471,7 @@ class TestDatasetBuildDeterminism:
         assert graph2.adjacency == graph.adjacency
         assert loaded.ws == 10 and loaded.panel.symbols == split.panel.symbols
         for part in ("train", "valid", "test"):
-            orig, new = split.part(part), loaded.part(part)
+            orig, new = getattr(split, part), getattr(loaded, part)
             assert isinstance(new, np.recarray) and len(orig) == len(new) > 0
             assert new.tolist() == orig.tolist()
         for name in ("close", "open", "high", "doc_emb", "features"):
@@ -551,7 +558,7 @@ def test_split_roundtrip_with_empty_train_part(tmp_path):
     assert len(loaded.train) == 0 and loaded.ws == 10
     assert loaded.panel.calendar == split.panel.calendar
     for part in ("valid", "test"):
-        orig, new = split.part(part), loaded.part(part)
+        orig, new = getattr(split, part), getattr(loaded, part)
         assert len(new) == len(orig) > 0
         assert new.tolist() == orig.tolist()
     npt.assert_array_equal(loaded.panel.features, split.panel.features)
@@ -660,7 +667,7 @@ class TestSplitBundleMutations:
     def test_seeded_bit_flips_in_refs_bodies(self, tmp_path, load):
         raw, load = load
         split, _ = D.load_split(tmp_path / "s.sfb")
-        refs_bytes = 24 * sum(len(split.part(p)) for p in ("train", "valid", "test"))
+        refs_bytes = 24 * sum(len(getattr(split, p)) for p in ("train", "valid", "test"))
         body = len(raw) - refs_bytes  # the refs arrays are stored last
         rng = np.random.default_rng(17)
         rejected = 0

@@ -14,10 +14,10 @@ from stockfuse.encoders import (
     block_gat_encode,
     encode_documents,
     encode_indicators,
-    gat_attention_coefficients,
-    gat_encode_graph,
 )
 from stockfuse.errors import DataError, ShapeError
+
+import reference as ref
 
 
 def P(name, values):
@@ -108,13 +108,13 @@ class TestIndicatorEncoder:
             out = encode_indicators(x, params)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, params.all(), eps=1e-5) < 1e-4
+        assert grad_check(f, ref.params_of(params), eps=1e-5) < 1e-4
 
 
 def composed_indicators(x: Tensor, params: IndicatorEncoderParams) -> Tensor:
     """The encoder as separate tape ops: slice, lift, concat, project."""
     lifted = [
-        ad.add(ad.matmul(ad.slice_cols(x, col, col + 1), w.tensor), b.tensor)
+        ad.add(ad.matmul(ref.slice_cols(x, col, col + 1), w.tensor), b.tensor)
         for col, (w, b) in enumerate(
             [(params.w_close, params.b_close), (params.w_open, params.b_open),
              (params.w_high, params.b_high)]
@@ -125,11 +125,11 @@ def composed_indicators(x: Tensor, params: IndicatorEncoderParams) -> Tensor:
 
 class TestFoldedIndicatorEncoder:
     def outputs_and_grads(self, encode, x, params, g):
-        for p in (x, *params.all()):
+        for p in (x, *ref.params_of(params)):
             p.zero_grad()
         out = encode(x.tensor, params)
         ad.sum_all(ad.mul(out, Tensor(g))).backward()
-        return [out.values] + [p.tensor.grad.copy() for p in (x, *params.all())]
+        return [out.values] + [p.tensor.grad.copy() for p in (x, *ref.params_of(params))]
 
     @pytest.mark.parametrize("d", [1, 4, 9])
     def test_matches_composed_ops(self, rng, d):
@@ -154,7 +154,7 @@ class TestFoldedIndicatorEncoder:
             if id(node) not in seen:
                 seen.add(id(node))
                 stack.extend(node._parents)
-        assert {id(p.tensor) for p in params.all()} <= seen  # the fold reaches all eight
+        assert {id(p.tensor) for p in ref.params_of(params)} <= seen  # the fold reaches all eight
 
     def test_width_checked(self, rng):
         with pytest.raises(ShapeError, match="t x 3"):
@@ -162,12 +162,12 @@ class TestFoldedIndicatorEncoder:
 
     def test_float32_stays_float32(self, rng):
         params = make_indicator_params(3, rng)
-        for p in params.all():
+        for p in ref.params_of(params):
             p.tensor.values = p.values.astype(np.float32)
         out = encode_indicators(Tensor(rng.normal(size=(5, 3)).astype(np.float32)), params)
         assert out.values.dtype == np.float32
         ad.sum_all(out).backward()
-        for p in params.all():
+        for p in ref.params_of(params):
             assert p.tensor.grad.dtype == np.float32
 
 
@@ -212,7 +212,7 @@ class TestDocEncoder:
             out = encode_documents(Tensor(doc), mask, params)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, params.all(), eps=1e-5) < 1e-4
+        assert grad_check(f, ref.params_of(params), eps=1e-5) < 1e-4
 
 
 def dense_gat_oracle(h, neighbors, params):
@@ -246,7 +246,7 @@ class TestGraphEncoder:
     def test_single_isolated_node(self, rng):
         params = make_gat_params(3, heads=2)
         h = rng.normal(size=(1, 3))
-        out = gat_encode_graph(Tensor(h), np.array([[True]]), params)
+        out = block_gat_encode(Tensor(h), np.array([[True]]), params)
         expected = np.mean([h @ w for w, _ in head_slices(params.layers[0])], axis=0)
         expected = np.where(expected > 0, expected, np.expm1(expected))
         npt.assert_allclose(out.values, expected, atol=1e-12)
@@ -255,7 +255,7 @@ class TestGraphEncoder:
         params = make_gat_params(4)
         row = rng.normal(size=4)
         h = np.vstack([row, row])
-        out = gat_encode_graph(Tensor(h), np.ones((2, 2), dtype=bool), params)
+        out = block_gat_encode(Tensor(h), np.ones((2, 2), dtype=bool), params)
         npt.assert_allclose(out.values[0], out.values[1], atol=1e-12)
 
     def test_dense_oracle_four_nodes(self, rng):
@@ -270,15 +270,19 @@ class TestGraphEncoder:
             ],
             dtype=bool,
         )
-        out = gat_encode_graph(Tensor(h), neighbors, params)
+        out = block_gat_encode(Tensor(h), neighbors, params)
         npt.assert_allclose(out.values, dense_gat_oracle(h, neighbors, params), atol=1e-10)
 
     def test_attention_rows_sum_to_one(self, rng):
+        """The reference's per-head attention: rows sum to one, zero off the mask."""
         params = make_gat_params(4, heads=3)
         h = rng.normal(size=(6, 4)) * 3
         neighbors = np.eye(6, dtype=bool) | (rng.random((6, 6)) < 0.4)
         neighbors |= neighbors.T
-        for alpha in gat_attention_coefficients(Tensor(h), neighbors, params):
+        alphas = []
+        ref.gat_encode(Tensor(h), neighbors, params, alphas)
+        assert len(alphas) == 3
+        for alpha in alphas:
             npt.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
             assert np.all(alpha[~neighbors] == 0)
 
@@ -287,27 +291,18 @@ class TestGraphEncoder:
         h = rng.normal(size=(5, 4))
         neighbors = np.eye(5, dtype=bool) | (rng.random((5, 5)) < 0.5)
         neighbors |= neighbors.T
-        out = gat_encode_graph(Tensor(h), neighbors, params).values
+        out = block_gat_encode(Tensor(h), neighbors, params).values
         perm = rng.permutation(5)
-        out_p = gat_encode_graph(
+        out_p = block_gat_encode(
             Tensor(h[perm]), neighbors[np.ix_(perm, perm)], params
         ).values
         npt.assert_allclose(out_p, out[perm], atol=1e-12)
-
-    def test_relational_graph_input(self, rng):
-        graph = build_graph([("A", "s", "x"), ("B", "s", "x")], stocks=["A", "B", "C"])
-        params = make_gat_params(3)
-        h = rng.normal(size=(3, 3))
-        out = gat_encode_graph(Tensor(h), graph, params, symbols=["A", "B", "C"])
-        mask = graph.neighbor_mask(["A", "B", "C"])
-        expected = gat_encode_graph(Tensor(h), mask, params)
-        npt.assert_array_equal(out.values, expected.values)
 
     def test_two_layer_stack(self, rng):
         params = make_gat_params(3, heads=2, layers=2)
         h = rng.normal(size=(4, 3))
         neighbors = np.ones((4, 4), dtype=bool)
-        out = gat_encode_graph(Tensor(h), neighbors, params)
+        out = block_gat_encode(Tensor(h), neighbors, params)
         npt.assert_allclose(out.values, dense_gat_oracle(h, neighbors, params), atol=1e-10)
 
     def test_gradients(self, rng):
@@ -317,10 +312,10 @@ class TestGraphEncoder:
         neighbors[0, 1] = neighbors[1, 0] = True
 
         def f():
-            out = gat_encode_graph(h, neighbors, params)
+            out = block_gat_encode(h, neighbors, params)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, params.all(), eps=1e-5) < 1e-4
+        assert grad_check(f, ref.params_of(params), eps=1e-5) < 1e-4
 
 
 class TestBlockGat:
@@ -332,7 +327,7 @@ class TestBlockGat:
         neighbors |= neighbors.T
         fused = block_gat_encode(Tensor(h), neighbors, params)
         for tau in range(T):
-            single = gat_encode_graph(Tensor(h[tau * n : (tau + 1) * n]), neighbors, params)
+            single = ref.gat_encode(Tensor(h[tau * n : (tau + 1) * n]), neighbors, params)
             npt.assert_allclose(
                 fused.values[tau * n : (tau + 1) * n], single.values, atol=1e-12
             )
@@ -346,7 +341,7 @@ class TestBlockGat:
             out = block_gat_encode(h, neighbors, params)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, params.all(), eps=1e-5) < 1e-4
+        assert grad_check(f, ref.params_of(params), eps=1e-5) < 1e-4
 
     @staticmethod
     def loop_and_block(h, neighbors, params, g):
@@ -355,17 +350,18 @@ class TestBlockGat:
         x = P("x", h)
         results = []
         for per_timestamp in (False, True):
-            for p in (x, *params.all()):
+            for p in (x, *ref.params_of(params)):
                 p.zero_grad()
             if per_timestamp:
                 out = ad.concat_rows([
-                    gat_encode_graph(ad.slice_rows(x.tensor, i, i + n), neighbors, params)
+                    ref.gat_encode(ad.slice_rows(x.tensor, i, i + n), neighbors, params)
                     for i in range(0, h.shape[0], n)
                 ])
             else:
                 out = block_gat_encode(x.tensor, neighbors, params)
             ad.sum_all(ad.mul(out, Tensor(g))).backward()
-            results.append([out.values] + [p.tensor.grad.copy() for p in (x, *params.all())])
+            grads = [p.tensor.grad.copy() for p in (x, *ref.params_of(params))]
+            results.append([out.values] + grads)
         return results
 
     def assert_matches_loop(self, rng, neighbors, params, T=3, tol=1e-12):
@@ -384,7 +380,7 @@ class TestBlockGat:
             out = block_gat_encode(x.tensor, neighbors, params)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, [x, *params.all()], eps=1e-5) < 1e-4
+        assert grad_check(f, [x, *ref.params_of(params)], eps=1e-5) < 1e-4
 
     def test_asymmetric_mask(self, rng):
         neighbors = np.eye(6, dtype=bool) | (rng.random((6, 6)) < 0.3)
@@ -416,14 +412,14 @@ class TestBlockGat:
 
     def test_float32_stays_float32(self, rng):
         params = make_gat_params(4, heads=2, layers=2)
-        for p in params.all():
+        for p in ref.params_of(params):
             p.tensor.values = p.values.astype(np.float32)
         x = Parameter("x", Tensor(rng.normal(size=(10, 4)).astype(np.float32), requires_grad=True))
         neighbors = np.eye(5, dtype=bool) | (rng.random((5, 5)) < 0.4)
         out = block_gat_encode(x.tensor, neighbors, params)
         assert out.values.dtype == np.float32
         ad.sum_all(ad.mul(out, out)).backward()
-        for p in (x, *params.all()):
+        for p in (x, *ref.params_of(params)):
             assert p.tensor.grad.dtype == np.float32, p.name
 
     def test_row_without_neighbour_rejected(self, rng):

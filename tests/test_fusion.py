@@ -10,14 +10,11 @@ from stockfuse.fusion import (
     CrossAttnParams,
     FusionStageParams,
     GateParams,
-    attention_matrix,
     block_cross_attention,
     block_unstable,
-    cross_attention,
-    fuse_stage,
-    fuse_trimodal,
-    gated_selection,
 )
+
+import reference as ref
 
 
 def P(name, values):
@@ -79,115 +76,120 @@ def loop_attention_oracle(query, kv, params):
     return np.concatenate([attn @ v for v in values], axis=1)
 
 
+def stable_and_ungated(stage, q, kv, guide, block):
+    """The block stage op's gated output and its ungated output h_a, as values."""
+    stable, _, _ = block_cross_attention(q, kv, guide, stage, block)
+    h_a, _, _ = block_cross_attention(q, kv, guide, stage, block, gated=False)
+    return stable.values, h_a.values
+
+
 class TestCrossAttention:
     def test_single_step_softmax(self, rng):
-        params = make_attn(3, heads=2, rng=rng)
-        query = rng.normal(size=(1, 3))
-        kv = rng.normal(size=(1, 3))
-        out = cross_attention(Tensor(query), Tensor(kv), params)
-        npt.assert_allclose(attention_matrix(Tensor(query), Tensor(kv), params), [[1.0]])
-        expected = kv @ params.wv.values
-        npt.assert_allclose(out.values, expected, atol=1e-12)
+        stage = make_stage(3, heads=2, rng=rng)
+        query = Tensor(rng.normal(size=(1, 3)))
+        kv = Tensor(rng.normal(size=(1, 3)))
+        _, _, attn = block_cross_attention(query, kv, query, stage, block=1)
+        npt.assert_allclose(attn, [[[1.0]]])
+        expected = kv.values @ stage.attn.wv.values
+        npt.assert_allclose(block_unstable(kv, stage, attn).values, expected, atol=1e-12)
 
     def test_zero_kv_zero_output(self, rng):
-        params = make_attn(4, rng=rng)
-        query = rng.normal(size=(5, 4))
-        out = cross_attention(Tensor(query), Tensor(np.zeros((5, 4))), params)
-        npt.assert_array_equal(out.values, np.zeros((5, 8)))
+        stage = make_stage(4, rng=rng)
+        query, kv = Tensor(rng.normal(size=(5, 4))), Tensor(np.zeros((5, 4)))
+        _, _, attn = block_cross_attention(query, kv, query, stage, block=5)
+        npt.assert_array_equal(block_unstable(kv, stage, attn).values, np.zeros((5, 8)))
 
     def test_loop_oracle(self, rng):
-        params = make_attn(2, heads=2, rng=rng)
+        stage = make_stage(2, heads=2, rng=rng)
         query = rng.normal(size=(3, 2))
-        kv = rng.normal(size=(3, 2))
-        out = cross_attention(Tensor(query), Tensor(kv), params)
+        kv = Tensor(rng.normal(size=(3, 2)))
+        _, _, attn = block_cross_attention(Tensor(query), kv, Tensor(query), stage, block=3)
+        out = block_unstable(kv, stage, attn)
         assert out.shape == (3, 4)
-        npt.assert_allclose(out.values, loop_attention_oracle(query, kv, params), atol=1e-10)
+        npt.assert_allclose(
+            out.values, loop_attention_oracle(query, kv.values, stage.attn), atol=1e-10
+        )
 
     def test_attention_rows_sum_to_one(self, rng):
-        params = make_attn(6, heads=3, rng=rng)
-        attn = attention_matrix(
-            Tensor(rng.normal(size=(7, 6)) * 5), Tensor(rng.normal(size=(7, 6)) * 5), params
-        )
-        npt.assert_allclose(attn.sum(axis=1), 1.0, atol=1e-6)
+        stage = make_stage(6, heads=3, rng=rng)
+        query, kv = (Tensor(rng.normal(size=(7, 6)) * 5) for _ in range(2))
+        _, _, attn = block_cross_attention(query, kv, query, stage, block=7)
+        npt.assert_allclose(attn.sum(axis=2), 1.0, atol=1e-6)
 
     def test_shape_mismatch(self, rng):
-        params = make_attn(4, rng=rng)
+        stage = make_stage(4, rng=rng)
+        query = Tensor(np.zeros((3, 4)))
         with pytest.raises(ShapeError):
-            cross_attention(Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 4))), params)
+            block_cross_attention(query, Tensor(np.zeros((4, 4))), query, stage, block=1)
 
 
 class TestGatedSelection:
     def test_closed_gate(self, rng):
-        params = make_gate(3, rng=rng)
-        unstable = Tensor(rng.normal(size=(4, 6)))
-        guide = Tensor(np.full((4, 3), -60.0) @ np.sign(params.w_b.values.T))
-        # drive every gate pre-activation strongly negative instead:
-        params.b_b.tensor.values = np.full((1, 3), -40.0)
-        out = gated_selection(unstable, Tensor(np.zeros((4, 3))), params)
-        h_a = unstable.values @ params.w_a.values + params.b_a.values
-        assert np.linalg.norm(out.values) < 1e-6 * np.linalg.norm(h_a)
+        stage = make_stage(3, rng=rng)
+        stage.gate.b_b.tensor.values = np.full((1, 3), -40.0)  # every gate strongly shut
+        q, kv = (Tensor(rng.normal(size=(4, 3))) for _ in range(2))
+        stable, h_a = stable_and_ungated(stage, q, kv, Tensor(np.zeros((4, 3))), 4)
+        assert np.linalg.norm(stable) < 1e-6 * np.linalg.norm(h_a)
 
     def test_neutral_gate(self, rng):
-        params = make_gate(3, rng=rng)
-        params.b_b.tensor.values = np.zeros((1, 3))
-        unstable = Tensor(rng.normal(size=(4, 6)))
-        out = gated_selection(unstable, Tensor(np.zeros((4, 3))), params)
-        h_a = unstable.values @ params.w_a.values + params.b_a.values
-        npt.assert_allclose(out.values, h_a / 2.0, atol=1e-12)
+        stage = make_stage(3, rng=rng)
+        stage.gate.b_b.tensor.values = np.zeros((1, 3))
+        q, kv = (Tensor(rng.normal(size=(4, 3))) for _ in range(2))
+        stable, h_a = stable_and_ungated(stage, q, kv, Tensor(np.zeros((4, 3))), 4)
+        npt.assert_allclose(stable, h_a / 2.0, atol=1e-12)
 
     def test_elementwise_oracle(self, rng):
-        params = make_gate(5, rng=rng)
-        unstable = rng.normal(size=(3, 10))
-        guide = rng.normal(size=(3, 5))
-        out = gated_selection(Tensor(unstable), Tensor(guide), params)
-        h_a = unstable @ params.w_a.values + params.b_a.values
-        h_b = 1.0 / (1.0 + np.exp(-(guide @ params.w_b.values + params.b_b.values)))
+        stage = make_stage(5, rng=rng)
+        q, kv, guide = (Tensor(rng.normal(size=(3, 5))) for _ in range(3))
+        stable, h_a = stable_and_ungated(stage, q, kv, guide, 3)
+        h_b = 1.0 / (1.0 + np.exp(-(guide.values @ stage.gate.w_b.values + stage.gate.b_b.values)))
         expected = np.empty_like(h_a)
         for i in range(3):
             for j in range(5):
                 expected[i, j] = h_a[i, j] * h_b[i, j]
-        npt.assert_allclose(out.values, expected, atol=1e-12)
+        npt.assert_allclose(stable, expected, atol=1e-12)
 
 
 class TestFuseStage:
     def test_gate_values_strictly_inside_unit_interval(self, rng):
         stage = make_stage(4, rng=rng)
-        out = fuse_stage(
-            Tensor(rng.normal(size=(6, 4)) * 10),
-            Tensor(rng.normal(size=(6, 4)) * 10),
-            Tensor(rng.normal(size=(6, 4)) * 10),
-            stage,
-        )
-        assert np.all(out.gate_values.values > 0.0)
-        assert np.all(out.gate_values.values < 1.0)
+        q, kv, guide = (Tensor(rng.normal(size=(6, 4)) * 10) for _ in range(3))
+        _, gate, _ = block_cross_attention(q, kv, guide, stage, block=6)
+        assert np.all(gate.values > 0.0)
+        assert np.all(gate.values < 1.0)
 
     def test_gate_monotonicity(self, rng):
         stage = make_stage(3, rng=rng)
-        guide = rng.normal(size=(2, 3))
-        out1 = fuse_stage(Tensor(guide), Tensor(rng.normal(size=(2, 3))), Tensor(guide), stage)
+        guide = Tensor(rng.normal(size=(2, 3)))
+        _, gate1, _ = block_cross_attention(
+            guide, Tensor(rng.normal(size=(2, 3))), guide, stage, block=2
+        )
         # increase one guide pre-activation coordinate via the bias
         stage.gate.b_b.tensor.values = stage.gate.b_b.values + np.array([[0.7, 0.0, 0.0]])
-        out2 = fuse_stage(Tensor(guide), Tensor(rng.normal(size=(2, 3))), Tensor(guide), stage)
-        assert np.all(out2.gate_values.values[:, 0] > out1.gate_values.values[:, 0])
+        _, gate2, _ = block_cross_attention(
+            guide, Tensor(rng.normal(size=(2, 3))), guide, stage, block=2
+        )
+        assert np.all(gate2.values[:, 0] > gate1.values[:, 0])
 
     def test_saturated_gate_passes_h_a(self, rng):
         stage = make_stage(3, rng=rng)
         stage.gate.b_b.tensor.values = np.full((1, 3), 50.0)
-        unstable_in = Tensor(rng.normal(size=(4, 3)))
-        out = fuse_stage(unstable_in, Tensor(rng.normal(size=(4, 3))), Tensor(np.zeros((4, 3))), stage)
-        h_a = out.unstable.values @ stage.gate.w_a.values + stage.gate.b_a.values
-        npt.assert_allclose(out.stable.values, h_a, atol=1e-4)
+        q, kv = (Tensor(rng.normal(size=(4, 3))) for _ in range(2))
+        stable, h_a = stable_and_ungated(stage, q, kv, Tensor(np.zeros((4, 3))), 4)
+        npt.assert_allclose(stable, h_a, atol=1e-4)
 
 
 class TestTrimodal:
+    """The reference variant wiring, on which every batched-vs-per-window pin rests."""
+
     def test_zero_modalities_degenerate(self, rng):
         d = 3
         s1, s2 = make_stage(d, rng=rng), make_stage(d, rng=rng)
         v_i = Tensor(rng.normal(size=(5, d)), requires_grad=True)
         zeros = Tensor(np.zeros((5, d)))
-        out = fuse_trimodal(v_i, zeros, zeros, s1, s2)
-        assert np.all(np.isfinite(out.fused_all.values))
-        ad.sum_all(ad.mul(out.fused_all, out.fused_all)).backward()
+        fused, _ = ref.fuse_trimodal(v_i, zeros, zeros, s1, s2)
+        assert np.all(np.isfinite(fused.values))
+        ad.sum_all(ad.mul(fused, fused)).backward()
         assert v_i.grad is not None and np.abs(v_i.grad).sum() > 0
 
     def test_stage2_kv_swap_changes_output(self, rng):
@@ -196,8 +198,8 @@ class TestTrimodal:
         v_i = Tensor(rng.normal(size=(6, d)))
         v_d = Tensor(rng.normal(size=(6, d)))
         v_g = Tensor(rng.normal(size=(6, d)))
-        out_a = fuse_trimodal(v_i, v_d, v_g, s1, s2).fused_all.values
-        out_b = fuse_trimodal(v_i, v_g, v_d, s1, s2).fused_all.values
+        out_a = ref.fuse_trimodal(v_i, v_d, v_g, s1, s2)[0].values
+        out_b = ref.fuse_trimodal(v_i, v_g, v_d, s1, s2)[0].values
         assert np.abs(out_a - out_b).max() > 1e-6
 
     def test_chain_gradient_check(self, rng):
@@ -208,32 +210,31 @@ class TestTrimodal:
         v_g = Tensor(rng.normal(size=(t, d)))
 
         def f():
-            out = fuse_trimodal(v_i, v_d, v_g, s1, s2)
-            return ad.sum_all(ad.mul(out.fused_all, out.fused_all))
+            fused, _ = ref.fuse_trimodal(v_i, v_d, v_g, s1, s2)
+            return ad.sum_all(ad.mul(fused, fused))
 
-        params = s1.all() + s2.all()
-        assert grad_check(f, params, eps=1e-5) < 1e-4
+        assert grad_check(f, ref.params_of([s1, s2]), eps=1e-5) < 1e-4
 
     def test_stable_output_chains_to_a_fourth_modality(self, rng):
         d = 3
         s1, s2, s3 = (make_stage(d, rng=rng) for _ in range(3))
         v = [Tensor(rng.normal(size=(5, d))) for _ in range(4)]
-        out = fuse_trimodal(v[0], v[1], v[2], s1, s2)
-        chained = fuse_stage(out.fused_all, v[3], out.fused_all, s3)
-        assert chained.stable.shape == (5, d)
+        fused, _ = ref.fuse_trimodal(v[0], v[1], v[2], s1, s2)
+        _, chained, _ = ref.fuse_stage(fused, v[3], fused, s3)
+        assert chained.shape == (5, d)
 
     def test_shape_contract_over_ranges(self, rng):
         for t, d in ((2, 2), (5, 3), (9, 6)):
             s1, s2 = make_stage(d, rng=rng), make_stage(d, rng=rng)
-            out = fuse_trimodal(
+            fused, stages = ref.fuse_trimodal(
                 Tensor(rng.normal(size=(t, d))),
                 Tensor(rng.normal(size=(t, d))),
                 Tensor(rng.normal(size=(t, d))),
                 s1, s2,
             )
-            assert out.fused_docs.shape == (t, d)
-            assert out.fused_all.shape == (t, d)
-            assert out.stages[0].unstable.shape == (t, 2 * d)
+            assert stages["stage1"][1].shape == (t, d)
+            assert fused.shape == (t, d)
+            assert stages["stage1"][0].shape == (t, 2 * d)
 
     def test_variant_wiring(self, rng):
         d = 3
@@ -242,19 +243,26 @@ class TestTrimodal:
         v_i = Tensor(rng.normal(size=(4, d)))
         v_d = Tensor(rng.normal(size=(4, d)))
         v_g = Tensor(rng.normal(size=(4, d)))
-        drop_docs = fuse_trimodal(v_i, v_d, v_g, s1, s2, variant="drop_docs")
-        npt.assert_array_equal(drop_docs.fused_docs.values, v_i.values)
-        drop_graph = fuse_trimodal(v_i, v_d, v_g, s1, s2, variant="drop_graph")
-        npt.assert_array_equal(drop_graph.fused_all.values, drop_graph.fused_docs.values)
-        assert len(drop_graph.stages) == 1
+        # drop_docs: stage 2 alone, with the indicators as its query and guide
+        fused, stages = ref.fuse_trimodal(v_i, None, v_g, s1, s2, variant="drop_docs")
+        assert list(stages) == ["stage2"]
+        npt.assert_array_equal(fused.values, ref.fuse_stage(v_i, v_g, v_i, s2)[1].values)
+        fused, stages = ref.fuse_trimodal(v_i, v_d, None, s1, s2, variant="drop_graph")
+        assert list(stages) == ["stage1"]
+        npt.assert_array_equal(fused.values, stages["stage1"][1].values)
+        # drop_indicators: stage 1 alone, with the documents as query and guide
+        fused, stages = ref.fuse_trimodal(v_i, v_d, None, s1, s2, variant="drop_indicators")
+        assert list(stages) == ["stage1"]
+        npt.assert_array_equal(fused.values, ref.fuse_stage(v_d, v_d, v_d, s1)[1].values)
 
     def test_ca_variant_ignores_gate(self, rng):
         d = 3
         s1, s2 = make_stage(d, rng=rng), make_stage(d, rng=rng)
         v = [Tensor(rng.normal(size=(4, d))) for _ in range(3)]
-        out = fuse_trimodal(*v, s1, s2, variant="ca_fusion")
-        h_a = out.stages[0].unstable.values @ s1.gate.w_a.values + s1.gate.b_a.values
-        npt.assert_allclose(out.fused_docs.values, h_a, atol=1e-12)
+        _, stages = ref.fuse_trimodal(*v, s1, s2, variant="ca_fusion")
+        unstable, stable, _ = stages["stage1"]
+        h_a = unstable.values @ s1.gate.w_a.values + s1.gate.b_a.values
+        npt.assert_allclose(stable.values, h_a, atol=1e-12)
 
     def test_glu_variant_linear_path(self, rng):
         d = 3
@@ -263,14 +271,12 @@ class TestTrimodal:
         s1.glu = P("glu1", rng.normal(size=(d, 2 * d)))
         s2.glu = P("glu2", rng.normal(size=(d, 2 * d)))
         v = [Tensor(rng.normal(size=(4, d))) for _ in range(3)]
-        out = fuse_trimodal(*v, s1, s2, variant="glu_fusion")
-        npt.assert_allclose(
-            out.stages[0].unstable.values, v[1].values @ s1.glu.values, atol=1e-12
-        )
+        _, stages = ref.fuse_trimodal(*v, s1, s2, variant="glu_fusion")
+        npt.assert_allclose(stages["stage1"][0].values, v[1].values @ s1.glu.values, atol=1e-12)
 
 
 # The batched stage op against the per-window reference. Each mode is
-# (variant for fuse_stage, whether the stage has a glu map, gated).
+# (variant for the reference stage, whether the stage has a glu map, gated).
 MODES = {
     "gated": ("full", False, True),
     "ca": ("ca_fusion", False, False),
@@ -288,13 +294,13 @@ def wired_inputs(rng, rows, d, wiring):
 
 
 def per_window_stage(query, kv, guide, stage, variant, t):
-    """fuse_stage on each window slice, re-stacked: the reference."""
+    """The reference stage on each window slice, re-stacked."""
     n_blocks = kv.rows // t
     return ad.concat_rows([
-        fuse_stage(
+        ref.fuse_stage(
             *(ad.slice_rows(x, b * t, (b + 1) * t) for x in (query, kv, guide)),
             stage, variant=variant,
-        ).stable
+        )[1]
         for b in range(n_blocks)
     ])
 
@@ -320,7 +326,7 @@ def assert_same_grads(got, want, atol=1e-12):
 
 
 class TestBlockCrossAttention:
-    """The whole gated stage as one node, against per-window fuse_stage."""
+    """The whole gated stage as one node, against the per-window reference stage."""
 
     @given(
         st.integers(1, 5), st.integers(1, 6), st.integers(1, 4), st.integers(1, 3),
@@ -345,7 +351,7 @@ class TestBlockCrossAttention:
             out, _, _ = block_cross_attention(q, kv, g, stage, block=3)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, stage.all() + extras, eps=1e-5) < 1e-4
+        assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
 
     @pytest.mark.parametrize(
         "d,heads,head_dim",
@@ -361,7 +367,7 @@ class TestBlockCrossAttention:
                 stage = make_stage(d, heads, rng, head_dim=head_dim, glu=glu)
                 inputs = wired_inputs(rng, n_blocks * t, d, wiring)
                 upstream = rng.normal(size=(n_blocks * t, d))
-                params = stage.all(variant)
+                params = ref.params_of(stage)
                 fused_out, fused_grads = run_with_grads(
                     lambda q, kv, g: block_cross_attention(q, kv, g, stage, t, gated)[0],
                     inputs, params, upstream,
@@ -382,7 +388,7 @@ class TestBlockCrossAttention:
             out, _, _ = block_cross_attention(x, x, x, stage, block=3)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, stage.all() + extras, eps=1e-5) < 1e-4
+        assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
 
     def test_unstable_recomputed_from_attention(self, rng):
         d, t = 3, 4
@@ -393,10 +399,10 @@ class TestBlockCrossAttention:
             unstable = block_unstable(kv, stage, attn)
             for b in range(2):
                 rows = slice(b * t, (b + 1) * t)
-                want = fuse_stage(
+                want, _, _ = ref.fuse_stage(
                     Tensor(q.values[rows]), Tensor(kv.values[rows]), Tensor(q.values[rows]),
                     stage, variant="glu_fusion" if glu else "full",
-                ).unstable
+                )
                 npt.assert_allclose(unstable.values[rows], want.values, rtol=0, atol=1e-12)
                 if not glu:
                     npt.assert_allclose(attn[b].sum(axis=1), 1.0, rtol=0, atol=1e-12)
@@ -431,7 +437,7 @@ class TestBlockCrossAttention:
 
 
 class TestBlockGatedSelection:
-    """The gate half of the stage op against the per-window gated_selection."""
+    """The gate half of the stage op against the gate composed from tape ops."""
 
     @pytest.mark.parametrize("gated", [True, False])
     def test_matches_composed_ops(self, rng, gated):
@@ -441,17 +447,20 @@ class TestBlockGatedSelection:
             Tensor(rng.normal(size=(n_blocks * t, d)) * s, requires_grad=True) for s in (1, 1, 3)
         )
         upstream = rng.normal(size=(n_blocks * t, d))
-        params = stage.all()
+        params = ref.params_of(stage)
+        gate_p = stage.gate
 
         def composed(q, kv, g):
             unstable = ad.concat_rows([
-                cross_attention(ad.slice_rows(q, b * t, (b + 1) * t),
-                                ad.slice_rows(kv, b * t, (b + 1) * t), stage.attn)
+                ref.cross_attention(ad.slice_rows(q, b * t, (b + 1) * t),
+                                    ad.slice_rows(kv, b * t, (b + 1) * t), stage.attn)
                 for b in range(n_blocks)
             ])
-            if gated:
-                return gated_selection(unstable, g, stage.gate)
-            return ad.add(ad.matmul(unstable, stage.gate.w_a.tensor), stage.gate.b_a.tensor)
+            h_a = ad.add(ad.matmul(unstable, gate_p.w_a.tensor), gate_p.b_a.tensor)
+            if not gated:
+                return h_a
+            pre = ad.add(ad.matmul(g, gate_p.w_b.tensor), gate_p.b_b.tensor)
+            return ad.mul(h_a, ad.sigmoid(pre))
 
         fused_out, fused_grads = run_with_grads(
             lambda q, kv, g: block_cross_attention(q, kv, g, stage, t, gated)[0],
@@ -486,7 +495,7 @@ class TestBlockGatedSelection:
             stable, _, _ = block_cross_attention(kv, kv, guide, stage, block=2)
             return ad.sum_all(ad.mul(stable, stable))
 
-        assert grad_check(f, stage.all("glu_fusion") + extras, eps=1e-5) < 1e-4
+        assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
 
     def test_row_mismatch_rejected(self, rng):
         stage = make_stage(3, rng=rng, head_dim=3)

@@ -11,6 +11,8 @@ from stockfuse.model import PackedPanel, TrimodalModel, glorot
 from stockfuse.predictor import cross_entropy_loss
 from stockfuse.synth import synth_dataset
 
+import reference as ref
+
 
 def random_packed(rng, n_stocks=3, n_dates=9, dim=5):
     """A date-major panel of random features; no loader involved."""
@@ -45,7 +47,7 @@ def test_forward_batch_matches_forward_sample(variant, fusion_layers, gat_layers
     start = np.array([0, 1, 3, 5, 5])
     batched = model.forward_batch(packed, stock_idx, start).values
     for b, (s, t0) in enumerate(zip(stock_idx, start)):
-        single = model.forward_sample(packed, int(s), int(t0)).values
+        single = ref.forward_sample(model, packed, int(s), int(t0))[0].values
         npt.assert_allclose(batched[b : b + 1], single, rtol=0, atol=1e-12)
 
 
@@ -68,14 +70,15 @@ def test_seed17_gate_weights_get_gradient():
         assert grad is not None and np.any(grad != 0), name
 
 
-def test_initial_logits_vary_across_windows_for_seeds_0_to_99():
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_initial_logits_vary_across_windows_for_seeds_0_to_99(variant):
+    """No variant starts as a constant classifier: drop_indicators did, for
+    every seed, while its stage 2 attended to all-zero graph rows."""
     packed, batch = tiny_batch(16)
     constant = []
     for seed in range(100):
-        model = TrimodalModel(TrainConfig(seed=seed), doc_dim=64)
-        logits = model.forward_batch(
-            packed, [s.stock_index for s in batch], [s.start for s in batch]
-        ).values
+        model = TrimodalModel(TrainConfig(seed=seed), doc_dim=64, variant=variant)
+        logits = model.forward_batch(packed, batch.stock_index, batch.start).values
         if np.all(logits == logits[0]):
             constant.append(seed)
     assert constant == []
@@ -100,23 +103,24 @@ def test_diagnostics_return_unstable_stable_gate_per_stage(variant):
 @pytest.mark.parametrize("fusion_layers", [1, 2])
 @pytest.mark.parametrize("variant", ["full", "ca_fusion", "glu_fusion", "drop_indicators"])
 def test_diagnostics_match_per_window_fusion(variant, fusion_layers):
-    """(unstable, stable, gate) per stage equal the per-window fuse_trimodal
-    values, including the unstable feature the stage op recomputes off tape."""
+    """(unstable, stable, gate) per stage equal the per-window reference
+    values, including the unstable feature the stage op recomputes off tape;
+    drop_indicators runs stage 1 only."""
     packed = random_packed(np.random.default_rng(fusion_layers))
     cfg = TrainConfig(d=4, ws=4, heads=2, head_dim=3, gat_heads=2, fusion_layers=fusion_layers,
                       seed=5)
     model = TrimodalModel(cfg, doc_dim=5, variant=variant)
     stock_idx, start = np.array([0, 2, 1, 2]), np.array([0, 1, 3, 5])
     _, diag = model.forward_batch(packed, stock_idx, start, diagnostics=True)
-    assert sorted(diag) == ["stage1", "stage2"]
+    stages = ["stage1"] if variant == "drop_indicators" else ["stage1", "stage2"]
+    assert sorted(diag) == stages
     t = cfg.ws
     for b, (s, t0) in enumerate(zip(stock_idx, start)):
-        fused, _ = model.fuse_sample(packed, int(s), int(t0))
-        for k, ref in enumerate(fused.stages, start=1):
-            unstable, stable, gate = (x.values[b * t : (b + 1) * t] for x in diag[f"stage{k}"])
-            npt.assert_allclose(unstable, ref.unstable.values, rtol=0, atol=1e-12)
-            npt.assert_allclose(stable, ref.stable.values, rtol=0, atol=1e-12)
-            npt.assert_allclose(gate, ref.gate_values.values, rtol=0, atol=1e-12)
+        _, want = ref.forward_sample(model, packed, int(s), int(t0))
+        assert sorted(want) == stages
+        for name, want_stage in want.items():
+            for got, w in zip(diag[name], want_stage):
+                npt.assert_allclose(got.values[b * t : (b + 1) * t], w.values, rtol=0, atol=1e-12)
 
 
 def test_model_grad_check_every_parameter():
@@ -234,7 +238,5 @@ def test_float32_numerics_contract(contract_batch, variant):
         assert (g32 is None) == (g64 is None), p32.name
         if g64 is not None:
             assert g32.dtype == np.float32, p32.name
-            # exact zeros in both are fine: drop_indicators' stage 2 attends
-            # over all-zero graph rows, so its projections get no gradient
             err, scale = np.abs(g32 - g64).max(), np.abs(g64).max()
             assert err <= 1e-4 * scale, (p32.name, err, scale)

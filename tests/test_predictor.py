@@ -8,14 +8,14 @@ from stockfuse.errors import ShapeError
 from stockfuse.predictor import (
     PredictorParams,
     aggregate_features,
-    aggregate_time,
     block_reduce_time,
     cross_entropy_loss,
     feature_mlp_widths,
-    predict_classes,
     time_mlp_widths,
 )
 from stockfuse.training import adam_step
+
+import reference as ref
 
 
 def P(name, values):
@@ -55,11 +55,16 @@ def test_width_clamp_warns(caplog):
     assert "clamp" in caplog.text
 
 
+def both_branches(fused, ind, params, t):
+    """The model's time reduction of both branches side by side, B x 2d."""
+    return ad.concat_cols([block_reduce_time(x, params, t) for x in (fused, ind)])
+
+
 class TestAggregateTime:
     def test_zero_inputs_zero_biases(self):
         params = make_params(6, 3, zero_bias=True)
-        h = aggregate_time(Tensor(np.zeros((6, 3))), Tensor(np.zeros((6, 3))), params)
-        npt.assert_array_equal(h.values, np.zeros((1, 6)))
+        h = both_branches(Tensor(np.zeros((12, 3))), Tensor(np.zeros((12, 3))), params, 6)
+        npt.assert_array_equal(h.values, np.zeros((2, 6)))
 
     def test_hand_oracle_t4_d1(self):
         # widths 4 -> 2 -> 1 -> 1
@@ -76,7 +81,7 @@ class TestAggregateTime:
         h1 = np.maximum(v @ params.time_layers[0][0].values + [[0.1, -0.2]], 0)
         h2 = np.maximum(h1 @ params.time_layers[1][0].values + [[0.3]], 0)
         h3 = np.maximum(h2 @ params.time_layers[2][0].values + [[-0.05]], 0)
-        out = aggregate_time(Tensor(x), Tensor(np.zeros((4, 1))), params)
+        out = both_branches(Tensor(x), Tensor(np.zeros((4, 1))), params, 4)
         npt.assert_allclose(out.values[0, 0], h3[0, 0], atol=1e-12)
 
     def test_last_time_layer_is_linear(self):
@@ -91,27 +96,27 @@ class TestAggregateTime:
             feat_layers=[],
         )
         x = Tensor(np.array([[1.0], [2.0], [0.0], [2.0]]), requires_grad=True)
-        out = aggregate_time(x, Tensor(np.zeros((4, 1))), params)
+        out = both_branches(x, Tensor(np.zeros((4, 1))), params, 4)
         npt.assert_allclose(out.values, [[-4.0, 0.0]], atol=1e-15)
         ad.sum_all(out).backward()
         npt.assert_allclose(params.time_layers[2][0].tensor.grad, [[2.0]], atol=1e-15)
         assert np.all(x.grad != 0)
-        stacked = block_reduce_time(Tensor(x.values), params, 4)
-        npt.assert_allclose(stacked.values, [[-4.0]], atol=1e-15)
+        per_window = ref.aggregate_time(Tensor(x.values), Tensor(np.zeros((4, 1))), params)
+        npt.assert_allclose(per_window.values, [[-4.0, 0.0]], atol=1e-15)
 
     def test_swapped_branches_permute_halves(self, rng):
         params = make_params(5, 3, rng)
         a = Tensor(rng.normal(size=(5, 3)))
         b = Tensor(rng.normal(size=(5, 3)))
-        h_ab = aggregate_time(a, b, params).values
-        h_ba = aggregate_time(b, a, params).values
+        h_ab = ref.aggregate_time(a, b, params).values
+        h_ba = ref.aggregate_time(b, a, params).values
         npt.assert_allclose(h_ab[:, :3], h_ba[:, 3:], atol=1e-14)
         npt.assert_allclose(h_ab[:, 3:], h_ba[:, :3], atol=1e-14)
 
     def test_window_length_checked(self, rng):
         params = make_params(5, 3, rng)
         with pytest.raises(ShapeError):
-            aggregate_time(Tensor(np.zeros((6, 3))), Tensor(np.zeros((6, 3))), params)
+            block_reduce_time(Tensor(np.zeros((6, 3))), params, 6)
 
 
 class TestAggregateFeatures:
@@ -119,8 +124,8 @@ class TestAggregateFeatures:
         params = make_params(4, 2, zero_bias=True)
         logits = aggregate_features(Tensor(np.zeros((1, 4))), params)
         npt.assert_array_equal(logits.values, np.zeros((1, 3)))
-        soft = ad.softmax_rows(logits)
-        npt.assert_allclose(soft.values, np.full((1, 3), 1 / 3), atol=1e-15)
+        soft = np.exp(ad.log_softmax_rows(logits).values)
+        npt.assert_allclose(soft, np.full((1, 3), 1 / 3), atol=1e-15)
 
     def test_hand_oracle_d2(self, rng):
         params = make_params(4, 2, rng)
@@ -130,12 +135,6 @@ class TestAggregateFeatures:
         expected = x @ params.feat_layers[2][0].values + params.feat_layers[2][1].values
         out = aggregate_features(Tensor(h), params)
         npt.assert_allclose(out.values, expected, atol=1e-13)
-
-    def test_argmax_shift_invariance(self, rng):
-        logits = rng.normal(size=(6, 3))
-        npt.assert_array_equal(
-            predict_classes(logits), predict_classes(logits + 7.3)
-        )
 
 
 class TestCrossEntropy:
@@ -165,8 +164,8 @@ class TestCrossEntropy:
         assert cross_entropy_loss(Tensor(logits), labels).item() > 0
 
     def test_softmax_is_probability_vector(self, rng):
-        soft = ad.softmax_rows(Tensor(rng.normal(size=(8, 3)) * 10))
-        npt.assert_allclose(soft.values.sum(axis=1), 1.0, atol=1e-6)
+        soft = np.exp(ad.log_softmax_rows(Tensor(rng.normal(size=(8, 3)) * 10)).values)
+        npt.assert_allclose(soft.sum(axis=1), 1.0, atol=1e-6)
 
     def test_label_validation(self):
         with pytest.raises(ShapeError):
@@ -179,10 +178,10 @@ class TestCrossEntropy:
         labels = [1]
 
         def f():
-            h = aggregate_time(fused, ind, params)
+            h = both_branches(fused, ind, params, 4)
             return cross_entropy_loss(aggregate_features(h, params), labels)
 
-        assert grad_check(f, params.all(), eps=1e-5) < 1e-4
+        assert grad_check(f, ref.params_of(params), eps=1e-5) < 1e-4
 
 
 def test_block_reduce_time_matches_per_window(rng):
@@ -205,7 +204,7 @@ def check_block_reduce_time(rng, t):
     def grads():
         return [p.tensor.grad.copy() for p in (fused, ind, *time_params)]
 
-    batched = ad.concat_cols([block_reduce_time(x.tensor, params, t) for x in (fused, ind)])
+    batched = both_branches(fused.tensor, ind.tensor, params, t)
     assert batched.shape == (B, 2 * d)
     ad.sum_all(ad.mul(batched, Tensor(upstream))).backward()
     got = grads()
@@ -213,8 +212,8 @@ def check_block_reduce_time(rng, t):
         p.zero_grad()
     for b in range(B):  # the per-window references accumulate over the windows
         lo, hi = b * t, (b + 1) * t
-        h = aggregate_time(ad.slice_rows(fused.tensor, lo, hi), ad.slice_rows(ind.tensor, lo, hi),
-                           params)
+        h = ref.aggregate_time(ad.slice_rows(fused.tensor, lo, hi),
+                               ad.slice_rows(ind.tensor, lo, hi), params)
         npt.assert_allclose(batched.values[b], h.values[0], rtol=0, atol=1e-12)
         ad.sum_all(ad.mul(h, Tensor(upstream[b : b + 1]))).backward()
     assert len(got) == 8
@@ -233,17 +232,15 @@ def test_loss_decreases_over_ten_steps():
         labels = rng.integers(0, 3, size=6)
 
         def loss_fn():
-            hf = block_reduce_time(Tensor(fused), params, 4)
-            hi = block_reduce_time(Tensor(ind), params, 4)
-            logits = aggregate_features(ad.concat_cols([hf, hi]), params)
-            return cross_entropy_loss(logits, labels)
+            h = both_branches(Tensor(fused), Tensor(ind), params, 4)
+            return cross_entropy_loss(aggregate_features(h, params), labels)
 
         first = loss_fn().item()
         for step in range(1, 11):
-            for p in params.all():
+            for p in ref.params_of(params):
                 p.zero_grad()
             loss = loss_fn()
             loss.backward()
-            adam_step(params.all(), 1e-3, step)
+            adam_step(ref.params_of(params), 1e-3, step)
         wins += loss_fn().item() < first
     assert wins >= 4
