@@ -4,13 +4,12 @@ Every value in the model is a `Tensor` wrapping a 2-D numpy array. Ops build
 a tape (parents + backward closure); `Tensor.backward()` walks it in reverse
 topological order and accumulates gradients. The op set is the small fixed
 vocabulary the model needs: matmul, affine (x @ w + b as one node),
-broadcast add, elementwise product, concat along either axis, relu, row
-log-softmax, sum reduction, scalar scale, transpose and per-block
-transpose, and row gather/slice for assembling windows from
-calendar-indexed features. Fused ops elsewhere in the package build their
-own nodes with `node` and `add_grad`, and so do the reference path's extra
-ops in `tests/reference.py`. `sigmoid` serves that reference too: the
-model's gates apply `sigmoid_values` inside their stage node.
+broadcast add, elementwise product, row concat, relu, row log-softmax, sum
+reduction, scalar scale, transpose, and row gather/slice for assembling
+windows from calendar-indexed features. Fused ops elsewhere in the package
+build their own nodes with `node` and `add_grad`, and so do the reference
+path's extra ops in `tests/reference.py`. `sigmoid` serves that reference
+too: the model's gates apply `sigmoid_values` inside their stage node.
 
 A backward that computes a fresh gradient array hands it to `add_grad`,
 which assigns it on the first write; one that passes on the upstream
@@ -37,6 +36,11 @@ def set_debug_checks(on: bool) -> None:
     """Enable NaN/Inf checks after every forward op (slow, for tests)."""
     global _debug_checks
     _debug_checks = bool(on)
+
+
+def grad_enabled() -> bool:
+    """Whether ops record the tape (False inside `no_grad`)."""
+    return _grad_enabled
 
 
 @contextlib.contextmanager
@@ -278,20 +282,6 @@ def transpose(a: Tensor) -> Tensor:
     return node(a.values.T.copy(), (a,), backward)
 
 
-def block_transpose(a: Tensor, block: int) -> Tensor:
-    """Transpose each block of `block` rows: (n*block) x c -> (n*c) x block."""
-    a = _as_tensor(a)
-    if block < 1 or a.rows % block:
-        raise ShapeError(f"{a.rows} rows not divisible into blocks of {block}")
-    n, c = a.rows // block, a.cols
-    out_vals = a.values.reshape(n, block, c).transpose(0, 2, 1).reshape(n * c, block)
-
-    def backward(g):
-        add_grad(a, g.reshape(n, c, block).transpose(0, 2, 1).reshape(n * block, c))
-
-    return node(out_vals, (a,), backward)
-
-
 def concat_rows(parts: list[Tensor]) -> Tensor:
     parts = [_as_tensor(p) for p in parts]
     ncols = {p.cols for p in parts}
@@ -305,23 +295,6 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
             if p.requires_grad:
                 p._ensure_grad()
                 p.grad += g[lo:hi]
-
-    return node(out_vals, tuple(parts), backward)
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    parts = [_as_tensor(p) for p in parts]
-    nrows = {p.rows for p in parts}
-    if len(nrows) != 1:
-        raise ShapeError(f"concat_cols: row counts differ: {sorted(nrows)}")
-    out_vals = np.concatenate([p.values for p in parts], axis=1)
-    offsets = np.cumsum([0] + [p.cols for p in parts])
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                p._ensure_grad()
-                p.grad += g[:, lo:hi]
 
     return node(out_vals, tuple(parts), backward)
 

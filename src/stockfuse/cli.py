@@ -29,10 +29,9 @@ from .data import (
 from .embed import ProviderConfig, build_embedding_table
 from .errors import CheckpointError, ConfigError, DataError, NumericError, ProviderError, ShapeError
 from .evaluation import run_variant, stability_report, write_reports, write_stability
-from .metrics import accuracy, confusion_matrix, mcc
 from .model import PackedPanel
 from .synth import synth_dataset, write_synth_files
-from .training import evaluate_part, model_from_checkpoint, train_model
+from .training import evaluate_part, model_from_checkpoint, score_part, train_model
 
 log = logging.getLogger(__name__)
 
@@ -242,12 +241,12 @@ def _checkpoint_and_split(args):
 
 def _cmd_eval(args) -> int:
     model, ckpt, split, packed = _checkpoint_and_split(args)
-    cm = confusion_matrix(split.test.label, model.predict_part(packed, split.test))
+    test_acc, test_mcc, cm = score_part(model, packed, split.test)
     result = {
         "variant": ckpt.variant,
         "n_test": len(split.test),
-        "test_acc": accuracy(cm),
-        "test_mcc": mcc(cm),
+        "test_acc": test_acc,
+        "test_mcc": test_mcc,
         "confusion": cm.tolist(),
     }
     print(json.dumps(result, indent=2, sort_keys=True))

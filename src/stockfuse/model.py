@@ -8,9 +8,10 @@ blocks. The row-level work of each fusion stage layer is one tape node with
 a hand-derived backward, `block_cross_attention`: attention (or the glu
 map), the gate's two affine maps, sigmoid and product. Its d x d' weights
 are folded into d x d maps by ordinary tape ops, which also carry the
-gradient back to the stored factors. The time reduction transposes each
-window and runs the time layers as generic affine ops over (window,
-feature) rows. The d'-wide pre-gate feature is recomputed only for
+gradient back to the stored factors. The time reduction of both branches,
+the fused features and the indicator features, is one more such node,
+`block_reduce_time`, which runs the time layers on every window's t x d
+block at once. The d'-wide pre-gate feature is recomputed only for
 `diagnostics=True`. The per-window reference forward that pins this path
 for every variant lives in `tests/reference.py`.
 
@@ -309,9 +310,7 @@ class TrimodalModel:
             fused, diag["stage2"] = self._fuse_blocks(
                 fused, g_w, fused, self.stages[1], t, diagnostics
             )
-        h_fused = block_reduce_time(fused, self.pred, t)
-        h_ind = block_reduce_time(q_i, self.pred, t)
-        logits = aggregate_features(ad.concat_cols([h_fused, h_ind]), self.pred)
+        logits = aggregate_features(block_reduce_time(fused, q_i, self.pred, t), self.pred)
         if diagnostics:
             return logits, diag
         return logits

@@ -17,8 +17,9 @@ ReLU (version 1) from this one. Version 2 stored every attention and graph
 attention head as its own parameters; version 3 stores each multi-head
 projection as one matrix, the heads side by side.
 
-The model runs the time MLP as `block_reduce_time` over row-stacked windows
-and the feature MLP as `aggregate_features` over one row per window.
+The model runs the time MLP on both branches as one tape node,
+`block_reduce_time`, over row-stacked windows, and the feature MLP as
+`aggregate_features` over one row per window.
 """
 
 from __future__ import annotations
@@ -79,17 +80,66 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
     return ad.scale(ad.sum_all(ad.mul(logp, Tensor(onehot))), -1.0 / max(1, labels.size))
 
 
-def block_reduce_time(x_st: Tensor, params: PredictorParams, block: int) -> Tensor:
-    """The time stack over stacked windows: (B*block) x d -> B x d.
+def block_reduce_time(
+    fused: Tensor, q_i: Tensor, params: PredictorParams, ws: int
+) -> Tensor:
+    """The time stack over both branches of B stacked windows: B x 2d.
 
-    Each window is transposed into d rows of its `block` time steps, so the
-    time layers run as affine maps over all B*d rows at once; the B x 1 x d
-    result is transposed back to one row per window. The per-window
-    reference is in `tests/reference.py`.
+    `fused` and `q_i` are (B*ws) x d, window after window; columns [0, d)
+    of the result reduce `fused`, [d, 2d) reduce `q_i`. One tape node runs
+    the shared time layers on each branch in turn, on the B x ws x d view
+    of its rows: each layer is one broadcast matmul W^T H over all windows
+    plus the bias as a column, so the last layer's B x 1 x d is already the
+    branch's B x d block and neither direction copies or transposes a
+    window.
+
+    While the tape records, the node saves each branch's two hidden
+    activations, whose signs are the ReLU masks, and nothing of either
+    input: the first layer's weight gradient reads the input tensor, a tape
+    parent, and each input gradient is written in window rows. A branch
+    that needs no gradient, such as the constant zeros that
+    `drop_indicators` passes, gets none. The per-window reference is in
+    `tests/reference.py`.
     """
-    h = ad.block_transpose(x_st, block)  # (B*d) x block
-    for i, (w, b) in enumerate(params.time_layers):
-        h = ad.affine(h, w.tensor, b.tensor)
-        if i < len(params.time_layers) - 1:
-            h = ad.relu(h)
-    return ad.block_transpose(h, x_st.cols)  # (B*d) x 1 -> B x d
+    if fused.shape != q_i.shape:
+        raise ShapeError(f"time reduction branches differ in shape: {fused.shape}, {q_i.shape}")
+    rows, d = fused.shape
+    if ws < 1 or rows % ws:
+        raise ShapeError(f"{rows} rows not divisible into windows of {ws}")
+    layers = [(w.tensor, b.tensor) for w, b in params.time_layers]
+    if layers[0][0].rows != ws:
+        raise ShapeError(f"time stack reads windows of {layers[0][0].rows}, got {ws}")
+    n = rows // ws
+    last = len(layers) - 1
+
+    keep = ad.grad_enabled()
+    blocks, hidden = [], []
+    for x in (fused, q_i):
+        h = x.values.reshape(n, ws, d)
+        acts = []
+        for i, (w, b) in enumerate(layers):
+            h = np.matmul(w.values.T, h)
+            h += b.values.T
+            if i < last:
+                np.maximum(h, 0, out=h)
+                acts.append(h)
+        blocks.append(h.reshape(n, d))
+        hidden.append(acts if keep else None)
+
+    def backward(g):
+        for k, x in enumerate((fused, q_i)):
+            acts = hidden[k]
+            g_h = g[:, None, k * d : (k + 1) * d]  # B x 1 x d
+            for i in range(last, -1, -1):
+                w, b = layers[i]
+                h_in = acts[i - 1] if i else x.values.reshape(n, ws, d)
+                ad.add_grad(w, np.matmul(h_in, g_h.transpose(0, 2, 1)).sum(axis=0))
+                ad.add_grad(b, g_h.sum(axis=0).sum(axis=1).reshape(1, -1))
+                if i:
+                    g_h = np.matmul(w.values, g_h)
+                    g_h *= h_in > 0
+                elif x.requires_grad:
+                    ad.add_grad(x, np.matmul(w.values, g_h).reshape(rows, d))
+
+    parents = [fused, q_i] + [t for pair in layers for t in pair]
+    return ad.node(np.concatenate(blocks, axis=1), parents, backward)

@@ -117,11 +117,22 @@ def _param_norm_report(params) -> str:
     return f"total param norm {total:.3e}; largest: {top}"
 
 
+def score_part(
+    model: TrimodalModel, packed: PackedPanel, refs
+) -> tuple[float, float, np.ndarray]:
+    """(accuracy, MCC, confusion matrix) of the model's predictions on window refs.
+
+    An empty part raises DataError.
+    """
+    cm = confusion_matrix(refs.label, model.predict_part(packed, refs))
+    return accuracy(cm), mcc(cm), cm
+
+
 def evaluate_part(model: TrimodalModel, packed: PackedPanel, refs) -> tuple[float, float]:
+    """(accuracy, MCC) on window refs; NaN for an empty part."""
     if len(refs) == 0:
         return float("nan"), float("nan")
-    cm = confusion_matrix(refs.label, model.predict_part(packed, refs))
-    return accuracy(cm), mcc(cm)
+    return score_part(model, packed, refs)[:2]
 
 
 def train_model(

@@ -44,6 +44,18 @@ def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
     return ad.node(a.values[:, lo:hi].copy(), (a,), backward)
 
 
+def concat_cols(parts: list[Tensor]) -> Tensor:
+    offsets = np.cumsum([0] + [p.cols for p in parts])
+
+    def backward(g):
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if p.requires_grad:
+                p._ensure_grad()
+                p.grad += g[:, lo:hi]
+
+    return ad.node(np.concatenate([p.values for p in parts], axis=1), parts, backward)
+
+
 def leaky_relu(a: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
     factor = np.where(a.values > 0, 1.0, slope).astype(a.values.dtype)
     return ad.node(a.values * factor, (a,), lambda g: ad.add_grad(a, g * factor))
@@ -152,7 +164,7 @@ def reduce_time(x: Tensor, pred) -> Tensor:
 
 def aggregate_time(fused: Tensor, indicators: Tensor, pred) -> Tensor:
     """Both branches' time reductions side by side, 1 x 2d."""
-    return ad.concat_cols([reduce_time(fused, pred), reduce_time(indicators, pred)])
+    return concat_cols([reduce_time(fused, pred), reduce_time(indicators, pred)])
 
 
 def forward_sample(model, packed, stock: int, start: int):

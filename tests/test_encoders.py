@@ -120,7 +120,7 @@ def composed_indicators(x: Tensor, params: IndicatorEncoderParams) -> Tensor:
              (params.w_high, params.b_high)]
         )
     ]
-    return ad.add(ad.matmul(ad.concat_cols(lifted), params.w_mix.tensor), params.b_mix.tensor)
+    return ad.add(ad.matmul(ref.concat_cols(lifted), params.w_mix.tensor), params.b_mix.tensor)
 
 
 class TestFoldedIndicatorEncoder:

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from perfbench.trace import Tracer, instrumented
 from stockfuse.autodiff import grad_check
 from stockfuse.config import VARIANTS, TrainConfig
 from stockfuse.data import build_dataset
@@ -240,3 +241,40 @@ def test_float32_numerics_contract(contract_batch, variant):
             assert g32.dtype == np.float32, p32.name
             err, scale = np.abs(g32 - g64).max(), np.abs(g64).max()
             assert err <= 1e-4 * scale, (p32.name, err, scale)
+
+
+def full_contract_model(panel, graph):
+    cfg = TrainConfig(d=16, ws=10, heads=2, head_dim=12, gat_heads=2, seed=4)
+    return TrimodalModel(cfg, doc_dim=16), PackedPanel.from_panel(panel, graph)
+
+
+def test_full_loss_tape_size(contract_batch):
+    """One `full` loss_batch records 40 op nodes; every parameter is a leaf.
+
+    The time reduction of both branches is one node. As two chains of 7
+    generic ops plus a concat it made the tape 14 nodes longer (54), so a
+    change to this count should be a deliberate one.
+    """
+    panel, graph, batch = contract_batch
+    model, packed = full_contract_model(panel, graph)
+    loss, _ = model.loss_batch(packed, batch)
+    nodes = tape_nodes(loss)
+    ops = [node for node in nodes if node._backward is not None]
+    assert len(ops) == 40
+    assert len(nodes) - len(ops) == len(model.params)
+
+
+def test_traced_loss_batch_records_reduce_time_spans(contract_batch):
+    """The benchmark's tracer times `model.block_reduce_time` by that name and
+    charges its backward through `autodiff.node`, so both spans appear once."""
+    panel, graph, batch = contract_batch
+    model, packed = full_contract_model(panel, graph)
+    tracer = Tracer()
+    with instrumented(tracer):
+        loss, _ = model.loss_batch(packed, batch)
+        loss.backward()
+    names = [span.name for span in tracer.spans]
+    assert names.count("predictor.reduce_time") == 1
+    assert names.count("predictor.reduce_time.bwd") == 1
+    recorded = sum(c.value for c in tracer.counts if c.name == "autodiff.tape_nodes")
+    assert recorded == 40

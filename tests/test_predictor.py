@@ -57,7 +57,7 @@ def test_width_clamp_warns(caplog):
 
 def both_branches(fused, ind, params, t):
     """The model's time reduction of both branches side by side, B x 2d."""
-    return ad.concat_cols([block_reduce_time(x, params, t) for x in (fused, ind)])
+    return block_reduce_time(fused, ind, params, t)
 
 
 class TestAggregateTime:
@@ -115,8 +115,58 @@ class TestAggregateTime:
 
     def test_window_length_checked(self, rng):
         params = make_params(5, 3, rng)
+        x = Tensor(np.zeros((6, 3)))
         with pytest.raises(ShapeError):
-            block_reduce_time(Tensor(np.zeros((6, 3))), params, 6)
+            block_reduce_time(x, x, params, 6)
+
+    def test_rows_not_whole_windows(self, rng):
+        params = make_params(5, 3, rng)
+        x = Tensor(np.zeros((12, 3)))
+        with pytest.raises(ShapeError, match="12 rows"):
+            block_reduce_time(x, x, params, 5)
+
+    def test_branch_shapes_must_agree(self, rng):
+        params = make_params(5, 3, rng)
+        with pytest.raises(ShapeError, match="differ"):
+            block_reduce_time(Tensor(np.zeros((10, 3))), Tensor(np.zeros((10, 2))), params, 5)
+        with pytest.raises(ShapeError, match="differ"):
+            block_reduce_time(Tensor(np.zeros((10, 3))), Tensor(np.zeros((5, 3))), params, 5)
+
+    def test_constant_zero_branch_gets_no_gradient(self, rng):
+        """The indicator branch of `drop_indicators` is a constant zero tensor:
+        the node writes it no gradient, and the time weights still get the
+        zero branch's share, as in the per-window reference."""
+        t, d, B = 5, 3, 4
+        params = make_params(t, d, rng)
+        time_params = [p for pair in params.time_layers for p in pair]
+        fused = P("fused", rng.normal(size=(B * t, d)))
+        zeros = Tensor(np.zeros((B * t, d)))
+        out = block_reduce_time(fused.tensor, zeros, params, t)
+        ad.sum_all(out).backward()
+        assert zeros.grad is None
+        got = [p.tensor.grad.copy() for p in (fused, *time_params)]
+        for p in (fused, *time_params):
+            p.zero_grad()
+        for b in range(B):
+            win = ad.slice_rows(fused.tensor, b * t, (b + 1) * t)
+            h = ref.aggregate_time(win, Tensor(np.zeros((t, d))), params)
+            npt.assert_allclose(out.values[b], h.values[0], rtol=0, atol=1e-12)
+            ad.sum_all(h).backward()
+        for g, p in zip(got, (fused, *time_params)):
+            npt.assert_allclose(g, p.tensor.grad, rtol=0, atol=1e-12)
+
+    def test_float32_stays_float32(self, rng):
+        t, d, B = 20, 4, 3
+        params = make_params(t, d, rng)
+        for p in ref.params_of(params):
+            p.tensor.values = p.values.astype(np.float32)
+        fused = Tensor(rng.normal(size=(B * t, d)).astype(np.float32), requires_grad=True)
+        ind = Tensor(rng.normal(size=(B * t, d)).astype(np.float32), requires_grad=True)
+        out = block_reduce_time(fused, ind, params, t)
+        assert out.values.dtype == np.float32
+        ad.sum_all(ad.mul(out, out)).backward()
+        for x in (fused, ind, *(p.tensor for pair in params.time_layers for p in pair)):
+            assert x.grad is not None and x.grad.dtype == np.float32
 
 
 class TestAggregateFeatures:
