@@ -325,15 +325,41 @@ def scatter_add_rows(target: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None
     target[sidx[boundaries]] += sums
 
 
+def distinct_columns(idx: np.ndarray) -> bool:
+    """Whether each column of a 2-D B x t window index holds distinct rows.
+
+    True when every row is column 0 shifted by the same offsets and column 0
+    is distinct: the layout of windows over a date-major calendar.
+    """
+    return (
+        idx.ndim == 2
+        and idx.size > 0
+        and np.array_equal(idx - idx[:, :1], np.broadcast_to(idx[:1] - idx[0, 0], idx.shape))
+        and np.unique(idx[:, 0]).size == idx.shape[0]
+    )
+
+
+def scatter_add_windows(target: np.ndarray, idx: np.ndarray, g: np.ndarray, by_column: bool):
+    """target[idx.flat] += g; one column of window rows at a time when `by_column`.
+
+    `by_column` must hold only if `distinct_columns(idx)`; otherwise the
+    repeated rows are summed by `scatter_add_rows`' sort.
+    """
+    if by_column:
+        g3 = g.reshape(idx.shape[0], idx.shape[1], -1)
+        for j in range(idx.shape[1]):
+            target[idx[:, j]] += g3[:, j]
+    else:
+        scatter_add_rows(target, idx.reshape(-1), g)
+
+
 def gather_rows(a: Tensor, idx) -> Tensor:
     """out[i] = a[idx.flat[i]]; repeated indices allowed (backward scatter-adds).
 
     `idx` is 1-D, or 2-D B x t for windows of t rows each, gathered in row
-    order. A 2-D index whose rows are all column 0 shifted by the same
-    offsets, with distinct rows in column 0, has distinct rows in every
-    column; that is the layout of windows over a date-major calendar. Its
-    backward then adds one column of gradient rows at a time, without the
-    sort that repeated indices need.
+    order. When each column holds distinct rows (`distinct_columns`), the
+    backward adds one column of gradient rows at a time, without the sort
+    that repeated indices need.
     """
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
@@ -341,27 +367,14 @@ def gather_rows(a: Tensor, idx) -> Tensor:
         raise ShapeError(f"gather_rows index must be 1-D or 2-D, got {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.rows):
         raise ShapeError(f"gather_rows index out of range for {a.shape}")
-    flat = idx.reshape(-1)
-    by_column = (
-        _grad_enabled
-        and a.requires_grad
-        and idx.ndim == 2
-        and idx.size > 0
-        and np.array_equal(idx - idx[:, :1], np.broadcast_to(idx[:1] - idx[0, 0], idx.shape))
-        and np.unique(idx[:, 0]).size == idx.shape[0]
-    )
+    by_column = _grad_enabled and a.requires_grad and distinct_columns(idx)
 
     def backward(g):
         if a.requires_grad:
             a._ensure_grad()
-            if by_column:
-                g3 = g.reshape(idx.shape[0], idx.shape[1], -1)
-                for j in range(idx.shape[1]):
-                    a.grad[idx[:, j]] += g3[:, j]
-            else:
-                scatter_add_rows(a.grad, flat, g)
+            scatter_add_windows(a.grad, idx, g, by_column)
 
-    return node(a.values[flat], (a,), backward)
+    return node(a.values[idx.reshape(-1)], (a,), backward)
 
 
 # ---------------------------------------------------------------------------

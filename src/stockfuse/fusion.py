@@ -1,12 +1,12 @@
 """Gated cross-attention fusion.
 
-Each stage fuses a guide modality with a key/value modality in two steps:
+Each stage fuses a query modality with a key/value modality in two steps:
 multi-head cross-attention produces a wide "unstable" feature (head score
 matrices are averaged, one shared row-softmax is applied, and the shared
 attention matrix hits every head's values), then a sigmoid gate computed
-from the guide selects what survives. Stage 1 fuses indicators with
+from the query selects what survives. Stage 1 fuses indicators with
 documents; stage 2 fuses that result with the graph features. The design
-chains: any stage's stable output is t x d and can guide another stage.
+chains: any stage's stable output is t x d and can be another stage's query.
 
 Each projection W_Q, W_K, W_V is stored as one d x d' matrix, d' = M*dh,
 head m in columns m*dh .. (m+1)*dh, the usual multi-head layout (Vaswani
@@ -35,6 +35,35 @@ about 1.8 GFLOP against 5.2 for the wide-head form. The fold costs more
 only if d' < d, which no shipped config uses. `block_unstable` recomputes
 the unstable feature off the tape from the returned attention weights, for
 diagnostics.
+
+The gate reads the query, yet x P and x W_b stay two GEMMs. One GEMM with
+[P | W_b] (d x 2d) leaves each product in strided columns of one array,
+and the elementwise gate work and the batched matmuls on those columns
+cost more than the merged GEMMs save: a whole `train_graph`-shaped float32
+step measured 181.7 ms merged against 177.6 ms split (medians of 120
+steps, 2 cores, one process alternating the two).
+
+Row-wise maps and per-window work. The maps of single rows are x P and the
+gate's sigmoid(x W_b + b_b) (on query rows) and y N (on key/value rows); the
+scores (x P) y^T, the softmax and the mixing A (y N) are per window. A
+batch's windows overlap when their starts are close (eval parts are
+consecutive starts), so its B*t window rows repeat few calendar rows: an
+`ingest_eval` batch gathers 46,000 window rows from ~4,300. An operand
+passed as calendar source rows with the B x t window index therefore runs
+its row-wise maps once per source row and gathers only the products (and
+y itself, which the scores read); backward sums the window-row gradients
+into source rows (`ad.scatter_add_windows`: one index column at a time
+unless a window repeats) and runs the input- and weight-gradient GEMMs on
+the source rows. Stage 1's query and key/value are calendar rows, so both
+sides take this form; stage 2 reads stage 1's window output as its query,
+so only y N runs on source rows there. The model takes this form when the calendar slab has
+fewer rows than the batch gathers, and gathers windows first otherwise. A
+shuffled training batch spans most of the calendar (~24,600-29,600 slab
+rows against 20,480 window rows on `train_graph`), so it keeps the gathered
+form: compacting it to its unique rows instead made stage 1's forward plus
+backward slower on 2 cores, 63 -> 78 ms in float32 and 124 -> 151 ms in
+float64, because the four scatters cost more than the third of the GEMM
+rows they save.
 """
 
 from __future__ import annotations
@@ -84,67 +113,100 @@ class FusionStageParams:
     glu: Parameter | None = None  # d x d', used only by the glu_fusion variant
 
 
+def _to_source(g: np.ndarray, index: np.ndarray | None, n_rows: int) -> np.ndarray:
+    """Window-row gradient `g` summed into the `n_rows` source rows it was gathered from."""
+    if index is None:
+        return g
+    out = np.zeros((n_rows, g.shape[1]), dtype=g.dtype)
+    ad.scatter_add_windows(out, index, g, ad.distinct_columns(index))
+    return out
+
+
+def _operand_index(x: Tensor, index, rows: int, block: int, name: str) -> np.ndarray | None:
+    """The checked B x block index of a source-row operand; None for window rows."""
+    if index is None:
+        if x.rows != rows:
+            raise ShapeError(f"{name} has {x.rows} window rows, expected {rows}")
+        return None
+    index = np.asarray(index, dtype=np.intp)
+    if index.shape != (rows // block, block):
+        raise ShapeError(f"{name} index {index.shape} is not {rows // block} windows of {block}")
+    if index.size and (index.min() < 0 or index.max() >= x.rows):
+        raise ShapeError(f"{name} index out of range for {x.rows} source rows")
+    return index
+
+
 def block_cross_attention(
     query_st: Tensor,
     kv_st: Tensor,
-    guide_st: Tensor,
     stage: FusionStageParams,
     block: int,
     gated: bool = True,
+    query_index: np.ndarray | None = None,
+    kv_index: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor | None, np.ndarray | None]:
     """One gated cross-attention stage layer on each block of `block` rows, as one tape node.
 
-    Rows are B windows stacked as (B*block) x d. The mixing is attention,
-    or the glu_fusion linear map when `stage.glu` is set. With `gated=False`
-    (ca_fusion) the output is the pre-gate projection h and the guide is not
-    read. Both d x d' maps are folded on the tape into d x d products before
-    any row is touched (see the module docstring), so no row array is wider
+    Windows are B blocks of `block` rows, (B*block) x d stacked. An operand
+    given with an index is source rows read through that B x block index:
+    its row-wise maps run on the source rows and their products are
+    gathered into window rows (see the module docstring). The mixing is
+    attention, or the glu_fusion linear map when `stage.glu` is set. The
+    gate reads the query; with `gated=False` (ca_fusion) the output is the
+    pre-gate projection h. Both d x d' maps are folded on the tape into
+    d x d products before any row is touched, so no row array is wider
     than d; the node's backward stops at the folded maps.
 
     Returns (stable, gate, attn): the (B*block) x d output node, the gate as
-    a plain value (None when ungated) and the B x block x block attention
-    weights (None for glu_fusion). Matches the per-window reference stage up
-    to the order of floating-point sums.
+    window rows of plain values (None when ungated) and the B x block x
+    block attention weights (None for glu_fusion). Matches the per-window
+    reference stage up to the order of floating-point sums.
     """
-    rows = kv_st.rows
-    if query_st.rows != rows or guide_st.rows != rows or rows % block:
-        raise ShapeError(
-            f"stacked query {query_st.shape}, kv {kv_st.shape} and guide {guide_st.shape} "
-            f"not divisible into the same blocks of {block}"
-        )
     if query_st.cols != kv_st.cols:
         raise ShapeError(f"query {query_st.shape} and kv {kv_st.shape} widths differ")
-    n_blocks = rows // block
+    index = query_index if kv_index is None else kv_index
+    rows = kv_st.rows if index is None else np.size(index)
+    if rows % block:
+        raise ShapeError(f"{rows} window rows not divisible into blocks of {block}")
+    q_idx = _operand_index(query_st, query_index, rows, block, "query")
+    kv_idx = _operand_index(kv_st, kv_index, rows, block, "kv")
+    n_blocks, d = rows // block, kv_st.cols
     gate_p, attn_p = stage.gate, stage.attn
     glu = stage.glu is not None
     mix = stage.glu if glu else attn_p.wv  # d x d'
     n_node = ad.matmul(mix.tensor, gate_p.w_a.tensor)  # d x d
-    w_b = gate_p.w_b.values
-    x, y, guide = query_st.values, kv_st.values, guide_st.values
     n_fold = n_node.values
-    if glu:
-        attn = None
-        h = y @ n_fold
-    else:
+    x, y = query_st.values, kv_st.values
+
+    def windows(values, idx):
+        return values if idx is None else values[idx.reshape(-1)]
+
+    if not glu:
         p_node = ad.scale(
             ad.matmul(attn_p.wq.tensor, ad.transpose(attn_p.wk.tensor)), attn_p.score_scale
         )  # d x d
         p_fold = p_node.values
-        xp3 = (x @ p_fold).reshape(n_blocks, block, -1)
-        y3 = y.reshape(n_blocks, block, -1)
-        yn3 = (y @ n_fold).reshape(n_blocks, block, -1)
+    w_b = gate_p.w_b.values
+    gate = None
+    if gated:
+        pre = x @ w_b
+        pre += gate_p.b_b.values
+        gate = windows(ad.sigmoid_values(pre), q_idx)
+    if glu:
+        attn = None
+        h = windows(y @ n_fold, kv_idx)
+    else:
+        xp3 = windows(x @ p_fold, q_idx).reshape(n_blocks, block, d)
+        y3 = windows(y, kv_idx).reshape(n_blocks, block, d)
+        yn3 = windows(y @ n_fold, kv_idx).reshape(n_blocks, block, d)
         attn = xp3 @ y3.transpose(0, 2, 1)  # b x t x s
         attn -= attn.max(axis=2, keepdims=True)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=2, keepdims=True)
-        h = (attn @ yn3).reshape(rows, -1)
+        h = (attn @ yn3).reshape(rows, d)
     h += gate_p.b_a.values
     out = h
-    gate = None
     if gated:
-        pre = guide @ w_b
-        pre += gate_p.b_b.values
-        gate = ad.sigmoid_values(pre)
         out *= gate
 
     def backward(g):
@@ -153,49 +215,63 @@ def block_cross_attention(
             d_h = g * gate
             d_pre = g - d_h  # g * h * gate * (1 - gate) = (g - g * gate) * out
             d_pre *= out
-            if guide_st.requires_grad:
-                ad.add_grad(guide_st, d_pre @ w_b.T)
-            ad.add_grad(gate_p.w_b.tensor, guide.T @ d_pre)
             ad.add_grad(gate_p.b_b.tensor, d_pre.sum(axis=0, keepdims=True))
+            d_pre = _to_source(d_pre, q_idx, len(x))
+            if query_st.requires_grad:
+                ad.add_grad(query_st, d_pre @ w_b.T)
+            ad.add_grad(gate_p.w_b.tensor, x.T @ d_pre)
         ad.add_grad(gate_p.b_a.tensor, d_h.sum(axis=0, keepdims=True))
+        d_y = None
         if glu:
             d_yn = d_h
-            if kv_st.requires_grad:
-                ad.add_grad(kv_st, d_h @ n_fold.T)
         else:
-            d_h3 = d_h.reshape(yn3.shape)
+            d_h3 = d_h.reshape(n_blocks, block, d)
             d_s = d_h3 @ yn3.transpose(0, 2, 1)
-            d_yn = (attn.transpose(0, 2, 1) @ d_h3).reshape(rows, -1)
+            d_yn = (attn.transpose(0, 2, 1) @ d_h3).reshape(rows, d)
             d_s -= (d_s * attn).sum(axis=2, keepdims=True)
             d_s *= attn
-            d_xp = (d_s @ y3).reshape(rows, -1)
+            d_xp = _to_source((d_s @ y3).reshape(rows, d), q_idx, len(x))
             if query_st.requires_grad:
                 ad.add_grad(query_st, d_xp @ p_fold.T)
             if kv_st.requires_grad:
-                d_y = (d_s.transpose(0, 2, 1) @ xp3).reshape(rows, -1)
-                d_y += d_yn @ n_fold.T
-                ad.add_grad(kv_st, d_y)
+                d_y = _to_source((d_s.transpose(0, 2, 1) @ xp3).reshape(rows, d), kv_idx, len(y))
             ad.add_grad(p_node, x.T @ d_xp)
+        d_yn = _to_source(d_yn, kv_idx, len(y))
+        if kv_st.requires_grad:
+            d_kv = d_yn @ n_fold.T
+            if d_y is not None:
+                d_kv += d_y
+            ad.add_grad(kv_st, d_kv)
         ad.add_grad(n_node, y.T @ d_yn)
 
     parents = [kv_st, n_node, gate_p.b_a.tensor]
+    if gated or not glu:
+        parents.append(query_st)
     if not glu:
-        parents += [query_st, p_node]
+        parents.append(p_node)
     if gated:
-        parents += [guide_st, gate_p.w_b.tensor, gate_p.b_b.tensor]
+        parents += [gate_p.w_b.tensor, gate_p.b_b.tensor]
     stable = ad.node(out, parents, backward)
     return stable, None if gate is None else Tensor(gate), attn
 
 
-def block_unstable(kv_st: Tensor, stage: FusionStageParams, attn: np.ndarray | None) -> Tensor:
-    """A stage's d'-wide pre-gate feature as a plain value, for diagnostics.
+def block_unstable(
+    kv_st: Tensor,
+    stage: FusionStageParams,
+    attn: np.ndarray | None,
+    kv_index: np.ndarray | None = None,
+) -> Tensor:
+    """A stage's d'-wide pre-gate feature as window rows of plain values, for diagnostics.
 
     Recomputed from the attention weights block_cross_attention returned
     (`attn`, None for glu_fusion): the stage op itself never forms it.
+    `kv_st` and `kv_index` are the key/value operand as that call read it.
     """
-    y = kv_st.values
-    if stage.glu is not None:
-        return Tensor(y @ stage.glu.values)
-    v3 = (y @ stage.attn.wv.values).reshape(*attn.shape[:2], -1)
-    return Tensor((attn @ v3).reshape(kv_st.rows, -1))
-
+    glu = stage.glu is not None
+    v = kv_st.values @ (stage.glu if glu else stage.attn.wv).values
+    if kv_index is not None:
+        v = v[np.asarray(kv_index, dtype=np.intp).reshape(-1)]
+    if glu:
+        return Tensor(v)
+    v3 = v.reshape(*attn.shape[:2], -1)
+    return Tensor((attn @ v3).reshape(len(v), -1))

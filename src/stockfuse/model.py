@@ -1,14 +1,18 @@
 """Full trimodal model: parameters, batched forward pass, variant wiring.
 
 The batched forward works on a date-major packing of the panel: all stocks'
-feature rows for one calendar date sit together, so the indicator encoder
-runs once over the whole calendar, the graph encoder runs once per date, and
-every window is just a row-gather. Windows are then processed as row-stacked
-blocks. The row-level work of each fusion stage layer is one tape node with
-a hand-derived backward, `block_cross_attention`: attention (or the glu
-map), the gate's two affine maps, sigmoid and product. Its d x d' weights
-are folded into d x d maps by ordinary tape ops, which also carry the
-gradient back to the stored factors. The time reduction of both branches,
+feature rows for one calendar date sit together, so the encoders run once
+over the calendar slab the batch spans (the graph encoder once per date),
+and a window is a B x t row index into that slab. Windows are processed as
+row-stacked blocks. The row-level work of each fusion stage layer is one
+tape node with a hand-derived backward, `block_cross_attention`: attention
+(or the glu map), the gate's two affine maps, sigmoid and product. Its
+d x d' weights are folded into d x d maps by ordinary tape ops, which also
+carry the gradient back to the stored factors. When the slab has fewer
+rows than the batch's windows (overlapping windows, as in eval), the
+stages read the slab's rows through the window index and run their
+row-wise maps once per slab row; otherwise the windows are gathered first
+(see the `fusion` module docstring). The time reduction of both branches,
 the fused features and the indicator features, is one more such node,
 `block_reduce_time`, which runs the time layers on every window's t x d
 block at once. The d'-wide pre-gate feature is recomputed only for
@@ -27,7 +31,7 @@ Variant wiring:
   drop_graph       no graph features; stage 2 skipped
   drop_indicators  indicator features zeroed, so the graph encoder has no
                    input and stage 2 is skipped; documents serve as the
-                   stage-1 query/guide
+                   stage-1 query
 
 A variant builds and gathers only the modalities it reads.
 """
@@ -266,17 +270,27 @@ class TrimodalModel:
             vg_cal = block_gat_encode(vi_cal, packed.neighbors, self.gat)
         return vi_cal, vd_cal, vg_cal
 
-    def _fuse_blocks(self, query, kv, guide, stage: FusionStageParams, block: int, diagnostics):
-        """Stable output of a stage; with diagnostics also (unstable, stable, gate)."""
+    def _fuse_blocks(self, query, kv, stage: FusionStageParams, block: int, diagnostics):
+        """Stable output of a stage; with diagnostics also (unstable, stable, gate).
+
+        `query` and `kv` are (tensor, index) pairs: window rows with index
+        None, or calendar rows read through the B x t window index (see
+        `forward_batch`). Every layer reads `kv` as given; layers after the
+        first read the previous layer's window rows as their query. The
+        diagnostics are window rows.
+        """
         gated = self.variant != "ca_fusion"
+        (q, q_idx), (kv, kv_idx) = query, kv
         for _ in range(max(1, self.cfg.fusion_layers)):
-            stable, gate, attn = block_cross_attention(query, kv, guide, stage, block, gated)
-            query = guide = stable
+            stable, gate, attn = block_cross_attention(
+                q, kv, stage, block, gated, query_index=q_idx, kv_index=kv_idx
+            )
+            q, q_idx = stable, None
         if not diagnostics:
             return stable, None
         if gate is None:
             gate = Tensor(np.ones_like(stable.values))
-        return stable, (block_unstable(kv, stage, attn), stable, gate)
+        return stable, (block_unstable(kv, stage, attn, kv_idx), stable, gate)
 
     def forward_batch(
         self,
@@ -285,7 +299,13 @@ class TrimodalModel:
         start: np.ndarray,
         diagnostics: bool = False,
     ):
-        """Logits (B x 3) for B windows; optionally per-stage fusion tensors."""
+        """Logits (B x 3) for B windows; optionally per-stage fusion tensors.
+
+        The stages read the calendar features through the B x t window index
+        when the calendar slab has fewer rows than the batch gathers, as it
+        has when windows overlap (consecutive starts, as in eval); otherwise
+        they read gathered window rows.
+        """
         t = self.cfg.ws
         n = packed.n_stocks
         stock_idx = np.asarray(stock_idx, dtype=np.intp)
@@ -294,23 +314,29 @@ class TrimodalModel:
         hi = int(start.max()) + t
         vi_cal, vd_cal, vg_cal = self._calendar_features(packed, lo * n, hi * n)
         idx = (start[:, None] - lo + np.arange(t)[None, :]) * n + stock_idx[:, None]  # B x t
+        from_source = (hi - lo) * n < idx.size
+
+        def operand(cal):  # a calendar feature as a stage reads it
+            return (cal, idx) if from_source else (ad.gather_rows(cal, idx), None)
+
         if vi_cal is None:  # drop_indicators: the indicator branch reads zeros
             q_i = Tensor(np.zeros((idx.size, self.cfg.d), dtype=self.cfg.dtype))
         else:
             q_i = ad.gather_rows(vi_cal, idx)
-        fused, diag = q_i, {}
+        fused = (vi_cal, idx) if from_source and vi_cal is not None else (q_i, None)
+        diag = {}
         if vd_cal is not None:
-            d_w = ad.gather_rows(vd_cal, idx)
-            query = d_w if vi_cal is None else q_i
-            fused, diag["stage1"] = self._fuse_blocks(
-                query, d_w, query, self.stages[0], t, diagnostics
+            docs = operand(vd_cal)
+            stable, diag["stage1"] = self._fuse_blocks(
+                docs if vi_cal is None else fused, docs, self.stages[0], t, diagnostics
             )
+            fused = (stable, None)
         if vg_cal is not None:
-            g_w = ad.gather_rows(vg_cal, idx)
-            fused, diag["stage2"] = self._fuse_blocks(
-                fused, g_w, fused, self.stages[1], t, diagnostics
+            stable, diag["stage2"] = self._fuse_blocks(
+                fused, operand(vg_cal), self.stages[1], t, diagnostics
             )
-        logits = aggregate_features(block_reduce_time(fused, q_i, self.pred, t), self.pred)
+            fused = (stable, None)
+        logits = aggregate_features(block_reduce_time(fused[0], q_i, self.pred, t), self.pred)
         if diagnostics:
             return logits, diag
         return logits

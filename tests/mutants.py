@@ -1,0 +1,200 @@
+"""Hand-made mutants of the hand-written backward code, each run against its pins.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py gat        # the mutants whose name contains "gat"
+    python tests/mutants.py --list
+
+Run it from the root of a source checkout. It copies `src/`, `tests/` and
+`perfbench/` into a temporary directory, checks that the pinning tests pass
+there unmutated, then applies one mutant at a time (an exact text
+replacement that must match once in its file) and runs that mutant's pins
+with pytest. A mutant is caught when its pins fail. The script prints one
+line per mutant and exits 1 if any mutant survives, no longer applies, or
+breaks collection instead of failing a test.
+
+The file is not named `test_*.py`, so the tier-1 run does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+FUSION = "src/stockfuse/fusion.py"
+AUTODIFF = "src/stockfuse/autodiff.py"
+ENCODERS = "src/stockfuse/encoders.py"
+PREDICTOR = "src/stockfuse/predictor.py"
+
+STAGE_PINS = (
+    "tests/test_fusion.py::TestBlockCrossAttention",
+    "tests/test_fusion.py::TestBlockGatedSelection",
+    "tests/test_fusion.py::TestSourceRows",
+    "tests/test_model.py::test_model_grad_check_through_source_rows",
+)
+GAT_PINS = ("tests/test_encoders.py::TestBlockGat",)
+TIME_PINS = (
+    "tests/test_predictor.py::TestAggregateTime",
+    "tests/test_predictor.py::test_block_reduce_time_matches_per_window",
+)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    pins: tuple[str, ...]
+
+
+MUTANTS = [
+    # block_cross_attention: gate, softmax, folded maps, source-row scatter
+    Mutant("stage: gate derivative without h", FUSION,
+           "            d_pre *= out\n", "            d_pre *= gate\n", STAGE_PINS),
+    Mutant("stage: h gradient not scaled by the gate", FUSION,
+           "            d_h = g * gate\n", "            d_h = g.copy()\n", STAGE_PINS),
+    Mutant("stage: gate bias gradient from d_h", FUSION,
+           "ad.add_grad(gate_p.b_b.tensor, d_pre.sum(axis=0, keepdims=True))",
+           "ad.add_grad(gate_p.b_b.tensor, d_h.sum(axis=0, keepdims=True))", STAGE_PINS),
+    Mutant("stage: no softmax row term", FUSION,
+           "            d_s -= (d_s * attn).sum(axis=2, keepdims=True)\n",
+           "            d_s -= 0.0\n", STAGE_PINS),
+    Mutant("stage: mixing gradient without the attention transpose", FUSION,
+           "d_yn = (attn.transpose(0, 2, 1) @ d_h3)", "d_yn = (attn @ d_h3)", STAGE_PINS),
+    Mutant("stage: kv score gradient without the transpose", FUSION,
+           "(d_s.transpose(0, 2, 1) @ xp3)", "(d_s @ xp3)", STAGE_PINS),
+    Mutant("stage: kv score gradient dropped", FUSION,
+           "                d_kv += d_y\n", "                d_kv += 0.0 * d_y\n", STAGE_PINS),
+    Mutant("stage: query gradient without the gate term", FUSION,
+           "ad.add_grad(query_st, d_pre @ w_b.T)",
+           "ad.add_grad(query_st, 0.0 * (d_pre @ w_b.T))", STAGE_PINS),
+    Mutant("stage: W_b's gradient reads the kv rows", FUSION,
+           "ad.add_grad(gate_p.w_b.tensor, x.T @ d_pre)",
+           "ad.add_grad(gate_p.w_b.tensor, y.T @ d_pre)", STAGE_PINS),
+    Mutant("stage: P's gradient reads the kv rows", FUSION,
+           "ad.add_grad(p_node, x.T @ d_xp)", "ad.add_grad(p_node, y.T @ d_xp)", STAGE_PINS),
+    Mutant("stage: N's gradient reads the query rows", FUSION,
+           "ad.add_grad(n_node, y.T @ d_yn)", "ad.add_grad(n_node, x.T @ d_yn)", STAGE_PINS),
+    Mutant("stage: query score gradient scattered through the kv index", FUSION,
+           "d_xp = _to_source((d_s @ y3).reshape(rows, d), q_idx, len(x))",
+           "d_xp = _to_source((d_s @ y3).reshape(rows, d), kv_idx if q_idx is None else q_idx,"
+           " len(x))", STAGE_PINS),
+    Mutant("stage: gate gradient left in window rows", FUSION,
+           "            d_pre = _to_source(d_pre, q_idx, len(x))\n", "", STAGE_PINS),
+    Mutant("stage: repeated windows scattered by column", FUSION,
+           "ad.scatter_add_windows(out, index, g, ad.distinct_columns(index))",
+           "ad.scatter_add_windows(out, index, g, True)", STAGE_PINS),
+    Mutant("scatter: column path skips index column 0", AUTODIFF,
+           "        for j in range(idx.shape[1]):\n",
+           "        for j in range(1, idx.shape[1]):\n",
+           ("tests/test_fusion.py::TestSourceRows", "tests/test_autodiff.py")),
+    # _block_gat_layer
+    Mutant("gat: no ELU derivative", ENCODERS,
+           "        g3 = np.minimum(out, 0.0)\n", "        g3 = np.zeros_like(out)\n", GAT_PINS),
+    Mutant("gat: no leaky-relu backward", ENCODERS,
+           "        d_s *= slope\n", "        d_s *= 1.0\n", GAT_PINS),
+    Mutant("gat: softmax row term without the head factor", ENCODERS,
+           "        dot *= k_heads\n", "        dot *= 1\n", GAT_PINS),
+    Mutant("gat: source-score gradient summed by destination", ENCODERS,
+           "edges.sum_by_src(d_s)", "edges.sum_by_dst(d_s)", GAT_PINS),
+    Mutant("gat: input gradient without the score path", ENCODERS,
+           "ad.add_grad(x_st, gx.reshape(-1, d) + d_lr.T @ wa.T)",
+           "ad.add_grad(x_st, gx.reshape(-1, d) + 0.0)", GAT_PINS),
+    Mutant("gat: no score term in W's gradient", ENCODERS,
+           "        d_w += score.reshape(d, -1)\n", "        d_w += 0.0 * score.reshape(d, -1)\n",
+           GAT_PINS),
+    Mutant("gat: score-vector halves swapped", ENCODERS,
+           "d_wa = (x.T @ d_lr.T).T.reshape(2, k_heads, d)",
+           "d_wa = (x.T @ d_lr.T).T.reshape(2, k_heads, d)[::-1]", GAT_PINS),
+    # block_reduce_time
+    Mutant("reduce_time: no ReLU mask", PREDICTOR,
+           "                    g_h *= h_in > 0\n", "                    g_h *= 1.0\n", TIME_PINS),
+    Mutant("reduce_time: every branch reads the first one's gradient", PREDICTOR,
+           "g_h = g[:, None, k * d : (k + 1) * d]", "g_h = g[:, None, 0:d]", TIME_PINS),
+    Mutant("reduce_time: first layer's weight gradient reads the fused branch", PREDICTOR,
+           "h_in = acts[i - 1] if i else x.values.reshape(n, ws, d)",
+           "h_in = acts[i - 1] if i else fused.values.reshape(n, ws, d)", TIME_PINS),
+    Mutant("reduce_time: bias gradient of the first branch only", PREDICTOR,
+           "ad.add_grad(b, g_h.sum(axis=0).sum(axis=1).reshape(1, -1))",
+           "ad.add_grad(b, (k == 0) * g_h.sum(axis=0).sum(axis=1).reshape(1, -1))", TIME_PINS),
+    Mutant("reduce_time: input gradient without W", PREDICTOR,
+           "ad.add_grad(x, np.matmul(w.values, g_h).reshape(rows, d))",
+           "ad.add_grad(x, np.repeat(g_h, ws, axis=1).reshape(rows, d))", TIME_PINS),
+    # a forward mutant: a constant classifier must fail the CLI fixture's chance test
+    Mutant("head: constant logits", PREDICTOR,
+           "            out = ad.relu(out)\n    return out\n",
+           "            out = ad.relu(out)\n    return ad.scale(out, 0.0)\n",
+           ("tests/test_cli.py::test_eval_beats_chance",)),
+]
+
+
+def run_pins(workdir: Path, pins) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(workdir / "src"), str(workdir)]))
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *pins],
+        cwd=workdir, env=env, capture_output=True, text=True,
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("select", nargs="*", help="run the mutants whose name contains this")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = parser.parse_args(argv)
+    chosen = [m for m in MUTANTS if not args.select or any(s in m.name for s in args.select)]
+    if args.list:
+        for m in chosen:
+            print(f"{m.name}  [{m.path}]  pins: {' '.join(m.pins)}")
+        return 0
+    failures = 0
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests", "perfbench"):
+            shutil.copytree(ROOT / part, work / part,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work / "pyproject.toml")
+        pins = sorted({p for m in chosen for p in m.pins})
+        baseline = run_pins(work, pins)
+        if baseline.returncode != 0:
+            print("unmutated pins fail; no mutant can be judged:")
+            print(baseline.stdout[-2000:])
+            return 1
+        for m in chosen:
+            target = work / m.path
+            original = target.read_text()
+            count = original.count(m.old)
+            if count != 1:
+                print(f"STALE     {m.name}: the text to mutate matches {count} times in {m.path}")
+                failures += 1
+                continue
+            target.write_text(original.replace(m.old, m.new))
+            t0 = time.perf_counter()
+            try:
+                result = run_pins(work, m.pins)
+            finally:
+                target.write_text(original)
+            took = time.perf_counter() - t0
+            if result.returncode == 1:
+                failed = [ln.split()[1].split("::", 1)[1] for ln in result.stdout.splitlines()
+                          if ln.startswith("FAILED")]
+                shown = ", ".join(failed[:2]) + (", ..." if len(failed) > 2 else "")
+                print(f"caught    {m.name} ({took:.1f} s): {len(failed)} failed: {shown}")
+            else:
+                verdict = "SURVIVED" if result.returncode == 0 else "ERROR   "
+                print(f"{verdict}  {m.name} ({took:.1f} s), pytest exit {result.returncode}")
+                failures += 1
+    print(f"{len(chosen) - failures} of {len(chosen)} mutants caught")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

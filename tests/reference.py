@@ -90,8 +90,11 @@ def cross_attention(query: Tensor, kv: Tensor, attn) -> Tensor:
     return ad.matmul(softmax_rows(scores), ad.matmul(kv, attn.wv.tensor))
 
 
-def fuse_stage(query, kv, guide, stage, variant="full", n_layers=1):
-    """(unstable, stable, gate) of a gated cross-attention stage, stacked n_layers deep."""
+def fuse_stage(query, kv, stage, variant="full", n_layers=1):
+    """(unstable, stable, gate) of a gated cross-attention stage, stacked n_layers deep.
+
+    The gate reads the query.
+    """
     for _ in range(max(1, n_layers)):
         if variant == "glu_fusion":
             unstable = ad.matmul(kv, stage.glu.tensor)
@@ -101,10 +104,10 @@ def fuse_stage(query, kv, guide, stage, variant="full", n_layers=1):
         if variant == "ca_fusion":  # the gate is forced to 1
             stable, gate = h_a, Tensor(np.ones_like(h_a.values))
         else:
-            pre = ad.add(ad.matmul(guide, stage.gate.w_b.tensor), stage.gate.b_b.tensor)
+            pre = ad.add(ad.matmul(query, stage.gate.w_b.tensor), stage.gate.b_b.tensor)
             gate = ad.sigmoid(pre)
             stable = ad.mul(h_a, gate)
-        query = guide = stable
+        query = stable
     return unstable, stable, gate
 
 
@@ -117,10 +120,10 @@ def fuse_trimodal(v_i, v_d, v_g, stage1, stage2, variant="full", n_layers=1):
     fused, stages = v_i, {}
     if variant != "drop_docs":
         query = v_d if variant == "drop_indicators" else v_i
-        stages["stage1"] = fuse_stage(query, v_d, query, stage1, variant, n_layers)
+        stages["stage1"] = fuse_stage(query, v_d, stage1, variant, n_layers)
         fused = stages["stage1"][1]
     if variant not in ("drop_graph", "drop_indicators"):
-        stages["stage2"] = fuse_stage(fused, v_g, fused, stage2, variant, n_layers)
+        stages["stage2"] = fuse_stage(fused, v_g, stage2, variant, n_layers)
         fused = stages["stage2"][1]
     return fused, stages
 

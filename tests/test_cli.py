@@ -7,10 +7,11 @@ from stockfuse.cli import run_command
 from stockfuse.container import load_bundle, save_bundle
 from stockfuse.data import load_split
 from stockfuse.errors import FormatError
+from stockfuse.metrics import chance_band
 
 
 def synth(out, dim):
-    args = ["synth", "--out", str(out), "--stocks", "5", "--days", "60", "--dim", str(dim),
+    args = ["synth", "--out", str(out), "--stocks", "20", "--days", "100", "--dim", str(dim),
             "--sectors", "2", "--seed", "3"]
     assert run_command(args) == 0
     return out
@@ -19,12 +20,18 @@ def synth(out, dim):
 def train_args(data, out, *extra):
     return ["train", "--prices", str(data / "prices.csv"), "--documents",
             str(data / "documents.jsonl"), "--embeddings", str(data / "embeddings.jsonl"),
-            "--graph", str(data / "graph.tsv"), "--out", str(out), "--d", "4", "--ws", "5",
-            "--heads", "1", "--epochs", "1", "--batch-size", "32", "--seed", "1", *extra]
+            "--graph", str(data / "graph.tsv"), "--out", str(out), "--d", "8", "--ws", "5",
+            "--heads", "1", "--epochs", "10", "--batch-size", "64", "--lr", "0.003",
+            "--seed", "1", *extra]
 
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
+    """A `full` model that learns: 10 epochs on 20 stocks x 100 days (about 1 s).
+
+    Its 200 test windows come out at MCC 0.79 against a chance band of 0.61,
+    so a broken eval path shows as a score at chance.
+    """
     root = tmp_path_factory.mktemp("cli")
     data = synth(root / "data", dim=6)
     assert run_command(train_args(data, root / "run")) == 0
@@ -33,7 +40,7 @@ def trained(tmp_path_factory):
 
 def test_train_writes_summary(trained):
     summary = json.loads((trained / "run" / "summary.json").read_text())
-    assert summary["epochs"] == 1 and 0.0 <= summary["test_acc"] <= 1.0
+    assert summary["epochs"] == 10 and 0.0 <= summary["test_acc"] <= 1.0
 
 
 def test_eval_exit_0(trained, tmp_path):
@@ -44,6 +51,19 @@ def test_eval_exit_0(trained, tmp_path):
     result = json.loads((tmp_path / "eval.json").read_text())
     summary = json.loads((run / "summary.json").read_text())
     assert result["test_acc"] == summary["test_acc"]
+
+
+def test_eval_beats_chance(trained, tmp_path):
+    """The trained model's test MCC is above the chance band of its labels
+    and it predicts more than one class: a constant classifier fails both."""
+    run = trained / "run"
+    assert run_command(["eval", "--checkpoint", str(run / "checkpoint.sfb"),
+                        "--splits", str(run / "splits.sfb"), "--out", str(tmp_path)]) == 0
+    result = json.loads((tmp_path / "eval.json").read_text())
+    split, _ = load_split(run / "splits.sfb")
+    confusion = np.array(result["confusion"])
+    assert result["test_mcc"] > chance_band(split.test.label)
+    assert np.count_nonzero(confusion.sum(axis=0)) >= 2
 
 
 @pytest.mark.parametrize("command", [["eval"], ["dump-features", "--out", "dump"]])

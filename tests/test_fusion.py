@@ -76,10 +76,10 @@ def loop_attention_oracle(query, kv, params):
     return np.concatenate([attn @ v for v in values], axis=1)
 
 
-def stable_and_ungated(stage, q, kv, guide, block):
+def stable_and_ungated(stage, q, kv, block):
     """The block stage op's gated output and its ungated output h_a, as values."""
-    stable, _, _ = block_cross_attention(q, kv, guide, stage, block)
-    h_a, _, _ = block_cross_attention(q, kv, guide, stage, block, gated=False)
+    stable, _, _ = block_cross_attention(q, kv, stage, block)
+    h_a, _, _ = block_cross_attention(q, kv, stage, block, gated=False)
     return stable.values, h_a.values
 
 
@@ -88,7 +88,7 @@ class TestCrossAttention:
         stage = make_stage(3, heads=2, rng=rng)
         query = Tensor(rng.normal(size=(1, 3)))
         kv = Tensor(rng.normal(size=(1, 3)))
-        _, _, attn = block_cross_attention(query, kv, query, stage, block=1)
+        _, _, attn = block_cross_attention(query, kv, stage, block=1)
         npt.assert_allclose(attn, [[[1.0]]])
         expected = kv.values @ stage.attn.wv.values
         npt.assert_allclose(block_unstable(kv, stage, attn).values, expected, atol=1e-12)
@@ -96,14 +96,14 @@ class TestCrossAttention:
     def test_zero_kv_zero_output(self, rng):
         stage = make_stage(4, rng=rng)
         query, kv = Tensor(rng.normal(size=(5, 4))), Tensor(np.zeros((5, 4)))
-        _, _, attn = block_cross_attention(query, kv, query, stage, block=5)
+        _, _, attn = block_cross_attention(query, kv, stage, block=5)
         npt.assert_array_equal(block_unstable(kv, stage, attn).values, np.zeros((5, 8)))
 
     def test_loop_oracle(self, rng):
         stage = make_stage(2, heads=2, rng=rng)
         query = rng.normal(size=(3, 2))
         kv = Tensor(rng.normal(size=(3, 2)))
-        _, _, attn = block_cross_attention(Tensor(query), kv, Tensor(query), stage, block=3)
+        _, _, attn = block_cross_attention(Tensor(query), kv, stage, block=3)
         out = block_unstable(kv, stage, attn)
         assert out.shape == (3, 4)
         npt.assert_allclose(
@@ -113,36 +113,38 @@ class TestCrossAttention:
     def test_attention_rows_sum_to_one(self, rng):
         stage = make_stage(6, heads=3, rng=rng)
         query, kv = (Tensor(rng.normal(size=(7, 6)) * 5) for _ in range(2))
-        _, _, attn = block_cross_attention(query, kv, query, stage, block=7)
+        _, _, attn = block_cross_attention(query, kv, stage, block=7)
         npt.assert_allclose(attn.sum(axis=2), 1.0, atol=1e-6)
 
     def test_shape_mismatch(self, rng):
         stage = make_stage(4, rng=rng)
         query = Tensor(np.zeros((3, 4)))
         with pytest.raises(ShapeError):
-            block_cross_attention(query, Tensor(np.zeros((4, 4))), query, stage, block=1)
+            block_cross_attention(query, Tensor(np.zeros((4, 4))), stage, block=1)
 
 
 class TestGatedSelection:
     def test_closed_gate(self, rng):
         stage = make_stage(3, rng=rng)
+        stage.gate.w_b.tensor.values = np.zeros((3, 3))  # the gate reads the query: cut it off
         stage.gate.b_b.tensor.values = np.full((1, 3), -40.0)  # every gate strongly shut
         q, kv = (Tensor(rng.normal(size=(4, 3))) for _ in range(2))
-        stable, h_a = stable_and_ungated(stage, q, kv, Tensor(np.zeros((4, 3))), 4)
+        stable, h_a = stable_and_ungated(stage, q, kv, 4)
         assert np.linalg.norm(stable) < 1e-6 * np.linalg.norm(h_a)
 
     def test_neutral_gate(self, rng):
         stage = make_stage(3, rng=rng)
+        stage.gate.w_b.tensor.values = np.zeros((3, 3))
         stage.gate.b_b.tensor.values = np.zeros((1, 3))
         q, kv = (Tensor(rng.normal(size=(4, 3))) for _ in range(2))
-        stable, h_a = stable_and_ungated(stage, q, kv, Tensor(np.zeros((4, 3))), 4)
+        stable, h_a = stable_and_ungated(stage, q, kv, 4)
         npt.assert_allclose(stable, h_a / 2.0, atol=1e-12)
 
     def test_elementwise_oracle(self, rng):
         stage = make_stage(5, rng=rng)
-        q, kv, guide = (Tensor(rng.normal(size=(3, 5))) for _ in range(3))
-        stable, h_a = stable_and_ungated(stage, q, kv, guide, 3)
-        h_b = 1.0 / (1.0 + np.exp(-(guide.values @ stage.gate.w_b.values + stage.gate.b_b.values)))
+        q, kv = (Tensor(rng.normal(size=(3, 5))) for _ in range(2))
+        stable, h_a = stable_and_ungated(stage, q, kv, 3)
+        h_b = 1.0 / (1.0 + np.exp(-(q.values @ stage.gate.w_b.values + stage.gate.b_b.values)))
         expected = np.empty_like(h_a)
         for i in range(3):
             for j in range(5):
@@ -153,29 +155,26 @@ class TestGatedSelection:
 class TestFuseStage:
     def test_gate_values_strictly_inside_unit_interval(self, rng):
         stage = make_stage(4, rng=rng)
-        q, kv, guide = (Tensor(rng.normal(size=(6, 4)) * 10) for _ in range(3))
-        _, gate, _ = block_cross_attention(q, kv, guide, stage, block=6)
+        q, kv = (Tensor(rng.normal(size=(6, 4)) * 10) for _ in range(2))
+        _, gate, _ = block_cross_attention(q, kv, stage, block=6)
         assert np.all(gate.values > 0.0)
         assert np.all(gate.values < 1.0)
 
     def test_gate_monotonicity(self, rng):
         stage = make_stage(3, rng=rng)
         guide = Tensor(rng.normal(size=(2, 3)))
-        _, gate1, _ = block_cross_attention(
-            guide, Tensor(rng.normal(size=(2, 3))), guide, stage, block=2
-        )
+        _, gate1, _ = block_cross_attention(guide, Tensor(rng.normal(size=(2, 3))), stage, block=2)
         # increase one guide pre-activation coordinate via the bias
         stage.gate.b_b.tensor.values = stage.gate.b_b.values + np.array([[0.7, 0.0, 0.0]])
-        _, gate2, _ = block_cross_attention(
-            guide, Tensor(rng.normal(size=(2, 3))), guide, stage, block=2
-        )
+        _, gate2, _ = block_cross_attention(guide, Tensor(rng.normal(size=(2, 3))), stage, block=2)
         assert np.all(gate2.values[:, 0] > gate1.values[:, 0])
 
     def test_saturated_gate_passes_h_a(self, rng):
         stage = make_stage(3, rng=rng)
+        stage.gate.w_b.tensor.values = np.zeros((3, 3))
         stage.gate.b_b.tensor.values = np.full((1, 3), 50.0)
         q, kv = (Tensor(rng.normal(size=(4, 3))) for _ in range(2))
-        stable, h_a = stable_and_ungated(stage, q, kv, Tensor(np.zeros((4, 3))), 4)
+        stable, h_a = stable_and_ungated(stage, q, kv, 4)
         npt.assert_allclose(stable, h_a, atol=1e-4)
 
 
@@ -220,7 +219,7 @@ class TestTrimodal:
         s1, s2, s3 = (make_stage(d, rng=rng) for _ in range(3))
         v = [Tensor(rng.normal(size=(5, d))) for _ in range(4)]
         fused, _ = ref.fuse_trimodal(v[0], v[1], v[2], s1, s2)
-        _, chained, _ = ref.fuse_stage(fused, v[3], fused, s3)
+        _, chained, _ = ref.fuse_stage(fused, v[3], s3)
         assert chained.shape == (5, d)
 
     def test_shape_contract_over_ranges(self, rng):
@@ -243,17 +242,17 @@ class TestTrimodal:
         v_i = Tensor(rng.normal(size=(4, d)))
         v_d = Tensor(rng.normal(size=(4, d)))
         v_g = Tensor(rng.normal(size=(4, d)))
-        # drop_docs: stage 2 alone, with the indicators as its query and guide
+        # drop_docs: stage 2 alone, with the indicators as its query
         fused, stages = ref.fuse_trimodal(v_i, None, v_g, s1, s2, variant="drop_docs")
         assert list(stages) == ["stage2"]
-        npt.assert_array_equal(fused.values, ref.fuse_stage(v_i, v_g, v_i, s2)[1].values)
+        npt.assert_array_equal(fused.values, ref.fuse_stage(v_i, v_g, s2)[1].values)
         fused, stages = ref.fuse_trimodal(v_i, v_d, None, s1, s2, variant="drop_graph")
         assert list(stages) == ["stage1"]
         npt.assert_array_equal(fused.values, stages["stage1"][1].values)
-        # drop_indicators: stage 1 alone, with the documents as query and guide
+        # drop_indicators: stage 1 alone, with the documents as query and kv
         fused, stages = ref.fuse_trimodal(v_i, v_d, None, s1, s2, variant="drop_indicators")
         assert list(stages) == ["stage1"]
-        npt.assert_array_equal(fused.values, ref.fuse_stage(v_d, v_d, v_d, s1)[1].values)
+        npt.assert_array_equal(fused.values, ref.fuse_stage(v_d, v_d, s1)[1].values)
 
     def test_ca_variant_ignores_gate(self, rng):
         d = 3
@@ -285,21 +284,19 @@ MODES = {
 
 
 def wired_inputs(rng, rows, d, wiring):
-    """(query, kv, guide) tensors; "guide" is the stage-2 wiring, "kv" shares query and kv."""
-    if wiring == "guide":
-        q = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
-        return q, Tensor(rng.normal(size=(rows, d)), requires_grad=True), q
+    """(query, kv) tensors; "separate" is the stage-2 wiring, "shared" is drop_indicators'."""
     x = Tensor(rng.normal(size=(rows, d)), requires_grad=True)
-    return x, x, Tensor(rng.normal(size=(rows, d)) * 2, requires_grad=True)
+    if wiring == "shared":
+        return x, x
+    return x, Tensor(rng.normal(size=(rows, d)), requires_grad=True)
 
 
-def per_window_stage(query, kv, guide, stage, variant, t):
+def per_window_stage(query, kv, stage, variant, t):
     """The reference stage on each window slice, re-stacked."""
     n_blocks = kv.rows // t
     return ad.concat_rows([
         ref.fuse_stage(
-            *(ad.slice_rows(x, b * t, (b + 1) * t) for x in (query, kv, guide)),
-            stage, variant=variant,
+            *(ad.slice_rows(x, b * t, (b + 1) * t) for x in (query, kv)), stage, variant=variant
         )[1]
         for b in range(n_blocks)
     ])
@@ -337,18 +334,18 @@ class TestBlockCrossAttention:
         rng = np.random.default_rng(seed)
         variant, glu, gated = MODES[mode]
         stage = make_stage(d, heads, rng, head_dim=head_dim, glu=glu)
-        q, kv, g = (Tensor(rng.normal(size=(n_blocks * t, d))) for _ in range(3))
-        stable, _, _ = block_cross_attention(q, kv, g, stage, t, gated=gated)
-        want = per_window_stage(q, kv, g, stage, variant, t)
+        q, kv = (Tensor(rng.normal(size=(n_blocks * t, d))) for _ in range(2))
+        stable, _, _ = block_cross_attention(q, kv, stage, t, gated=gated)
+        want = per_window_stage(q, kv, stage, variant, t)
         npt.assert_allclose(stable.values, want.values, rtol=0, atol=1e-10)
 
     def test_block_gradients(self, rng):
         stage = make_stage(3, rng=rng, head_dim=3)
-        q, kv, g = (Tensor(rng.normal(size=(6, 3)), requires_grad=True) for _ in range(3))
-        extras = [Parameter("q_in", q), Parameter("kv_in", kv), Parameter("g_in", g)]
+        q, kv = (Tensor(rng.normal(size=(6, 3)), requires_grad=True) for _ in range(2))
+        extras = [Parameter("q_in", q), Parameter("kv_in", kv)]
 
         def f():
-            out, _, _ = block_cross_attention(q, kv, g, stage, block=3)
+            out, _, _ = block_cross_attention(q, kv, stage, block=3)
             return ad.sum_all(ad.mul(out, out))
 
         assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
@@ -362,18 +359,18 @@ class TestBlockCrossAttention:
         """Output and every input and parameter gradient, in each mode and wiring."""
         n_blocks, t = 3, 4
         for mode, (variant, glu, gated) in MODES.items():
-            for wiring in ("guide", "kv"):
+            for wiring in ("separate", "shared"):
                 rng = np.random.default_rng(d * 100 + heads * 10 + (head_dim or 0))
                 stage = make_stage(d, heads, rng, head_dim=head_dim, glu=glu)
                 inputs = wired_inputs(rng, n_blocks * t, d, wiring)
                 upstream = rng.normal(size=(n_blocks * t, d))
                 params = ref.params_of(stage)
                 fused_out, fused_grads = run_with_grads(
-                    lambda q, kv, g: block_cross_attention(q, kv, g, stage, t, gated)[0],
+                    lambda q, kv: block_cross_attention(q, kv, stage, t, gated)[0],
                     inputs, params, upstream,
                 )
                 ref_out, ref_grads = run_with_grads(
-                    lambda q, kv, g: per_window_stage(q, kv, g, stage, variant, t),
+                    lambda q, kv: per_window_stage(q, kv, stage, variant, t),
                     inputs, params, upstream,
                 )
                 npt.assert_allclose(fused_out, ref_out, rtol=0, atol=1e-12, err_msg=mode)
@@ -384,8 +381,8 @@ class TestBlockCrossAttention:
         x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         extras = [Parameter("x_in", x)]
 
-        def f():  # x is query, kv and guide at once
-            out, _, _ = block_cross_attention(x, x, x, stage, block=3)
+        def f():  # x is query and kv at once
+            out, _, _ = block_cross_attention(x, x, stage, block=3)
             return ad.sum_all(ad.mul(out, out))
 
         assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
@@ -395,12 +392,12 @@ class TestBlockCrossAttention:
         for glu in (False, True):
             stage = make_stage(d, rng=rng, head_dim=2, glu=glu)
             q, kv = (Tensor(rng.normal(size=(2 * t, d))) for _ in range(2))
-            _, _, attn = block_cross_attention(q, kv, q, stage, t)
+            _, _, attn = block_cross_attention(q, kv, stage, t)
             unstable = block_unstable(kv, stage, attn)
             for b in range(2):
                 rows = slice(b * t, (b + 1) * t)
                 want, _, _ = ref.fuse_stage(
-                    Tensor(q.values[rows]), Tensor(kv.values[rows]), Tensor(q.values[rows]),
+                    Tensor(q.values[rows]), Tensor(kv.values[rows]),
                     stage, variant="glu_fusion" if glu else "full",
                 )
                 npt.assert_allclose(unstable.values[rows], want.values, rtol=0, atol=1e-12)
@@ -414,15 +411,15 @@ class TestBlockCrossAttention:
         rng = np.random.default_rng(d * 100 + heads * 10 + head_dim)
         n_blocks, t = 3, 4
         stage = make_stage(d, heads, rng, head_dim=head_dim)
-        q, kv, g = (Tensor(rng.normal(size=(n_blocks * t, d))) for _ in range(3))
+        q, kv = (Tensor(rng.normal(size=(n_blocks * t, d))) for _ in range(2))
         for gated in (True, False):
-            stable, _, _ = block_cross_attention(q, kv, g, stage, t, gated=gated)
+            stable, _, _ = block_cross_attention(q, kv, stage, t, gated=gated)
             for b in range(n_blocks):
                 rows = slice(b * t, (b + 1) * t)
                 unstable = loop_attention_oracle(q.values[rows], kv.values[rows], stage.attn)
                 want = unstable @ stage.gate.w_a.values + stage.gate.b_a.values
                 if gated:
-                    pre = g.values[rows] @ stage.gate.w_b.values + stage.gate.b_b.values
+                    pre = q.values[rows] @ stage.gate.w_b.values + stage.gate.b_b.values
                     want = want / (1.0 + np.exp(-pre))
                 npt.assert_allclose(stable.values[rows], want, rtol=0, atol=1e-12)
 
@@ -430,10 +427,9 @@ class TestBlockCrossAttention:
         stage = make_stage(3, rng=rng, head_dim=3)
         x = Tensor(np.zeros((7, 3)))
         with pytest.raises(ShapeError):
-            block_cross_attention(x, x, x, stage, block=3)
+            block_cross_attention(x, x, stage, block=3)
         with pytest.raises(ShapeError, match="widths differ"):
-            block_cross_attention(Tensor(np.zeros((6, 2))), Tensor(np.zeros((6, 3))),
-                                  Tensor(np.zeros((6, 3))), stage, block=3)
+            block_cross_attention(Tensor(np.zeros((6, 2))), Tensor(np.zeros((6, 3))), stage, block=3)
 
 
 class TestBlockGatedSelection:
@@ -444,13 +440,13 @@ class TestBlockGatedSelection:
         d, t, n_blocks = 4, 3, 3
         stage = make_stage(d, rng=rng, head_dim=d)
         inputs = tuple(
-            Tensor(rng.normal(size=(n_blocks * t, d)) * s, requires_grad=True) for s in (1, 1, 3)
+            Tensor(rng.normal(size=(n_blocks * t, d)) * s, requires_grad=True) for s in (1, 1)
         )
         upstream = rng.normal(size=(n_blocks * t, d))
         params = ref.params_of(stage)
         gate_p = stage.gate
 
-        def composed(q, kv, g):
+        def composed(q, kv):
             unstable = ad.concat_rows([
                 ref.cross_attention(ad.slice_rows(q, b * t, (b + 1) * t),
                                     ad.slice_rows(kv, b * t, (b + 1) * t), stage.attn)
@@ -459,46 +455,149 @@ class TestBlockGatedSelection:
             h_a = ad.add(ad.matmul(unstable, gate_p.w_a.tensor), gate_p.b_a.tensor)
             if not gated:
                 return h_a
-            pre = ad.add(ad.matmul(g, gate_p.w_b.tensor), gate_p.b_b.tensor)
+            pre = ad.add(ad.matmul(q, gate_p.w_b.tensor), gate_p.b_b.tensor)
             return ad.mul(h_a, ad.sigmoid(pre))
 
         fused_out, fused_grads = run_with_grads(
-            lambda q, kv, g: block_cross_attention(q, kv, g, stage, t, gated)[0],
+            lambda q, kv: block_cross_attention(q, kv, stage, t, gated)[0],
             inputs, params, upstream,
         )
         ref_out, ref_grads = run_with_grads(composed, inputs, params, upstream)
         npt.assert_allclose(fused_out, ref_out, rtol=0, atol=1e-12)
-        # the ca_fusion form reads neither guide nor Wb, bb: their grads stay None
+        # the ca_fusion form reads neither Wb nor bb: their grads stay None
         assert_same_grads(fused_grads, ref_grads)
 
     def test_gate_values(self, rng):
         stage = make_stage(3, rng=rng, head_dim=3)
-        q, kv, guide = (Tensor(rng.normal(size=(6, 3))) for _ in range(3))
-        _, gate, _ = block_cross_attention(q, kv, guide, stage, block=3)
-        pre = guide.values @ stage.gate.w_b.values + stage.gate.b_b.values
+        q, kv = (Tensor(rng.normal(size=(6, 3))) for _ in range(2))
+        _, gate, _ = block_cross_attention(q, kv, stage, block=3)
+        pre = q.values @ stage.gate.w_b.values + stage.gate.b_b.values
         npt.assert_allclose(gate.values, 1.0 / (1.0 + np.exp(-pre)), rtol=0, atol=1e-15)
         assert not gate.requires_grad
-        _, none, _ = block_cross_attention(q, kv, guide, stage, block=3, gated=False)
+        _, none, _ = block_cross_attention(q, kv, stage, block=3, gated=False)
         assert none is None
         stage.gate.b_b.tensor.values = np.full((1, 3), -800.0)  # exp underflows: closed exactly
-        stable, gate, _ = block_cross_attention(q, kv, guide, stage, block=3)
+        stable, gate, _ = block_cross_attention(q, kv, stage, block=3)
         npt.assert_array_equal(gate.values, 0.0)
         npt.assert_array_equal(stable.values, 0.0)
 
     def test_grad_check(self, rng):
-        """The glu_fusion form: a linear map of kv, then the gate."""
+        """The glu_fusion form: a linear map of kv, then the gate on the query."""
         stage = make_stage(3, rng=rng, head_dim=2, glu=True)
-        kv, guide = (Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(2))
-        extras = [Parameter("kv_in", kv), Parameter("g_in", guide)]
+        q, kv = (Tensor(rng.normal(size=(4, 3)), requires_grad=True) for _ in range(2))
+        extras = [Parameter("q_in", q), Parameter("kv_in", kv)]
 
         def f():
-            stable, _, _ = block_cross_attention(kv, kv, guide, stage, block=2)
+            stable, _, _ = block_cross_attention(q, kv, stage, block=2)
             return ad.sum_all(ad.mul(stable, stable))
 
         assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
 
     def test_row_mismatch_rejected(self, rng):
         stage = make_stage(3, rng=rng, head_dim=3)
-        x = Tensor(np.zeros((4, 3)))
         with pytest.raises(ShapeError):
-            block_cross_attention(x, x, Tensor(np.zeros((5, 3))), stage, block=2)
+            block_cross_attention(Tensor(np.zeros((5, 3))), Tensor(np.zeros((4, 3))), stage, block=2)
+
+
+def window_index(rng, n_source, n_windows, t, repeat=False):
+    """A B x t index of windows over a date-major calendar of n_source rows
+    (3 stocks), distinct windows unless `repeat`, which doubles window 0."""
+    n_stocks = 3
+    n_dates = n_source // n_stocks
+    starts = rng.integers(0, n_dates - t + 1, size=n_windows)
+    stocks = rng.permutation(np.arange(n_windows) % n_stocks)
+    idx = (starts[:, None] + np.arange(t)) * n_stocks + stocks[:, None]
+    idx = np.unique(idx, axis=0)
+    if repeat:
+        idx = np.concatenate([idx, idx[:1]])
+    assert ad.distinct_columns(idx) != repeat
+    return idx
+
+
+class TestSourceRows:
+    """Operands given as source rows plus a window index, against the same
+    stage on windows gathered first."""
+
+    @pytest.mark.parametrize("repeat", [False, True])
+    @pytest.mark.parametrize("query_form", ["source", "window", "shared"])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_matches_gathered_windows(self, mode, query_form, repeat):
+        """Output, gate, attention, and the gradient of every source row and
+        parameter. "window" is stage 2's wiring, "shared" drop_indicators'."""
+        _, glu, gated = MODES[mode]
+        rng = np.random.default_rng(len(mode) * 10 + len(query_form) + repeat)
+        d, t, n_source = 3, 4, 24
+        stage = make_stage(d, 2, rng, head_dim=2, glu=glu)
+        idx = window_index(rng, n_source, 6, t, repeat)
+        rows = idx.size
+        kv = Tensor(rng.normal(size=(n_source, d)), requires_grad=True)
+        if query_form == "window":
+            q, q_idx = Tensor(rng.normal(size=(rows, d)), requires_grad=True), None
+        else:
+            q = kv if query_form == "shared" else Tensor(rng.normal(size=(n_source, d)),
+                                                         requires_grad=True)
+            q_idx = idx
+        upstream = rng.normal(size=(rows, d))
+        params = ref.params_of(stage)
+        inputs = (q, kv) if q is not kv else (kv,)
+
+        def from_source(*xs):
+            qs, kvs = (xs[0], xs[0]) if len(xs) == 1 else xs
+            return block_cross_attention(qs, kvs, stage, t, gated, query_index=q_idx,
+                                         kv_index=idx)[0]
+
+        def gathered_first(*xs):
+            qs, kvs = (xs[0], xs[0]) if len(xs) == 1 else xs
+            q_w = qs if q_idx is None else ad.gather_rows(qs, idx)
+            return block_cross_attention(q_w, ad.gather_rows(kvs, idx), stage, t, gated)[0]
+
+        got, got_grads = run_with_grads(from_source, inputs, params, upstream)
+        want, want_grads = run_with_grads(gathered_first, inputs, params, upstream)
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert_same_grads(got_grads, want_grads)
+        q_w = q.values if q_idx is None else q.values[idx.reshape(-1)]
+        _, gate, attn = block_cross_attention(q, kv, stage, t, gated, query_index=q_idx,
+                                              kv_index=idx)
+        _, want_gate, want_attn = block_cross_attention(
+            Tensor(q_w), Tensor(kv.values[idx.reshape(-1)]), stage, t, gated
+        )
+        for a, b in ((gate, want_gate), (attn, want_attn)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                npt.assert_allclose(getattr(a, "values", a), getattr(b, "values", b),
+                                    rtol=0, atol=1e-12)
+        unstable = block_unstable(kv, stage, attn, idx)
+        want_unstable = block_unstable(Tensor(kv.values[idx.reshape(-1)]), stage, attn)
+        npt.assert_allclose(unstable.values, want_unstable.values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("repeat", [False, True])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_grad_check(self, mode, repeat):
+        """Finite differences over the source rows of query and kv and every
+        stage parameter."""
+        _, glu, gated = MODES[mode]
+        rng = np.random.default_rng(7 + repeat)
+        stage = make_stage(3, 2, rng, head_dim=2, glu=glu)
+        idx = window_index(rng, 15, 4, 3, repeat)
+        q, kv = (Tensor(rng.normal(size=(15, 3)), requires_grad=True) for _ in range(2))
+        extras = [Parameter("q_in", q), Parameter("kv_in", kv)]
+
+        def f():
+            out, _, _ = block_cross_attention(q, kv, stage, 3, gated, query_index=idx,
+                                              kv_index=idx)
+            return ad.sum_all(ad.mul(out, out))
+
+        assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
+
+    def test_bad_index_rejected(self, rng):
+        stage = make_stage(3, rng=rng, head_dim=3)
+        src = Tensor(np.zeros((6, 3)))
+        good = np.array([[0, 1], [2, 3]])
+        with pytest.raises(ShapeError, match="kv index out of range"):
+            block_cross_attention(src, src, stage, 2, query_index=good,
+                                  kv_index=np.array([[0, 1], [2, 6]]))
+        with pytest.raises(ShapeError, match="query index .* is not 2 windows of 2"):
+            block_cross_attention(src, src, stage, 2, query_index=good.reshape(1, 4),
+                                  kv_index=good)
+        with pytest.raises(ShapeError, match="query has 6 window rows, expected 4"):
+            block_cross_attention(src, src, stage, 2, kv_index=good)

@@ -8,6 +8,7 @@ from perfbench.trace import Tracer, instrumented
 from stockfuse.autodiff import grad_check
 from stockfuse.config import VARIANTS, TrainConfig
 from stockfuse.data import build_dataset
+from stockfuse import model as model_module
 from stockfuse.model import PackedPanel, TrimodalModel, glorot
 from stockfuse.predictor import cross_entropy_loss
 from stockfuse.synth import synth_dataset
@@ -149,6 +150,124 @@ def test_model_grad_check_every_parameter():
     assert with_grad == set(model.params.names())  # ind.*, gat.* and all the rest
 
 
+# Two batches over random_packed(n_stocks=3, n_dates=9) with ws = 4: every
+# stock at starts 1..4 (12 windows, 48 window rows from a slab of 21 rows, so
+# the stages read calendar rows through the window index), and two windows
+# far apart (8 window rows from a slab of 27, so the windows are gathered).
+BATCH_FORMS = {
+    "source rows": (np.repeat([0, 1, 2], 4), np.tile([1, 2, 3, 4], 3)),
+    "gathered": (np.array([0, 2]), np.array([0, 5])),
+}
+
+
+def record_stage_forms(monkeypatch):
+    """Patch the model's stage op to log each call's (query, kv) form."""
+    forms = []
+    orig = model_module.block_cross_attention
+
+    def block_cross_attention(*args, query_index=None, kv_index=None, **kwargs):
+        forms.append(tuple("window" if i is None else "source" for i in (query_index, kv_index)))
+        return orig(*args, query_index=query_index, kv_index=kv_index, **kwargs)
+
+    monkeypatch.setattr(model_module, "block_cross_attention", block_cross_attention)
+    return forms
+
+
+@pytest.mark.parametrize("form", sorted(BATCH_FORMS))
+@pytest.mark.parametrize("fusion_layers", [1, 2])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_both_batch_forms_match_forward_sample(variant, fusion_layers, form):
+    """Logits and every stage's (unstable, stable, gate) equal the per-window
+    reference at 1e-12 in float64, whichever form the batch takes."""
+    packed = random_packed(np.random.default_rng(30 + fusion_layers))
+    cfg = TrainConfig(d=4, ws=4, heads=2, head_dim=3, gat_heads=2, fusion_layers=fusion_layers,
+                      seed=3)
+    model = TrimodalModel(cfg, doc_dim=5, variant=variant)
+    stock_idx, start = BATCH_FORMS[form]
+    logits, diag = model.forward_batch(packed, stock_idx, start, diagnostics=True)
+    t = cfg.ws
+    for b, (s, t0) in enumerate(zip(stock_idx, start)):
+        want_logits, want = ref.forward_sample(model, packed, int(s), int(t0))
+        npt.assert_allclose(logits.values[b : b + 1], want_logits.values, rtol=0, atol=1e-12)
+        assert sorted(diag) == sorted(want)
+        for name, want_stage in want.items():
+            for got, w in zip(diag[name], want_stage):
+                npt.assert_allclose(got.values[b * t : (b + 1) * t], w.values, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_form_follows_the_shape_rule(monkeypatch, variant):
+    """Overlapping windows read calendar rows through the index (stage 1's
+    query too, and stage 2's when no stage 1 runs); far-apart windows are
+    gathered. Layers after the first read window rows as their query."""
+    packed = random_packed(np.random.default_rng(5))
+    cfg = TrainConfig(d=4, ws=4, heads=2, head_dim=3, gat_heads=2, fusion_layers=2, seed=3)
+    model = TrimodalModel(cfg, doc_dim=5, variant=variant)
+    forms = record_stage_forms(monkeypatch)
+    model.forward_batch(packed, *BATCH_FORMS["gathered"])
+    n_calls = len(forms)
+    assert forms == [("window", "window")] * n_calls
+    forms.clear()
+    model.forward_batch(packed, *BATCH_FORMS["source rows"])
+    first = ("source", "source")
+    later = ("window", "source")
+    want = [first, later] + [later, later] * (n_calls // 2 - 1)
+    assert n_calls == (2 if variant in ("drop_docs", "drop_graph", "drop_indicators") else 4)
+    assert forms == want
+
+
+@pytest.mark.parametrize("stock_idx,start", [
+    (np.array([0, 1, 2, 3, 4, 0, 1, 2]), np.array([1, 1, 1, 1, 1, 2, 2, 2])),
+    (np.array([0, 1, 1, 2, 0, 3, 4, 2]), np.array([1, 2, 2, 2, 2, 1, 1, 1])),  # (1, 2) twice
+])
+def test_model_grad_check_through_source_rows(monkeypatch, stock_idx, start):
+    """Finite differences over every weight of the grad-check model above
+    with two fusion layers, when the stages read calendar rows through the
+    window index. Distinct windows sum their gradients into source rows one
+    index column at a time; a repeated window takes the sorting scatter."""
+    rng = np.random.default_rng(11)
+    packed = random_packed(rng, n_stocks=5, n_dates=8, dim=3)
+    sector = np.array([0, 1, 0, 1, 2])
+    packed.neighbors = sector[:, None] == sector[None, :]
+    cfg = TrainConfig(d=4, ws=4, heads=2, head_dim=2, gat_heads=2, gat_layers=2,
+                      fusion_layers=2, seed=0)
+    model = TrimodalModel(cfg, doc_dim=3)
+    for p in model.params:
+        p.tensor.values = p.values + 0.1 * rng.normal(size=p.values.shape)
+        if p.name.startswith("gat."):
+            p.tensor.values *= 3.0
+    labels = np.arange(len(start)) % 3
+    forms = record_stage_forms(monkeypatch)
+
+    def loss():
+        return cross_entropy_loss(model.forward_batch(packed, stock_idx, start), labels)
+
+    params = list(model.params)
+    assert grad_check(loss, params, eps=1e-6) < 1e-8
+    assert forms[0] == ("source", "source")
+    with_grad = {p.name for p in params if p.tensor.grad is not None and np.any(p.tensor.grad)}
+    assert with_grad == set(model.params.names())
+
+
+def test_predict_part_batch_size_does_not_change_predictions(monkeypatch):
+    """Batches of 7 consecutive test windows, against one batch of all 30.
+    The test part is date-major over 6 stocks, so a batch of 7 spans two
+    starts and reads calendar rows; the last one holds 2 windows of one
+    start and is gathered."""
+    series, days, table, graph, _ = synth_dataset(6, 60, 8, 4.0, 0.2, 0.1, 2, seed=3)
+    split = build_dataset(series, days, table, graph, ws=10, label_spec=(-0.01, 0.01))
+    packed = PackedPanel.from_panel(split.panel, graph)
+    model = TrimodalModel(TrainConfig(d=8, ws=10, seed=0), doc_dim=8)
+    rng = np.random.default_rng(0)
+    for p in model.params:  # nonzero biases, so the logits vary across windows
+        p.tensor.values = p.values + 0.3 * rng.normal(size=p.values.shape)
+    whole = model.predict_part(packed, split.test, batch_size=4096)
+    assert len(np.unique(whole)) > 1
+    forms = record_stage_forms(monkeypatch)
+    npt.assert_array_equal(model.predict_part(packed, split.test, batch_size=7), whole)
+    assert forms[0] == ("source", "source") and forms[-1] == ("window", "window")
+
+
 def test_multi_head_weights_are_the_per_head_draws_side_by_side():
     """Each projection holds the heads' glorot draws, taken in head order (per
     head q, k, v for fusion; w, a for GAT) and concatenated by columns, and
@@ -248,20 +367,33 @@ def full_contract_model(panel, graph):
     return TrimodalModel(cfg, doc_dim=16), PackedPanel.from_panel(panel, graph)
 
 
-def test_full_loss_tape_size(contract_batch):
-    """One `full` loss_batch records 40 op nodes; every parameter is a leaf.
-
-    The time reduction of both branches is one node. As two chains of 7
-    generic ops plus a concat it made the tape 14 nodes longer (54), so a
-    change to this count should be a deliberate one.
-    """
+def full_loss_ops(contract_batch, batch_rows=slice(None)):
+    """(op nodes, leaves) of one `full` loss_batch on the contract batch's rows."""
     panel, graph, batch = contract_batch
     model, packed = full_contract_model(panel, graph)
-    loss, _ = model.loss_batch(packed, batch)
+    loss, _ = model.loss_batch(packed, batch[batch_rows])
     nodes = tape_nodes(loss)
     ops = [node for node in nodes if node._backward is not None]
-    assert len(ops) == 40
-    assert len(nodes) - len(ops) == len(model.params)
+    assert len(nodes) - len(ops) == len(model.params)  # every parameter is a leaf
+    return ops
+
+
+def test_full_loss_tape_size(contract_batch):
+    """One `full` loss_batch on the contract batch, whose 960 window rows
+    come from a calendar slab of fewer rows, so the stages read it through
+    the window index: 38 op nodes, and every parameter is a leaf.
+
+    The time reduction of both branches is one node. As two chains of 7
+    generic ops plus a concat it made the tape 14 nodes longer, so a change
+    to this count should be a deliberate one.
+    """
+    assert len(full_loss_ops(contract_batch)) == 38
+
+
+def test_full_loss_tape_size_of_gathered_windows(contract_batch):
+    """4 windows (40 rows from a slab of at least 120) are gathered first:
+    one gather node more per key/value modality than the source-row form."""
+    assert len(full_loss_ops(contract_batch, slice(4))) == 40
 
 
 def test_traced_loss_batch_records_reduce_time_spans(contract_batch):
@@ -277,4 +409,4 @@ def test_traced_loss_batch_records_reduce_time_spans(contract_batch):
     assert names.count("predictor.reduce_time") == 1
     assert names.count("predictor.reduce_time.bwd") == 1
     recorded = sum(c.value for c in tracer.counts if c.name == "autodiff.tape_nodes")
-    assert recorded == 40
+    assert recorded == 38
