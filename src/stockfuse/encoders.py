@@ -2,26 +2,33 @@
 
 The indicator and document encoders are per-row affine maps, so the same
 function serves a single window or a whole stacked calendar. The indicator
-encoder has no activation, so its lifts and projection fold, on the tape,
-into one 3 x d affine map that is the only node the rows meet. The graph
-encoder runs multi-head attention over all stocks at one timestamp; the
-model stacks it across timestamps with shared weights. Each layer stores
-its K heads as two matrices: the projections W side by side (d x K*d, head
-k in columns k*d .. (k+1)*d) and the score vectors a as columns (2d x K).
-The heads keep separate softmaxes.
+encoder has no activation, so `fold_indicators` folds its lifts and
+projection, on the tape, into one 3 x d map W and one 1 x d shift c; the
+rows meet only those two. The graph encoder runs multi-head attention over
+all stocks at one timestamp; the model stacks it across timestamps with
+shared weights. Each layer stores its K heads as two matrices: the
+projections W side by side (d x K*d, head k in columns k*d .. (k+1)*d) and
+the score vectors a as columns (2d x K). The heads keep separate softmaxes.
 
 `block_gat_encode` is GAT's masked attention (Velickovic et al. 2018) in
 edge-list form, over T timestamps at once; the per-timestamp reference that
 masks a dense n x n score matrix lives in `tests/reference.py`. Each layer
 is one tape node that scores and softmaxes only the neighbour pairs of all
 timestamps, so its elementwise work grows with the edge count, not n^2.
-The aggregation is dense per block: attention only mixes neighbours, so
-whole connected components are packed into blocks of m nodes (m the
-largest component, as Cluster-GCN batches clusters, Chiang et al. 2019),
-and the edge weights are scattered into a zero-filled m x m matrix per
-block, head and timestamp for one batched GEMM.
-That costs n * m per head and timestamp instead of n^2, and moves fewer
-values than gathering E neighbour rows of width d whenever E * d > n * m.
+
+A layer aggregates first and projects after: head k's output is
+A_k (Z G_k) = (A_k Z) G_k, with Z the layer's r-wide source rows and G_k
+the r x d map that takes them to head k's features. Layer 1 of the model
+reads the raw indicator rows through the folded indicator map (its `lift`),
+so Z = [ind, 1] and G_k = [W; c] W_k are rank 4; a deeper layer reads the
+previous layer's output, Z = h and G_k = W_k. The aggregation A_k Z is dense
+per block: attention only mixes neighbours, so whole connected components
+are packed into blocks of m nodes (m the largest component, as Cluster-GCN
+batches clusters, Chiang et al. 2019), and the edge weights are scattered
+into a zero-filled m x m matrix per block, head and timestamp for one
+batched GEMM. That costs n * m * r per head and timestamp, and the
+projection n * K * r * d, so layer 1 never forms the n x K*d head
+projections.
 """
 
 from __future__ import annotations
@@ -61,9 +68,17 @@ class DocEncoderParams:
 @dataclass
 class GatParams:
     """Per layer, the K heads' projections W (d x K*d, head k in columns
-    k*d .. (k+1)*d) and score vectors a (2d x K, column k for head k)."""
+    k*d .. (k+1)*d) and score vectors a (2d x K, column k for head k).
+
+    `lift`, if set, is a folded affine map (W_l, c_l) from `fold_indicators`
+    that layer 1 applies to its input rows first: it attends over
+    x @ W_l + c_l, but aggregates the rows [x, 1] and projects them through
+    [W_l; c_l] W_k, so the gradient reaches the map through the tape. With
+    no lift the layers run over the given features.
+    """
 
     layers: list  # [(w, a), ...layers]
+    lift: tuple[Tensor, Tensor] | None = None
 
     @property
     def n_layers(self) -> int:
@@ -74,21 +89,18 @@ class GatParams:
         return self.layers[0][1].values.shape[1]
 
 
-def encode_indicators(x: Tensor, params: IndicatorEncoderParams) -> Tensor:
-    """Lift each indicator column to width d, concat, and project to d.
+def fold_indicators(params: IndicatorEncoderParams) -> tuple[Tensor, Tensor]:
+    """The indicator encoder as one affine map on the tape: (W 3 x d, c 1 x d).
 
-    The map has no activation, so it folds into one affine map from the 3
-    input columns: `x @ W + c`, where row k of W (3 x d) is `w_k @ W_mix[k]`
-    for the lifts k = close, open, high and the matching d-row blocks of
-    W_mix, and `c = b_mix + sum_k b_k @ W_mix[k]`. The fold is built on the
-    tape from the d x d parameter blocks, so the rows meet one 3 x d affine
-    node and backward chains into the eight stored parameters by itself.
+    Each indicator column is lifted to width d, the lifts are concatenated
+    and projected to d. With no activation that folds into `x @ W + c`,
+    where row k of W is `w_k @ W_mix[k]` for the lifts k = close, open, high
+    and the matching d-row blocks of W_mix, and
+    `c = b_mix + sum_k b_k @ W_mix[k]`. The fold is built from the d x d
+    parameter blocks by tape ops, so backward chains into the eight stored
+    parameters by itself; the model builds it once per forward and hands
+    it to the indicator encoder and to the graph encoder's first layer.
     """
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.cols != 3:
-        raise ShapeError(f"indicator input must be t x 3, got {x.shape}")
-    if not np.all(np.isfinite(x.values)):
-        raise DataError("indicator input contains non-finite values")
     lifts = [
         (params.w_close, params.b_close),
         (params.w_open, params.b_open),
@@ -99,7 +111,18 @@ def encode_indicators(x: Tensor, params: IndicatorEncoderParams) -> Tensor:
     w_fold = ad.concat_rows([ad.matmul(w.tensor, m) for (w, _), m in zip(lifts, mix)])
     c_close, c_open, c_high = (ad.matmul(b.tensor, m) for (_, b), m in zip(lifts, mix))
     c_fold = ad.add(params.b_mix.tensor, ad.add(ad.add(c_close, c_open), c_high))
-    return ad.affine(x, w_fold, c_fold)
+    return w_fold, c_fold
+
+
+def encode_indicators(x: Tensor, fold: tuple[Tensor, Tensor]) -> Tensor:
+    """Indicator rows (t x 3: close, open, high) to width d through the folded
+    map `fold = fold_indicators(params)`: one affine node, `x @ W + c`."""
+    x = x if isinstance(x, Tensor) else Tensor(x)
+    if x.cols != 3:
+        raise ShapeError(f"indicator input must be t x 3, got {x.shape}")
+    if not np.all(np.isfinite(x.values)):
+        raise DataError("indicator input contains non-finite values")
+    return ad.affine(x, *fold)
 
 
 def encode_documents(doc: Tensor, mask, params: DocEncoderParams) -> Tensor:
@@ -119,24 +142,32 @@ def encode_documents(doc: Tensor, mask, params: DocEncoderParams) -> Tensor:
 def block_gat_encode(features_st: Tensor, neighbors: np.ndarray, params: GatParams) -> Tensor:
     """Multi-head graph attention on T stacked node sets, per connected-component block.
 
-    Input is T timestamps' node features stacked as (T*n) x d; each layer is
-    one tape node doing all timestamps' attention at once: additive
-    leaky-relu scores, one softmax per head over each row's neighbours,
-    heads averaged, then ELU. Only the pairs
-    (i, j) with `neighbors[i, j]` are scored: leaky-relu scores and the
-    softmax over each row's neighbours run on K x T x E edge arrays, with
-    segment reductions over the destination rows.
+    Input is T timestamps' node rows stacked date-major as (T*n) x c: the
+    features (c = d), or with `params.lift` the raw rows that the lift maps
+    to features (c = 3 for the indicator fold). Each layer is one tape node
+    doing all timestamps' attention at once: additive leaky-relu scores,
+    one softmax per head over each row's neighbours, heads averaged, then
+    ELU. Only the pairs (i, j) with `neighbors[i, j]` are scored:
+    leaky-relu scores and the softmax over each row's neighbours run on
+    K x T x E edge arrays, with segment reductions over the destination
+    rows.
+
+    A layer aggregates its r-wide source rows Z per head, then projects the
+    K aggregates at once: `sum_k (A_k Z) G_k`. The score terms read Z
+    through `G_k a_k` as well. Layer 1 with a lift has Z = [x, 1] and
+    G_k = [W_l; c_l] W_k, so r = c + 1; otherwise Z is the layer's input
+    and G_k = W_k.
 
     Attention only mixes neighbours, so the layer factorises exactly over the
     weakly connected components of the mask. Whole components are packed,
     first-fit decreasing, into blocks of m nodes, m the size of the largest
-    component, so no edge crosses a block. The edge weights are scattered into
-    a zero-filled T x blocks x m x (m * K) matrix, the K heads side by side,
-    and aggregated with one batched GEMM against the K head projections of
-    the block's nodes: cost and saved memory grow with n * m, not n^2. Where
-    packing would not shrink the matrix (blocks * m^2 >= n^2, as for a
-    connected graph), all n nodes form one block in index order, which is
-    the dense n x n aggregation.
+    component, so no edge crosses a block. The edge weights are scattered
+    into a zero-filled T x blocks x (m * K) x m matrix, row i*K + k for
+    destination i and head k, whose batched GEMM with the block's m x r
+    source rows gives each slot's K aggregates side by side: cost and saved
+    memory grow with n * m, not n^2. Where packing would not shrink the
+    matrix (blocks * m^2 >= n^2, as for a connected graph), all n nodes
+    form one block in index order, which is the dense n x n aggregation.
 
     Matches the per-timestamp reference up to the order of floating-point
     sums. Every row needs at least one neighbour
@@ -149,14 +180,18 @@ def block_gat_encode(features_st: Tensor, neighbors: np.ndarray, params: GatPara
         raise ShapeError(f"neighbor mask {neighbors.shape} is not square")
     if features_st.rows % n:
         raise ShapeError(f"{features_st.rows} rows not divisible by {n} nodes")
+    width = params.layers[0][0].values.shape[0] if params.lift is None else params.lift[0].rows
+    if features_st.cols != width:
+        raise ShapeError(f"GAT input has {features_st.cols} columns, its first map reads {width}")
     lonely = np.flatnonzero(~neighbors.any(axis=1))
     if lonely.size:
         raise ShapeError(f"GAT rows without a neighbour: {lonely[:10].tolist()}")
     edges = _GatEdges.from_mask(neighbors)
     n_dates = features_st.rows // n
-    h = features_st
+    h, lift = features_st, params.lift
     for layer in params.layers:
-        h = _block_gat_layer(h, layer, edges, n_dates)
+        h = _block_gat_layer(h, lift, layer, edges, n_dates)
+        lift = None
     return h
 
 
@@ -215,9 +250,10 @@ class _GatEdges:
     The aggregation runs on `n_blocks` blocks of `m` nodes, no edge across
     two blocks: `slot_node` is the node in each of the n_blocks * m slots
     (padding repeats node 0; no edge reaches a padding slot), `node_slot` the
-    slot of each node, and `flat` the position of each edge in a row-major
-    n_blocks x m x m array. `slot_node` and `node_slot` are None when the
-    layout is the identity (one block of all n nodes in index order).
+    slot of each node, `dst_slot` the slot of each edge's destination and
+    `src_pos` the position of its source within that block. `slot_node` and
+    `node_slot` are None when the layout is the identity (one block of all
+    n nodes in index order).
     """
 
     n: int
@@ -231,7 +267,8 @@ class _GatEdges:
     n_blocks: int
     slot_node: np.ndarray | None
     node_slot: np.ndarray | None
-    flat: np.ndarray
+    dst_slot: np.ndarray
+    src_pos: np.ndarray
 
     @classmethod
     def from_mask(cls, neighbors: np.ndarray) -> "_GatEdges":
@@ -243,7 +280,6 @@ class _GatEdges:
         slot_node = np.zeros(n_blocks * m, dtype=np.intp)  # padding repeats node 0
         slot_node[node_slot] = np.arange(n)
         identity = slot_node.size == n and bool(np.all(node_slot == np.arange(n)))
-        block, pos = np.divmod(node_slot, m)
         return cls(
             n=n,
             src=src,
@@ -256,7 +292,8 @@ class _GatEdges:
             n_blocks=n_blocks,
             slot_node=None if identity else slot_node,
             node_slot=None if identity else node_slot,
-            flat=(block[dst] * m + pos[dst]) * m + pos[src],
+            dst_slot=node_slot[dst],
+            src_pos=node_slot[src] % m,
         )
 
     def sum_by_dst(self, e: np.ndarray) -> np.ndarray:
@@ -275,29 +312,40 @@ class _GatEdges:
         return np.repeat(rows, self.dst_counts, axis=-1)
 
     def to_blocks(self, a: np.ndarray) -> np.ndarray:
-        """... x n x d node rows -> ... x n_blocks x m x d, laid out by block."""
+        """... x n x d node rows -> ... x n_blocks x m x d, laid out by block.
+
+        take() keeps the result C-contiguous, so it reshapes to rows without
+        a copy; fancy indexing of the middle axis would not.
+        """
         if self.slot_node is not None:
-            a = a[..., self.slot_node, :]
+            a = np.take(a, self.slot_node, axis=-2)
         return a.reshape(a.shape[:-2] + (self.n_blocks, self.m, a.shape[-1]))
 
     def from_blocks(self, a: np.ndarray) -> np.ndarray:
         """... x n_blocks x m x d -> ... x n x d in node order, padding dropped."""
         a = a.reshape(a.shape[:-3] + (self.n_blocks * self.m, a.shape[-1]))
-        return a if self.node_slot is None else a[..., self.node_slot, :]
+        return a if self.node_slot is None else np.take(a, self.node_slot, axis=-2)
 
 
-def _block_gat_layer(x_st: Tensor, layer, edges: _GatEdges, n_dates: int) -> Tensor:
+def _block_gat_layer(x_st: Tensor, lift, layer, edges: _GatEdges, n_dates: int) -> Tensor:
     w, a = layer
     k_heads = a.values.shape[1]
     n, m, n_blocks = edges.n, edges.m, edges.n_blocks
-    d = x_st.cols
-    x = x_st.values  # (T*n) x d
     w_cat = w.values  # d x K*d, head k at k*d
+    d = w_cat.shape[0]
+    x = x_st.values  # (T*n) x c
+    if lift is None:  # source rows Z = x, read through F = I
+        z, f = x, np.eye(d, dtype=x.dtype)
+    else:  # Z = [x, 1] through F = [W_l; c_l]: the rows of x @ W_l + c_l
+        z = np.hstack([x, np.ones((len(x), 1), dtype=x.dtype)])
+        f = np.vstack([lift[0].values, lift[1].values])
+    r = z.shape[1]
     w3 = w_cat.reshape(d, k_heads, d).swapaxes(0, 1)  # K x d x d, one W per head
     a3 = a.values.T.reshape(k_heads, 2, d).swapaxes(0, 1)  # 2 x K x d: a_src, a_dst per head
-    # score projections: left = x W_k a_src_k (destination), right = x W_k a_dst_k (source)
+    # score projections: left = z F W_k a_src_k (destination), right = z F W_k a_dst_k (source)
     wa = (w3 @ a3[..., None]).reshape(2 * k_heads, d).T  # d x 2K
-    lr = (wa.T @ x.T).reshape(2 * k_heads, n_dates, n)  # left rows, then right rows
+    fwa = f @ wa  # r x 2K
+    lr = (fwa.T @ z.T).reshape(2 * k_heads, n_dates, n)  # left rows, then right rows
     # edge arrays are K x T x E, built in place; repeat() and take() keep them
     # contiguous, where fancy indexing would return a transposed layout
     alpha = edges.per_edge(lr[:k_heads])
@@ -309,17 +357,23 @@ def _block_gat_layer(x_st: Tensor, layer, edges: _GatEdges, n_dates: int) -> Ten
     # softmax over each row's edges, divided by K as well: the weights also
     # average the heads
     alpha /= edges.per_edge(edges.sum_by_dst(alpha) * k_heads)
-    # aggregation by block, heads folded into the inner dimension: attention
-    # column j*K + k of a block weighs row j*K + k of hw, slot j projected by head k
-    x_b = edges.to_blocks(x.reshape(n_dates, n, d))  # T x blocks x m x d
-    hw = (x_b.reshape(-1, d) @ w_cat).reshape(n_dates, n_blocks, m * k_heads, d)
-    flat = edges.flat * k_heads + np.arange(k_heads)[:, None]  # K x E
-    attn = np.zeros((n_dates, n_blocks * m * m * k_heads), dtype=hw.dtype)
+    # aggregate by block: row i*K + k of a block's attention holds head k's
+    # weights for slot i, so one GEMM with the block's source rows gives
+    # slot i's K aggregates side by side; only these r-wide rows move
+    # between the block layout and node order
+    z_b = edges.to_blocks(z.reshape(n_dates, n, r))  # T x blocks x m x r
+    flat = (edges.dst_slot * k_heads + np.arange(k_heads)[:, None]) * m + edges.src_pos  # K x E
+    attn = np.zeros((n_dates, n_blocks * m * k_heads * m), dtype=x.dtype)
     for tau, row in enumerate(attn):
-        for f, weights in zip(flat, alpha[:, tau]):
-            row[f] = weights  # 1-D scatters: faster than 2-D or 3-D indexing
-    attn = attn.reshape(n_dates, n_blocks, m, m * k_heads)  # zero off the edges
-    pre = edges.from_blocks(attn @ hw)  # T x n x d
+        for f_k, weights in zip(flat, alpha[:, tau]):
+            row[f_k] = weights  # 1-D scatters: faster than 2-D or 3-D indexing
+    attn = attn.reshape(n_dates, n_blocks, m * k_heads, m)  # zero off the edges
+    agg = edges.from_blocks((attn @ z_b).reshape(n_dates, n_blocks, m, k_heads * r))
+    agg = agg.reshape(-1, k_heads * r)  # (T*n) x K*r, head k's aggregate in columns k*r
+    # then project: G_k = F W_k, stacked by head to match agg's columns
+    g_cat = f @ w_cat  # r x K*d, as W
+    g_stack = g_cat.reshape(r, k_heads, d).swapaxes(0, 1).reshape(k_heads * r, d)
+    pre = agg @ g_stack  # (T*n) x d
     expm1 = np.expm1(np.minimum(pre, 0.0))
     out = np.maximum(pre, 0.0, out=pre)
     out += expm1  # elu, without a branch
@@ -327,13 +381,14 @@ def _block_gat_layer(x_st: Tensor, layer, edges: _GatEdges, n_dates: int) -> Ten
     def backward(g):
         g3 = np.minimum(out, 0.0)
         g3 += 1.0
-        g3 *= g.reshape(n_dates, n, d)  # through elu'
-        gh = edges.to_blocks(g3)  # T x blocks x m x d
-        d_attn = (gh @ hw.swapaxes(-1, -2)).reshape(n_dates, -1)
+        g3 *= g  # through elu'
+        d_agg = edges.to_blocks((g3 @ g_stack.T).reshape(n_dates, n, k_heads * r))
+        d_agg = d_agg.reshape(attn.shape[:-1] + (r,))  # as attn @ z_b
+        d_attn = (d_agg @ z_b.swapaxes(-1, -2)).reshape(n_dates, -1)
         d_s = np.empty_like(alpha)  # K x T x E, the gradient of the weights
-        for f, out_k in zip(flat, d_s):
-            np.take(d_attn, f, axis=1, out=out_k)
-        d_hw = (attn.swapaxes(-1, -2) @ gh).reshape(-1, k_heads * d)  # as x_b @ w_cat
+        for f_k, out_k in zip(flat, d_s):
+            # mode="raise" would buffer the output; the slots are in range
+            np.take(d_attn, f_k, axis=1, out=out_k, mode="clip")
         # softmax backward; the weights are the softmax divided by K, which
         # puts a factor K on the row dot product
         dot = edges.sum_by_dst(d_s * alpha)
@@ -344,10 +399,18 @@ def _block_gat_layer(x_st: Tensor, layer, edges: _GatEdges, n_dates: int) -> Ten
         d_lr = np.concatenate([edges.sum_by_dst(d_s), edges.sum_by_src(d_s)])
         d_lr = d_lr.reshape(2 * k_heads, -1)  # as lr
         if x_st.requires_grad:
-            gx = edges.from_blocks((d_hw @ w_cat.T).reshape(x_b.shape))
-            ad.add_grad(x_st, gx.reshape(-1, d) + d_lr.T @ wa.T)
-        d_w = x_b.reshape(-1, d).T @ d_hw  # padding slots have zero d_hw rows
-        d_wa = (x.T @ d_lr.T).T.reshape(2, k_heads, d)  # the gradient of wa, laid out as a3
+            d_z = edges.from_blocks(attn.swapaxes(-1, -2) @ d_agg).reshape(-1, r)
+            d_z += d_lr.T @ fwa.T
+            ad.add_grad(x_st, d_z if lift is None else d_z[:, :-1].copy())
+        d_g = (agg.T @ g3).reshape(k_heads, r, d).swapaxes(0, 1).reshape(r, -1)  # as g_cat
+        d_fwa = z.T @ d_lr.T  # as fwa
+        if lift is not None:
+            d_f = d_g @ w_cat.T
+            d_f += d_fwa @ wa.T
+            ad.add_grad(lift[0], d_f[:-1])
+            ad.add_grad(lift[1], d_f[-1:])
+        d_w = f.T @ d_g
+        d_wa = (f.T @ d_fwa).T.reshape(2, k_heads, d)  # the gradient of wa, laid out as a3
         # the score terms: head k's W gets g_src_k a_src_k^T + g_dst_k a_dst_k^T
         score = d_wa[0].T[:, :, None] * a3[0] + d_wa[1].T[:, :, None] * a3[1]
         d_w += score.reshape(d, -1)
@@ -355,5 +418,4 @@ def _block_gat_layer(x_st: Tensor, layer, edges: _GatEdges, n_dates: int) -> Ten
         d_a = (w3.swapaxes(1, 2) @ d_wa[..., None])[..., 0]  # 2 x K x d: W_k^T g per half
         ad.add_grad(a.tensor, d_a.transpose(0, 2, 1).reshape(2 * d, k_heads))
 
-    return ad.node(out.reshape(-1, d), (x_st, w.tensor, a.tensor), backward)
-
+    return ad.node(out, (x_st, w.tensor, a.tensor, *(lift or ())), backward)

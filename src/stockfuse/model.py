@@ -3,7 +3,10 @@
 The batched forward works on a date-major packing of the panel: all stocks'
 feature rows for one calendar date sit together, so the encoders run once
 over the calendar slab the batch spans (the graph encoder once per date),
-and a window is a B x t row index into that slab. Windows are processed as
+and a window is a B x t row index into that slab. The indicator encoder's
+folded map is built once per forward: the indicator features are the slab's
+raw rows through it, and the graph encoder's first layer reads the same raw
+rows through it (the `lift` of its `GatParams`). Windows are processed as
 row-stacked blocks. The row-level work of each fusion stage layer is one
 tape node with a hand-derived backward, `block_cross_attention`: attention
 (or the glu map), the gate's two affine maps, sigmoid and product. Its
@@ -53,6 +56,7 @@ from .encoders import (
     block_gat_encode,
     encode_documents,
     encode_indicators,
+    fold_indicators,
 )
 from .errors import CheckpointError, ConfigError
 from .fusion import (
@@ -260,14 +264,17 @@ class TrimodalModel:
     def _calendar_features(self, packed: PackedPanel, r_lo: int, r_hi: int):
         """Encoded features of date-major rows [r_lo, r_hi), None where the variant reads none."""
         vi_cal = vd_cal = vg_cal = None
+        ind = Tensor(packed.ind[r_lo:r_hi])
         if self.variant != "drop_indicators":
-            vi_cal = encode_indicators(Tensor(packed.ind[r_lo:r_hi]), self.ind)
+            fold = fold_indicators(self.ind)
+            vi_cal = encode_indicators(ind, fold)
         if self.variant != "drop_docs":
             vd_cal = encode_documents(
                 Tensor(packed.doc[r_lo:r_hi]), packed.mask[r_lo:r_hi], self.doc
             )
         if self.variant not in ("drop_graph", "drop_indicators"):
-            vg_cal = block_gat_encode(vi_cal, packed.neighbors, self.gat)
+            # the GAT reads the raw indicator rows through the same fold
+            vg_cal = block_gat_encode(ind, packed.neighbors, GatParams(self.gat.layers, fold))
         return vi_cal, vd_cal, vg_cal
 
     def _fuse_blocks(self, query, kv, stage: FusionStageParams, block: int, diagnostics):

@@ -40,7 +40,7 @@ STAGE_PINS = (
     "tests/test_fusion.py::TestSourceRows",
     "tests/test_model.py::test_model_grad_check_through_source_rows",
 )
-GAT_PINS = ("tests/test_encoders.py::TestBlockGat",)
+GAT_PINS = ("tests/test_encoders.py::TestBlockGat", "tests/test_encoders.py::TestLiftedGat")
 TIME_PINS = (
     "tests/test_predictor.py::TestAggregateTime",
     "tests/test_predictor.py::test_block_reduce_time_matches_per_window",
@@ -107,14 +107,26 @@ MUTANTS = [
     Mutant("gat: source-score gradient summed by destination", ENCODERS,
            "edges.sum_by_src(d_s)", "edges.sum_by_dst(d_s)", GAT_PINS),
     Mutant("gat: input gradient without the score path", ENCODERS,
-           "ad.add_grad(x_st, gx.reshape(-1, d) + d_lr.T @ wa.T)",
-           "ad.add_grad(x_st, gx.reshape(-1, d) + 0.0)", GAT_PINS),
+           "            d_z += d_lr.T @ fwa.T\n", "            d_z += 0.0 * (d_lr.T @ fwa.T)\n",
+           GAT_PINS),
+    Mutant("gat: input gradient aggregated by head 0 only", ENCODERS,
+           "d_z = edges.from_blocks(attn.swapaxes(-1, -2) @ d_agg)",
+           "d_z = edges.from_blocks(k_heads * attn[..., ::k_heads, :].swapaxes(-1, -2)"
+           " @ d_agg[..., ::k_heads, :])", GAT_PINS),
     Mutant("gat: no score term in W's gradient", ENCODERS,
            "        d_w += score.reshape(d, -1)\n", "        d_w += 0.0 * score.reshape(d, -1)\n",
            GAT_PINS),
     Mutant("gat: score-vector halves swapped", ENCODERS,
-           "d_wa = (x.T @ d_lr.T).T.reshape(2, k_heads, d)",
-           "d_wa = (x.T @ d_lr.T).T.reshape(2, k_heads, d)[::-1]", GAT_PINS),
+           "d_wa = (f.T @ d_fwa).T.reshape(2, k_heads, d)",
+           "d_wa = (f.T @ d_fwa).T.reshape(2, k_heads, d)[::-1]", GAT_PINS),
+    Mutant("gat: projection gradient laid out by rows, not heads", ENCODERS,
+           "d_g = (agg.T @ g3).reshape(k_heads, r, d).swapaxes(0, 1).reshape(r, -1)",
+           "d_g = (agg.T @ g3).reshape(r, -1)", GAT_PINS),
+    Mutant("gat: lift gradient without the score path", ENCODERS,
+           "            d_f += d_fwa @ wa.T\n", "            d_f += 0.0 * (d_fwa @ wa.T)\n",
+           GAT_PINS),
+    Mutant("gat: lift shift gets no gradient", ENCODERS,
+           "ad.add_grad(lift[1], d_f[-1:])", "ad.add_grad(lift[1], 0.0 * d_f[-1:])", GAT_PINS),
     # block_reduce_time
     Mutant("reduce_time: no ReLU mask", PREDICTOR,
            "                    g_h *= h_in > 0\n", "                    g_h *= 1.0\n", TIME_PINS),

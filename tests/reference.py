@@ -17,7 +17,13 @@ import numpy as np
 
 from stockfuse import autodiff as ad
 from stockfuse.autodiff import Parameter, Tensor
-from stockfuse.encoders import LEAKY_SLOPE, NEG_MASK, encode_documents, encode_indicators
+from stockfuse.encoders import (
+    LEAKY_SLOPE,
+    NEG_MASK,
+    encode_documents,
+    encode_indicators,
+    fold_indicators,
+)
 from stockfuse.predictor import aggregate_features
 
 
@@ -175,16 +181,17 @@ def forward_sample(model, packed, stock: int, start: int):
     cfg, variant, n = model.cfg, model.variant, packed.n_stocks
     rows = (start + np.arange(cfg.ws)) * n + stock
     v_d = v_g = None
+    fold = fold_indicators(model.ind)
     if variant == "drop_indicators":
         v_i = Tensor(np.zeros((cfg.ws, cfg.d), dtype=cfg.dtype))
     else:
-        v_i = encode_indicators(Tensor(packed.ind[rows]), model.ind)
+        v_i = encode_indicators(Tensor(packed.ind[rows]), fold)
     if variant != "drop_docs":
         v_d = encode_documents(Tensor(packed.doc[rows]), packed.mask[rows], model.doc)
     if variant not in ("drop_graph", "drop_indicators"):
         per_date = []
         for tau in range(start, start + cfg.ws):
-            nodes = encode_indicators(Tensor(packed.ind[tau * n : (tau + 1) * n]), model.ind)
+            nodes = encode_indicators(Tensor(packed.ind[tau * n : (tau + 1) * n]), fold)
             g_all = gat_encode(nodes, packed.neighbors, model.gat)
             per_date.append(ad.slice_rows(g_all, stock, stock + 1))
         v_g = ad.concat_rows(per_date)

@@ -14,6 +14,7 @@ from stockfuse.encoders import (
     block_gat_encode,
     encode_documents,
     encode_indicators,
+    fold_indicators,
 )
 from stockfuse.errors import DataError, ShapeError
 
@@ -33,6 +34,11 @@ def make_indicator_params(d, rng=None, zero_bias=False):
         w_high=P("wh", rng.normal(size=(1, d))), b_high=P("bh", b()),
         w_mix=P("wm", rng.normal(size=(3 * d, d))), b_mix=P("bm", b()),
     )
+
+
+def folded_encoder(x, params):
+    """The indicator encoder as the model runs it: the folded map, then the rows."""
+    return encode_indicators(x, fold_indicators(params))
 
 
 def make_gat_params(d, heads=2, layers=1, rng=None):
@@ -58,7 +64,7 @@ def head_slices(layer):
 class TestIndicatorEncoder:
     def test_zero_input_zero_bias(self):
         params = make_indicator_params(4, zero_bias=True)
-        out = encode_indicators(Tensor(np.zeros((3, 3))), params)
+        out = folded_encoder(Tensor(np.zeros((3, 3))), params)
         npt.assert_array_equal(out.values, np.zeros((3, 4)))
 
     def test_hand_computation(self):
@@ -80,32 +86,32 @@ class TestIndicatorEncoder:
             axis=1,
         )
         expected = lifted @ params.w_mix.values + params.b_mix.values
-        out = encode_indicators(Tensor(x), params)
+        out = folded_encoder(Tensor(x), params)
         npt.assert_allclose(out.values, expected, atol=1e-14)
 
     def test_homogeneity(self, rng):
         params = make_indicator_params(5, rng, zero_bias=True)
         x = rng.normal(size=(6, 3))
-        one = encode_indicators(Tensor(x), params).values
-        two = encode_indicators(Tensor(2.0 * x), params).values
+        one = folded_encoder(Tensor(x), params).values
+        two = folded_encoder(Tensor(2.0 * x), params).values
         npt.assert_allclose(two, 2.0 * one, atol=1e-12)
 
     def test_nonfinite_rejected(self):
         params = make_indicator_params(2)
         bad = np.array([[1.0, np.nan, 2.0]])
         with pytest.raises(DataError):
-            encode_indicators(Tensor(bad), params)
+            folded_encoder(Tensor(bad), params)
 
     def test_output_shape(self, rng):
         params = make_indicator_params(7, rng)
-        assert encode_indicators(Tensor(rng.normal(size=(9, 3))), params).shape == (9, 7)
+        assert folded_encoder(Tensor(rng.normal(size=(9, 3))), params).shape == (9, 7)
 
     def test_gradients(self, rng):
         params = make_indicator_params(3, rng)
         x = Tensor(rng.normal(size=(4, 3)))
 
         def f():
-            out = encode_indicators(x, params)
+            out = folded_encoder(x, params)
             return ad.sum_all(ad.mul(out, out))
 
         assert grad_check(f, ref.params_of(params), eps=1e-5) < 1e-4
@@ -136,7 +142,7 @@ class TestFoldedIndicatorEncoder:
         params = make_indicator_params(d, rng)
         x = P("x", rng.normal(size=(11, 3)) * 3.0)
         g = rng.normal(size=(11, d))
-        folded = self.outputs_and_grads(encode_indicators, x, params, g)
+        folded = self.outputs_and_grads(folded_encoder, x, params, g)
         composed = self.outputs_and_grads(composed_indicators, x, params, g)
         assert len(folded) == 10  # output, input gradient, eight parameter gradients
         for got, want in zip(folded, composed):
@@ -145,7 +151,7 @@ class TestFoldedIndicatorEncoder:
     def test_rows_meet_only_the_folded_map(self, rng):
         d = 5
         params = make_indicator_params(d, rng)
-        out = encode_indicators(Tensor(rng.normal(size=(4, 3))), params)
+        out = folded_encoder(Tensor(rng.normal(size=(4, 3))), params)
         # the rows meet one 3 x d map and one 1 x d shift, never a 3d-wide lift
         assert sorted(p.shape for p in out._parents) == [(1, d), (3, d)]
         stack, seen = list(out._parents), set()
@@ -158,13 +164,13 @@ class TestFoldedIndicatorEncoder:
 
     def test_width_checked(self, rng):
         with pytest.raises(ShapeError, match="t x 3"):
-            encode_indicators(Tensor(rng.normal(size=(4, 2))), make_indicator_params(3, rng))
+            folded_encoder(Tensor(rng.normal(size=(4, 2))), make_indicator_params(3, rng))
 
     def test_float32_stays_float32(self, rng):
         params = make_indicator_params(3, rng)
         for p in ref.params_of(params):
             p.tensor.values = p.values.astype(np.float32)
-        out = encode_indicators(Tensor(rng.normal(size=(5, 3)).astype(np.float32)), params)
+        out = folded_encoder(Tensor(rng.normal(size=(5, 3)).astype(np.float32)), params)
         assert out.values.dtype == np.float32
         ad.sum_all(out).backward()
         for p in ref.params_of(params):
@@ -503,3 +509,86 @@ class TestComponentBlocks:
     def test_padded_blocks_over_two_hundred_nodes(self, rng):
         edges = self.check(rng, sector_mask(list(rng.integers(0, 10, 200))), T=2)
         assert edges.n_blocks * edges.m > 200 and edges.n_blocks * edges.m**2 < 200**2
+
+    def test_block_layout_arrays_are_contiguous(self, rng):
+        """Both layout moves return C-contiguous arrays, so reshaping their
+        rows copies nothing; fancy indexing of the middle axis did not."""
+        edges = _GatEdges.from_mask(sector_mask([0, 1, None, 0, 0, 1, None, 0]))
+        assert edges.slot_node is not None
+        rows = rng.normal(size=(3, 8, 5))
+        blocks = edges.to_blocks(rows)
+        assert blocks.shape == (3, edges.n_blocks, edges.m, 5) and blocks.flags.c_contiguous
+        back = edges.from_blocks(blocks)
+        assert back.flags.c_contiguous
+        npt.assert_array_equal(back, rows)
+
+
+# a mask whose components the layout packs into two blocks, and a connected one
+# that keeps the identity layout
+LIFT_MASKS = {
+    "packed": sector_mask([0, 1, None, 0, 0, 1, None, 0]),
+    "connected": sector_mask([0] * 5),
+}
+
+
+class TestLiftedGat:
+    """block_gat_encode over raw indicator rows through `GatParams.lift`,
+    against the GAT run on the encoded indicators."""
+
+    @staticmethod
+    def setup(rng, mask, gat_layers, T=2):
+        ind_params = make_indicator_params(3, rng)
+        gat = make_gat_params(3, heads=2, layers=gat_layers, rng=rng)
+        ind = rng.normal(size=(T * mask.shape[0], 3))
+        return ind_params, gat, ind
+
+    @staticmethod
+    def run(ind, mask, ind_params, gat, lifted, g):
+        """Output and the gradients of the rows and of every indicator and GAT parameter."""
+        x = P("x", ind)
+        params = [x, *ref.params_of(ind_params), *ref.params_of(gat)]
+        for p in params:
+            p.zero_grad()
+        fold = fold_indicators(ind_params)
+        if lifted:
+            out = block_gat_encode(x.tensor, mask, GatParams(gat.layers, fold))
+        else:
+            out = block_gat_encode(encode_indicators(x.tensor, fold), mask, gat)
+        ad.sum_all(ad.mul(out, Tensor(g))).backward()
+        return [out.values] + [p.tensor.grad.copy() for p in params]
+
+    @pytest.mark.parametrize("gat_layers", [1, 2])
+    @pytest.mark.parametrize("mask", sorted(LIFT_MASKS))
+    def test_matches_gat_on_encoded_indicators(self, rng, mask, gat_layers):
+        neighbors = LIFT_MASKS[mask]
+        ind_params, gat, ind = self.setup(rng, neighbors, gat_layers)
+        g = rng.normal(size=(len(ind), 3))
+        lifted = self.run(ind, neighbors, ind_params, gat, True, g)
+        plain = self.run(ind, neighbors, ind_params, gat, False, g)
+        assert len(lifted) == 2 + 8 + 2 * gat_layers  # output, rows, parameters
+        for got, want in zip(lifted, plain):
+            npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("gat_layers", [1, 2])
+    @pytest.mark.parametrize("mask", sorted(LIFT_MASKS))
+    def test_gradients(self, rng, mask, gat_layers):
+        neighbors = LIFT_MASKS[mask]
+        ind_params, gat, ind = self.setup(rng, neighbors, gat_layers)
+        params = [*ref.params_of(ind_params), *ref.params_of(gat)]
+
+        def f():
+            lift = GatParams(gat.layers, fold_indicators(ind_params))
+            out = block_gat_encode(Tensor(ind), neighbors, lift)
+            return ad.sum_all(ad.mul(out, out))
+
+        assert grad_check(f, params, eps=1e-6) < 1e-7
+        assert all(np.any(p.tensor.grad) for p in params)
+
+    def test_layer_one_reads_the_lift_width(self, rng):
+        neighbors = LIFT_MASKS["connected"]
+        ind_params, gat, ind = self.setup(rng, neighbors, 1)
+        lift = GatParams(gat.layers, fold_indicators(ind_params))
+        with pytest.raises(ShapeError, match="reads 3"):
+            block_gat_encode(Tensor(rng.normal(size=(10, 4))), neighbors, lift)
+        with pytest.raises(ShapeError, match="reads 3"):
+            block_gat_encode(Tensor(rng.normal(size=(10, 4))), neighbors, gat)

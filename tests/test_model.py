@@ -385,7 +385,9 @@ def test_full_loss_tape_size(contract_batch):
 
     The time reduction of both branches is one node. As two chains of 7
     generic ops plus a concat it made the tape 14 nodes longer, so a change
-    to this count should be a deliberate one.
+    to this count should be a deliberate one. The GAT reads the raw
+    indicator rows through the fold the indicator encoder uses, built once
+    per forward; folding again inside the GAT would add 13 nodes.
     """
     assert len(full_loss_ops(contract_batch)) == 38
 
@@ -396,17 +398,40 @@ def test_full_loss_tape_size_of_gathered_windows(contract_batch):
     assert len(full_loss_ops(contract_batch, slice(4))) == 40
 
 
-def test_traced_loss_batch_records_reduce_time_spans(contract_batch):
-    """The benchmark's tracer times `model.block_reduce_time` by that name and
-    charges its backward through `autodiff.node`, so both spans appear once."""
+def traced_full_loss(contract_batch) -> Tracer:
+    """Spans of one `full` loss_batch and its backward under the benchmark's tracer."""
     panel, graph, batch = contract_batch
     model, packed = full_contract_model(panel, graph)
     tracer = Tracer()
     with instrumented(tracer):
         loss, _ = model.loss_batch(packed, batch)
         loss.backward()
+    return tracer
+
+
+def test_traced_loss_batch_records_reduce_time_spans(contract_batch):
+    """The benchmark's tracer times `model.block_reduce_time` by that name and
+    charges its backward through `autodiff.node`, so both spans appear once."""
+    tracer = traced_full_loss(contract_batch)
     names = [span.name for span in tracer.spans]
     assert names.count("predictor.reduce_time") == 1
     assert names.count("predictor.reduce_time.bwd") == 1
     recorded = sum(c.value for c in tracer.counts if c.name == "autodiff.tape_nodes")
     assert recorded == 38
+
+
+def test_traced_loss_batch_records_gat_spans(contract_batch):
+    """The tracer replaces `model.block_gat_encode` with a wrapper that takes
+    (features, neighbours, params) positionally and reads the date count
+    from the features' rows. The model calls it so: one span, and one
+    backward span, for the GAT's single layer node; the indicator fold it
+    reads is built outside it."""
+    tracer = traced_full_loss(contract_batch)
+    names = [span.name for span in tracer.spans]
+    assert names.count("encoders.gat") == 1
+    assert names.count("encoders.gat.bwd") == 1
+    panel, graph, batch = contract_batch
+    starts = batch.start
+    dates = int(starts.max()) + 10 - int(starts.min())  # ws = 10
+    edges = sum(c.value for c in tracer.counts if c.name == "encoders.gat.edges")
+    assert edges == 2 * dates * np.count_nonzero(graph.neighbor_mask(panel.symbols))
