@@ -39,7 +39,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .errors import DataError, ShapeError
+from .errors import ShapeError
 
 LEAKY_SLOPE = 0.2
 NEG_MASK = -1e30
@@ -98,8 +98,10 @@ def fold_indicators(params: IndicatorEncoderParams) -> tuple[Tensor, Tensor]:
     and the matching d-row blocks of W_mix, and
     `c = b_mix + sum_k b_k @ W_mix[k]`. The fold is built from the d x d
     parameter blocks by tape ops, so backward chains into the eight stored
-    parameters by itself; the model builds it once per forward and hands
-    it to the indicator encoder and to the graph encoder's first layer.
+    parameters by itself. The model builds it once per forward and hands
+    it to the indicator encoder (on the batch's window rows), to the graph
+    encoder's first layer, and, stacked as [W; c], to the fusion stage whose
+    query is the indicators.
     """
     lifts = [
         (params.w_close, params.b_close),
@@ -114,14 +116,17 @@ def fold_indicators(params: IndicatorEncoderParams) -> tuple[Tensor, Tensor]:
     return w_fold, c_fold
 
 
+def affine_rows(x: np.ndarray) -> np.ndarray:
+    """Rows [x, 1], which an affine map (W, c) reads as [x, 1] @ [W; c] = x @ W + c."""
+    return np.hstack([x, np.ones((len(x), 1), dtype=x.dtype)])
+
+
 def encode_indicators(x: Tensor, fold: tuple[Tensor, Tensor]) -> Tensor:
     """Indicator rows (t x 3: close, open, high) to width d through the folded
     map `fold = fold_indicators(params)`: one affine node, `x @ W + c`."""
     x = x if isinstance(x, Tensor) else Tensor(x)
     if x.cols != 3:
         raise ShapeError(f"indicator input must be t x 3, got {x.shape}")
-    if not np.all(np.isfinite(x.values)):
-        raise DataError("indicator input contains non-finite values")
     return ad.affine(x, *fold)
 
 
@@ -337,7 +342,7 @@ def _block_gat_layer(x_st: Tensor, lift, layer, edges: _GatEdges, n_dates: int) 
     if lift is None:  # source rows Z = x, read through F = I
         z, f = x, np.eye(d, dtype=x.dtype)
     else:  # Z = [x, 1] through F = [W_l; c_l]: the rows of x @ W_l + c_l
-        z = np.hstack([x, np.ones((len(x), 1), dtype=x.dtype)])
+        z = affine_rows(x)
         f = np.vstack([lift[0].values, lift[1].values])
     r = z.shape[1]
     w3 = w_cat.reshape(d, k_heads, d).swapaxes(0, 1)  # K x d x d, one W per head

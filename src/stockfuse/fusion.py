@@ -20,50 +20,53 @@ windows ((B*t) x d, block size t) as one tape node with a hand-derived
 backward; the per-window composition of tape ops it is pinned against lives
 in `tests/reference.py`. It rests on two fold identities:
 
-  scores   s*(x W_Q)(y W_K)^T = (x P) y^T,  P = s*W_Q W_K^T  (d x d)
+  scores   s*(x W_Q)(y W_K)^T = x (y P^T)^T,  P = s*W_Q W_K^T  (d x d)
   h_a      softmax(.)(y W_V) W_a + b_a = softmax(.)(y N) + b_a,  N = W_V W_a  (d x d)
 
-so the score is one bilinear form and the d'-wide "unstable" feature, whose
-only reader is W_a, is never formed; for glu_fusion N = glu W_a and there is
-no softmax. P and N are tape nodes built from the stored projections, d^2*d'
-each per call, and they are the stage node's parents: its backward emits
-x^T d(xP) into P and y^T d(yN) into N, and the tape chains those into W_Q,
-W_K, W_V (or glu) and W_a. Every row-level product is d x d (projections)
-or t x t per window (scores, mixing), so no row array is wider than d. At
-B*t = 20,480, d = 64, d' = 128, forward plus backward of a stage needs
-about 1.8 GFLOP against 5.2 for the wide-head form. The fold costs more
-only if d' < d, which no shipped config uses. `block_unstable` recomputes
-the unstable feature off the tape from the returned attention weights, for
-diagnostics.
+so the score is one bilinear form, with its map applied on the key side,
+and the d'-wide "unstable" feature, whose only reader is W_a, is never
+formed; for glu_fusion N = glu W_a and there is no softmax. P and N are
+tape nodes built from the stored projections, d^2*d' each per call, and
+they are the stage node's parents: its backward emits d(y P^T)^T y into P
+and y^T d(yN) into N, and the tape chains those into W_Q, W_K, W_V (or glu)
+and W_a. Every row-level product is d x d (maps) or t x t per window
+(scores, mixing), so no row array is wider than d. At B*t = 20,480, d = 64,
+d' = 128, forward plus backward of a stage needs about 1.8 GFLOP against
+5.2 for the wide-head form. The fold costs more only if d' < d, which no
+shipped config uses. `block_unstable` recomputes the unstable feature off
+the tape from the returned attention weights, for diagnostics.
 
-The gate reads the query, yet x P and x W_b stay two GEMMs. One GEMM with
-[P | W_b] (d x 2d) leaves each product in strided columns of one array,
-and the elementwise gate work and the batched matmuls on those columns
-cost more than the merged GEMMs save: a whole `train_graph`-shaped float32
-step measured 181.7 ms merged against 177.6 ms split (medians of 120
-steps, 2 cores, one process alternating the two).
-
-Row-wise maps and per-window work. The maps of single rows are x P and the
-gate's sigmoid(x W_b + b_b) (on query rows) and y N (on key/value rows); the
-scores (x P) y^T, the softmax and the mixing A (y N) are per window. A
-batch's windows overlap when their starts are close (eval parts are
+Row-wise maps and per-window work. The maps of single rows are the gate's
+sigmoid(x W_b + b_b) on query rows, and y P^T and y N on key/value rows;
+the scores x (y P^T)^T, the softmax and the mixing A (y N) are per window.
+A batch's windows overlap when their starts are close (eval parts are
 consecutive starts), so its B*t window rows repeat few calendar rows: an
 `ingest_eval` batch gathers 46,000 window rows from ~4,300. An operand
 passed as calendar source rows with the B x t window index therefore runs
-its row-wise maps once per source row and gathers only the products (and
-y itself, which the scores read); backward sums the window-row gradients
-into source rows (`ad.scatter_add_windows`: one index column at a time
-unless a window repeats) and runs the input- and weight-gradient GEMMs on
-the source rows. Stage 1's query and key/value are calendar rows, so both
-sides take this form; stage 2 reads stage 1's window output as its query,
-so only y N runs on source rows there. The model takes this form when the calendar slab has
-fewer rows than the batch gathers, and gathers windows first otherwise. A
-shuffled training batch spans most of the calendar (~24,600-29,600 slab
-rows against 20,480 window rows on `train_graph`), so it keeps the gathered
-form: compacting it to its unique rows instead made stage 1's forward plus
-backward slower on 2 cores, 63 -> 78 ms in float32 and 124 -> 151 ms in
-float64, because the four scatters cost more than the third of the GEMM
-rows they save.
+its row-wise maps once per source row and gathers only the products (and,
+for the query, its rows, which the scores read); backward sums the
+window-row gradients into source rows (`ad.scatter_add_windows`: one index
+column at a time unless a window repeats) and runs the input- and
+weight-gradient GEMMs on the source rows. Stage 1's query and key/value are
+calendar rows, so both sides take this form; stage 2 reads stage 1's window
+output as its query, so there only its gate runs on window rows. The model
+takes this form when the calendar slab has fewer rows than the batch
+gathers, and gathers windows first otherwise. A shuffled training batch
+spans most of the calendar (~24,600-29,600 slab rows against 20,480 window
+rows on `train_graph`), so it keeps the gathered form: compacting it to its
+unique rows instead made stage 1's forward plus backward slower on 2 cores,
+63 -> 78 ms in float32 and 124 -> 151 ms in float64, because the four
+scatters cost more than the third of the GEMM rows they save.
+
+The query map. A query whose rows are a linear map of narrower rows, x =
+z F with F r x d, is passed as z with `query_map=F`. The op folds F into
+the two maps that read the query, F P and F W_b (r x d each, tape nodes
+whose backward hands F its gradient), so the gate is z (F W_b), the key
+rows are y (F P)^T and the scores z (y (F P)^T)^T: every query-side
+product and the key rows are r wide, and x is never formed. The model's
+indicator query is the affine map of 3 raw columns, so it passes the rows
+[ind, 1] with F = [W; c], the indicator encoder's fold: r = 4 against
+d = 64.
 """
 
 from __future__ import annotations
@@ -144,6 +147,7 @@ def block_cross_attention(
     gated: bool = True,
     query_index: np.ndarray | None = None,
     kv_index: np.ndarray | None = None,
+    query_map: Tensor | None = None,
 ) -> tuple[Tensor, Tensor | None, np.ndarray | None]:
     """One gated cross-attention stage layer on each block of `block` rows, as one tape node.
 
@@ -157,20 +161,31 @@ def block_cross_attention(
     d x d products before any row is touched, so no row array is wider
     than d; the node's backward stops at the folded maps.
 
+    With a `query_map` F (r x d), the query is r-wide rows z that the stage
+    reads as z F: the score map P and the gate's W_b are folded through F
+    on the tape, as F P and F W_b, so the query rows are never widened to
+    d and F's gradient flows through those two products.
+
     Returns (stable, gate, attn): the (B*block) x d output node, the gate as
     window rows of plain values (None when ungated) and the B x block x
     block attention weights (None for glu_fusion). Matches the per-window
-    reference stage up to the order of floating-point sums.
+    reference stage on z F up to the order of floating-point sums.
     """
-    if query_st.cols != kv_st.cols:
-        raise ShapeError(f"query {query_st.shape} and kv {kv_st.shape} widths differ")
+    d = kv_st.cols
+    if query_map is None:
+        if query_st.cols != d:
+            raise ShapeError(f"query {query_st.shape} and kv {kv_st.shape} widths differ")
+    elif query_map.shape != (query_st.cols, d):
+        raise ShapeError(
+            f"query map {query_map.shape} does not take query {query_st.shape} to kv width {d}"
+        )
     index = query_index if kv_index is None else kv_index
     rows = kv_st.rows if index is None else np.size(index)
     if rows % block:
         raise ShapeError(f"{rows} window rows not divisible into blocks of {block}")
     q_idx = _operand_index(query_st, query_index, rows, block, "query")
     kv_idx = _operand_index(kv_st, kv_index, rows, block, "kv")
-    n_blocks, d = rows // block, kv_st.cols
+    n_blocks, r = rows // block, query_st.cols
     gate_p, attn_p = stage.gate, stage.attn
     glu = stage.glu is not None
     mix = stage.glu if glu else attn_p.wv  # d x d'
@@ -178,17 +193,16 @@ def block_cross_attention(
     n_fold = n_node.values
     x, y = query_st.values, kv_st.values
 
+    def on_query(w):  # a d x d map as the r-wide query rows read it: F w, or w itself
+        return w if query_map is None else ad.matmul(query_map, w)
+
     def windows(values, idx):
         return values if idx is None else values[idx.reshape(-1)]
 
-    if not glu:
-        p_node = ad.scale(
-            ad.matmul(attn_p.wq.tensor, ad.transpose(attn_p.wk.tensor)), attn_p.score_scale
-        )  # d x d
-        p_fold = p_node.values
-    w_b = gate_p.w_b.values
     gate = None
     if gated:
+        wb_node = on_query(gate_p.w_b.tensor)  # r x d
+        w_b = wb_node.values
         pre = x @ w_b
         pre += gate_p.b_b.values
         gate = windows(ad.sigmoid_values(pre), q_idx)
@@ -196,10 +210,14 @@ def block_cross_attention(
         attn = None
         h = windows(y @ n_fold, kv_idx)
     else:
-        xp3 = windows(x @ p_fold, q_idx).reshape(n_blocks, block, d)
-        y3 = windows(y, kv_idx).reshape(n_blocks, block, d)
+        p_node = on_query(ad.scale(
+            ad.matmul(attn_p.wq.tensor, ad.transpose(attn_p.wk.tensor)), attn_p.score_scale
+        ))  # r x d
+        p_fold = p_node.values
+        x3 = windows(x, q_idx).reshape(n_blocks, block, r)
+        k3 = windows(y @ p_fold.T, kv_idx).reshape(n_blocks, block, r)  # key rows y P^T
         yn3 = windows(y @ n_fold, kv_idx).reshape(n_blocks, block, d)
-        attn = xp3 @ y3.transpose(0, 2, 1)  # b x t x s
+        attn = x3 @ k3.transpose(0, 2, 1)  # b x t x s
         attn -= attn.max(axis=2, keepdims=True)
         np.exp(attn, out=attn)
         attn /= attn.sum(axis=2, keepdims=True)
@@ -219,9 +237,8 @@ def block_cross_attention(
             d_pre = _to_source(d_pre, q_idx, len(x))
             if query_st.requires_grad:
                 ad.add_grad(query_st, d_pre @ w_b.T)
-            ad.add_grad(gate_p.w_b.tensor, x.T @ d_pre)
+            ad.add_grad(wb_node, x.T @ d_pre)
         ad.add_grad(gate_p.b_a.tensor, d_h.sum(axis=0, keepdims=True))
-        d_y = None
         if glu:
             d_yn = d_h
         else:
@@ -230,17 +247,15 @@ def block_cross_attention(
             d_yn = (attn.transpose(0, 2, 1) @ d_h3).reshape(rows, d)
             d_s -= (d_s * attn).sum(axis=2, keepdims=True)
             d_s *= attn
-            d_xp = _to_source((d_s @ y3).reshape(rows, d), q_idx, len(x))
             if query_st.requires_grad:
-                ad.add_grad(query_st, d_xp @ p_fold.T)
-            if kv_st.requires_grad:
-                d_y = _to_source((d_s.transpose(0, 2, 1) @ xp3).reshape(rows, d), kv_idx, len(y))
-            ad.add_grad(p_node, x.T @ d_xp)
+                ad.add_grad(query_st, _to_source((d_s @ k3).reshape(rows, r), q_idx, len(x)))
+            d_k = _to_source((d_s.transpose(0, 2, 1) @ x3).reshape(rows, r), kv_idx, len(y))
+            ad.add_grad(p_node, d_k.T @ y)
         d_yn = _to_source(d_yn, kv_idx, len(y))
         if kv_st.requires_grad:
             d_kv = d_yn @ n_fold.T
-            if d_y is not None:
-                d_kv += d_y
+            if not glu:
+                d_kv += d_k @ p_fold
             ad.add_grad(kv_st, d_kv)
         ad.add_grad(n_node, y.T @ d_yn)
 
@@ -250,7 +265,7 @@ def block_cross_attention(
     if not glu:
         parents.append(p_node)
     if gated:
-        parents += [gate_p.w_b.tensor, gate_p.b_b.tensor]
+        parents += [wb_node, gate_p.b_b.tensor]
     stable = ad.node(out, parents, backward)
     return stable, None if gate is None else Tensor(gate), attn
 

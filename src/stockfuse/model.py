@@ -4,14 +4,18 @@ The batched forward works on a date-major packing of the panel: all stocks'
 feature rows for one calendar date sit together, so the encoders run once
 over the calendar slab the batch spans (the graph encoder once per date),
 and a window is a B x t row index into that slab. The indicator encoder's
-folded map is built once per forward: the indicator features are the slab's
-raw rows through it, and the graph encoder's first layer reads the same raw
-rows through it (the `lift` of its `GatParams`). Windows are processed as
-row-stacked blocks. The row-level work of each fusion stage layer is one
-tape node with a hand-derived backward, `block_cross_attention`: attention
-(or the glu map), the gate's two affine maps, sigmoid and product. Its
-d x d' weights are folded into d x d maps by ordinary tape ops, which also
-carry the gradient back to the stored factors. When the slab has fewer
+folded map (W, c) is built once per forward, and each reader of the
+indicators reads raw rows through it: the graph encoder's first layer reads
+the slab (the `lift` of its `GatParams`), the stage whose query they are
+reads rows [ind, 1] through the query map [W; c], and the time reduction's
+indicator branch is the encoder run on the batch's window rows. So no
+d-wide indicator feature of the slab is formed, gathered or scattered.
+Windows are processed as row-stacked blocks. The row-level work of each
+fusion stage layer is one tape node with a hand-derived backward,
+`block_cross_attention`: attention (or the glu map), the gate's two affine
+maps, sigmoid and product. Its d x d' weights are folded into d x d maps by
+ordinary tape ops, which also carry the gradient back to the stored
+factors. When the slab has fewer
 rows than the batch's windows (overlapping windows, as in eval), the
 stages read the slab's rows through the window index and run their
 row-wise maps once per slab row; otherwise the windows are gathered first
@@ -53,12 +57,13 @@ from .encoders import (
     DocEncoderParams,
     GatParams,
     IndicatorEncoderParams,
+    affine_rows,
     block_gat_encode,
     encode_documents,
     encode_indicators,
     fold_indicators,
 )
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, DataError
 from .fusion import (
     CrossAttnParams,
     FusionStageParams,
@@ -172,7 +177,20 @@ class PackedPanel:
 
     @classmethod
     def from_panel(cls, panel: Panel, graph: RelationalGraph, dtype=np.float64) -> "PackedPanel":
+        """Pack `panel`; a non-finite indicator value anywhere raises DataError.
+
+        The model reads indicator rows outside every window too (the graph
+        encoder reads every stock on each date a batch spans), so the whole
+        panel is checked here, once.
+        """
         n, T = panel.n_stocks, panel.n_dates
+        bad = np.argwhere(~np.isfinite(panel.features).all(axis=2))
+        if bad.size:
+            stock, date = bad[0]
+            raise DataError(
+                f"indicator row of {panel.symbols[stock]} on {panel.calendar[date]} is not "
+                f"finite ({len(bad)} such rows)"
+            )
         ind = panel.features.transpose(1, 0, 2).reshape(T * n, 3).astype(dtype)
         doc = panel.doc_emb.transpose(1, 0, 2).reshape(T * n, panel.dim).astype(dtype)
         mask = panel.doc_mask.T.reshape(T * n, 1).astype(dtype)
@@ -262,37 +280,39 @@ class TrimodalModel:
     # -- batched path --------------------------------------------------
 
     def _calendar_features(self, packed: PackedPanel, r_lo: int, r_hi: int):
-        """Encoded features of date-major rows [r_lo, r_hi), None where the variant reads none."""
-        vi_cal = vd_cal = vg_cal = None
-        ind = Tensor(packed.ind[r_lo:r_hi])
+        """The indicator fold, and the encoded document and graph rows of
+        date-major rows [r_lo, r_hi); None where the variant reads none."""
+        fold = vd_cal = vg_cal = None
         if self.variant != "drop_indicators":
             fold = fold_indicators(self.ind)
-            vi_cal = encode_indicators(ind, fold)
         if self.variant != "drop_docs":
             vd_cal = encode_documents(
                 Tensor(packed.doc[r_lo:r_hi]), packed.mask[r_lo:r_hi], self.doc
             )
         if self.variant not in ("drop_graph", "drop_indicators"):
-            # the GAT reads the raw indicator rows through the same fold
+            # the GAT reads the raw indicator rows through the fold
+            ind = Tensor(packed.ind[r_lo:r_hi])
             vg_cal = block_gat_encode(ind, packed.neighbors, GatParams(self.gat.layers, fold))
-        return vi_cal, vd_cal, vg_cal
+        return fold, vd_cal, vg_cal
 
     def _fuse_blocks(self, query, kv, stage: FusionStageParams, block: int, diagnostics):
         """Stable output of a stage; with diagnostics also (unstable, stable, gate).
 
-        `query` and `kv` are (tensor, index) pairs: window rows with index
-        None, or calendar rows read through the B x t window index (see
-        `forward_batch`). Every layer reads `kv` as given; layers after the
-        first read the previous layer's window rows as their query. The
-        diagnostics are window rows.
+        `query` is a (tensor, index, map) triple and `kv` a (tensor, index)
+        pair: window rows with index None, or calendar rows read through the
+        B x t window index (see `forward_batch`); the map, if not None, is
+        the query map the first layer reads its rows through. Every layer
+        reads `kv` as given; layers after the first read the previous
+        layer's window rows as their query, unmapped. The diagnostics are
+        window rows.
         """
         gated = self.variant != "ca_fusion"
-        (q, q_idx), (kv, kv_idx) = query, kv
+        (q, q_idx, q_map), (kv, kv_idx) = query, kv
         for _ in range(max(1, self.cfg.fusion_layers)):
             stable, gate, attn = block_cross_attention(
-                q, kv, stage, block, gated, query_index=q_idx, kv_index=kv_idx
+                q, kv, stage, block, gated, query_index=q_idx, kv_index=kv_idx, query_map=q_map
             )
-            q, q_idx = stable, None
+            q, q_idx, q_map = stable, None, None
         if not diagnostics:
             return stable, None
         if gate is None:
@@ -319,30 +339,35 @@ class TrimodalModel:
         start = np.asarray(start, dtype=np.intp)
         lo = int(start.min())
         hi = int(start.max()) + t
-        vi_cal, vd_cal, vg_cal = self._calendar_features(packed, lo * n, hi * n)
+        fold, vd_cal, vg_cal = self._calendar_features(packed, lo * n, hi * n)
         idx = (start[:, None] - lo + np.arange(t)[None, :]) * n + stock_idx[:, None]  # B x t
         from_source = (hi - lo) * n < idx.size
 
         def operand(cal):  # a calendar feature as a stage reads it
             return (cal, idx) if from_source else (ad.gather_rows(cal, idx), None)
 
-        if vi_cal is None:  # drop_indicators: the indicator branch reads zeros
+        fused = None
+        if fold is None:  # drop_indicators: the indicator branch reads zeros
             q_i = Tensor(np.zeros((idx.size, self.cfg.d), dtype=self.cfg.dtype))
         else:
-            q_i = ad.gather_rows(vi_cal, idx)
-        fused = (vi_cal, idx) if from_source and vi_cal is not None else (q_i, None)
+            ind = packed.ind[lo * n : hi * n]
+            ind_windows = ind[idx.reshape(-1)]
+            q_i = encode_indicators(Tensor(ind_windows), fold)
+            # a stage's indicator query: raw rows [ind, 1] read through [W; c]
+            rows, q_idx = (ind, idx) if from_source else (ind_windows, None)
+            fused = (Tensor(affine_rows(rows)), q_idx, ad.concat_rows(fold))
         diag = {}
         if vd_cal is not None:
             docs = operand(vd_cal)
             stable, diag["stage1"] = self._fuse_blocks(
-                docs if vi_cal is None else fused, docs, self.stages[0], t, diagnostics
+                fused or (*docs, None), docs, self.stages[0], t, diagnostics
             )
-            fused = (stable, None)
+            fused = (stable, None, None)
         if vg_cal is not None:
             stable, diag["stage2"] = self._fuse_blocks(
                 fused, operand(vg_cal), self.stages[1], t, diagnostics
             )
-            fused = (stable, None)
+            fused = (stable, None, None)
         logits = aggregate_features(block_reduce_time(fused[0], q_i, self.pred, t), self.pred)
         if diagnostics:
             return logits, diag

@@ -38,6 +38,8 @@ STAGE_PINS = (
     "tests/test_fusion.py::TestBlockCrossAttention",
     "tests/test_fusion.py::TestBlockGatedSelection",
     "tests/test_fusion.py::TestSourceRows",
+    "tests/test_fusion.py::TestQueryMap",
+    "tests/test_model.py::test_model_grad_check_every_parameter",
     "tests/test_model.py::test_model_grad_check_through_source_rows",
 )
 GAT_PINS = ("tests/test_encoders.py::TestBlockGat", "tests/test_encoders.py::TestLiftedGat")
@@ -71,23 +73,36 @@ MUTANTS = [
     Mutant("stage: mixing gradient without the attention transpose", FUSION,
            "d_yn = (attn.transpose(0, 2, 1) @ d_h3)", "d_yn = (attn @ d_h3)", STAGE_PINS),
     Mutant("stage: kv score gradient without the transpose", FUSION,
-           "(d_s.transpose(0, 2, 1) @ xp3)", "(d_s @ xp3)", STAGE_PINS),
+           "(d_s.transpose(0, 2, 1) @ x3)", "(d_s @ x3)", STAGE_PINS),
     Mutant("stage: kv score gradient dropped", FUSION,
-           "                d_kv += d_y\n", "                d_kv += 0.0 * d_y\n", STAGE_PINS),
+           "                d_kv += d_k @ p_fold\n", "                d_kv += 0.0 * (d_k @ p_fold)\n",
+           STAGE_PINS),
+    Mutant("stage: key rows read P untransposed", FUSION,
+           "windows(y @ p_fold.T, kv_idx)", "windows(y @ p_fold, kv_idx)", STAGE_PINS),
     Mutant("stage: query gradient without the gate term", FUSION,
            "ad.add_grad(query_st, d_pre @ w_b.T)",
            "ad.add_grad(query_st, 0.0 * (d_pre @ w_b.T))", STAGE_PINS),
     Mutant("stage: W_b's gradient reads the kv rows", FUSION,
-           "ad.add_grad(gate_p.w_b.tensor, x.T @ d_pre)",
-           "ad.add_grad(gate_p.w_b.tensor, y.T @ d_pre)", STAGE_PINS),
-    Mutant("stage: P's gradient reads the kv rows", FUSION,
-           "ad.add_grad(p_node, x.T @ d_xp)", "ad.add_grad(p_node, y.T @ d_xp)", STAGE_PINS),
+           "ad.add_grad(wb_node, x.T @ d_pre)", "ad.add_grad(wb_node, y.T @ d_pre)", STAGE_PINS),
+    Mutant("stage: P's gradient reads the query rows", FUSION,
+           "ad.add_grad(p_node, d_k.T @ y)", "ad.add_grad(p_node, d_k.T @ x)", STAGE_PINS),
     Mutant("stage: N's gradient reads the query rows", FUSION,
            "ad.add_grad(n_node, y.T @ d_yn)", "ad.add_grad(n_node, x.T @ d_yn)", STAGE_PINS),
     Mutant("stage: query score gradient scattered through the kv index", FUSION,
-           "d_xp = _to_source((d_s @ y3).reshape(rows, d), q_idx, len(x))",
-           "d_xp = _to_source((d_s @ y3).reshape(rows, d), kv_idx if q_idx is None else q_idx,"
-           " len(x))", STAGE_PINS),
+           "_to_source((d_s @ k3).reshape(rows, r), q_idx, len(x))",
+           "_to_source((d_s @ k3).reshape(rows, r), q_idx if kv_idx is None else kv_idx, len(x))",
+           STAGE_PINS),
+    Mutant("stage: key-row gradient scattered through the query index", FUSION,
+           "@ x3).reshape(rows, r), kv_idx, len(y))",
+           "@ x3).reshape(rows, r), kv_idx if q_idx is None else q_idx, len(y))", STAGE_PINS),
+    Mutant("stage: query map gets no gradient on the gate path", FUSION,
+           "wb_node = on_query(gate_p.w_b.tensor)",
+           "wb_node = on_query(gate_p.w_b.tensor) if query_map is None else"
+           " ad.matmul(Tensor(query_map.values), gate_p.w_b.tensor)", STAGE_PINS),
+    Mutant("stage: query map gets no gradient on the score path", FUSION,
+           "        p_node = on_query(ad.scale(\n",
+           "        p_node = (on_query if query_map is None else"
+           " lambda w: ad.matmul(Tensor(query_map.values), w))(ad.scale(\n", STAGE_PINS),
     Mutant("stage: gate gradient left in window rows", FUSION,
            "            d_pre = _to_source(d_pre, q_idx, len(x))\n", "", STAGE_PINS),
     Mutant("stage: repeated windows scattered by column", FUSION,

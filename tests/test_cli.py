@@ -5,7 +5,7 @@ import pytest
 
 from stockfuse.cli import run_command
 from stockfuse.container import load_bundle, save_bundle
-from stockfuse.data import load_split
+from stockfuse.data import load_split, save_split
 from stockfuse.errors import FormatError
 from stockfuse.metrics import chance_band
 
@@ -75,6 +75,20 @@ def test_split_of_other_document_width_is_a_data_error(trained, tmp_path, caplog
                                   "--splits", str(tmp_path / "run8" / "splits.sfb")])
     assert code == 2
     assert "document width 8" in caplog.text and "width 6" in caplog.text
+
+
+def test_eval_of_nan_outside_every_window_exit_2(trained, tmp_path, caplog, nan_outside_windows):
+    """A split whose test dates hold a NaN in a row only the graph encoder
+    reads is refused with exit 2, not scored from NaN logits."""
+    run = trained / "run"
+    split, graph = load_split(run / "splits.sfb")
+    poisoned, _ = nan_outside_windows(split, graph, "test")
+    save_split(tmp_path / "poisoned.sfb", poisoned, graph)
+    code = run_command(["eval", "--checkpoint", str(run / "checkpoint.sfb"),
+                        "--splits", str(tmp_path / "poisoned.sfb"), "--out", str(tmp_path)])
+    assert code == 2
+    assert "not finite" in caplog.text
+    assert not (tmp_path / "eval.json").exists()
 
 
 def test_unreadable_checkpoint_exit_2(trained, tmp_path):

@@ -601,3 +601,95 @@ class TestSourceRows:
                                   kv_index=good)
         with pytest.raises(ShapeError, match="query has 6 window rows, expected 4"):
             block_cross_attention(src, src, stage, 2, kv_index=good)
+
+
+QUERY_FORMS = {  # (query index, kv index): stage 1's two forms and stage 2's
+    "source": (True, True),
+    "window query": (False, True),
+    "gathered": (False, False),
+}
+
+
+class TestQueryMap:
+    """A query read through an r x d map F, against the unmapped op on z F."""
+
+    @pytest.mark.parametrize("repeat", [False, True])
+    @pytest.mark.parametrize("form", sorted(QUERY_FORMS))
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_matches_unmapped_op_on_mapped_rows(self, mode, form, repeat):
+        """Output, gate, attention and the gradient of z, kv, F and every stage
+        parameter. The query's source rows and index differ from the kv's, so
+        a gradient scattered through the wrong index shows."""
+        _, glu, gated = MODES[mode]
+        rng = np.random.default_rng(len(mode) * 10 + len(form) + repeat)
+        d, r, t = 3, 4, 4
+        stage = make_stage(d, 2, rng, head_dim=2, glu=glu)
+        kv_idx = window_index(rng, 24, 6, t, repeat)
+        rows = kv_idx.size
+        with_q_idx, with_kv_idx = QUERY_FORMS[form]
+        q_idx = rng.permutation(30)[:rows].reshape(kv_idx.shape) if with_q_idx else None
+        if repeat and with_q_idx:
+            q_idx[-1] = q_idx[0]
+        z = Tensor(rng.normal(size=(30 if with_q_idx else rows, r)), requires_grad=True)
+        kv = Tensor(rng.normal(size=(24, d)), requires_grad=True)
+        if not with_kv_idx:
+            kv, kv_idx = Tensor(kv.values[kv_idx.reshape(-1)], requires_grad=True), None
+        f_map = P("F", rng.normal(size=(r, d)))
+        upstream = rng.normal(size=(rows, d))
+        params = ref.params_of(stage) + [f_map]
+
+        def run(mapped):
+            def forward(zs, kvs):
+                if mapped:
+                    return block_cross_attention(zs, kvs, stage, t, gated, q_idx, kv_idx,
+                                                 query_map=f_map.tensor)
+                return block_cross_attention(ad.matmul(zs, f_map.tensor), kvs, stage, t, gated,
+                                             q_idx, kv_idx)
+
+            out, grads = run_with_grads(lambda zs, kvs: forward(zs, kvs)[0], (z, kv), params,
+                                        upstream)
+            with ad.no_grad():
+                _, gate, attn = forward(z, kv)
+            return out, grads, gate, attn
+
+        got, got_grads, gate, attn = run(mapped=True)
+        want, want_grads, want_gate, want_attn = run(mapped=False)
+        npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert_same_grads(got_grads, want_grads)
+        assert f_map.tensor.grad is not None
+        for a, b in ((gate, want_gate), (attn, want_attn)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                npt.assert_allclose(getattr(a, "values", a), getattr(b, "values", b),
+                                    rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_grad_check(self, mode):
+        """Finite differences over F, the query rows, the kv source rows and
+        every stage parameter, with the query read through its own index."""
+        _, glu, gated = MODES[mode]
+        rng = np.random.default_rng(17)
+        stage = make_stage(3, 2, rng, head_dim=2, glu=glu)
+        kv_idx = window_index(rng, 15, 4, 3)
+        q_idx = rng.permutation(kv_idx.size).reshape(kv_idx.shape)
+        z = Tensor(rng.normal(size=(kv_idx.size, 4)), requires_grad=True)
+        kv = Tensor(rng.normal(size=(15, 3)), requires_grad=True)
+        f_map = P("F", rng.normal(size=(4, 3)))
+        extras = [f_map, Parameter("z_in", z), Parameter("kv_in", kv)]
+
+        def f():
+            out, _, _ = block_cross_attention(z, kv, stage, 3, gated, q_idx, kv_idx,
+                                              query_map=f_map.tensor)
+            return ad.sum_all(ad.mul(out, out))
+
+        assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
+
+    def test_map_of_wrong_shape_rejected(self, rng):
+        stage = make_stage(3, rng=rng, head_dim=3)
+        z, kv = Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 3)))
+        block_cross_attention(z, kv, stage, 2, query_map=Tensor(np.zeros((4, 3))))
+        for shape in ((3, 3), (5, 3), (4, 4), (4, 2)):
+            with pytest.raises(ShapeError, match="query map"):
+                block_cross_attention(z, kv, stage, 2, query_map=Tensor(np.zeros(shape)))
+        with pytest.raises(ShapeError, match="widths differ"):
+            block_cross_attention(z, kv, stage, 2)

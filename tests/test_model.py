@@ -8,6 +8,7 @@ from perfbench.trace import Tracer, instrumented
 from stockfuse.autodiff import grad_check
 from stockfuse.config import VARIANTS, TrainConfig
 from stockfuse.data import build_dataset
+from stockfuse.errors import DataError
 from stockfuse import model as model_module
 from stockfuse.model import PackedPanel, TrimodalModel, glorot
 from stockfuse.predictor import cross_entropy_loss
@@ -249,6 +250,18 @@ def test_model_grad_check_through_source_rows(monkeypatch, stock_idx, start):
     assert with_grad == set(model.params.names())
 
 
+def test_packed_panel_rejects_nonfinite_indicators(nan_outside_windows):
+    """A non-finite indicator value raises DataError naming its row, even on
+    a row that only the graph encoder reads."""
+    series, days, table, graph, _ = synth_dataset(6, 60, 8, 4.0, 0.2, 0.1, 2, seed=3)
+    split = build_dataset(series, days, table, graph, ws=10, label_spec=(-0.01, 0.01))
+    PackedPanel.from_panel(split.panel, graph)
+    poisoned, (stock, date) = nan_outside_windows(split, graph, "test")
+    symbol, day = split.panel.symbols[stock], split.panel.calendar[date]
+    with pytest.raises(DataError, match=f"{symbol} on {day} is not finite"):
+        PackedPanel.from_panel(poisoned.panel, graph, np.float32)
+
+
 def test_predict_part_batch_size_does_not_change_predictions(monkeypatch):
     """Batches of 7 consecutive test windows, against one batch of all 30.
     The test part is date-major over 6 stocks, so a batch of 7 spans two
@@ -381,30 +394,34 @@ def full_loss_ops(contract_batch, batch_rows=slice(None)):
 def test_full_loss_tape_size(contract_batch):
     """One `full` loss_batch on the contract batch, whose 960 window rows
     come from a calendar slab of fewer rows, so the stages read it through
-    the window index: 38 op nodes, and every parameter is a leaf.
+    the window index: 40 op nodes, and every parameter is a leaf.
 
     The time reduction of both branches is one node. As two chains of 7
     generic ops plus a concat it made the tape 14 nodes longer, so a change
     to this count should be a deliberate one. The GAT reads the raw
     indicator rows through the fold the indicator encoder uses, built once
-    per forward; folding again inside the GAT would add 13 nodes.
+    per forward; folding again inside the GAT would add 13 nodes. Stage 1
+    reads raw indicator rows through the same fold as one r x d map, which
+    costs three nodes (the map [W; c], F P and F W_b) and saves the gather
+    of encoded indicator rows that the d-wide query needed: 38 -> 40.
     """
-    assert len(full_loss_ops(contract_batch)) == 38
+    assert len(full_loss_ops(contract_batch)) == 40
 
 
 def test_full_loss_tape_size_of_gathered_windows(contract_batch):
     """4 windows (40 rows from a slab of at least 120) are gathered first:
-    one gather node more per key/value modality than the source-row form."""
-    assert len(full_loss_ops(contract_batch, slice(4))) == 40
+    one gather node more per key/value modality than the source-row form,
+    so 42 (40 before stage 1 read the lifted query, for the reason above)."""
+    assert len(full_loss_ops(contract_batch, slice(4))) == 42
 
 
-def traced_full_loss(contract_batch) -> Tracer:
+def traced_full_loss(contract_batch, batch_rows=slice(None)) -> Tracer:
     """Spans of one `full` loss_batch and its backward under the benchmark's tracer."""
     panel, graph, batch = contract_batch
     model, packed = full_contract_model(panel, graph)
     tracer = Tracer()
     with instrumented(tracer):
-        loss, _ = model.loss_batch(packed, batch)
+        loss, _ = model.loss_batch(packed, batch[batch_rows])
         loss.backward()
     return tracer
 
@@ -417,7 +434,23 @@ def test_traced_loss_batch_records_reduce_time_spans(contract_batch):
     assert names.count("predictor.reduce_time") == 1
     assert names.count("predictor.reduce_time.bwd") == 1
     recorded = sum(c.value for c in tracer.counts if c.name == "autodiff.tape_nodes")
-    assert recorded == 38
+    assert recorded == 40  # as test_full_loss_tape_size counts, for the reason given there
+
+
+@pytest.mark.parametrize("gathered", [False, True], ids=["source rows", "gathered"])
+def test_traced_loss_batch_records_indicator_and_gather_spans(contract_batch, gathered):
+    """The indicator encoder runs once per forward, on the window rows the
+    time reduction reads, so `encoders.indicators` and its backward each
+    appear once. Gathered windows still go through `autodiff.gather_rows`
+    (the document and graph rows), forward and backward, so the benchmark's
+    per-step gather metrics stay above 0."""
+    tracer = traced_full_loss(contract_batch, slice(4) if gathered else slice(None))
+    names = [span.name for span in tracer.spans]
+    assert names.count("encoders.indicators") == 1
+    assert names.count("encoders.indicators.bwd") == 1
+    if gathered:
+        assert names.count("autodiff.gather_rows") == 2
+        assert names.count("autodiff.gather_rows.bwd") == 2
 
 
 def test_traced_loss_batch_records_gat_spans(contract_batch):

@@ -6,7 +6,7 @@ from perfbench.trace import Tracer, instrumented
 from stockfuse.config import TrainConfig
 from stockfuse.container import load_bundle, save_bundle
 from stockfuse.data import build_dataset
-from stockfuse.errors import CheckpointError
+from stockfuse.errors import CheckpointError, DataError
 from stockfuse import training
 from stockfuse.model import TrimodalModel
 from stockfuse.synth import synth_dataset
@@ -40,6 +40,15 @@ def test_traced_training_records_benchmark_spans(tiny_split):
         assert name in names, name
     _, untraced = train_model(split, graph, tiny_config())
     npt.assert_array_equal(history_rows(traced), history_rows(untraced))
+
+
+def test_nan_read_only_by_the_graph_encoder_is_a_data_error(tiny_split, nan_outside_windows):
+    """A NaN on a training date, in a row no window covers, still stops
+    training with a DataError instead of turning logits into NaN."""
+    split, graph = tiny_split
+    poisoned, _ = nan_outside_windows(split, graph, "train")
+    with pytest.raises(DataError, match="not finite"):
+        train_model(poisoned, graph, tiny_config())
 
 
 def _save_fresh(path, cfg, doc_dim):
