@@ -381,19 +381,22 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 # nonlinearities
 
 
-def sigmoid_values(x: np.ndarray) -> np.ndarray:
+def sigmoid_values(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Logistic function without overflow: e = exp(-|x|), then num / (1 + e).
 
     The numerator max(e, x >= 0) is 1 for x >= 0 and e below, so this is
     bit-identical to 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below,
     reaches exactly 0 where exp(x) underflows and propagates NaN, without
-    a mask or a select over the two branches.
+    a mask or a select over the two branches. The result goes to `out` when
+    given (and is returned); `out` may be `x` itself, computed in place,
+    but must not overlap `x` otherwise.
     """
-    e = np.abs(x)
+    pos = x >= 0  # read before `out` may overwrite x
+    e = np.abs(x, out=out)
     np.negative(e, out=e)
     np.exp(e, out=e)
     denom = e + 1.0
-    np.maximum(e, x >= 0, out=e)
+    np.maximum(e, pos, out=e)
     e /= denom
     return e
 

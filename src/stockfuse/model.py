@@ -23,8 +23,9 @@ row-wise maps once per slab row; otherwise the windows are gathered first
 the fused features and the indicator features, is one more such node,
 `block_reduce_time`, which runs the time layers on every window's t x d
 block at once. The d'-wide pre-gate feature is recomputed only for
-`diagnostics=True`. The per-window reference forward that pins this path
-for every variant lives in `tests/reference.py`.
+`diagnostics=True`, and so is the gate when no tape records (the stage op
+then keeps only a tile of it). The per-window reference forward that pins
+this path for every variant lives in `tests/reference.py`.
 
 Each multi-head projection is one parameter, the heads side by side:
 `fuse{k}.wq/wk/wv` are d x d', `gat.l{i}.w` is d x K*d and `gat.l{i}.a`
@@ -69,6 +70,7 @@ from .fusion import (
     FusionStageParams,
     GateParams,
     block_cross_attention,
+    block_gate,
     block_unstable,
 )
 from .predictor import (
@@ -304,19 +306,24 @@ class TrimodalModel:
         the query map the first layer reads its rows through. Every layer
         reads `kv` as given; layers after the first read the previous
         layer's window rows as their query, unmapped. The diagnostics are
-        window rows.
+        window rows. Off the tape the stage op keeps no window-row gate, so
+        the last layer's gate is recomputed from its query (`block_gate`),
+        as the unstable feature is from its attention.
         """
         gated = self.variant != "ca_fusion"
-        (q, q_idx, q_map), (kv, kv_idx) = query, kv
+        kv, kv_idx = kv
         for _ in range(max(1, self.cfg.fusion_layers)):
+            q, q_idx, q_map = query
             stable, gate, attn = block_cross_attention(
                 q, kv, stage, block, gated, query_index=q_idx, kv_index=kv_idx, query_map=q_map
             )
-            q, q_idx, q_map = stable, None, None
+            query = (stable, None, None)
         if not diagnostics:
             return stable, None
-        if gate is None:
+        if not gated:
             gate = Tensor(np.ones_like(stable.values))
+        elif gate is None:
+            gate = block_gate(q, stage, q_idx, q_map)
         return stable, (block_unstable(kv, stage, attn, kv_idx), stable, gate)
 
     def forward_batch(

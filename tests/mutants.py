@@ -12,7 +12,9 @@ with pytest. A mutant is caught when its pins fail. The script prints one
 line per mutant and exits 1 if any mutant survives, no longer applies, or
 breaks collection instead of failing a test.
 
-The file is not named `test_*.py`, so the tier-1 run does not collect it.
+The file is not named `test_*.py`, so the tier-1 run does not collect it;
+tier-1's `tests/test_mutants.py` checks only that every mutant still
+applies and every pin names an existing test.
 """
 
 from __future__ import annotations
@@ -33,12 +35,14 @@ FUSION = "src/stockfuse/fusion.py"
 AUTODIFF = "src/stockfuse/autodiff.py"
 ENCODERS = "src/stockfuse/encoders.py"
 PREDICTOR = "src/stockfuse/predictor.py"
+MODEL = "src/stockfuse/model.py"
 
 STAGE_PINS = (
     "tests/test_fusion.py::TestBlockCrossAttention",
     "tests/test_fusion.py::TestBlockGatedSelection",
     "tests/test_fusion.py::TestSourceRows",
     "tests/test_fusion.py::TestQueryMap",
+    "tests/test_fusion.py::TestTiles",
     "tests/test_model.py::test_model_grad_check_every_parameter",
     "tests/test_model.py::test_model_grad_check_through_source_rows",
 )
@@ -61,24 +65,25 @@ class Mutant:
 MUTANTS = [
     # block_cross_attention: gate, softmax, folded maps, source-row scatter
     Mutant("stage: gate derivative without h", FUSION,
-           "            d_pre *= out\n", "            d_pre *= gate\n", STAGE_PINS),
+           "                d_pre[a:b] *= out[a:b]\n", "                d_pre[a:b] *= gate[a:b]\n",
+           STAGE_PINS),
     Mutant("stage: h gradient not scaled by the gate", FUSION,
-           "            d_h = g * gate\n", "            d_h = g.copy()\n", STAGE_PINS),
+           "np.multiply(g_t, gate[a:b], out=dh_t)", "np.copyto(dh_t, g_t)", STAGE_PINS),
     Mutant("stage: gate bias gradient from d_h", FUSION,
            "ad.add_grad(gate_p.b_b.tensor, d_pre.sum(axis=0, keepdims=True))",
            "ad.add_grad(gate_p.b_b.tensor, d_h.sum(axis=0, keepdims=True))", STAGE_PINS),
     Mutant("stage: no softmax row term", FUSION,
-           "            d_s -= (d_s * attn).sum(axis=2, keepdims=True)\n",
-           "            d_s -= 0.0\n", STAGE_PINS),
+           "            ds -= np.sum(prod, axis=2, keepdims=True, out=row_buf[:nw])\n",
+           "            ds -= 0.0\n", STAGE_PINS),
     Mutant("stage: mixing gradient without the attention transpose", FUSION,
-           "d_yn = (attn.transpose(0, 2, 1) @ d_h3)", "d_yn = (attn @ d_h3)", STAGE_PINS),
+           "np.matmul(s.transpose(0, 2, 1), dh3,", "np.matmul(s, dh3,", STAGE_PINS),
     Mutant("stage: kv score gradient without the transpose", FUSION,
-           "(d_s.transpose(0, 2, 1) @ x3)", "(d_s @ x3)", STAGE_PINS),
+           "np.matmul(ds.transpose(0, 2, 1), x3,", "np.matmul(ds, x3,", STAGE_PINS),
     Mutant("stage: kv score gradient dropped", FUSION,
            "                d_kv += d_k @ p_fold\n", "                d_kv += 0.0 * (d_k @ p_fold)\n",
            STAGE_PINS),
     Mutant("stage: key rows read P untransposed", FUSION,
-           "windows(y @ p_fold.T, kv_idx)", "windows(y @ p_fold, kv_idx)", STAGE_PINS),
+           "y_pt = y @ p_fold.T", "y_pt = y @ p_fold", STAGE_PINS),
     Mutant("stage: query gradient without the gate term", FUSION,
            "ad.add_grad(query_st, d_pre @ w_b.T)",
            "ad.add_grad(query_st, 0.0 * (d_pre @ w_b.T))", STAGE_PINS),
@@ -89,12 +94,11 @@ MUTANTS = [
     Mutant("stage: N's gradient reads the query rows", FUSION,
            "ad.add_grad(n_node, y.T @ d_yn)", "ad.add_grad(n_node, x.T @ d_yn)", STAGE_PINS),
     Mutant("stage: query score gradient scattered through the kv index", FUSION,
-           "_to_source((d_s @ k3).reshape(rows, r), q_idx, len(x))",
-           "_to_source((d_s @ k3).reshape(rows, r), q_idx if kv_idx is None else kv_idx, len(x))",
-           STAGE_PINS),
+           "_to_source(d_q, q_idx, len(x))",
+           "_to_source(d_q, q_idx if kv_idx is None else kv_idx, len(x))", STAGE_PINS),
     Mutant("stage: key-row gradient scattered through the query index", FUSION,
-           "@ x3).reshape(rows, r), kv_idx, len(y))",
-           "@ x3).reshape(rows, r), kv_idx if q_idx is None else q_idx, len(y))", STAGE_PINS),
+           "d_k = _to_source(d_k, kv_idx, len(y))",
+           "d_k = _to_source(d_k, kv_idx if q_idx is None else q_idx, len(y))", STAGE_PINS),
     Mutant("stage: query map gets no gradient on the gate path", FUSION,
            "wb_node = on_query(gate_p.w_b.tensor)",
            "wb_node = on_query(gate_p.w_b.tensor) if query_map is None else"
@@ -108,6 +112,30 @@ MUTANTS = [
     Mutant("stage: repeated windows scattered by column", FUSION,
            "ad.scatter_add_windows(out, index, g, ad.distinct_columns(index))",
            "ad.scatter_add_windows(out, index, g, True)", STAGE_PINS),
+    # block_cross_attention's tiles
+    Mutant("stage: the last partial tile is skipped", FUSION,
+           "for w0 in range(0, n_blocks, per_tile)]",
+           "for w0 in range(0, n_blocks // per_tile * per_tile, per_tile)]", STAGE_PINS),
+    Mutant("stage: a tile reads the previous tile's key rows", FUSION,
+           "k3, v3 = (window_rows(mapped, kv_idx, buf[at], w0, w1)",
+           "k3, v3 = (window_rows(mapped, kv_idx, buf[at], *((w0, w1) if mapped is yn or w0 == 0"
+           " else (w0 - per_tile, w1 - per_tile)))", STAGE_PINS),
+    Mutant("stage: a tile's query gradient written at the wrong offset", FUSION,
+           "out=d_q[a:b].reshape(nw, block, r)", "out=d_q[: b - a].reshape(nw, block, r)",
+           STAGE_PINS),
+    Mutant("stage: b_a's gradient drops the running column sum", FUSION,
+           "d_h[0] = d_h[: b - a + 1].sum(axis=0)", "d_h[0] = d_h[1 : b - a + 1].sum(axis=0)",
+           STAGE_PINS),
+    Mutant("stage: taped tiles written at the start of the whole-row arrays", FUSION,
+           "at = slice(a, b) if taped else slice(0, b - a)", "at = slice(0, b - a)", STAGE_PINS),
+    Mutant("model: off-tape diagnostics gate read without the query map", MODEL,
+           "gate = block_gate(q, stage, q_idx, q_map)", "gate = block_gate(q, stage, q_idx, None)",
+           ("tests/test_model.py::test_diagnostics_off_the_tape_equal_the_taped_call",)),
+    Mutant("sigmoid: sign read after the output overwrote the input", AUTODIFF,
+           "    pos = x >= 0  # read before `out` may overwrite x\n    e = np.abs(x, out=out)\n",
+           "    e = np.abs(x, out=out)\n    pos = x >= 0\n",
+           ("tests/test_autodiff.py::test_sigmoid_bit_identical_to_masked_formula",
+            "tests/test_fusion.py::TestTiles")),
     Mutant("scatter: column path skips index column 0", AUTODIFF,
            "        for j in range(idx.shape[1]):\n",
            "        for j in range(1, idx.shape[1]):\n",

@@ -247,16 +247,34 @@ def _sigmoid_by_mask(x):
     return out
 
 
+def _sigmoid_forms(x):
+    """sigmoid_values of x in each form: a new array, into another array, in place."""
+    new = ad.sigmoid_values(x)
+    into = np.full_like(x, 7.0)
+    assert ad.sigmoid_values(x, out=into) is into
+    in_place = x.copy()
+    assert ad.sigmoid_values(in_place, out=in_place) is in_place
+    return {"new": new, "out": into, "in place": in_place}
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_sigmoid_bit_identical_to_masked_formula(dtype):
+    """Every form, on +-0, +-inf, NaN, saturation and underflow: exp(x)
+    subnormal (-100 in float32, -740 in float64) and exactly 0 (-800)."""
     rng = np.random.default_rng(5)
-    x = np.concatenate([
-        rng.normal(scale=6.0, size=4000),
-        [0.0, -0.0, 40.0, -40.0, 800.0, -800.0, 1e-30, -1e-30],
-    ]).astype(dtype).reshape(-1, 8)
+    special = [0.0, -0.0, 40.0, -40.0, 800.0, -800.0, 1e-30, -1e-30,
+               np.inf, -np.inf, np.nan, -100.0, -740.0, 100.0, 740.0, -1e-45]
+    x = np.concatenate([rng.normal(scale=6.0, size=4000), special]).astype(dtype).reshape(-1, 8)
+    kept = x.copy()
     with np.errstate(over="ignore"):
         expected = _sigmoid_by_mask(x)
-    out = ad.sigmoid(Tensor(x)).values
-    assert out.dtype == dtype
-    npt.assert_array_equal(out, expected)
-    assert out[x == -800.0].max() == 0.0 and out[x == 800.0].min() == 1.0
+    for form, out in _sigmoid_forms(x).items():
+        assert out.dtype == dtype, form
+        npt.assert_array_equal(out, expected, err_msg=form)
+        assert out[x == -800.0].max() == 0.0 and out[x == 800.0].min() == 1.0
+        assert out[x == -np.inf] == 0.0 and out[x == np.inf] == 1.0
+        assert np.isnan(out[np.isnan(x)]).all() and not np.isnan(out[~np.isnan(x)]).any()
+        assert (out[x == 0.0] == 0.5).all()
+    npt.assert_array_equal(x, kept)  # only the in-place form writes its input
+    finite = x[: 4000 // 8]
+    npt.assert_array_equal(ad.sigmoid(Tensor(finite)).values, expected[: len(finite)])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stockfuse import autodiff as ad
+from stockfuse import fusion
 from stockfuse.autodiff import Parameter, Tensor, grad_check
 from stockfuse.errors import ShapeError
 from stockfuse.fusion import (
@@ -11,6 +12,7 @@ from stockfuse.fusion import (
     FusionStageParams,
     GateParams,
     block_cross_attention,
+    block_gate,
     block_unstable,
 )
 
@@ -639,18 +641,19 @@ class TestQueryMap:
         params = ref.params_of(stage) + [f_map]
 
         def run(mapped):
+            kept = {}
+
             def forward(zs, kvs):
                 if mapped:
-                    return block_cross_attention(zs, kvs, stage, t, gated, q_idx, kv_idx,
-                                                 query_map=f_map.tensor)
-                return block_cross_attention(ad.matmul(zs, f_map.tensor), kvs, stage, t, gated,
-                                             q_idx, kv_idx)
+                    out, *kept["gate, attn"] = block_cross_attention(
+                        zs, kvs, stage, t, gated, q_idx, kv_idx, query_map=f_map.tensor)
+                else:
+                    out, *kept["gate, attn"] = block_cross_attention(
+                        ad.matmul(zs, f_map.tensor), kvs, stage, t, gated, q_idx, kv_idx)
+                return out
 
-            out, grads = run_with_grads(lambda zs, kvs: forward(zs, kvs)[0], (z, kv), params,
-                                        upstream)
-            with ad.no_grad():
-                _, gate, attn = forward(z, kv)
-            return out, grads, gate, attn
+            out, grads = run_with_grads(forward, (z, kv), params, upstream)
+            return out, grads, *kept["gate, attn"]
 
         got, got_grads, gate, attn = run(mapped=True)
         want, want_grads, want_gate, want_attn = run(mapped=False)
@@ -693,3 +696,106 @@ class TestQueryMap:
                 block_cross_attention(z, kv, stage, 2, query_map=Tensor(np.zeros(shape)))
         with pytest.raises(ShapeError, match="widths differ"):
             block_cross_attention(z, kv, stage, 2)
+
+
+# Tile boundaries: with TILE_ROWS set to TILE windows of T rows, batches of
+# 1, TILE - 1, TILE, TILE + 1 and 2 * TILE + 1 windows, against one tile.
+T, TILE = 4, 3
+TILED_BATCHES = [(1, False)] + [(n, rep) for n in (2, 3, 4, 7) for rep in (False, True)]
+
+
+def tiled_stage_inputs(rng, n_windows, repeat, query):
+    """(query, kv, query_index, kv_index, query_map) of one batch; the query is
+    source rows ("source"), window rows ("window"), 4-wide source rows read
+    through a map ("mapped"), or window rows with a window-row kv ("gathered").
+    With `repeat` the last window repeats the first."""
+    d, n_stocks, n_dates = 3, 3, 9
+    pick = rng.permutation(n_stocks * (n_dates - T + 1))[:n_windows]
+    stocks, starts = pick % n_stocks, pick // n_stocks
+    idx = (starts[:, None] + np.arange(T)) * n_stocks + stocks[:, None]
+    if repeat:
+        idx[-1] = idx[0]
+    n_source, rows = n_stocks * n_dates, n_windows * T
+    kv = Tensor(rng.normal(size=(n_source, d)), requires_grad=True)
+    kv_idx, q_idx, f_map = idx, idx, None
+    if query == "mapped":
+        q = Tensor(rng.normal(size=(n_source, 4)), requires_grad=True)
+        f_map = P("F", rng.normal(size=(4, d)))
+    elif query == "source":
+        q = Tensor(rng.normal(size=(n_source, d)), requires_grad=True)
+    else:
+        q, q_idx = Tensor(rng.normal(size=(rows, d)), requires_grad=True), None
+        if query == "gathered":
+            kv, kv_idx = Tensor(kv.values[idx.reshape(-1)], requires_grad=True), None
+    return q, kv, q_idx, kv_idx, f_map
+
+
+def stage_run(monkeypatch, tile_rows, stage, inputs, gated, upstream):
+    """Taped output, gate, attention and gradients, and the output and
+    attention of the same call off the tape, with TILE_ROWS = `tile_rows`."""
+    monkeypatch.setattr(fusion, "TILE_ROWS", tile_rows)
+    q, kv, q_idx, kv_idx, f_map = inputs
+    params = ref.params_of(stage) + ([f_map] if f_map else [])
+    kept = {}
+
+    def forward(qs, kvs):
+        out, kept["gate"], kept["attn"] = block_cross_attention(
+            qs, kvs, stage, T, gated, q_idx, kv_idx, f_map and f_map.tensor
+        )
+        return out
+
+    out, grads = run_with_grads(forward, (q, kv), params, upstream)
+    with ad.no_grad():
+        untaped, no_gate, untaped_attn = block_cross_attention(
+            q, kv, stage, T, gated, q_idx, kv_idx, f_map and f_map.tensor
+        )
+    assert no_gate is None
+    return [out, kept["gate"], kept["attn"], untaped.values, untaped_attn], grads
+
+
+class TestTiles:
+    @pytest.mark.parametrize("n_windows,repeat", TILED_BATCHES)
+    @pytest.mark.parametrize("query", ["source", "window", "mapped", "gathered"])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_tiles_match_one_tile(self, monkeypatch, mode, query, n_windows, repeat):
+        """Output, gate and attention, on and off the tape, and every gradient."""
+        _, glu, gated = MODES[mode]
+        rng = np.random.default_rng(n_windows * 10 + repeat)
+        stage = make_stage(3, 2, rng, head_dim=2, glu=glu)
+        inputs = tiled_stage_inputs(rng, n_windows, repeat, query)
+        upstream = rng.normal(size=(n_windows * T, 3))
+        tiled, tiled_grads = stage_run(monkeypatch, TILE * T, stage, inputs, gated, upstream)
+        whole, whole_grads = stage_run(monkeypatch, 10**9, stage, inputs, gated, upstream)
+        for got, want in zip(tiled, whole):
+            assert (got is None) == (want is None)
+            if want is not None:
+                npt.assert_allclose(getattr(got, "values", got), getattr(want, "values", want),
+                                    rtol=0, atol=1e-12)
+        assert_same_grads(tiled_grads, whole_grads)
+
+    def test_grad_check_across_a_tile_boundary(self, monkeypatch):
+        """Finite differences with 2 * TILE + 1 windows over 3 tiles, a
+        repeated window and a mapped query."""
+        monkeypatch.setattr(fusion, "TILE_ROWS", TILE * T)
+        rng = np.random.default_rng(3)
+        stage = make_stage(3, 2, rng, head_dim=2)
+        q, kv, q_idx, kv_idx, f_map = tiled_stage_inputs(rng, 2 * TILE + 1, True, "mapped")
+        extras = [f_map, Parameter("q_in", q), Parameter("kv_in", kv)]
+
+        def f():
+            out, _, _ = block_cross_attention(q, kv, stage, T, True, q_idx, kv_idx, f_map.tensor)
+            return ad.sum_all(ad.mul(out, out))
+
+        assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
+
+    @pytest.mark.parametrize("query", ["source", "window", "mapped", "gathered"])
+    def test_block_gate_is_the_taped_gate(self, monkeypatch, query):
+        """The diagnostics gate recomputed off the tape equals the gate the
+        taped op keeps, over 3 tiles with a repeated window."""
+        monkeypatch.setattr(fusion, "TILE_ROWS", TILE * T)
+        rng = np.random.default_rng(5)
+        stage = make_stage(3, 2, rng, head_dim=2)
+        q, kv, q_idx, kv_idx, f_map = tiled_stage_inputs(rng, 2 * TILE + 1, True, query)
+        f = f_map and f_map.tensor
+        _, gate, _ = block_cross_attention(q, kv, stage, T, True, q_idx, kv_idx, f)
+        npt.assert_array_equal(block_gate(q, stage, q_idx, f).values, gate.values)

@@ -9,6 +9,8 @@ from stockfuse.autodiff import grad_check
 from stockfuse.config import VARIANTS, TrainConfig
 from stockfuse.data import build_dataset
 from stockfuse.errors import DataError
+from stockfuse import autodiff as ad
+from stockfuse import fusion as fusion_module
 from stockfuse import model as model_module
 from stockfuse.model import PackedPanel, TrimodalModel, glorot
 from stockfuse.predictor import cross_entropy_loss
@@ -194,6 +196,33 @@ def test_both_batch_forms_match_forward_sample(variant, fusion_layers, form):
         for name, want_stage in want.items():
             for got, w in zip(diag[name], want_stage):
                 npt.assert_allclose(got.values[b * t : (b + 1) * t], w.values, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("tile_rows", [None, 8])
+@pytest.mark.parametrize("form", sorted(BATCH_FORMS))
+@pytest.mark.parametrize("fusion_layers", [1, 2])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_diagnostics_off_the_tape_equal_the_taped_call(monkeypatch, variant, fusion_layers, form,
+                                                      tile_rows):
+    """`dump-features` reads the diagnostics under no_grad, where the stage op
+    keeps no window-row gate and `_fuse_blocks` recomputes it: the logits and
+    every stage's (unstable, stable, gate) equal the taped call's, with one
+    tile or with tiles of 2 windows."""
+    if tile_rows:
+        monkeypatch.setattr(fusion_module, "TILE_ROWS", tile_rows)
+    packed = random_packed(np.random.default_rng(40 + fusion_layers))
+    cfg = TrainConfig(d=4, ws=4, heads=2, head_dim=3, gat_heads=2, fusion_layers=fusion_layers,
+                      seed=3)
+    model = TrimodalModel(cfg, doc_dim=5, variant=variant)
+    stock_idx, start = BATCH_FORMS[form]
+    want_logits, want = model.forward_batch(packed, stock_idx, start, diagnostics=True)
+    with ad.no_grad():
+        logits, diag = model.forward_batch(packed, stock_idx, start, diagnostics=True)
+    npt.assert_array_equal(logits.values, want_logits.values)
+    assert sorted(diag) == sorted(want) != []
+    for name, want_stage in want.items():
+        for got, w in zip(diag[name], want_stage):
+            npt.assert_array_equal(got.values, w.values, err_msg=name)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
