@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import VARIANTS, RunConfig, echo_config, load_run_config
+from .config import LIST_KEYS, VARIANTS, RunConfig, echo_config, load_run_config, parse_list
 from .data import (
     build_dataset,
     load_documents,
@@ -119,13 +119,9 @@ def _merge_run_config(args, with_train=True) -> RunConfig:
     if getattr(args, "out", None) is not None:
         cfg.outdir = args.out
     try:
-        if getattr(args, "thresholds", None) is not None:
-            lo, hi = (float(x) for x in args.thresholds.split(","))
-            cfg.thresholds = (lo, hi)
-        if getattr(args, "ratios", None) is not None:
-            cfg.ratios = tuple(float(x) for x in args.ratios.split(","))
-        if getattr(args, "seeds", None) is not None:
-            cfg.seeds = tuple(int(s) for s in args.seeds.split(","))
+        for key in LIST_KEYS:
+            if getattr(args, key, None) is not None:
+                setattr(cfg, key, parse_list(key, getattr(args, key)))
     except ValueError as exc:
         raise ConfigError(f"bad command-line value: {exc}") from exc
     if with_train:
@@ -137,8 +133,6 @@ def _merge_run_config(args, with_train=True) -> RunConfig:
             val = getattr(args, flag, None)
             if val is not None:
                 setattr(cfg.train, field, val)
-    if getattr(args, "variants", None) is not None:
-        cfg.variants = tuple(v.strip() for v in args.variants.split(",") if v.strip())
     return cfg.validate()
 
 

@@ -136,6 +136,20 @@ def _parse_scalar(name: str, raw: str):
     return int(raw)
 
 
+LIST_KEYS = ("thresholds", "ratios", "seeds", "variants")
+
+
+def parse_list(key: str, raw: str) -> tuple:
+    """The comma-list value of option `key` (one of LIST_KEYS); a bad one raises ValueError."""
+    items = [v.strip() for v in raw.split(",")]
+    if key == "variants":
+        return tuple(v for v in items if v)
+    values = tuple((int if key == "seeds" else float)(v) for v in items)
+    if key == "thresholds" and len(values) != 2:
+        raise ValueError(f"thresholds takes two values, got {len(values)}")
+    return values
+
+
 def load_run_config(path) -> RunConfig:
     """Parse an INI run config; unknown keys are rejected."""
     parser = configparser.ConfigParser()
@@ -149,11 +163,8 @@ def load_run_config(path) -> RunConfig:
             for key in sec:
                 if key in ("prices", "documents", "embeddings", "graph", "splits"):
                     setattr(cfg, key, sec[key])
-                elif key == "thresholds":
-                    lo, hi = (float(x) for x in sec[key].split(","))
-                    cfg.thresholds = (lo, hi)
-                elif key == "ratios":
-                    cfg.ratios = tuple(float(x) for x in sec[key].split(","))
+                elif key in ("thresholds", "ratios"):
+                    setattr(cfg, key, parse_list(key, sec[key]))
                 else:
                     raise ConfigError(f"unknown [data] key {key!r}")
         if parser.has_section("train"):
@@ -164,10 +175,8 @@ def load_run_config(path) -> RunConfig:
         if parser.has_section("eval"):
             sec = parser["eval"]
             for key in sec:
-                if key == "variants":
-                    cfg.variants = tuple(v.strip() for v in sec[key].split(",") if v.strip())
-                elif key == "seeds":
-                    cfg.seeds = tuple(int(v) for v in sec[key].split(","))
+                if key in ("variants", "seeds"):
+                    setattr(cfg, key, parse_list(key, sec[key]))
                 else:
                     raise ConfigError(f"unknown [eval] key {key!r}")
         if parser.has_section("out"):

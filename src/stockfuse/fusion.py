@@ -76,13 +76,15 @@ pass (cf. FlashAttention, Dao et al. 2022). Forward, each tile gathers its
 query, key and value rows and its gate (the source rows' gate, one GEMM,
 in the stage-1 form) or computes the gate from its query rows, then runs
 the scores, softmax, mixing, + b_a and * gate in reused tile buffers and
-writes into the whole output and attention arrays. The key and value maps
+writes into the whole output array. The key and value maps
 y P^T and y N stay one GEMM each over the kv rows as given: a 4-wide GEMM
 split into tiles changes in the last bit. On the tape the gate, key and
 value rows the backward reads are written tile by tile into one whole
-array each; off it no whole gate is kept, and `block_gate` recomputes it
-for diagnostics. Backward, each tile forms its rows of the gate, score,
-query and key gradients; the source-row scatters, the weight-gradient
+array each, and so are the gate and attention weights the diagnostics
+read; otherwise each tile scores into a tile buffer and no whole gate or
+attention array is formed (7.4 MB of attention per stage on a float64
+`ingest_eval` batch). Backward, each tile forms its rows of the gate,
+score, query and key gradients; the source-row scatters, the weight-gradient
 GEMMs and the bias sums (b_a's carried through the tiles in row order)
 then run over all rows, so every sum keeps the order of the untiled op.
 A batch that fits one tile runs the loop once.
@@ -138,14 +140,14 @@ class CrossAttnParams:
 class GateParams:
     w_a: Parameter  # d' x d
     b_a: Parameter  # 1 x d
-    w_b: Parameter  # d x d
-    b_b: Parameter  # 1 x d
+    w_b: Parameter | None  # d x d
+    b_b: Parameter | None  # 1 x d
 
 
 @dataclass
 class FusionStageParams:
-    attn: CrossAttnParams
-    gate: GateParams
+    attn: CrossAttnParams | None  # None when `glu` replaces the attention
+    gate: GateParams  # w_b and b_b None when the stage is ungated (ca_fusion)
     glu: Parameter | None = None  # d x d', used only by the glu_fusion variant
 
 
@@ -177,10 +179,10 @@ def block_cross_attention(
     kv_st: Tensor,
     stage: FusionStageParams,
     block: int,
-    gated: bool = True,
     query_index: np.ndarray | None = None,
     kv_index: np.ndarray | None = None,
     query_map: Tensor | None = None,
+    diagnostics: bool = False,
 ) -> tuple[Tensor, Tensor | None, np.ndarray | None]:
     """One gated cross-attention stage layer on each block of `block` rows, as one tape node.
 
@@ -189,11 +191,11 @@ def block_cross_attention(
     its row-wise maps run on the source rows and their products are
     gathered into window rows (see the module docstring). The mixing is
     attention, or the glu_fusion linear map when `stage.glu` is set. The
-    gate reads the query; with `gated=False` (ca_fusion) the output is the
-    pre-gate projection h. Both d x d' maps are folded on the tape into
-    d x d products before any row is touched, so no row array is wider
-    than d; the node's backward stops at the folded maps. The window-row
-    work runs over tiles of whole windows (see "Tiles" above).
+    gate reads the query; a stage without `gate.w_b` (ca_fusion) is ungated
+    and its output is the pre-gate projection h. Both d x d' maps are
+    folded on the tape into d x d products before any row is touched, so no
+    row array is wider than d; the node's backward stops at the folded maps.
+    The window-row work runs over tiles of whole windows (see "Tiles").
 
     With a `query_map` F (r x d), the query is r-wide rows z that the stage
     reads as z F: the score map P and the gate's W_b are folded through F
@@ -201,10 +203,11 @@ def block_cross_attention(
     d and F's gradient flows through those two products.
 
     Returns (stable, gate, attn): the (B*block) x d output node, the gate as
-    window rows of plain values (None when ungated, and off the tape, where
-    no whole gate is kept: `block_gate` recomputes it) and the B x block x
-    block attention weights (None for glu_fusion). Matches the per-window
-    reference stage on z F up to the order of floating-point sums.
+    window rows of plain values (None when ungated) and the B x block x
+    block attention weights (None for glu_fusion). Both are kept, and
+    returned, only on the tape or with `diagnostics`; otherwise they are
+    None. Matches the per-window reference stage on z F up to the order of
+    floating-point sums.
     """
     d = kv_st.cols
     if query_map is None:
@@ -222,7 +225,7 @@ def block_cross_attention(
     kv_idx = _operand_index(kv_st, kv_index, rows, block, "kv")
     n_blocks, r = rows // block, query_st.cols
     gate_p, attn_p = stage.gate, stage.attn
-    glu = stage.glu is not None
+    glu, gated = stage.glu is not None, gate_p.w_b is not None
     mix = stage.glu if glu else attn_p.wv  # d x d'
     n_node = ad.matmul(mix.tensor, gate_p.w_a.tensor)  # d x d
     n_fold = n_node.values
@@ -231,13 +234,13 @@ def block_cross_attention(
     per_tile = max(1, min(TILE_ROWS // block, n_blocks))  # windows
     tiles = [(w0, min(w0 + per_tile, n_blocks)) for w0 in range(0, n_blocks, per_tile)]
     tile_rows = per_tile * block
-    taped = ad.grad_enabled()
+    whole = ad.grad_enabled() or diagnostics  # keep whole what the backward or diagnostics read
 
     def on_query(w):  # a d x d map as the r-wide query rows read it: F w, or w itself
         return w if query_map is None else ad.matmul(query_map, w)
 
-    def buffer(width):  # window rows the backward reads: all of them on the tape, else a tile's
-        return np.empty((rows if taped else tile_rows, width), dtype)
+    def buffer(width):  # window rows the backward or diagnostics read: all of them, else a tile's
+        return np.empty((rows if whole else tile_rows, width), dtype)
 
     def window_rows(values, idx, dst, w0, w1):  # one tile's window rows: a slice, or a gather
         if idx is None:
@@ -268,10 +271,11 @@ def block_cross_attention(
         keys, values = (y_pt, yn) if kv_idx is None else (buffer(r), buffer(d))
         q_buf = None if q_idx is None else np.empty((tile_rows, r), dtype)
         row_buf = np.empty((per_tile, block, 1), dtype)  # a row max or sum of each window
-        attn = np.empty((n_blocks, block, block), dtype)
+        attn = np.empty((n_blocks if whole else per_tile, block, block), dtype)
     for w0, w1 in tiles:
         a, b = w0 * block, w1 * block
-        at = slice(a, b) if taped else slice(0, b - a)  # the tile's rows in a buffer
+        wt = slice(w0, w1) if whole else slice(0, w1 - w0)  # the tile's windows in a buffer
+        at = slice(wt.start * block, wt.stop * block)
         h = out[a:b]
         if glu:
             if kv_idx is not None:
@@ -279,7 +283,7 @@ def block_cross_attention(
         else:
             k3, v3 = (window_rows(mapped, kv_idx, buf[at], w0, w1).reshape(w1 - w0, block, -1)
                       for mapped, buf in ((y_pt, keys), (yn, values)))
-            s, m = attn[w0:w1], row_buf[: w1 - w0]
+            s, m = attn[wt], row_buf[: w1 - w0]
             x3 = window_rows(x, q_idx, q_buf, w0, w1).reshape(w1 - w0, block, r)
             np.matmul(x3, k3.transpose(0, 2, 1), out=s)  # b x t x s
             np.max(s, axis=2, keepdims=True, out=m)
@@ -363,30 +367,7 @@ def block_cross_attention(
     if gated:
         parents += [wb_node, gate_p.b_b.tensor]
     stable = ad.node(out, parents, backward)
-    return stable, Tensor(gate) if gated and taped else None, attn
-
-
-def block_gate(
-    query_st: Tensor,
-    stage: FusionStageParams,
-    query_index: np.ndarray | None = None,
-    query_map: Tensor | None = None,
-) -> Tensor:
-    """A stage's gate sigmoid(x W_b + b_b) as window rows of plain values, for diagnostics.
-
-    Recomputed off the tape from the query as block_cross_attention read it
-    (`query_index`, `query_map`): off the tape the stage op keeps no
-    window-row gate.
-    """
-    w_b = stage.gate.w_b.values
-    if query_map is not None:
-        w_b = query_map.values @ w_b
-    pre = query_st.values @ w_b
-    pre += stage.gate.b_b.values
-    gate = ad.sigmoid_values(pre, out=pre)
-    if query_index is not None:
-        gate = gate[np.asarray(query_index, dtype=np.intp).reshape(-1)]
-    return Tensor(gate)
+    return stable, Tensor(gate) if gated and whole else None, attn if whole else None
 
 
 def block_unstable(

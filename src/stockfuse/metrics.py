@@ -76,11 +76,11 @@ def chance_band(labels, sigmas: float = 3.0) -> float:
 # 1-D PCA
 
 
-def pca_project_1d(features: np.ndarray, max_iter: int = 10000, tol: float = 1e-13):
+def pca_project_1d(features: np.ndarray):
     """Project t x d features onto the top principal axis.
 
     Rows are mean-centered over time; the loading is the covariance's top
-    eigenvector found by power iteration, with its sign fixed so the
+    eigenvector (`np.linalg.eigh`), with its sign fixed so the
     largest-magnitude coordinate is positive. Returns (series, loading).
     """
     x = np.asarray(features, dtype=np.float64)
@@ -89,28 +89,11 @@ def pca_project_1d(features: np.ndarray, max_iter: int = 10000, tol: float = 1e-
     t, d = x.shape
     centered = x - x.mean(axis=0, keepdims=True)
     cov = centered.T @ centered / (t - 1)
-    scale = float(np.abs(cov).max())
-    if scale == 0.0:
+    if not np.any(cov):
         log.warning("PCA on zero-covariance features: returning zero series")
         return np.zeros(t), np.zeros(d)
-    v = np.random.default_rng(0).normal(size=d)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = cov @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            # started in the null space; nudge deterministically
-            v = np.roll(v, 1)
-            continue
-        v_next = w / norm
-        lam_next = float(v_next @ cov @ v_next)
-        if np.linalg.norm(cov @ v_next - lam_next * v_next) <= tol * scale:
-            v, lam = v_next, lam_next
-            break
-        v, lam = v_next, lam_next
-    peak = int(np.argmax(np.abs(v)))
-    if v[peak] < 0:
+    v = np.linalg.eigh(cov)[1][:, -1]
+    if v[np.argmax(np.abs(v))] < 0:
         v = -v
     return centered @ v, v
 

@@ -23,25 +23,33 @@ row-wise maps once per slab row; otherwise the windows are gathered first
 the fused features and the indicator features, is one more such node,
 `block_reduce_time`, which runs the time layers on every window's t x d
 block at once. The d'-wide pre-gate feature is recomputed only for
-`diagnostics=True`, and so is the gate when no tape records (the stage op
-then keeps only a tile of it). The per-window reference forward that pins
-this path for every variant lives in `tests/reference.py`.
+`diagnostics=True`, which also makes the stage op keep its whole gate and
+attention off the tape. The per-window reference forward that pins this
+path for every variant lives in `tests/reference.py`.
 
 Each multi-head projection is one parameter, the heads side by side:
 `fuse{k}.wq/wk/wv` are d x d', `gat.l{i}.w` is d x K*d and `gat.l{i}.a`
 is 2d x K. At init each head's glorot block is drawn in head order and the
 blocks are concatenated.
 
-Variant wiring:
+Variant wiring, and the parameter groups a variant does not hold (`DROPPED`):
   glu_fusion       attention replaced by a linear map of the kv modality
-  ca_fusion        gate forced to 1 (pure cross-attention); no sigmoid runs
-  drop_docs        no document features; stage 1 skipped
-  drop_graph       no graph features; stage 2 skipped
+                   (`fuse{k}.glu.w`, drawn after the stage's gate); no `attn`
+                   (every stage's wq/wk/wv)
+  ca_fusion        gate forced to 1 (pure cross-attention); no sigmoid runs;
+                   no `gate_b` (every stage's gate.wb/bb)
+  drop_docs        no document features; stage 1 skipped; no `doc`, `fuse1`
+  drop_graph       no graph features; stage 2 skipped; no `gat`, `fuse2`
   drop_indicators  indicator features zeroed, so the graph encoder has no
                    input and stage 2 is skipped; documents serve as the
-                   stage-1 query
+                   stage-1 query; no `ind`, `gat`, `fuse2`. The zero branch
+                   still runs through the time layers: it feeds their bias
+                   gradients, so dropping it would change training.
 
-A variant builds and gathers only the modalities it reads.
+`TrimodalModel.__init__` resolves the variant once: it draws every group in
+one order and registers only the groups the variant reads, so a held
+parameter starts as in `full` (in glu_fusion, as drawn after its `glu.w`),
+and a dropped group is None. The forward branches only on those Nones.
 """
 
 from __future__ import annotations
@@ -70,7 +78,6 @@ from .fusion import (
     FusionStageParams,
     GateParams,
     block_cross_attention,
-    block_gate,
     block_unstable,
 )
 from .predictor import (
@@ -123,7 +130,8 @@ class ParamStore:
     def read_arrays(self, arrays: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
         """Array `prefix/name` of every parameter, cast to its dtype.
 
-        A missing array, or one of another shape, raises CheckpointError.
+        A missing array, or one of another shape, raises CheckpointError;
+        arrays that name no parameter are ignored.
         """
         out = {}
         for name, p in self._params.items():
@@ -209,6 +217,13 @@ class PackedPanel:
         )
 
 
+DROPPED = {  # the parameter groups each variant does not read (see "Variant wiring")
+    "full": (), "glu_fusion": ("attn",), "ca_fusion": ("gate_b",),
+    "drop_graph": ("gat", "fuse2"), "drop_docs": ("doc", "fuse1"),
+    "drop_indicators": ("ind", "gat", "fuse2"),
+}
+
+
 class TrimodalModel:
     """Parameter container plus forward passes for every variant."""
 
@@ -222,46 +237,64 @@ class TrimodalModel:
         self.params = ParamStore()
         rng = np.random.default_rng(cfg.seed)
         d, dt = cfg.d, cfg.dtype
-        store = self.params
+        dropped = DROPPED[variant]
+
+        def add(name, values):  # drawn either way; registered if the group being drawn is held
+            return self.params.add(name, values) if held else None
 
         def weight(name, shape):
-            return store.add(name, glorot(rng, shape, dt))
+            return add(name, glorot(rng, shape, dt))
 
-        def bias(name, width, rows=1):
-            return store.add(name, np.zeros((rows, width), dtype=dt))
+        def bias(name, width):
+            return add(name, np.zeros((1, width), dtype=dt))
 
         def heads(names, shapes, n_heads):
             """One matrix per name: the heads' glorot draws, head-major, side by side."""
             draws = [[glorot(rng, shape, dt) for shape in shapes] for _ in range(n_heads)]
-            return [store.add(nm, np.concatenate(b, axis=1)) for nm, b in zip(names, zip(*draws))]
+            return [add(nm, np.concatenate(b, axis=1)) for nm, b in zip(names, zip(*draws))]
 
-        self.ind = IndicatorEncoderParams(
+        def reads(*groups):
+            return not set(groups) & set(dropped)
+
+        held = reads("ind")
+        ind = IndicatorEncoderParams(
             w_close=weight("ind.close.w", (1, d)), b_close=bias("ind.close.b", d),
             w_open=weight("ind.open.w", (1, d)), b_open=bias("ind.open.b", d),
             w_high=weight("ind.high.w", (1, d)), b_high=bias("ind.high.b", d),
             w_mix=weight("ind.mix.w", (3 * d, d)), b_mix=bias("ind.mix.b", d),
         )
-        self.doc = DocEncoderParams(w=weight("doc.w", (doc_dim, d)), b=bias("doc.b", d))
-        self.gat = GatParams(
+        self.ind = ind if held else None
+        held = reads("doc")
+        doc = DocEncoderParams(w=weight("doc.w", (doc_dim, d)), b=bias("doc.b", d))
+        self.doc = doc if held else None
+        held = reads("gat")
+        gat = GatParams(
             layers=[
                 heads((f"gat.l{li}.w", f"gat.l{li}.a"), ((d, d), (2 * d, 1)), cfg.gat_heads)
                 for li in range(cfg.gat_layers)
             ]
         )
+        self.gat = gat if held else None
         dh = cfg.effective_head_dim
         d_prime = cfg.heads * dh
         self.stages = []
         for si in (1, 2):
-            names = (f"fuse{si}.wq", f"fuse{si}.wk", f"fuse{si}.wv")
+            stage = f"fuse{si}"
+            held = reads(stage, "attn")
+            names = (f"{stage}.wq", f"{stage}.wk", f"{stage}.wv")
             attn = CrossAttnParams(*heads(names, [(d, dh)] * 3, cfg.heads), n_heads=cfg.heads)
-            gate = GateParams(
-                w_a=weight(f"fuse{si}.gate.wa", (d_prime, d)),
-                b_a=bias(f"fuse{si}.gate.ba", d),
-                w_b=weight(f"fuse{si}.gate.wb", (d, d)),
-                b_b=bias(f"fuse{si}.gate.bb", d),
+            held = reads(stage)
+            w_a, b_a = weight(f"{stage}.gate.wa", (d_prime, d)), bias(f"{stage}.gate.ba", d)
+            held = reads(stage, "gate_b")
+            w_b, b_b = weight(f"{stage}.gate.wb", (d, d)), bias(f"{stage}.gate.bb", d)
+            held = reads(stage)
+            # glu_fusion's map, drawn after the gate, stands in for the attention
+            glu = None if reads("attn") else weight(f"{stage}.glu.w", (d, d_prime))
+            params = FusionStageParams(
+                attn=attn if reads("attn") else None, gate=GateParams(w_a, b_a, w_b, b_b), glu=glu
             )
-            glu = weight(f"fuse{si}.glu.w", (d, d_prime)) if variant == "glu_fusion" else None
-            self.stages.append(FusionStageParams(attn=attn, gate=gate, glu=glu))
+            self.stages.append(params if held else None)
+        held = True
         t_widths = time_mlp_widths(cfg.ws)
         f_widths = feature_mlp_widths(d)
         time_layers, feat_layers = [], []
@@ -283,15 +316,15 @@ class TrimodalModel:
 
     def _calendar_features(self, packed: PackedPanel, r_lo: int, r_hi: int):
         """The indicator fold, and the encoded document and graph rows of
-        date-major rows [r_lo, r_hi); None where the variant reads none."""
+        date-major rows [r_lo, r_hi); None where the model holds no encoder."""
         fold = vd_cal = vg_cal = None
-        if self.variant != "drop_indicators":
+        if self.ind is not None:
             fold = fold_indicators(self.ind)
-        if self.variant != "drop_docs":
+        if self.doc is not None:
             vd_cal = encode_documents(
                 Tensor(packed.doc[r_lo:r_hi]), packed.mask[r_lo:r_hi], self.doc
             )
-        if self.variant not in ("drop_graph", "drop_indicators"):
+        if self.gat is not None:
             # the GAT reads the raw indicator rows through the fold
             ind = Tensor(packed.ind[r_lo:r_hi])
             vg_cal = block_gat_encode(ind, packed.neighbors, GatParams(self.gat.layers, fold))
@@ -306,24 +339,21 @@ class TrimodalModel:
         the query map the first layer reads its rows through. Every layer
         reads `kv` as given; layers after the first read the previous
         layer's window rows as their query, unmapped. The diagnostics are
-        window rows. Off the tape the stage op keeps no window-row gate, so
-        the last layer's gate is recomputed from its query (`block_gate`),
-        as the unstable feature is from its attention.
+        window rows: the last layer's gate and attention, which the stage op
+        keeps for them, and the unstable feature recomputed from the latter.
         """
-        gated = self.variant != "ca_fusion"
         kv, kv_idx = kv
         for _ in range(max(1, self.cfg.fusion_layers)):
             q, q_idx, q_map = query
             stable, gate, attn = block_cross_attention(
-                q, kv, stage, block, gated, query_index=q_idx, kv_index=kv_idx, query_map=q_map
+                q, kv, stage, block, query_index=q_idx, kv_index=kv_idx, query_map=q_map,
+                diagnostics=diagnostics,
             )
             query = (stable, None, None)
         if not diagnostics:
             return stable, None
-        if not gated:
+        if gate is None:  # ungated: the gate is 1
             gate = Tensor(np.ones_like(stable.values))
-        elif gate is None:
-            gate = block_gate(q, stage, q_idx, q_map)
         return stable, (block_unstable(kv, stage, attn, kv_idx), stable, gate)
 
     def forward_batch(

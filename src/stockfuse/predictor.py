@@ -15,7 +15,10 @@ parameter layout; checkpoints record it, and a checkpoint of another version
 is refused. The shapes alone cannot tell a head whose last time layer had a
 ReLU (version 1) from this one. Version 2 stored every attention and graph
 attention head as its own parameters; version 3 stores each multi-head
-projection as one matrix, the heads side by side.
+projection as one matrix, the heads side by side. Version-3 checkpoints
+written while every variant held all of `full`'s parameters still load for
+`eval`, `dump-features` and resume: arrays are read by name, and those of
+parameters a variant no longer holds (see `model`) are ignored.
 
 The model runs the time MLP on both branches as one tape node,
 `block_reduce_time`, over row-stacked windows, and the feature MLP as

@@ -127,10 +127,20 @@ MUTANTS = [
            "d_h[0] = d_h[: b - a + 1].sum(axis=0)", "d_h[0] = d_h[1 : b - a + 1].sum(axis=0)",
            STAGE_PINS),
     Mutant("stage: taped tiles written at the start of the whole-row arrays", FUSION,
-           "at = slice(a, b) if taped else slice(0, b - a)", "at = slice(0, b - a)", STAGE_PINS),
-    Mutant("model: off-tape diagnostics gate read without the query map", MODEL,
-           "gate = block_gate(q, stage, q_idx, q_map)", "gate = block_gate(q, stage, q_idx, None)",
-           ("tests/test_model.py::test_diagnostics_off_the_tape_equal_the_taped_call",)),
+           "wt = slice(w0, w1) if whole else slice(0, w1 - w0)", "wt = slice(0, w1 - w0)",
+           STAGE_PINS),
+    Mutant("stage: off-tape diagnostics keep only a tile", FUSION,
+           "whole = ad.grad_enabled() or diagnostics", "whole = ad.grad_enabled()",
+           ("tests/test_model.py::test_diagnostics_off_the_tape_equal_the_taped_call",
+            "tests/test_fusion.py::TestTiles")),
+    # the variant table: what a variant holds is what it reads
+    Mutant("model: a variant keeps the groups it drops", MODEL,
+           "return self.params.add(name, values) if held else None",
+           "return self.params.add(name, values)",
+           ("tests/test_model.py::test_every_held_parameter_gets_a_gradient",)),
+    Mutant("model: glu_fusion drops the gate map it reads", MODEL,
+           'held = reads(stage, "gate_b")', 'held = reads(stage, "gate_b", "attn")',
+           ("tests/test_model.py::test_both_batch_forms_match_forward_sample",)),
     Mutant("sigmoid: sign read after the output overwrote the input", AUTODIFF,
            "    pos = x >= 0  # read before `out` may overwrite x\n    e = np.abs(x, out=out)\n",
            "    e = np.abs(x, out=out)\n    pos = x >= 0\n",

@@ -181,10 +181,10 @@ def forward_sample(model, packed, stock: int, start: int):
     cfg, variant, n = model.cfg, model.variant, packed.n_stocks
     rows = (start + np.arange(cfg.ws)) * n + stock
     v_d = v_g = None
-    fold = fold_indicators(model.ind)
     if variant == "drop_indicators":
         v_i = Tensor(np.zeros((cfg.ws, cfg.d), dtype=cfg.dtype))
     else:
+        fold = fold_indicators(model.ind)
         v_i = encode_indicators(Tensor(packed.ind[rows]), fold)
     if variant != "drop_docs":
         v_d = encode_documents(Tensor(packed.doc[rows]), packed.mask[rows], model.doc)

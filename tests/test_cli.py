@@ -138,6 +138,20 @@ def test_unparseable_list_flag_exit_1(tmp_path, caplog, flags):
     assert "bad command-line value" in caplog.text
 
 
+@pytest.mark.parametrize("section,line", [
+    ("data", "thresholds = 0.1"),
+    ("data", "thresholds = x,y"),
+    ("data", "ratios = a,b,c"),
+    ("eval", "seeds = 1,x"),
+])
+def test_unparseable_list_in_config_exit_1(tmp_path, caplog, section, line):
+    """The config file's comma lists parse as the flags' do."""
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{section}]\n{line}\n")
+    assert run_command(["ablate", "--config", str(ini), "--out", str(tmp_path)]) == 1
+    assert "bad value in" in caplog.text
+
+
 @pytest.mark.parametrize("damage", ["history_extra_key", "config_d_not_int", "no_epoch"])
 def test_malformed_checkpoint_meta_exit_2(trained, tmp_path, caplog, damage):
     arrays, meta = load_bundle(trained / "run" / "checkpoint.sfb")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -12,7 +14,6 @@ from stockfuse.fusion import (
     FusionStageParams,
     GateParams,
     block_cross_attention,
-    block_gate,
     block_unstable,
 )
 
@@ -43,8 +44,10 @@ def make_gate(d, heads=2, head_dim=None, rng=None):
     )
 
 
-def make_stage(d, heads=2, rng=None, head_dim=None, glu=False):
-    """Stage weights of width d' = heads * head_dim, with a glu map if asked."""
+def make_stage(d, heads=2, rng=None, head_dim=None, glu=False, gated=True):
+    """Stage weights of width d' = heads * head_dim, holding what its mode
+    reads: with `glu` a glu map in place of the attention, and without
+    `gated` no gate w_b, b_b (ca_fusion). Every weight is drawn either way."""
     rng = rng or np.random.default_rng(2)
     stage = FusionStageParams(
         attn=make_attn(d, heads, head_dim=head_dim, rng=rng),
@@ -52,7 +55,13 @@ def make_stage(d, heads=2, rng=None, head_dim=None, glu=False):
     )
     if glu:
         stage.glu = P("glu", rng.normal(size=(d, stage.attn.out_dim)) * 0.5)
-    return stage
+        stage.attn = None
+    return stage if gated else ungated(stage)
+
+
+def ungated(stage):
+    """The stage without its gate's w_b and b_b: the ca_fusion form."""
+    return dataclasses.replace(stage, gate=dataclasses.replace(stage.gate, w_b=None, b_b=None))
 
 
 def loop_attention_oracle(query, kv, params):
@@ -81,7 +90,7 @@ def loop_attention_oracle(query, kv, params):
 def stable_and_ungated(stage, q, kv, block):
     """The block stage op's gated output and its ungated output h_a, as values."""
     stable, _, _ = block_cross_attention(q, kv, stage, block)
-    h_a, _, _ = block_cross_attention(q, kv, stage, block, gated=False)
+    h_a, _, _ = block_cross_attention(q, kv, ungated(stage), block)
     return stable.values, h_a.values
 
 
@@ -277,7 +286,8 @@ class TestTrimodal:
 
 
 # The batched stage op against the per-window reference. Each mode is
-# (variant for the reference stage, whether the stage has a glu map, gated).
+# (variant for the reference stage, whether the stage has a glu map, whether
+# it has the gate's w_b and b_b).
 MODES = {
     "gated": ("full", False, True),
     "ca": ("ca_fusion", False, False),
@@ -335,9 +345,9 @@ class TestBlockCrossAttention:
     def test_matches_per_window_composition(self, n_blocks, t, d, heads, head_dim, mode, seed):
         rng = np.random.default_rng(seed)
         variant, glu, gated = MODES[mode]
-        stage = make_stage(d, heads, rng, head_dim=head_dim, glu=glu)
+        stage = make_stage(d, heads, rng, head_dim=head_dim, glu=glu, gated=gated)
         q, kv = (Tensor(rng.normal(size=(n_blocks * t, d))) for _ in range(2))
-        stable, _, _ = block_cross_attention(q, kv, stage, t, gated=gated)
+        stable, _, _ = block_cross_attention(q, kv, stage, t)
         want = per_window_stage(q, kv, stage, variant, t)
         npt.assert_allclose(stable.values, want.values, rtol=0, atol=1e-10)
 
@@ -363,12 +373,12 @@ class TestBlockCrossAttention:
         for mode, (variant, glu, gated) in MODES.items():
             for wiring in ("separate", "shared"):
                 rng = np.random.default_rng(d * 100 + heads * 10 + (head_dim or 0))
-                stage = make_stage(d, heads, rng, head_dim=head_dim, glu=glu)
+                stage = make_stage(d, heads, rng, head_dim=head_dim, glu=glu, gated=gated)
                 inputs = wired_inputs(rng, n_blocks * t, d, wiring)
                 upstream = rng.normal(size=(n_blocks * t, d))
                 params = ref.params_of(stage)
                 fused_out, fused_grads = run_with_grads(
-                    lambda q, kv: block_cross_attention(q, kv, stage, t, gated)[0],
+                    lambda q, kv: block_cross_attention(q, kv, stage, t)[0],
                     inputs, params, upstream,
                 )
                 ref_out, ref_grads = run_with_grads(
@@ -415,7 +425,7 @@ class TestBlockCrossAttention:
         stage = make_stage(d, heads, rng, head_dim=head_dim)
         q, kv = (Tensor(rng.normal(size=(n_blocks * t, d))) for _ in range(2))
         for gated in (True, False):
-            stable, _, _ = block_cross_attention(q, kv, stage, t, gated=gated)
+            stable, _, _ = block_cross_attention(q, kv, stage if gated else ungated(stage), t)
             for b in range(n_blocks):
                 rows = slice(b * t, (b + 1) * t)
                 unstable = loop_attention_oracle(q.values[rows], kv.values[rows], stage.attn)
@@ -440,7 +450,7 @@ class TestBlockGatedSelection:
     @pytest.mark.parametrize("gated", [True, False])
     def test_matches_composed_ops(self, rng, gated):
         d, t, n_blocks = 4, 3, 3
-        stage = make_stage(d, rng=rng, head_dim=d)
+        stage = make_stage(d, rng=rng, head_dim=d, gated=gated)
         inputs = tuple(
             Tensor(rng.normal(size=(n_blocks * t, d)) * s, requires_grad=True) for s in (1, 1)
         )
@@ -461,12 +471,11 @@ class TestBlockGatedSelection:
             return ad.mul(h_a, ad.sigmoid(pre))
 
         fused_out, fused_grads = run_with_grads(
-            lambda q, kv: block_cross_attention(q, kv, stage, t, gated)[0],
+            lambda q, kv: block_cross_attention(q, kv, stage, t)[0],
             inputs, params, upstream,
         )
         ref_out, ref_grads = run_with_grads(composed, inputs, params, upstream)
         npt.assert_allclose(fused_out, ref_out, rtol=0, atol=1e-12)
-        # the ca_fusion form reads neither Wb nor bb: their grads stay None
         assert_same_grads(fused_grads, ref_grads)
 
     def test_gate_values(self, rng):
@@ -476,7 +485,7 @@ class TestBlockGatedSelection:
         pre = q.values @ stage.gate.w_b.values + stage.gate.b_b.values
         npt.assert_allclose(gate.values, 1.0 / (1.0 + np.exp(-pre)), rtol=0, atol=1e-15)
         assert not gate.requires_grad
-        _, none, _ = block_cross_attention(q, kv, stage, block=3, gated=False)
+        _, none, _ = block_cross_attention(q, kv, ungated(stage), block=3)
         assert none is None
         stage.gate.b_b.tensor.values = np.full((1, 3), -800.0)  # exp underflows: closed exactly
         stable, gate, _ = block_cross_attention(q, kv, stage, block=3)
@@ -529,7 +538,7 @@ class TestSourceRows:
         _, glu, gated = MODES[mode]
         rng = np.random.default_rng(len(mode) * 10 + len(query_form) + repeat)
         d, t, n_source = 3, 4, 24
-        stage = make_stage(d, 2, rng, head_dim=2, glu=glu)
+        stage = make_stage(d, 2, rng, head_dim=2, glu=glu, gated=gated)
         idx = window_index(rng, n_source, 6, t, repeat)
         rows = idx.size
         kv = Tensor(rng.normal(size=(n_source, d)), requires_grad=True)
@@ -545,23 +554,21 @@ class TestSourceRows:
 
         def from_source(*xs):
             qs, kvs = (xs[0], xs[0]) if len(xs) == 1 else xs
-            return block_cross_attention(qs, kvs, stage, t, gated, query_index=q_idx,
-                                         kv_index=idx)[0]
+            return block_cross_attention(qs, kvs, stage, t, query_index=q_idx, kv_index=idx)[0]
 
         def gathered_first(*xs):
             qs, kvs = (xs[0], xs[0]) if len(xs) == 1 else xs
             q_w = qs if q_idx is None else ad.gather_rows(qs, idx)
-            return block_cross_attention(q_w, ad.gather_rows(kvs, idx), stage, t, gated)[0]
+            return block_cross_attention(q_w, ad.gather_rows(kvs, idx), stage, t)[0]
 
         got, got_grads = run_with_grads(from_source, inputs, params, upstream)
         want, want_grads = run_with_grads(gathered_first, inputs, params, upstream)
         npt.assert_allclose(got, want, rtol=0, atol=1e-12)
         assert_same_grads(got_grads, want_grads)
         q_w = q.values if q_idx is None else q.values[idx.reshape(-1)]
-        _, gate, attn = block_cross_attention(q, kv, stage, t, gated, query_index=q_idx,
-                                              kv_index=idx)
+        _, gate, attn = block_cross_attention(q, kv, stage, t, query_index=q_idx, kv_index=idx)
         _, want_gate, want_attn = block_cross_attention(
-            Tensor(q_w), Tensor(kv.values[idx.reshape(-1)]), stage, t, gated
+            Tensor(q_w), Tensor(kv.values[idx.reshape(-1)]), stage, t
         )
         for a, b in ((gate, want_gate), (attn, want_attn)):
             assert (a is None) == (b is None)
@@ -579,14 +586,13 @@ class TestSourceRows:
         stage parameter."""
         _, glu, gated = MODES[mode]
         rng = np.random.default_rng(7 + repeat)
-        stage = make_stage(3, 2, rng, head_dim=2, glu=glu)
+        stage = make_stage(3, 2, rng, head_dim=2, glu=glu, gated=gated)
         idx = window_index(rng, 15, 4, 3, repeat)
         q, kv = (Tensor(rng.normal(size=(15, 3)), requires_grad=True) for _ in range(2))
         extras = [Parameter("q_in", q), Parameter("kv_in", kv)]
 
         def f():
-            out, _, _ = block_cross_attention(q, kv, stage, 3, gated, query_index=idx,
-                                              kv_index=idx)
+            out, _, _ = block_cross_attention(q, kv, stage, 3, query_index=idx, kv_index=idx)
             return ad.sum_all(ad.mul(out, out))
 
         assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
@@ -625,7 +631,7 @@ class TestQueryMap:
         _, glu, gated = MODES[mode]
         rng = np.random.default_rng(len(mode) * 10 + len(form) + repeat)
         d, r, t = 3, 4, 4
-        stage = make_stage(d, 2, rng, head_dim=2, glu=glu)
+        stage = make_stage(d, 2, rng, head_dim=2, glu=glu, gated=gated)
         kv_idx = window_index(rng, 24, 6, t, repeat)
         rows = kv_idx.size
         with_q_idx, with_kv_idx = QUERY_FORMS[form]
@@ -646,10 +652,10 @@ class TestQueryMap:
             def forward(zs, kvs):
                 if mapped:
                     out, *kept["gate, attn"] = block_cross_attention(
-                        zs, kvs, stage, t, gated, q_idx, kv_idx, query_map=f_map.tensor)
+                        zs, kvs, stage, t, q_idx, kv_idx, query_map=f_map.tensor)
                 else:
                     out, *kept["gate, attn"] = block_cross_attention(
-                        ad.matmul(zs, f_map.tensor), kvs, stage, t, gated, q_idx, kv_idx)
+                        ad.matmul(zs, f_map.tensor), kvs, stage, t, q_idx, kv_idx)
                 return out
 
             out, grads = run_with_grads(forward, (z, kv), params, upstream)
@@ -672,7 +678,7 @@ class TestQueryMap:
         every stage parameter, with the query read through its own index."""
         _, glu, gated = MODES[mode]
         rng = np.random.default_rng(17)
-        stage = make_stage(3, 2, rng, head_dim=2, glu=glu)
+        stage = make_stage(3, 2, rng, head_dim=2, glu=glu, gated=gated)
         kv_idx = window_index(rng, 15, 4, 3)
         q_idx = rng.permutation(kv_idx.size).reshape(kv_idx.shape)
         z = Tensor(rng.normal(size=(kv_idx.size, 4)), requires_grad=True)
@@ -681,7 +687,7 @@ class TestQueryMap:
         extras = [f_map, Parameter("z_in", z), Parameter("kv_in", kv)]
 
         def f():
-            out, _, _ = block_cross_attention(z, kv, stage, 3, gated, q_idx, kv_idx,
+            out, _, _ = block_cross_attention(z, kv, stage, 3, q_idx, kv_idx,
                                               query_map=f_map.tensor)
             return ad.sum_all(ad.mul(out, out))
 
@@ -730,9 +736,11 @@ def tiled_stage_inputs(rng, n_windows, repeat, query):
     return q, kv, q_idx, kv_idx, f_map
 
 
-def stage_run(monkeypatch, tile_rows, stage, inputs, gated, upstream):
-    """Taped output, gate, attention and gradients, and the output and
-    attention of the same call off the tape, with TILE_ROWS = `tile_rows`."""
+def stage_run(monkeypatch, tile_rows, stage, inputs, upstream):
+    """Taped output, gate, attention and gradients, and the output, gate and
+    attention of the same call off the tape with `diagnostics`, with
+    TILE_ROWS = `tile_rows`. Off the tape without `diagnostics` the output
+    is the same and no gate or attention is kept."""
     monkeypatch.setattr(fusion, "TILE_ROWS", tile_rows)
     q, kv, q_idx, kv_idx, f_map = inputs
     params = ref.params_of(stage) + ([f_map] if f_map else [])
@@ -740,17 +748,18 @@ def stage_run(monkeypatch, tile_rows, stage, inputs, gated, upstream):
 
     def forward(qs, kvs):
         out, kept["gate"], kept["attn"] = block_cross_attention(
-            qs, kvs, stage, T, gated, q_idx, kv_idx, f_map and f_map.tensor
+            qs, kvs, stage, T, q_idx, kv_idx, f_map and f_map.tensor
         )
         return out
 
     out, grads = run_with_grads(forward, (q, kv), params, upstream)
     with ad.no_grad():
-        untaped, no_gate, untaped_attn = block_cross_attention(
-            q, kv, stage, T, gated, q_idx, kv_idx, f_map and f_map.tensor
-        )
-    assert no_gate is None
-    return [out, kept["gate"], kept["attn"], untaped.values, untaped_attn], grads
+        untaped = block_cross_attention(q, kv, stage, T, q_idx, kv_idx, f_map and f_map.tensor)
+        diag = block_cross_attention(q, kv, stage, T, q_idx, kv_idx, f_map and f_map.tensor,
+                                     diagnostics=True)
+    assert untaped[1:] == (None, None)
+    npt.assert_array_equal(untaped[0].values, diag[0].values)
+    return [out, kept["gate"], kept["attn"], diag[0].values, *diag[1:]], grads
 
 
 class TestTiles:
@@ -761,11 +770,11 @@ class TestTiles:
         """Output, gate and attention, on and off the tape, and every gradient."""
         _, glu, gated = MODES[mode]
         rng = np.random.default_rng(n_windows * 10 + repeat)
-        stage = make_stage(3, 2, rng, head_dim=2, glu=glu)
+        stage = make_stage(3, 2, rng, head_dim=2, glu=glu, gated=gated)
         inputs = tiled_stage_inputs(rng, n_windows, repeat, query)
         upstream = rng.normal(size=(n_windows * T, 3))
-        tiled, tiled_grads = stage_run(monkeypatch, TILE * T, stage, inputs, gated, upstream)
-        whole, whole_grads = stage_run(monkeypatch, 10**9, stage, inputs, gated, upstream)
+        tiled, tiled_grads = stage_run(monkeypatch, TILE * T, stage, inputs, upstream)
+        whole, whole_grads = stage_run(monkeypatch, 10**9, stage, inputs, upstream)
         for got, want in zip(tiled, whole):
             assert (got is None) == (want is None)
             if want is not None:
@@ -783,19 +792,23 @@ class TestTiles:
         extras = [f_map, Parameter("q_in", q), Parameter("kv_in", kv)]
 
         def f():
-            out, _, _ = block_cross_attention(q, kv, stage, T, True, q_idx, kv_idx, f_map.tensor)
+            out, _, _ = block_cross_attention(q, kv, stage, T, q_idx, kv_idx, f_map.tensor)
             return ad.sum_all(ad.mul(out, out))
 
         assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
 
     @pytest.mark.parametrize("query", ["source", "window", "mapped", "gathered"])
     def test_block_gate_is_the_taped_gate(self, monkeypatch, query):
-        """The diagnostics gate recomputed off the tape equals the gate the
-        taped op keeps, over 3 tiles with a repeated window."""
+        """The gate and attention the block op keeps off the tape for diagnostics
+        equal those the taped op keeps, over 3 tiles with a repeated window."""
         monkeypatch.setattr(fusion, "TILE_ROWS", TILE * T)
         rng = np.random.default_rng(5)
         stage = make_stage(3, 2, rng, head_dim=2)
         q, kv, q_idx, kv_idx, f_map = tiled_stage_inputs(rng, 2 * TILE + 1, True, query)
         f = f_map and f_map.tensor
-        _, gate, _ = block_cross_attention(q, kv, stage, T, True, q_idx, kv_idx, f)
-        npt.assert_array_equal(block_gate(q, stage, q_idx, f).values, gate.values)
+        _, gate, attn = block_cross_attention(q, kv, stage, T, q_idx, kv_idx, f)
+        with ad.no_grad():
+            _, kept_gate, kept_attn = block_cross_attention(q, kv, stage, T, q_idx, kv_idx, f,
+                                                            diagnostics=True)
+        npt.assert_array_equal(kept_gate.values, gate.values)
+        npt.assert_array_equal(kept_attn, attn)

@@ -153,6 +153,27 @@ def test_model_grad_check_every_parameter():
     assert with_grad == set(model.params.names())  # ind.*, gat.* and all the rest
 
 
+@pytest.mark.parametrize("variant,count,entries", [
+    ("full", 38, 110_034),
+    ("glu_fusion", 34, 77_266),
+    ("ca_fusion", 34, 101_714),
+    ("drop_graph", 29, 64_594),
+    ("drop_docs", 29, 68_882),
+    ("drop_indicators", 21, 51_858),
+])
+def test_every_held_parameter_gets_a_gradient(variant, count, entries):
+    """A variant holds only the parameters it reads (`count` of them, of
+    `entries` entries, at the defaults): after one backward of the default
+    model, every one has a nonzero gradient."""
+    packed, batch = tiny_batch()
+    model = TrimodalModel(TrainConfig(seed=0), doc_dim=64, variant=variant)
+    assert (len(model.params), sum(p.values.size for p in model.params)) == (count, entries)
+    loss, _ = model.loss_batch(packed, batch)
+    loss.backward()
+    with_grad = {p.name for p in model.params if np.any(p.tensor.grad)}
+    assert with_grad == set(model.params.names())
+
+
 # Two batches over random_packed(n_stocks=3, n_dates=9) with ws = 4: every
 # stock at starts 1..4 (12 windows, 48 window rows from a slab of 21 rows, so
 # the stages read calendar rows through the window index), and two windows
@@ -310,13 +331,14 @@ def test_predict_part_batch_size_does_not_change_predictions(monkeypatch):
     assert forms[0] == ("source", "source") and forms[-1] == ("window", "window")
 
 
-def test_multi_head_weights_are_the_per_head_draws_side_by_side():
-    """Each projection holds the heads' glorot draws, taken in head order (per
-    head q, k, v for fusion; w, a for GAT) and concatenated by columns, and
-    every other weight is drawn in between as before: the initial model is
-    the one that stored every head as its own parameters."""
-    cfg = TrainConfig(d=4, ws=4, heads=2, head_dim=3, gat_heads=2, gat_layers=2, seed=7)
-    model = TrimodalModel(cfg, doc_dim=5)
+BIASES = (".b", ".ba", ".bb")
+MULTI_HEAD_CFG = TrainConfig(d=4, ws=4, heads=2, head_dim=3, gat_heads=2, gat_layers=2, seed=7)
+
+
+def initial_weights(glu=False):
+    """Every weight of MULTI_HEAD_CFG with doc_dim 5, drawn in the model's
+    one order; with `glu`, each stage's glu map is drawn after its gate."""
+    cfg = MULTI_HEAD_CFG
     rng = np.random.default_rng(cfg.seed)
     d, dt = cfg.d, cfg.dtype
 
@@ -335,7 +357,23 @@ def test_multi_head_weights_are_the_per_head_draws_side_by_side():
         qkv = side_by_side(2, (d, 3), (d, 3), (d, 3))
         want.update(zip([f"fuse{si}.wq", f"fuse{si}.wk", f"fuse{si}.wv"], qkv))
         want[f"fuse{si}.gate.wa"], want[f"fuse{si}.gate.wb"] = draw((6, d), (d, d))
-    want["pred.time.l0.w"], = draw((4, 2))
+        if glu:
+            want[f"fuse{si}.glu.w"], = draw((d, 6))
+    want["pred.time.l0.w"], want["pred.time.l1.w"], want["pred.time.l2.w"] = draw(
+        (4, 2), (2, 1), (1, 1))
+    for i, shape in enumerate(((8, 4), (4, 2), (2, 3))):
+        want[f"pred.feat.l{i}.w"], = draw(shape)
+    return want
+
+
+def test_multi_head_weights_are_the_per_head_draws_side_by_side():
+    """Each projection holds the heads' glorot draws, taken in head order (per
+    head q, k, v for fusion; w, a for GAT) and concatenated by columns, and
+    every other weight is drawn in between as before: the initial model is
+    the one that stored every head as its own parameters."""
+    model = TrimodalModel(MULTI_HEAD_CFG, doc_dim=5)
+    want = initial_weights()
+    assert sorted(want) == sorted(n for n in model.params.names() if not n.endswith(BIASES))
     for name, values in want.items():
         npt.assert_array_equal(model.params[name].values, values, err_msg=name)
     assert model.params["gat.l1.w"].values.shape == (4, 8)
@@ -348,6 +386,24 @@ def test_default_model_parameter_count():
     params = TrimodalModel(TrainConfig(), doc_dim=64).params
     assert len(params) == 38
     assert sum(p.values.size for p in params) == 110_034
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_held_parameters_start_as_drawn(variant):
+    """Every variant draws all weights in one order and holds a subset: a
+    held weight equals the same-named weight of a same-seed `full` model
+    (glu_fusion, which also draws its glu maps, equals that order's draw),
+    and every held bias starts at zero."""
+    model = TrimodalModel(MULTI_HEAD_CFG, doc_dim=5, variant=variant)
+    full = TrimodalModel(MULTI_HEAD_CFG, doc_dim=5)
+    want = initial_weights(glu=variant == "glu_fusion")
+    for p in model.params:
+        if p.name.endswith(BIASES):
+            assert not np.any(p.values), p.name
+            continue
+        npt.assert_array_equal(p.values, want[p.name], err_msg=p.name)
+        if variant != "glu_fusion":
+            npt.assert_array_equal(p.values, full.params[p.name].values, err_msg=p.name)
 
 
 def tape_nodes(root):

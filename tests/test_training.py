@@ -3,12 +3,12 @@ import numpy.testing as npt
 import pytest
 
 from perfbench.trace import Tracer, instrumented
-from stockfuse.config import TrainConfig
+from stockfuse.config import VARIANTS, TrainConfig
 from stockfuse.container import load_bundle, save_bundle
 from stockfuse.data import build_dataset
 from stockfuse.errors import CheckpointError, DataError
 from stockfuse import training
-from stockfuse.model import TrimodalModel
+from stockfuse.model import PackedPanel, TrimodalModel
 from stockfuse.synth import synth_dataset
 from stockfuse.training import load_checkpoint, model_from_checkpoint, save_checkpoint, train_model
 
@@ -141,13 +141,8 @@ class Interrupted(Exception):
     pass
 
 
-def test_resume_after_interrupt_continues_the_exact_run(tiny_split, tmp_path, monkeypatch):
-    """Interrupted in epoch 2, resumed from the epoch-1 checkpoint: the same
-    history and the same final state as a run that was never interrupted."""
-    split, graph = tiny_split
-    cfg = tiny_config().replace(epochs=3, batch_size=16)
-    whole_model, whole = train_model(split, graph, cfg, checkpoint_path=tmp_path / "whole.ckpt")
-
+def interrupted_run(split, graph, cfg, path, monkeypatch, variant="full"):
+    """Train until the second batch of epoch 2, leaving the epoch-1 checkpoint at `path`."""
     orig_batches = training.batch_iter
 
     def batches_until_epoch_2(samples, batch_size, seed, epoch):
@@ -157,11 +152,20 @@ def test_resume_after_interrupt_continues_the_exact_run(tiny_split, tmp_path, mo
             yield batch
 
     monkeypatch.setattr(training, "batch_iter", batches_until_epoch_2)
-    path = tmp_path / "broken.ckpt"
     with pytest.raises(Interrupted):
-        train_model(split, graph, cfg, checkpoint_path=path)
+        train_model(split, graph, cfg, variant=variant, checkpoint_path=path)
     monkeypatch.setattr(training, "batch_iter", orig_batches)
     assert load_checkpoint(path).epoch == 1
+
+
+def test_resume_after_interrupt_continues_the_exact_run(tiny_split, tmp_path, monkeypatch):
+    """Interrupted in epoch 2, resumed from the epoch-1 checkpoint: the same
+    history and the same final state as a run that was never interrupted."""
+    split, graph = tiny_split
+    cfg = tiny_config().replace(epochs=3, batch_size=16)
+    whole_model, whole = train_model(split, graph, cfg, checkpoint_path=tmp_path / "whole.ckpt")
+    path = tmp_path / "broken.ckpt"
+    interrupted_run(split, graph, cfg, path, monkeypatch)
     resumed_model, resumed = train_model(split, graph, cfg, checkpoint_path=path, resume_from=path)
 
     assert [h.epoch for h in resumed] == [1, 2, 3]
@@ -176,3 +180,52 @@ def test_resume_after_interrupt_continues_the_exact_run(tiny_split, tmp_path, mo
     assert (resumed_meta["step"], resumed_meta["best_epoch"]) == (
         whole_meta["step"], whole_meta["best_epoch"]
     )
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_checkpoint_with_unread_arrays_loads_and_resumes(tiny_split, tmp_path, monkeypatch,
+                                                         variant):
+    """Checkpoints written while every variant held all of the full model's
+    parameters also carry arrays the variant never reads. Such a checkpoint
+    gives the same logits and diagnostics as the variant's own, and a run
+    resumed from it continues exactly as one resumed from its own."""
+    split, graph = tiny_split
+    cfg = tiny_config().replace(epochs=2, batch_size=16)
+    own = tmp_path / "own.ckpt"
+    interrupted_run(split, graph, cfg, own, monkeypatch, variant)
+    arrays, meta = load_bundle(own)
+    full = TrimodalModel(cfg, doc_dim=split.panel.dim)
+    unread = [p for p in full.params if f"param/{p.name}" not in arrays]
+    assert bool(unread) == (variant != "full")
+    for p in unread:  # as such a checkpoint stored them: initial values, no Adam moments
+        arrays[f"param/{p.name}"] = arrays[f"best/{p.name}"] = p.values
+        arrays[f"adam_m/{p.name}"] = arrays[f"adam_v/{p.name}"] = np.zeros_like(p.values)
+    wide = tmp_path / "wide.ckpt"
+    save_bundle(wide, arrays, meta)
+
+    packed = PackedPanel.from_panel(split.panel, graph, cfg.dtype)
+    refs = split.test
+    for use_best in (True, False):
+        outs = [model_from_checkpoint(path, use_best)[0].forward_batch(
+            packed, refs.stock_index, refs.start, diagnostics=True) for path in (own, wide)]
+        (logits, diag), (want_logits, want_diag) = outs
+        npt.assert_array_equal(logits.values, want_logits.values)
+        assert sorted(diag) == sorted(want_diag)
+        for name, stage in diag.items():
+            for got, want in zip(stage, want_diag[name]):
+                npt.assert_array_equal(got.values, want.values, err_msg=name)
+
+    runs = {}
+    for name, path in (("own", own), ("wide", wide)):
+        out = tmp_path / f"{name}-resumed.ckpt"
+        model, history = train_model(split, graph, cfg, variant=variant, checkpoint_path=out,
+                                     resume_from=path)
+        runs[name] = model.params.snapshot(), history_rows(history), load_bundle(out)[0]
+    (params, history, saved), (want_params, want_history, want_saved) = runs.values()
+    npt.assert_array_equal(history, want_history)
+    assert sorted(params) == sorted(want_params)
+    for name, values in want_params.items():
+        npt.assert_array_equal(params[name], values, err_msg=name)
+    assert sorted(saved) == sorted(want_saved)
+    for key, values in want_saved.items():
+        npt.assert_array_equal(saved[key], values, err_msg=key)
