@@ -4,9 +4,11 @@ The indicator and document encoders are per-row affine maps, so the same
 function serves a single window or a whole stacked calendar. The indicator
 encoder has no activation, so `fold_indicators` folds its lifts and
 projection, on the tape, into one 3 x d map W and one 1 x d shift c; the
-rows meet only those two. The graph encoder runs multi-head attention over
-all stocks at one timestamp; the model stacks it across timestamps with
-shared weights. Each layer stores its K heads as two matrices: the
+rows meet only those two. `encode_indicators` returns the encoder in that
+factored form, the rows [x, 1] and the 4 x d map [W; c], and every reader
+takes it so: no reader forms the d-wide indicator rows. The graph encoder
+runs multi-head attention over all stocks at one timestamp; the model
+stacks it across timestamps with shared weights. Each layer stores its K heads as two matrices: the
 projections W side by side (d x K*d, head k in columns k*d .. (k+1)*d) and
 the score vectors a as columns (2d x K). The heads keep separate softmaxes.
 
@@ -99,9 +101,9 @@ def fold_indicators(params: IndicatorEncoderParams) -> tuple[Tensor, Tensor]:
     `c = b_mix + sum_k b_k @ W_mix[k]`. The fold is built from the d x d
     parameter blocks by tape ops, so backward chains into the eight stored
     parameters by itself. The model builds it once per forward and hands
-    it to the indicator encoder (on the batch's window rows), to the graph
-    encoder's first layer, and, stacked as [W; c], to the fusion stage whose
-    query is the indicators.
+    it to the graph encoder's first layer and to `encode_indicators`, whose
+    [W; c] the fusion stage whose query is the indicators and the time
+    reduction's indicator branch share.
     """
     lifts = [
         (params.w_close, params.b_close),
@@ -121,13 +123,21 @@ def affine_rows(x: np.ndarray) -> np.ndarray:
     return np.hstack([x, np.ones((len(x), 1), dtype=x.dtype)])
 
 
-def encode_indicators(x: Tensor, fold: tuple[Tensor, Tensor]) -> Tensor:
-    """Indicator rows (t x 3: close, open, high) to width d through the folded
-    map `fold = fold_indicators(params)`: one affine node, `x @ W + c`."""
-    x = x if isinstance(x, Tensor) else Tensor(x)
-    if x.cols != 3:
+def encode_indicators(x, fold: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
+    """Indicator rows (t x 3: close, open, high) in the encoder's factored form.
+
+    Returns the rows [x, 1], a constant t x 4 tensor, and the map
+    F = [W; c] of `fold = fold_indicators(params)`, one 4 x d tape node:
+    their product [x, 1] F = x @ W + c is the encoded rows, which no reader
+    forms. The model calls this once per forward on the slab's raw rows and
+    hands both parts to the fusion stage whose query is the indicators and
+    to the time reduction, which read the rows (or their window rows)
+    through the same map node.
+    """
+    x = np.asarray(x.values if isinstance(x, Tensor) else x)
+    if x.ndim != 2 or x.shape[1] != 3:
         raise ShapeError(f"indicator input must be t x 3, got {x.shape}")
-    return ad.affine(x, *fold)
+    return Tensor(affine_rows(x)), ad.concat_rows(fold)
 
 
 def encode_documents(doc: Tensor, mask, params: DocEncoderParams) -> Tensor:

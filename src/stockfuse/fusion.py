@@ -21,15 +21,20 @@ backward; the per-window composition of tape ops it is pinned against lives
 in `tests/reference.py`. It rests on two fold identities:
 
   scores   s*(x W_Q)(y W_K)^T = x (y P^T)^T,  P = s*W_Q W_K^T  (d x d)
-  h_a      softmax(.)(y W_V) W_a + b_a = softmax(.)(y N) + b_a,  N = W_V W_a  (d x d)
+  h_a      softmax(.)(y W_V) W_a + b_a = softmax(.)(y N + b_a),  N = W_V W_a  (d x d)
 
 so the score is one bilinear form, with its map applied on the key side,
 and the d'-wide "unstable" feature, whose only reader is W_a, is never
-formed; for glu_fusion N = glu W_a and there is no softmax. P and N are
-tape nodes built from the stored projections, d^2*d' each per call, and
-they are the stage node's parents: its backward emits d(y P^T)^T y into P
-and y^T d(yN) into N, and the tape chains those into W_Q, W_K, W_V (or glu)
-and W_a. Every row-level product is d x d (maps) or t x t per window
+formed; for glu_fusion N = glu W_a and there is no softmax. The bias b_a
+rides on the value rows because every attention row sums to 1:
+A (y N + b_a) = A y N + b_a, and for glu_fusion gathering window rows
+commutes with adding b_a to every row. So b_a is added once, to the value
+rows as given (on an `ingest_eval` batch ~4,300 source rows, not 46,000
+window rows), and its gradient is the column sum of the value rows'
+gradient. P and N are tape nodes built from the stored projections,
+d^2*d' each per call, and they are the stage node's parents: its backward
+emits d(y P^T)^T y into P and y^T d(yN) into N, and the tape chains those
+into W_Q, W_K, W_V (or glu) and W_a. Every row-level product is d x d (maps) or t x t per window
 (scores, mixing), so no row array is wider than d. At B*t = 20,480, d = 64,
 d' = 128, forward plus backward of a stage needs about 1.8 GFLOP against
 5.2 for the wide-head form. The fold costs more only if d' < d, which no
@@ -37,8 +42,9 @@ shipped config uses. `block_unstable` recomputes the unstable feature off
 the tape from the returned attention weights, for diagnostics.
 
 Row-wise maps and per-window work. The maps of single rows are the gate's
-sigmoid(x W_b + b_b) on query rows, and y P^T and y N on key/value rows;
-the scores x (y P^T)^T, the softmax and the mixing A (y N) are per window.
+sigmoid(x W_b + b_b) on query rows, and y P^T and y N + b_a on key/value
+rows; the scores x (y P^T)^T, the softmax and the mixing A (y N + b_a) are
+per window.
 A batch's windows overlap when their starts are close (eval parts are
 consecutive starts), so its B*t window rows repeat few calendar rows: an
 `ingest_eval` batch gathers 46,000 window rows from ~4,300. An operand
@@ -68,6 +74,20 @@ indicator query is the affine map of 3 raw columns, so it passes the rows
 [ind, 1] with F = [W; c], the indicator encoder's fold: r = 4 against
 d = 64.
 
+Key-major scores. A tile's scores are one t x (windows*t) buffer, stored
+key-major: column w*t + i holds query row i of window w against its
+window's t keys. Each window's K X^T is written into it through an `out=`
+view of `np.matmul`, so the softmax's max, exp and sum, and the
+backward's row dot, reduce along axis 0 over ~1,020-element contiguous
+rows, not along 20-element rows. The mixing A (y N + b_a) and the
+gradients read the same buffer through transposed views, with no copy;
+the attention the diagnostics read is the B x t x t query-major view of
+the whole buffer. On an `ingest_eval`-shaped eval batch (2,300 windows,
+float64, no tape; medians of 30 alternating rounds in one process) stage
+1's forward took 27.6 ms with query-major scores and b_a added per tile,
+22.9 with key-major scores and 22.3 with b_a on the value rows as well;
+stage 2's took 55.9, 51.0 and 48.3 ms.
+
 Tiles. The window-row work runs over tiles of whole windows, TILE_ROWS //
 t windows each (1,020 rows at t = 20), so that its intermediates stay in
 a core's 2 MiB L2 cache instead of streaming 46,000 x 64 arrays (23.5 MB
@@ -75,31 +95,34 @@ in float64 on an `ingest_eval` batch) through memory once per elementwise
 pass (cf. FlashAttention, Dao et al. 2022). Forward, each tile gathers its
 query, key and value rows and its gate (the source rows' gate, one GEMM,
 in the stage-1 form) or computes the gate from its query rows, then runs
-the scores, softmax, mixing, + b_a and * gate in reused tile buffers and
-writes into the whole output array. The key and value maps
-y P^T and y N stay one GEMM each over the kv rows as given: a 4-wide GEMM
-split into tiles changes in the last bit. On the tape the gate, key and
-value rows the backward reads are written tile by tile into one whole
-array each, and so are the gate and attention weights the diagnostics
-read; otherwise each tile scores into a tile buffer and no whole gate or
-attention array is formed (7.4 MB of attention per stage on a float64
-`ingest_eval` batch). Backward, each tile forms its rows of the gate,
-score, query and key gradients; the source-row scatters, the weight-gradient
-GEMMs and the bias sums (b_a's carried through the tiles in row order)
-then run over all rows, so every sum keeps the order of the untiled op.
-A batch that fits one tile runs the loop once.
+the scores, softmax, mixing and * gate in reused tile buffers and writes
+into the whole output array. The key and value maps y P^T and y N + b_a
+stay one GEMM each over the kv rows as given: a 4-wide GEMM split into
+tiles changes in the last bit. On the tape the gate, key and value rows
+the backward reads are written tile by tile into one whole array each,
+and so are the gate and the scores the diagnostics read; otherwise each
+tile scores into a tile buffer and no whole gate or attention array is
+formed (7.4 MB of attention per stage on a float64 `ingest_eval` batch).
+Backward, each tile forms its rows of the gate, score, query, key and
+value-row gradients; the source-row scatters, the weight-gradient GEMMs
+and the bias sums then run over all rows. Every per-window product and
+every reduction along a score column is the same computation in any
+tile, so the tiled op is bit-identical to one tile: float64 `ingest_eval`
+eval logits, and a float32 `train_graph`-shaped batch's loss and every
+gradient, came out equal bit for bit (the tile tests pin tiles against
+one tile at 1e-12). A batch that fits one tile runs the loop once.
 
 Measured with OpenBLAS 0.3.31 on 2 cores of a Xeon with 2 MiB of L2 per
-core: float64 eval logits and one float32 or float64 `train_graph`-shaped
-epoch came out bit-identical to the untiled op (the tile tests pin tiles
-against one tile at 1e-12). Against the untiled op in the same process,
-stage 2's forward on an `ingest_eval` batch took 59.9 against 93.7 ms in
-float64 (32.5 against 48.3 in float32) and stage 1's 33.8 against 48.3
-(17.4 against 27.3); a `train_graph` step's stages gained 7-9% in
-forward plus backward, whose whole-row GEMMs dominate. For tiles of 256,
-512, 1,024, 2,048 and 4,096 rows the four stage calls summed to 151, 136,
-136, 137 and 136 ms in float32 and 275, 278, 267, 272 and 277 ms in
-float64 (medians of 20 alternating rounds), hence 1,024.
+core. Against the untiled op in the same process, stage 2's forward on an
+`ingest_eval` batch took 59.9 against 93.7 ms in float64 (32.5 against
+48.3 in float32) and stage 1's 33.8 against 48.3 (17.4 against 27.3); a
+`train_graph` step's stages gained 7-9% in forward plus backward, whose
+whole-row GEMMs dominate. With key-major scores and b_a on the value rows,
+a whole `ingest_eval` eval (2,300 windows, seed 9404, 30 alternating
+rounds in one process) took 139.9, 137.1, 132.9, 129.9 and 138.2 ms in
+float64 for tiles of 256, 512, 1,024, 2,048 and 4,096 rows, and 77.1,
+64.5, 61.8, 61.6 and 66.8 ms in float32. 2,048 is within the host's
+run-to-run drift of 1,024, hence 1,024.
 """
 
 from __future__ import annotations
@@ -204,7 +227,8 @@ def block_cross_attention(
 
     Returns (stable, gate, attn): the (B*block) x d output node, the gate as
     window rows of plain values (None when ungated) and the B x block x
-    block attention weights (None for glu_fusion). Both are kept, and
+    block attention weights, a query-major view of the key-major scores
+    (None for glu_fusion). Both are kept, and
     returned, only on the tape or with `diagnostics`; otherwise they are
     None. Matches the per-window reference stage on z F up to the order of
     floating-point sums.
@@ -242,6 +266,12 @@ def block_cross_attention(
     def buffer(width):  # window rows the backward or diagnostics read: all of them, else a tile's
         return np.empty((rows if whole else tile_rows, width), dtype)
 
+    def by_key(s):  # a key-major block x (windows*block) tile as windows x key x query
+        return s.reshape(block, -1, block).transpose(1, 0, 2)
+
+    def by_query(s):  # the same tile as windows x query x key, the attention of each window
+        return s.reshape(block, -1, block).transpose(1, 2, 0)
+
     def window_rows(values, idx, dst, w0, w1):  # one tile's window rows: a slice, or a gather
         if idx is None:
             return values[w0 * block : w1 * block]
@@ -257,10 +287,12 @@ def block_cross_attention(
             gate_src = x @ w_b
             gate_src += gate_p.b_b.values
             ad.sigmoid_values(gate_src, out=gate_src)
-    # the kv maps, one GEMM each over the kv rows as given (source or window rows)
+    # the kv maps, one GEMM each over the kv rows as given (source or window
+    # rows); b_a rides on the value rows, since every attention row sums to 1
     yn = y @ n_fold
+    yn += gate_p.b_a.values
     out = yn if glu and kv_idx is None else np.empty((rows, d), dtype)
-    attn = None
+    scores = None
     if not glu:
         p_node = on_query(ad.scale(
             ad.matmul(attn_p.wq.tensor, ad.transpose(attn_p.wk.tensor)), attn_p.score_scale
@@ -270,29 +302,29 @@ def block_cross_attention(
         # the key and value window rows: the maps themselves on window rows
         keys, values = (y_pt, yn) if kv_idx is None else (buffer(r), buffer(d))
         q_buf = None if q_idx is None else np.empty((tile_rows, r), dtype)
-        row_buf = np.empty((per_tile, block, 1), dtype)  # a row max or sum of each window
-        attn = np.empty((n_blocks if whole else per_tile, block, block), dtype)
+        col_buf = np.empty(tile_rows, dtype)  # a max or sum over the keys of each query row
+        # key-major: scores[j, w*block + i] is query row i of window w on key j
+        scores = np.empty((block, rows if whole else tile_rows), dtype)
     for w0, w1 in tiles:
         a, b = w0 * block, w1 * block
-        wt = slice(w0, w1) if whole else slice(0, w1 - w0)  # the tile's windows in a buffer
-        at = slice(wt.start * block, wt.stop * block)
+        at = slice(a, b) if whole else slice(0, b - a)  # the tile's rows in a buffer
         h = out[a:b]
         if glu:
             if kv_idx is not None:
                 window_rows(yn, kv_idx, h, w0, w1)
         else:
-            k3, v3 = (window_rows(mapped, kv_idx, buf[at], w0, w1).reshape(w1 - w0, block, -1)
+            nw = w1 - w0
+            k3, v3 = (window_rows(mapped, kv_idx, buf[at], w0, w1).reshape(nw, block, -1)
                       for mapped, buf in ((y_pt, keys), (yn, values)))
-            s, m = attn[wt], row_buf[: w1 - w0]
-            x3 = window_rows(x, q_idx, q_buf, w0, w1).reshape(w1 - w0, block, r)
-            np.matmul(x3, k3.transpose(0, 2, 1), out=s)  # b x t x s
-            np.max(s, axis=2, keepdims=True, out=m)
+            s, m = scores[:, at], col_buf[: b - a]
+            x3 = window_rows(x, q_idx, q_buf, w0, w1).reshape(nw, block, r)
+            np.matmul(k3, x3.transpose(0, 2, 1), out=by_key(s))
+            np.max(s, axis=0, out=m)
             s -= m
             np.exp(s, out=s)
-            np.sum(s, axis=2, keepdims=True, out=m)
+            np.sum(s, axis=0, out=m)
             s /= m
-            np.matmul(s, v3, out=h.reshape(w1 - w0, block, d))
-        h += gate_p.b_a.values
+            np.matmul(by_query(s), v3, out=h.reshape(nw, block, d))
         if gated:
             g_t = gate[at]
             if q_idx is None:
@@ -306,18 +338,17 @@ def block_cross_attention(
     def backward(g):
         # Tile by tile: the elementwise and per-window work, into whole
         # window-row gradients; then the scatters and GEMMs over all rows.
-        # Row 0 of `d_h` carries the running column sum of the rows below
-        # it, so b_a's gradient adds the rows in the order of one sum.
-        d_h = np.zeros((tile_rows + 1, d), dtype)
         d_pre = np.empty((rows, d), dtype) if gated else None
         d_yn = np.empty((rows, d), dtype)
         if not glu:
+            d_h = np.empty((tile_rows, d), dtype)
             d_k = np.empty((rows, r), dtype)
             d_q = np.empty((rows, r), dtype) if query_st.requires_grad else None
-            d_s, dot = (np.empty((per_tile, block, block), dtype) for _ in range(2))
+            d_s, prod = (np.empty((block, tile_rows), dtype) for _ in range(2))  # as scores
         for w0, w1 in tiles:
             a, b = w0 * block, w1 * block
-            nw, g_t, dh_t = w1 - w0, g[a:b], d_h[1 : b - a + 1]
+            nw, g_t = w1 - w0, g[a:b]
+            dh_t = d_yn[a:b] if glu else d_h[: b - a]
             if gated:
                 np.multiply(g_t, gate[a:b], out=dh_t)
                 # g * h * gate * (1 - gate) = (g - g * gate) * out
@@ -325,33 +356,32 @@ def block_cross_attention(
                 d_pre[a:b] *= out[a:b]
             else:
                 dh_t[...] = g_t
-            d_h[0] = d_h[: b - a + 1].sum(axis=0)
             if glu:
-                d_yn[a:b] = dh_t
                 continue
-            dh3, s, ds = dh_t.reshape(nw, block, d), attn[w0:w1], d_s[:nw]
-            np.matmul(dh3, values[a:b].reshape(nw, block, d).transpose(0, 2, 1), out=ds)
-            np.matmul(s.transpose(0, 2, 1), dh3, out=d_yn[a:b].reshape(nw, block, d))
-            prod = np.multiply(ds, s, out=dot[:nw])
-            ds -= np.sum(prod, axis=2, keepdims=True, out=row_buf[:nw])
+            dh3, s, ds = dh_t.reshape(nw, block, d), scores[:, a:b], d_s[:, : b - a]
+            np.matmul(values[a:b].reshape(nw, block, d), dh3.transpose(0, 2, 1), out=by_key(ds))
+            np.matmul(by_key(s), dh3, out=d_yn[a:b].reshape(nw, block, d))
+            dot = np.sum(np.multiply(ds, s, out=prod[:, : b - a]), axis=0, out=col_buf[: b - a])
+            ds -= dot
             ds *= s
             if d_q is not None:
-                np.matmul(ds, keys[a:b].reshape(nw, block, r), out=d_q[a:b].reshape(nw, block, r))
+                np.matmul(by_query(ds), keys[a:b].reshape(nw, block, r),
+                          out=d_q[a:b].reshape(nw, block, r))
             x3 = window_rows(x, q_idx, q_buf, w0, w1).reshape(nw, block, r)
-            np.matmul(ds.transpose(0, 2, 1), x3, out=d_k[a:b].reshape(nw, block, r))
+            np.matmul(by_key(ds), x3, out=d_k[a:b].reshape(nw, block, r))
         if gated:
             ad.add_grad(gate_p.b_b.tensor, d_pre.sum(axis=0, keepdims=True))
             d_pre = _to_source(d_pre, q_idx, len(x))
             if query_st.requires_grad:
                 ad.add_grad(query_st, d_pre @ w_b.T)
             ad.add_grad(wb_node, x.T @ d_pre)
-        ad.add_grad(gate_p.b_a.tensor, d_h[:1].copy())
         if not glu:
             if d_q is not None:
                 ad.add_grad(query_st, _to_source(d_q, q_idx, len(x)))
             d_k = _to_source(d_k, kv_idx, len(y))
             ad.add_grad(p_node, d_k.T @ y)
         d_yn = _to_source(d_yn, kv_idx, len(y))
+        ad.add_grad(gate_p.b_a.tensor, d_yn.sum(axis=0, keepdims=True))
         if kv_st.requires_grad:
             d_kv = d_yn @ n_fold.T
             if not glu:
@@ -367,7 +397,8 @@ def block_cross_attention(
     if gated:
         parents += [wb_node, gate_p.b_b.tensor]
     stable = ad.node(out, parents, backward)
-    return stable, Tensor(gate) if gated and whole else None, attn if whole else None
+    attn = by_query(scores) if whole and not glu else None  # B x block x block, a view
+    return stable, Tensor(gate) if gated and whole else None, attn
 
 
 def block_unstable(

@@ -6,10 +6,13 @@ over the calendar slab the batch spans (the graph encoder once per date),
 and a window is a B x t row index into that slab. The indicator encoder's
 folded map (W, c) is built once per forward, and each reader of the
 indicators reads raw rows through it: the graph encoder's first layer reads
-the slab (the `lift` of its `GatParams`), the stage whose query they are
-reads rows [ind, 1] through the query map [W; c], and the time reduction's
-indicator branch is the encoder run on the batch's window rows. So no
-d-wide indicator feature of the slab is formed, gathered or scattered.
+the slab (the `lift` of its `GatParams`). `encode_indicators`, called once
+per forward on the slab, returns the rows [ind, 1] and one map node
+[W; c]: the stage whose query they are reads those rows through that map
+(its query map), and the time reduction's indicator branch reads the
+batch's 4-wide window rows, gathered off the tape, through the same node.
+So no d-wide indicator feature is formed, gathered or scattered, of the
+slab or of the windows.
 Windows are processed as row-stacked blocks. The row-level work of each
 fusion stage layer is one tape node with a hand-derived backward,
 `block_cross_attention`: attention (or the glu map), the gate's two affine
@@ -22,9 +25,9 @@ row-wise maps once per slab row; otherwise the windows are gathered first
 (see the `fusion` module docstring). The time reduction of both branches,
 the fused features and the indicator features, is one more such node,
 `block_reduce_time`, which runs the time layers on every window's t x d
-block at once. The d'-wide pre-gate feature is recomputed only for
-`diagnostics=True`, which also makes the stage op keep its whole gate and
-attention off the tape. The per-window reference forward that pins this
+fused block and t x 4 indicator rows at once. The d'-wide pre-gate feature
+is recomputed only for `diagnostics=True`, which also makes the stage op
+keep its whole gate and attention off the tape. The per-window reference forward that pins this
 path for every variant lives in `tests/reference.py`.
 
 Each multi-head projection is one parameter, the heads side by side:
@@ -43,6 +46,7 @@ Variant wiring, and the parameter groups a variant does not hold (`DROPPED`):
   drop_indicators  indicator features zeroed, so the graph encoder has no
                    input and stage 2 is skipped; documents serve as the
                    stage-1 query; no `ind`, `gat`, `fuse2`. The zero branch
+                   (one zero column through a constant zero 1 x d map)
                    still runs through the time layers: it feeds their bias
                    gradients, so dropping it would change training.
 
@@ -66,7 +70,6 @@ from .encoders import (
     DocEncoderParams,
     GatParams,
     IndicatorEncoderParams,
-    affine_rows,
     block_gat_encode,
     encode_documents,
     encode_indicators,
@@ -385,14 +388,14 @@ class TrimodalModel:
 
         fused = None
         if fold is None:  # drop_indicators: the indicator branch reads zeros
-            q_i = Tensor(np.zeros((idx.size, self.cfg.d), dtype=self.cfg.dtype))
+            dt = self.cfg.dtype
+            z, z_map = Tensor(np.zeros((idx.size, 1), dt)), Tensor(np.zeros((1, self.cfg.d), dt))
         else:
-            ind = packed.ind[lo * n : hi * n]
-            ind_windows = ind[idx.reshape(-1)]
-            q_i = encode_indicators(Tensor(ind_windows), fold)
-            # a stage's indicator query: raw rows [ind, 1] read through [W; c]
-            rows, q_idx = (ind, idx) if from_source else (ind_windows, None)
-            fused = (Tensor(affine_rows(rows)), q_idx, ad.concat_rows(fold))
+            # raw rows [ind, 1] and the map [W; c], read by the indicator
+            # query of a stage and by the time reduction's indicator branch
+            rows, z_map = encode_indicators(packed.ind[lo * n : hi * n], fold)
+            z = Tensor(np.take(rows.values, idx.reshape(-1), axis=0))
+            fused = (rows, idx, z_map) if from_source else (z, None, z_map)
         diag = {}
         if vd_cal is not None:
             docs = operand(vd_cal)
@@ -405,7 +408,7 @@ class TrimodalModel:
                 fused, operand(vg_cal), self.stages[1], t, diagnostics
             )
             fused = (stable, None, None)
-        logits = aggregate_features(block_reduce_time(fused[0], q_i, self.pred, t), self.pred)
+        logits = aggregate_features(block_reduce_time(fused[0], z, z_map, self.pred, t), self.pred)
         if diagnostics:
             return logits, diag
         return logits

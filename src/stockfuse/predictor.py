@@ -22,7 +22,11 @@ parameters a variant no longer holds (see `model`) are ignored.
 
 The model runs the time MLP on both branches as one tape node,
 `block_reduce_time`, over row-stacked windows, and the feature MLP as
-`aggregate_features` over one row per window.
+`aggregate_features` over one row per window. The indicator branch reaches
+the time MLP as the indicator encoder's factored form, the 4-wide rows
+[ind, 1] and the map [W; c]: the first time layer is linear, so it reduces
+the 4-wide rows over time before the map widens them to d, and the d-wide
+indicator features are never formed.
 """
 
 from __future__ import annotations
@@ -84,44 +88,56 @@ def cross_entropy_loss(logits: Tensor, labels) -> Tensor:
 
 
 def block_reduce_time(
-    fused: Tensor, q_i: Tensor, params: PredictorParams, ws: int
+    fused: Tensor, z: Tensor, f: Tensor, params: PredictorParams, ws: int
 ) -> Tensor:
     """The time stack over both branches of B stacked windows: B x 2d.
 
-    `fused` and `q_i` are (B*ws) x d, window after window; columns [0, d)
-    of the result reduce `fused`, [d, 2d) reduce `q_i`. One tape node runs
-    the shared time layers on each branch in turn, on the B x ws x d view
-    of its rows: each layer is one broadcast matmul W^T H over all windows
-    plus the bias as a column, so the last layer's B x 1 x d is already the
-    branch's B x d block and neither direction copies or transposes a
-    window.
+    `fused` is (B*ws) x d, window after window; columns [0, d) of the
+    result reduce it. The indicator branch is given as r-wide rows `z`,
+    (B*ws) x r, and an r x d map `f`, and columns [d, 2d) reduce z f
+    without forming it: the first time layer is linear before its ReLU, so
+    it computes (W_0^T Z) F + b_0 = W_0^T (Z F) + b_0 on each window's
+    ws x r rows Z. One tape node runs the shared time layers on each branch
+    in turn, on the B x ws x c view of its rows: each layer is one
+    broadcast matmul W^T H over all windows plus the bias as a column, so
+    the last layer's B x 1 x d is already the branch's B x d block and
+    neither direction copies or transposes a window.
 
     While the tape records, the node saves each branch's two hidden
-    activations, whose signs are the ReLU masks, and nothing of either
-    input: the first layer's weight gradient reads the input tensor, a tape
-    parent, and each input gradient is written in window rows. A branch
-    that needs no gradient, such as the constant zeros that
-    `drop_indicators` passes, gets none. The per-window reference is in
-    `tests/reference.py`.
+    activations, whose signs are the ReLU masks, and the indicator branch's
+    W_0^T Z. Backward, `fused` gets its gradient in window rows; `z` is read
+    as constant rows and gets none, and the map gets F's gradient
+    sum_w (W_0^T Z_w)^T g_w, while W_0 gets sum_w Z_w (g_w F^T)^T from that
+    branch. A constant map, such as the zero map that `drop_indicators`
+    passes, gets no gradient, and its branch still feeds the time layers'
+    bias gradients. The per-window reference, fed the d-wide rows Z F, is
+    in `tests/reference.py`.
     """
-    if fused.shape != q_i.shape:
-        raise ShapeError(f"time reduction branches differ in shape: {fused.shape}, {q_i.shape}")
     rows, d = fused.shape
+    if z.rows != rows or f.shape != (z.cols, d):
+        raise ShapeError(
+            f"time reduction branches differ in shape: {fused.shape}, {z.shape} through {f.shape}"
+        )
     if ws < 1 or rows % ws:
         raise ShapeError(f"{rows} rows not divisible into windows of {ws}")
     layers = [(w.tensor, b.tensor) for w, b in params.time_layers]
     if layers[0][0].rows != ws:
         raise ShapeError(f"time stack reads windows of {layers[0][0].rows}, got {ws}")
-    n = rows // ws
+    n, r = rows // ws, z.cols
     last = len(layers) - 1
+    branches = ((fused, None), (z, f))
 
     keep = ad.grad_enabled()
     blocks, hidden = [], []
-    for x in (fused, q_i):
-        h = x.values.reshape(n, ws, d)
+    zw = None  # W_0^T Z of the indicator branch, B x t_1 x r
+    for x, f_map in branches:
+        h = x.values.reshape(n, ws, -1)
         acts = []
         for i, (w, b) in enumerate(layers):
             h = np.matmul(w.values.T, h)
+            if f_map is not None and i == 0:
+                zw = h if keep else None
+                h = (h.reshape(-1, r) @ f_map.values).reshape(n, -1, d)
             h += b.values.T
             if i < last:
                 np.maximum(h, 0, out=h)
@@ -130,19 +146,23 @@ def block_reduce_time(
         hidden.append(acts if keep else None)
 
     def backward(g):
-        for k, x in enumerate((fused, q_i)):
+        for k, (x, f_map) in enumerate(branches):
             acts = hidden[k]
             g_h = g[:, None, k * d : (k + 1) * d]  # B x 1 x d
             for i in range(last, -1, -1):
                 w, b = layers[i]
-                h_in = acts[i - 1] if i else x.values.reshape(n, ws, d)
-                ad.add_grad(w, np.matmul(h_in, g_h.transpose(0, 2, 1)).sum(axis=0))
                 ad.add_grad(b, g_h.sum(axis=0).sum(axis=1).reshape(1, -1))
+                h_in = acts[i - 1] if i else x.values.reshape(n, ws, -1)
+                if not i and f_map is not None:  # the gradient of W_0^T Z is g F^T
+                    g_2d = g_h.reshape(-1, d)
+                    ad.add_grad(f_map, zw.reshape(-1, r).T @ g_2d)
+                    g_h = (g_2d @ f_map.values.T).reshape(n, -1, r)
+                ad.add_grad(w, np.matmul(h_in, g_h.transpose(0, 2, 1)).sum(axis=0))
                 if i:
                     g_h = np.matmul(w.values, g_h)
                     g_h *= h_in > 0
-                elif x.requires_grad:
+                elif f_map is None and x.requires_grad:
                     ad.add_grad(x, np.matmul(w.values, g_h).reshape(rows, d))
 
-    parents = [fused, q_i] + [t for pair in layers for t in pair]
+    parents = [fused, f] + [t for pair in layers for t in pair]
     return ad.node(np.concatenate(blocks, axis=1), parents, backward)

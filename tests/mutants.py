@@ -43,6 +43,8 @@ STAGE_PINS = (
     "tests/test_fusion.py::TestSourceRows",
     "tests/test_fusion.py::TestQueryMap",
     "tests/test_fusion.py::TestTiles",
+    "tests/test_fusion.py::TestValueRowBias",
+    "tests/test_fusion.py::TestKeyMajorScores",
     "tests/test_model.py::test_model_grad_check_every_parameter",
     "tests/test_model.py::test_model_grad_check_through_source_rows",
 )
@@ -73,12 +75,27 @@ MUTANTS = [
            "ad.add_grad(gate_p.b_b.tensor, d_pre.sum(axis=0, keepdims=True))",
            "ad.add_grad(gate_p.b_b.tensor, d_h.sum(axis=0, keepdims=True))", STAGE_PINS),
     Mutant("stage: no softmax row term", FUSION,
-           "            ds -= np.sum(prod, axis=2, keepdims=True, out=row_buf[:nw])\n",
-           "            ds -= 0.0\n", STAGE_PINS),
+           "            ds -= dot\n", "            ds -= 0.0\n", STAGE_PINS),
     Mutant("stage: mixing gradient without the attention transpose", FUSION,
-           "np.matmul(s.transpose(0, 2, 1), dh3,", "np.matmul(s, dh3,", STAGE_PINS),
+           "np.matmul(by_key(s), dh3,", "np.matmul(by_query(s), dh3,", STAGE_PINS),
     Mutant("stage: kv score gradient without the transpose", FUSION,
-           "np.matmul(ds.transpose(0, 2, 1), x3,", "np.matmul(ds, x3,", STAGE_PINS),
+           "np.matmul(by_key(ds), x3,", "np.matmul(by_query(ds), x3,", STAGE_PINS),
+    # key-major scores: scores[j, w*block + i] is query row i of window w on key j
+    Mutant("stage: softmax reduced over the wrong axis of the key-major scores", FUSION,
+           "            s /= m\n", "            s /= s.sum(axis=1, keepdims=True)\n", STAGE_PINS),
+    Mutant("stage: mixing reads the key-major scores untransposed", FUSION,
+           "np.matmul(by_query(s), v3,", "np.matmul(by_key(s), v3,", STAGE_PINS),
+    # b_a on the value rows
+    Mutant("stage: b_a added twice", FUSION,
+           "    yn += gate_p.b_a.values\n",
+           "    yn += gate_p.b_a.values\n    yn += gate_p.b_a.values\n", STAGE_PINS),
+    Mutant("stage: b_a added to the gated output rows, not the value rows", FUSION,
+           "            h *= g_t\n",
+           "            h -= gate_p.b_a.values\n            h *= g_t\n"
+           "            h += gate_p.b_a.values\n", STAGE_PINS),
+    Mutant("stage: b_a's gradient skips the gate", FUSION,
+           "ad.add_grad(gate_p.b_a.tensor, d_yn.sum(axis=0, keepdims=True))",
+           "ad.add_grad(gate_p.b_a.tensor, g.sum(axis=0, keepdims=True))", STAGE_PINS),
     Mutant("stage: kv score gradient dropped", FUSION,
            "                d_kv += d_k @ p_fold\n", "                d_kv += 0.0 * (d_k @ p_fold)\n",
            STAGE_PINS),
@@ -123,11 +140,8 @@ MUTANTS = [
     Mutant("stage: a tile's query gradient written at the wrong offset", FUSION,
            "out=d_q[a:b].reshape(nw, block, r)", "out=d_q[: b - a].reshape(nw, block, r)",
            STAGE_PINS),
-    Mutant("stage: b_a's gradient drops the running column sum", FUSION,
-           "d_h[0] = d_h[: b - a + 1].sum(axis=0)", "d_h[0] = d_h[1 : b - a + 1].sum(axis=0)",
-           STAGE_PINS),
     Mutant("stage: taped tiles written at the start of the whole-row arrays", FUSION,
-           "wt = slice(w0, w1) if whole else slice(0, w1 - w0)", "wt = slice(0, w1 - w0)",
+           "at = slice(a, b) if whole else slice(0, b - a)", "at = slice(0, b - a)",
            STAGE_PINS),
     Mutant("stage: off-tape diagnostics keep only a tile", FUSION,
            "whole = ad.grad_enabled() or diagnostics", "whole = ad.grad_enabled()",
@@ -185,9 +199,15 @@ MUTANTS = [
            "                    g_h *= h_in > 0\n", "                    g_h *= 1.0\n", TIME_PINS),
     Mutant("reduce_time: every branch reads the first one's gradient", PREDICTOR,
            "g_h = g[:, None, k * d : (k + 1) * d]", "g_h = g[:, None, 0:d]", TIME_PINS),
-    Mutant("reduce_time: first layer's weight gradient reads the fused branch", PREDICTOR,
-           "h_in = acts[i - 1] if i else x.values.reshape(n, ws, d)",
-           "h_in = acts[i - 1] if i else fused.values.reshape(n, ws, d)", TIME_PINS),
+    Mutant("reduce_time: first layer's weight gradient drops the indicator branch", PREDICTOR,
+           "g_h = (g_2d @ f_map.values.T).reshape(n, -1, r)",
+           "g_h = 0.0 * (g_2d @ f_map.values.T).reshape(n, -1, r)", TIME_PINS),
+    Mutant("reduce_time: F's gradient dropped", PREDICTOR,
+           "ad.add_grad(f_map, zw.reshape(-1, r).T @ g_2d)",
+           "ad.add_grad(f_map, 0.0 * (zw.reshape(-1, r).T @ g_2d))", TIME_PINS),
+    Mutant("reduce_time: F's gradient reads the rows, not W_0^T Z", PREDICTOR,
+           "ad.add_grad(f_map, zw.reshape(-1, r).T @ g_2d)",
+           "ad.add_grad(f_map, h_in[:, : zw.shape[1]].reshape(-1, r).T @ g_2d)", TIME_PINS),
     Mutant("reduce_time: bias gradient of the first branch only", PREDICTOR,
            "ad.add_grad(b, g_h.sum(axis=0).sum(axis=1).reshape(1, -1))",
            "ad.add_grad(b, (k == 0) * g_h.sum(axis=0).sum(axis=1).reshape(1, -1))", TIME_PINS),

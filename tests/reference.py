@@ -17,13 +17,7 @@ import numpy as np
 
 from stockfuse import autodiff as ad
 from stockfuse.autodiff import Parameter, Tensor
-from stockfuse.encoders import (
-    LEAKY_SLOPE,
-    NEG_MASK,
-    encode_documents,
-    encode_indicators,
-    fold_indicators,
-)
+from stockfuse.encoders import LEAKY_SLOPE, NEG_MASK, encode_documents, fold_indicators
 from stockfuse.predictor import aggregate_features
 
 
@@ -86,6 +80,12 @@ def softmax_rows(a: Tensor) -> Tensor:
 
 # ---------------------------------------------------------------------------
 # one window
+
+
+def encode_indicators(x: Tensor, fold) -> Tensor:
+    """Indicator rows (t x 3) to width d: the d-wide product x @ W + c of the
+    fold, which the model only ever reads factored as [x, 1] and [W; c]."""
+    return ad.affine(x, *fold)
 
 
 def cross_attention(query: Tensor, kv: Tensor, attn) -> Tensor:

@@ -37,8 +37,8 @@ def make_indicator_params(d, rng=None, zero_bias=False):
 
 
 def folded_encoder(x, params):
-    """The indicator encoder as the model runs it: the folded map, then the rows."""
-    return encode_indicators(x, fold_indicators(params))
+    """The indicator encoder's d-wide rows: the folded map, then the rows."""
+    return ref.encode_indicators(x, fold_indicators(params))
 
 
 def make_gat_params(d, heads=2, layers=1, rng=None):
@@ -145,10 +145,14 @@ class TestFoldedIndicatorEncoder:
     def test_rows_meet_only_the_folded_map(self, rng):
         d = 5
         params = make_indicator_params(d, rng)
-        out = folded_encoder(Tensor(rng.normal(size=(4, 3))), params)
-        # the rows meet one 3 x d map and one 1 x d shift, never a 3d-wide lift
-        assert sorted(p.shape for p in out._parents) == [(1, d), (3, d)]
-        stack, seen = list(out._parents), set()
+        x = rng.normal(size=(4, 3))
+        rows, f_map = encode_indicators(Tensor(x), fold_indicators(params))
+        # the rows [x, 1] are constants; they meet one 4 x d map [W; c], the
+        # 3 x d map stacked on the 1 x d shift, never a 3d-wide lift
+        npt.assert_array_equal(rows.values, np.hstack([x, np.ones((4, 1))]))
+        assert not rows.requires_grad and f_map.shape == (4, d)
+        assert sorted(p.shape for p in f_map._parents) == [(1, d), (3, d)]
+        stack, seen = list(f_map._parents), set()
         while stack:
             node = stack.pop()
             if id(node) not in seen:
@@ -156,9 +160,30 @@ class TestFoldedIndicatorEncoder:
                 stack.extend(node._parents)
         assert {id(p.tensor) for p in ref.params_of(params)} <= seen  # the fold reaches all eight
 
+    @pytest.mark.parametrize("d", [1, 4, 9])
+    def test_factored_form_multiplies_out_to_the_encoded_rows(self, rng, d):
+        """[x, 1] F equals x @ W + c, and every parameter gradient through F
+        equals the one through the d-wide rows, at 1e-12."""
+        params = make_indicator_params(d, rng)
+        x = Tensor(rng.normal(size=(11, 3)) * 3.0)
+        g = Tensor(rng.normal(size=(11, d)))
+        runs = []
+        for encode in (lambda f: ad.matmul(*encode_indicators(x, f)),
+                       lambda f: ref.encode_indicators(x, f)):
+            for p in ref.params_of(params):
+                p.zero_grad()
+            out = encode(fold_indicators(params))
+            ad.sum_all(ad.mul(out, g)).backward()
+            runs.append([out.values] + [p.tensor.grad.copy() for p in ref.params_of(params)])
+        for got, want in zip(*runs):
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_width_checked(self, rng):
+        fold = fold_indicators(make_indicator_params(3, rng))
         with pytest.raises(ShapeError, match="t x 3"):
-            folded_encoder(Tensor(rng.normal(size=(4, 2))), make_indicator_params(3, rng))
+            encode_indicators(Tensor(rng.normal(size=(4, 2))), fold)
+        with pytest.raises(ShapeError, match="t x 3"):
+            encode_indicators(rng.normal(size=3), fold)
 
     def test_float32_stays_float32(self, rng):
         params = make_indicator_params(3, rng)
@@ -547,7 +572,7 @@ class TestLiftedGat:
         if lifted:
             out = block_gat_encode(x.tensor, mask, GatParams(gat.layers, fold))
         else:
-            out = block_gat_encode(encode_indicators(x.tensor, fold), mask, gat)
+            out = block_gat_encode(ref.encode_indicators(x.tensor, fold), mask, gat)
         ad.sum_all(ad.mul(out, Tensor(g))).backward()
         return [out.values] + [p.tensor.grad.copy() for p in params]
 

@@ -812,3 +812,68 @@ class TestTiles:
                                                             diagnostics=True)
         npt.assert_array_equal(kept_gate.values, gate.values)
         npt.assert_array_equal(kept_attn, attn)
+
+
+# b_a on the value rows and the key-major scores, over the tile boundaries:
+# one tile, 28 rows in tiles of 2 windows (TILE_ROWS 10 is no multiple of
+# T or of the rows), and tiles of 3 windows with a last partial tile of 1
+BOUNDARY_TILES = {"one tile": 10**9, "rows not a multiple": 10, "last partial": 3 * T}
+
+
+class TestValueRowBias:
+    """The stage adds b_a once to the value rows y N: every attention row
+    sums to 1, so A (y N + b_a) = A y N + b_a, and a gather commutes with
+    adding b_a to every row. b_a's gradient is then the column sum of the
+    value rows' gradient, which equals that of the pre-gate output's."""
+
+    @pytest.mark.parametrize("tiles", sorted(BOUNDARY_TILES))
+    @pytest.mark.parametrize("form", ["window rows", "source rows"])
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_bias_gradient_is_the_column_sum_of_the_upstream_gradient(
+        self, monkeypatch, mode, form, tiles
+    ):
+        """In every mode (glu among them), with the kv as window or source rows."""
+        monkeypatch.setattr(fusion, "TILE_ROWS", BOUNDARY_TILES[tiles])
+        variant, glu, gated = MODES[mode]
+        rng = np.random.default_rng(len(mode) + len(form))
+        stage = make_stage(3, 2, rng, head_dim=2, glu=glu, gated=gated)
+        query = "source" if form == "source rows" else "gathered"
+        q, kv, q_idx, kv_idx, _ = tiled_stage_inputs(rng, 7, True, query)
+        upstream = rng.normal(size=(7 * T, 3))
+        out, gate, _ = block_cross_attention(q, kv, stage, T, q_idx, kv_idx)
+        ad.sum_all(ad.mul(out, Tensor(upstream))).backward()
+        d_h = upstream * gate.values if gated else upstream  # the pre-gate output's gradient
+        npt.assert_allclose(stage.gate.b_a.tensor.grad, d_h.sum(axis=0, keepdims=True),
+                            rtol=0, atol=1e-12)
+        q_w = q.values if q_idx is None else q.values[q_idx.reshape(-1)]
+        kv_w = kv.values if kv_idx is None else kv.values[kv_idx.reshape(-1)]
+        want = per_window_stage(Tensor(q_w), Tensor(kv_w), stage, variant, T)
+        npt.assert_allclose(out.values, want.values, rtol=0, atol=1e-12)
+
+
+class TestKeyMajorScores:
+    """The stage op stores each tile's scores key-major; the attention it
+    returns for diagnostics is the B x t x t query-major view."""
+
+    @pytest.mark.parametrize("tiles", sorted(BOUNDARY_TILES))
+    @pytest.mark.parametrize("query", ["source", "window", "mapped", "gathered"])
+    def test_diagnostics_attention_is_the_reference_softmax(self, monkeypatch, query, tiles):
+        monkeypatch.setattr(fusion, "TILE_ROWS", BOUNDARY_TILES[tiles])
+        rng = np.random.default_rng(11)
+        stage = make_stage(3, 2, rng, head_dim=2)
+        q, kv, q_idx, kv_idx, f_map = tiled_stage_inputs(rng, 7, True, query)
+        with ad.no_grad():
+            _, _, attn = block_cross_attention(q, kv, stage, T, q_idx, kv_idx,
+                                               f_map and f_map.tensor, diagnostics=True)
+        assert attn.shape == (7, T, T)
+        npt.assert_allclose(attn.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+        x = q.values if f_map is None else q.values @ f_map.values
+        x_w = x if q_idx is None else x[q_idx.reshape(-1)]
+        kv_w = kv.values if kv_idx is None else kv.values[kv_idx.reshape(-1)]
+        a = stage.attn
+        for b in range(7):
+            rows = slice(b * T, (b + 1) * T)
+            q_h = ad.matmul(Tensor(x_w[rows]), a.wq.tensor)
+            k_h = ad.matmul(Tensor(kv_w[rows]), a.wk.tensor)
+            scores = ad.scale(ad.matmul(q_h, ad.transpose(k_h)), a.score_scale)
+            npt.assert_allclose(attn[b], ref.softmax_rows(scores).values, rtol=0, atol=1e-12)

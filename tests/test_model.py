@@ -479,7 +479,7 @@ def full_loss_ops(contract_batch, batch_rows=slice(None)):
 def test_full_loss_tape_size(contract_batch):
     """One `full` loss_batch on the contract batch, whose 960 window rows
     come from a calendar slab of fewer rows, so the stages read it through
-    the window index: 40 op nodes, and every parameter is a leaf.
+    the window index: 39 op nodes, and every parameter is a leaf.
 
     The time reduction of both branches is one node. As two chains of 7
     generic ops plus a concat it made the tape 14 nodes longer, so a change
@@ -488,16 +488,20 @@ def test_full_loss_tape_size(contract_batch):
     per forward; folding again inside the GAT would add 13 nodes. Stage 1
     reads raw indicator rows through the same fold as one r x d map, which
     costs three nodes (the map [W; c], F P and F W_b) and saves the gather
-    of encoded indicator rows that the d-wide query needed: 38 -> 40.
+    of encoded indicator rows that the d-wide query needed: 38 -> 40. The
+    time reduction reads the indicator branch as the same rows through the
+    same map node, so the encoder's d-wide affine node is gone: 40 -> 39.
     """
-    assert len(full_loss_ops(contract_batch)) == 40
+    assert len(full_loss_ops(contract_batch)) == 39
 
 
 def test_full_loss_tape_size_of_gathered_windows(contract_batch):
     """4 windows (40 rows from a slab of at least 120) are gathered first:
     one gather node more per key/value modality than the source-row form,
-    so 42 (40 before stage 1 read the lifted query, for the reason above)."""
-    assert len(full_loss_ops(contract_batch, slice(4))) == 42
+    so 41 (42 before the time reduction read the indicator rows through the
+    shared map, 40 before stage 1 read the lifted query, for the reasons
+    above)."""
+    assert len(full_loss_ops(contract_batch, slice(4))) == 41
 
 
 def traced_full_loss(contract_batch, batch_rows=slice(None)) -> Tracer:
@@ -519,14 +523,15 @@ def test_traced_loss_batch_records_reduce_time_spans(contract_batch):
     assert names.count("predictor.reduce_time") == 1
     assert names.count("predictor.reduce_time.bwd") == 1
     recorded = sum(c.value for c in tracer.counts if c.name == "autodiff.tape_nodes")
-    assert recorded == 40  # as test_full_loss_tape_size counts, for the reason given there
+    assert recorded == 39  # as test_full_loss_tape_size counts, for the reason given there
 
 
 @pytest.mark.parametrize("gathered", [False, True], ids=["source rows", "gathered"])
 def test_traced_loss_batch_records_indicator_and_gather_spans(contract_batch, gathered):
-    """The indicator encoder runs once per forward, on the window rows the
-    time reduction reads, so `encoders.indicators` and its backward each
-    appear once. Gathered windows still go through `autodiff.gather_rows`
+    """The indicator encoder runs once per forward, on the slab's raw rows,
+    and its one node is the map [W; c] that the stage query and the time
+    reduction share, so `encoders.indicators` and its backward each appear
+    once. Gathered windows still go through `autodiff.gather_rows`
     (the document and graph rows), forward and backward, so the benchmark's
     per-step gather metrics stay above 0."""
     tracer = traced_full_loss(contract_batch, slice(4) if gathered else slice(None))

@@ -56,8 +56,9 @@ def test_width_clamp_warns(caplog):
 
 
 def both_branches(fused, ind, params, t):
-    """The model's time reduction of both branches side by side, B x 2d."""
-    return block_reduce_time(fused, ind, params, t)
+    """The time reduction of both branches side by side, B x 2d, with the
+    indicator branch given as d-wide constant rows read through the identity."""
+    return block_reduce_time(fused, ind, Tensor(np.eye(ind.cols)), params, t)
 
 
 class TestAggregateTime:
@@ -117,33 +118,36 @@ class TestAggregateTime:
         params = make_params(5, 3, rng)
         x = Tensor(np.zeros((6, 3)))
         with pytest.raises(ShapeError):
-            block_reduce_time(x, x, params, 6)
+            both_branches(x, x, params, 6)
 
     def test_rows_not_whole_windows(self, rng):
         params = make_params(5, 3, rng)
         x = Tensor(np.zeros((12, 3)))
         with pytest.raises(ShapeError, match="12 rows"):
-            block_reduce_time(x, x, params, 5)
+            both_branches(x, x, params, 5)
 
     def test_branch_shapes_must_agree(self, rng):
         params = make_params(5, 3, rng)
-        with pytest.raises(ShapeError, match="differ"):
-            block_reduce_time(Tensor(np.zeros((10, 3))), Tensor(np.zeros((10, 2))), params, 5)
-        with pytest.raises(ShapeError, match="differ"):
-            block_reduce_time(Tensor(np.zeros((10, 3))), Tensor(np.zeros((5, 3))), params, 5)
+        fused = Tensor(np.zeros((10, 3)))
+        for z, f in (((10, 2), (3, 3)), ((5, 4), (4, 3)), ((10, 4), (4, 2)), ((10, 4), (3, 3))):
+            with pytest.raises(ShapeError, match="differ"):
+                block_reduce_time(fused, Tensor(np.zeros(z)), Tensor(np.zeros(f)), params, 5)
+        block_reduce_time(fused, Tensor(np.zeros((10, 4))), Tensor(np.zeros((4, 3))), params, 5)
 
     def test_constant_zero_branch_gets_no_gradient(self, rng):
-        """The indicator branch of `drop_indicators` is a constant zero tensor:
-        the node writes it no gradient, and the time weights still get the
-        zero branch's share, as in the per-window reference."""
+        """The indicator branch of `drop_indicators` is one zero column read
+        through a constant zero map: the map gets no gradient, and the time
+        weights still get the zero branch's share, as in the per-window
+        reference fed d-wide zeros."""
         t, d, B = 5, 3, 4
         params = make_params(t, d, rng)
         time_params = [p for pair in params.time_layers for p in pair]
         fused = P("fused", rng.normal(size=(B * t, d)))
-        zeros = Tensor(np.zeros((B * t, d)))
-        out = block_reduce_time(fused.tensor, zeros, params, t)
+        zero_map = Tensor(np.zeros((1, d)))
+        zero_rows = Tensor(np.zeros((B * t, 1)))
+        out = block_reduce_time(fused.tensor, zero_rows, zero_map, params, t)
         ad.sum_all(out).backward()
-        assert zeros.grad is None
+        assert zero_map.grad is None
         got = [p.tensor.grad.copy() for p in (fused, *time_params)]
         for p in (fused, *time_params):
             p.zero_grad()
@@ -155,17 +159,56 @@ class TestAggregateTime:
         for g, p in zip(got, (fused, *time_params)):
             npt.assert_allclose(g, p.tensor.grad, rtol=0, atol=1e-12)
 
+    def test_zero_map_branch_equals_d_wide_zero_rows(self, rng):
+        """`drop_indicators`' r = 1 zero rows through a zero 1 x d map give
+        the output and the bias and weight gradients of d-wide zero rows,
+        bit for bit."""
+        t, d, B = 20, 4, 3
+        params = make_params(t, d, rng)
+        time_params = [p for pair in params.time_layers for p in pair]
+        fused = Tensor(rng.normal(size=(B * t, d)))
+        upstream = Tensor(rng.normal(size=(B, 2 * d)))
+        runs = []
+        forms = ((np.zeros((B * t, 1)), np.zeros((1, d))), (np.zeros((B * t, d)), np.eye(d)))
+        for z, f in forms:
+            for p in time_params:
+                p.zero_grad()
+            out = block_reduce_time(fused, Tensor(z), Tensor(f), params, t)
+            ad.sum_all(ad.mul(out, upstream)).backward()
+            runs.append([out.values] + [p.tensor.grad.copy() for p in time_params])
+        assert all(np.any(g) for g in runs[0][2::2])  # every bias gets a gradient
+        for got, want in zip(*runs):
+            npt.assert_array_equal(got, want)
+
+    def test_grad_check_through_the_map(self, rng):
+        """Finite differences over the map F, the fused rows and every time
+        and feature parameter."""
+        t, d, r, B = 5, 3, 4, 2
+        params = make_params(t, d, rng)
+        fused = Tensor(rng.normal(size=(B * t, d)), requires_grad=True)
+        z = Tensor(rng.normal(size=(B * t, r)))
+        f_map = P("F", rng.normal(size=(r, d)))
+
+        def f():
+            h = block_reduce_time(fused, z, f_map.tensor, params, t)
+            return cross_entropy_loss(aggregate_features(h, params), [0, 2])
+
+        extras = [f_map, Parameter("fused_in", fused)]
+        assert grad_check(f, ref.params_of(params) + extras, eps=1e-6) < 1e-6
+        assert np.any(f_map.tensor.grad)
+
     def test_float32_stays_float32(self, rng):
         t, d, B = 20, 4, 3
         params = make_params(t, d, rng)
         for p in ref.params_of(params):
             p.tensor.values = p.values.astype(np.float32)
         fused = Tensor(rng.normal(size=(B * t, d)).astype(np.float32), requires_grad=True)
-        ind = Tensor(rng.normal(size=(B * t, d)).astype(np.float32), requires_grad=True)
-        out = block_reduce_time(fused, ind, params, t)
+        z = Tensor(rng.normal(size=(B * t, 4)).astype(np.float32))
+        f_map = Tensor(rng.normal(size=(4, d)).astype(np.float32), requires_grad=True)
+        out = block_reduce_time(fused, z, f_map, params, t)
         assert out.values.dtype == np.float32
         ad.sum_all(ad.mul(out, out)).backward()
-        for x in (fused, ind, *(p.tensor for pair in params.time_layers for p in pair)):
+        for x in (fused, f_map, *(p.tensor for pair in params.time_layers for p in pair)):
             assert x.grad is not None and x.grad.dtype == np.float32
 
 
@@ -235,35 +278,40 @@ class TestCrossEntropy:
 
 
 def test_block_reduce_time_matches_per_window(rng):
-    """Both branches, the input gradients and all six time-parameter gradients.
+    """Both branches, the fused rows' and the map's gradients and all six
+    time-parameter gradients, against the per-window reference fed the
+    indicator branch's d-wide rows Z F.
 
-    t = 5 and 20 give uneven ceil widths; t = 2 and 3 the clamped ones.
+    t = 5 and 20 give uneven ceil widths; t = 2 and 3 the clamped ones; the
+    map is r = 1, 4 (wider than d) and 3 (as wide) rows.
     """
     for t in (2, 3, 4, 5, 20):
-        check_block_reduce_time(rng, t)
+        for r in (1, 3, 4):
+            check_block_reduce_time(rng, t, r)
 
 
-def check_block_reduce_time(rng, t):
+def check_block_reduce_time(rng, t, r):
     d, B = 3, 4
     params = make_params(t, d, rng)
     time_params = [p for pair in params.time_layers for p in pair]
     fused = P("fused", rng.normal(size=(B * t, d)))
-    ind = P("ind", rng.normal(size=(B * t, d)))
+    z = rng.normal(size=(B * t, r))
+    f_map = P("F", rng.normal(size=(r, d)))
     upstream = rng.normal(size=(B, 2 * d))
 
     def grads():
-        return [p.tensor.grad.copy() for p in (fused, ind, *time_params)]
+        return [p.tensor.grad.copy() for p in (fused, f_map, *time_params)]
 
-    batched = both_branches(fused.tensor, ind.tensor, params, t)
+    batched = block_reduce_time(fused.tensor, Tensor(z), f_map.tensor, params, t)
     assert batched.shape == (B, 2 * d)
     ad.sum_all(ad.mul(batched, Tensor(upstream))).backward()
     got = grads()
-    for p in (fused, ind, *time_params):
+    for p in (fused, f_map, *time_params):
         p.zero_grad()
     for b in range(B):  # the per-window references accumulate over the windows
         lo, hi = b * t, (b + 1) * t
-        h = ref.aggregate_time(ad.slice_rows(fused.tensor, lo, hi),
-                               ad.slice_rows(ind.tensor, lo, hi), params)
+        ind = ad.matmul(Tensor(z[lo:hi]), f_map.tensor)  # the d-wide rows Z F
+        h = ref.aggregate_time(ad.slice_rows(fused.tensor, lo, hi), ind, params)
         npt.assert_allclose(batched.values[b], h.values[0], rtol=0, atol=1e-12)
         ad.sum_all(ad.mul(h, Tensor(upstream[b : b + 1]))).backward()
     assert len(got) == 8
