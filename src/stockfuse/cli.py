@@ -157,6 +157,8 @@ def _load_or_build_dataset(cfg: RunConfig):
 
 
 def _cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
     series, days, table, graph, truth = synth_dataset(
         n_stocks=args.stocks, n_days=args.days, dim=args.dim,
         doc_signal=args.doc_signal, doc_missing_rate=args.doc_missing,

@@ -49,8 +49,9 @@ class TrainConfig:
         for name, value in positives.items():
             if value < 1:
                 raise ConfigError(f"{name} must be positive, got {value}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        for name, value in (("epochs", self.epochs), ("seed", self.seed)):
+            if value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.warmup_frac <= 0.5:
@@ -112,6 +113,8 @@ class RunConfig:
                 raise ConfigError(f"unknown variant {v!r}; choose from {VARIANTS}")
         if not self.seeds:
             raise ConfigError("at least one seed required")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
         if not self.thresholds[0] < 0 < self.thresholds[1]:
             raise ConfigError(f"thresholds must straddle zero, got {self.thresholds}")
         return self

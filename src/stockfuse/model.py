@@ -32,13 +32,13 @@ path for every variant lives in `tests/reference.py`.
 
 Each multi-head projection is one parameter, the heads side by side:
 `fuse{k}.wq/wk/wv` are d x d', `gat.l{i}.w` is d x K*d and `gat.l{i}.a`
-is 2d x K. At init each head's glorot block is drawn in head order and the
-blocks are concatenated.
+is 2d x K. At init every weight draws from its own generator, seeded by
+the config seed and the parameter's name: a multi-head weight draws its
+heads' glorot blocks in head order from that stream and concatenates them.
 
 Variant wiring, and the parameter groups a variant does not hold (`DROPPED`):
   glu_fusion       attention replaced by a linear map of the kv modality
-                   (`fuse{k}.glu.w`, drawn after the stage's gate); no `attn`
-                   (every stage's wq/wk/wv)
+                   (`fuse{k}.glu.w`); no `attn` (every stage's wq/wk/wv)
   ca_fusion        gate forced to 1 (pure cross-attention); no sigmoid runs;
                    no `gate_b` (every stage's gate.wb/bb)
   drop_docs        no document features; stage 1 skipped; no `doc`, `fuse1`
@@ -50,10 +50,11 @@ Variant wiring, and the parameter groups a variant does not hold (`DROPPED`):
                    still runs through the time layers: it feeds their bias
                    gradients, so dropping it would change training.
 
-`TrimodalModel.__init__` resolves the variant once: it draws every group in
-one order and registers only the groups the variant reads, so a held
-parameter starts as in `full` (in glu_fusion, as drawn after its `glu.w`),
-and a dropped group is None. The forward branches only on those Nones.
+`TrimodalModel.__init__` resolves the variant once: it builds only the
+groups the variant reads, and a dropped group is None. As each weight's
+stream is keyed by its name, a held parameter starts as `full`'s
+same-named one at the same seed, whatever the variant drops or adds (and
+whatever `gat_layers` is). The forward branches only on those Nones.
 """
 
 from __future__ import annotations
@@ -238,77 +239,60 @@ class TrimodalModel:
         self.variant = variant
         self.doc_dim = doc_dim
         self.params = ParamStore()
-        rng = np.random.default_rng(cfg.seed)
         d, dt = cfg.d, cfg.dtype
-        dropped = DROPPED[variant]
 
-        def add(name, values):  # drawn either way; registered if the group being drawn is held
-            return self.params.add(name, values) if held else None
-
-        def weight(name, shape):
-            return add(name, glorot(rng, shape, dt))
+        def weight(name, shape, n_heads=1):
+            """Glorot draws from the parameter's own stream, the heads side by side."""
+            rng = np.random.default_rng([cfg.seed, *name.encode()])
+            heads = [glorot(rng, shape, dt) for _ in range(n_heads)]
+            return self.params.add(name, np.concatenate(heads, axis=1))
 
         def bias(name, width):
-            return add(name, np.zeros((1, width), dtype=dt))
-
-        def heads(names, shapes, n_heads):
-            """One matrix per name: the heads' glorot draws, head-major, side by side."""
-            draws = [[glorot(rng, shape, dt) for shape in shapes] for _ in range(n_heads)]
-            return [add(nm, np.concatenate(b, axis=1)) for nm, b in zip(names, zip(*draws))]
+            return self.params.add(name, np.zeros((1, width), dtype=dt))
 
         def reads(*groups):
-            return not set(groups) & set(dropped)
+            return not set(groups) & set(DROPPED[variant])
 
-        held = reads("ind")
-        ind = IndicatorEncoderParams(
+        self.ind = IndicatorEncoderParams(
             w_close=weight("ind.close.w", (1, d)), b_close=bias("ind.close.b", d),
             w_open=weight("ind.open.w", (1, d)), b_open=bias("ind.open.b", d),
             w_high=weight("ind.high.w", (1, d)), b_high=bias("ind.high.b", d),
             w_mix=weight("ind.mix.w", (3 * d, d)), b_mix=bias("ind.mix.b", d),
-        )
-        self.ind = ind if held else None
-        held = reads("doc")
-        doc = DocEncoderParams(w=weight("doc.w", (doc_dim, d)), b=bias("doc.b", d))
-        self.doc = doc if held else None
-        held = reads("gat")
-        gat = GatParams(
-            layers=[
-                heads((f"gat.l{li}.w", f"gat.l{li}.a"), ((d, d), (2 * d, 1)), cfg.gat_heads)
-                for li in range(cfg.gat_layers)
-            ]
-        )
-        self.gat = gat if held else None
+        ) if reads("ind") else None
+        self.doc = DocEncoderParams(
+            w=weight("doc.w", (doc_dim, d)), b=bias("doc.b", d)
+        ) if reads("doc") else None
+        self.gat = GatParams(layers=[
+            (weight(f"gat.l{li}.w", (d, d), cfg.gat_heads),
+             weight(f"gat.l{li}.a", (2 * d, 1), cfg.gat_heads))
+            for li in range(cfg.gat_layers)
+        ]) if reads("gat") else None
         dh = cfg.effective_head_dim
         d_prime = cfg.heads * dh
         self.stages = []
-        for si in (1, 2):
-            stage = f"fuse{si}"
-            held = reads(stage, "attn")
-            names = (f"{stage}.wq", f"{stage}.wk", f"{stage}.wv")
-            attn = CrossAttnParams(*heads(names, [(d, dh)] * 3, cfg.heads), n_heads=cfg.heads)
-            held = reads(stage)
+        for stage in ("fuse1", "fuse2"):
+            if not reads(stage):
+                self.stages.append(None)
+                continue
+            attn = glu = w_b = b_b = None
+            if reads("attn"):
+                qkv = (weight(f"{stage}.{m}", (d, dh), cfg.heads) for m in ("wq", "wk", "wv"))
+                attn = CrossAttnParams(*qkv, n_heads=cfg.heads)
+            else:  # glu_fusion's map stands in for the attention
+                glu = weight(f"{stage}.glu.w", (d, d_prime))
             w_a, b_a = weight(f"{stage}.gate.wa", (d_prime, d)), bias(f"{stage}.gate.ba", d)
-            held = reads(stage, "gate_b")
-            w_b, b_b = weight(f"{stage}.gate.wb", (d, d)), bias(f"{stage}.gate.bb", d)
-            held = reads(stage)
-            # glu_fusion's map, drawn after the gate, stands in for the attention
-            glu = None if reads("attn") else weight(f"{stage}.glu.w", (d, d_prime))
-            params = FusionStageParams(
-                attn=attn if reads("attn") else None, gate=GateParams(w_a, b_a, w_b, b_b), glu=glu
-            )
-            self.stages.append(params if held else None)
-        held = True
-        t_widths = time_mlp_widths(cfg.ws)
-        f_widths = feature_mlp_widths(d)
+            if reads("gate_b"):
+                w_b, b_b = weight(f"{stage}.gate.wb", (d, d)), bias(f"{stage}.gate.bb", d)
+            self.stages.append(FusionStageParams(attn, GateParams(w_a, b_a, w_b, b_b), glu))
         time_layers, feat_layers = [], []
         t_in = cfg.ws
-        for i, t_out in enumerate(t_widths):
+        for i, t_out in enumerate(time_mlp_widths(cfg.ws)):
             time_layers.append(
                 (weight(f"pred.time.l{i}.w", (t_in, t_out)), bias(f"pred.time.l{i}.b", t_out))
             )
             t_in = t_out
         f_in = 2 * d
-        for i, f_out in enumerate(f_widths):
+        for i, f_out in enumerate(feature_mlp_widths(d)):
             feat_layers.append(
                 (weight(f"pred.feat.l{i}.w", (f_in, f_out)), bias(f"pred.feat.l{i}.b", f_out))
             )

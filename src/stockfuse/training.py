@@ -1,9 +1,9 @@
 """Training loop: Adam with linear warmup, checkpointing, metric logging.
 
-One run is fully determined by (seed, config, data): parameter init comes
-from the config seed, batch order from (seed, epoch), and there is no other
-randomness, so histories are bit-identical across reruns in the same
-precision mode at the same BLAS thread count, and checkpoint resume
+One run is fully determined by (seed, config, data): each parameter's init
+comes from (seed, parameter name), batch order from (seed, epoch), and there
+is no other randomness, so histories are bit-identical across reruns in the
+same precision mode at the same BLAS thread count, and checkpoint resume
 continues the exact trajectory under the same two conditions. On another
 thread count, weight-gradient GEMMs whose inner dimension is the calendar
 length may sum in another order, and the runs drift apart from the first

@@ -149,12 +149,20 @@ MUTANTS = [
             "tests/test_fusion.py::TestTiles")),
     # the variant table: what a variant holds is what it reads
     Mutant("model: a variant keeps the groups it drops", MODEL,
-           "return self.params.add(name, values) if held else None",
-           "return self.params.add(name, values)",
+           "return not set(groups) & set(DROPPED[variant])", "return True",
            ("tests/test_model.py::test_every_held_parameter_gets_a_gradient",)),
     Mutant("model: glu_fusion drops the gate map it reads", MODEL,
-           'held = reads(stage, "gate_b")', 'held = reads(stage, "gate_b", "attn")',
+           'if reads("gate_b"):', 'if reads("gate_b", "attn"):',
            ("tests/test_model.py::test_both_batch_forms_match_forward_sample",)),
+    # the init streams: one per parameter, keyed by the seed and its name
+    Mutant("model: every weight draws from the seed's one stream", MODEL,
+           "np.random.default_rng([cfg.seed, *name.encode()])", "np.random.default_rng(cfg.seed)",
+           ("tests/test_model.py::test_multi_head_weights_are_the_per_head_draws_side_by_side",
+            "tests/test_model.py::test_held_parameters_start_as_drawn")),
+    Mutant("model: every head starts as head 0", MODEL,
+           "heads = [glorot(rng, shape, dt) for _ in range(n_heads)]",
+           "heads = [glorot(rng, shape, dt)] * n_heads",
+           ("tests/test_model.py::test_multi_head_weights_are_the_per_head_draws_side_by_side",)),
     Mutant("sigmoid: sign read after the output overwrote the input", AUTODIFF,
            "    pos = x >= 0  # read before `out` may overwrite x\n    e = np.abs(x, out=out)\n",
            "    e = np.abs(x, out=out)\n    pos = x >= 0\n",

@@ -313,69 +313,60 @@ def test_packed_panel_rejects_nonfinite_indicators(nan_outside_windows):
 
 
 def test_predict_part_batch_size_does_not_change_predictions(monkeypatch):
-    """Batches of 7 consecutive test windows, against one batch of all 30.
-    The test part is date-major over 6 stocks, so a batch of 7 spans two
-    starts and reads calendar rows; the last one holds 2 windows of one
-    start and is gathered."""
+    """Batches of 7 consecutive test windows, against one batch of all 30:
+    each batch's logits equal the whole batch's rows at 1e-12, and so do the
+    predicted classes. The test part is date-major over 6 stocks, so a batch
+    of 7 spans two starts and reads calendar rows; the last one holds 2
+    windows of one start and is gathered."""
     series, days, table, graph, _ = synth_dataset(6, 60, 8, 4.0, 0.2, 0.1, 2, seed=3)
     split = build_dataset(series, days, table, graph, ws=10, label_spec=(-0.01, 0.01))
     packed = PackedPanel.from_panel(split.panel, graph)
+    test = split.test
     model = TrimodalModel(TrainConfig(d=8, ws=10, seed=0), doc_dim=8)
     rng = np.random.default_rng(0)
     for p in model.params:  # nonzero biases, so the logits vary across windows
         p.tensor.values = p.values + 0.3 * rng.normal(size=p.values.shape)
-    whole = model.predict_part(packed, split.test, batch_size=4096)
-    assert len(np.unique(whole)) > 1
-    forms = record_stage_forms(monkeypatch)
-    npt.assert_array_equal(model.predict_part(packed, split.test, batch_size=7), whole)
+    with ad.no_grad():
+        whole = model.forward_batch(packed, test.stock_index, test.start).values
+        assert np.ptp(whole, axis=0).min() > 1e-6  # each window's own logits
+        forms = record_stage_forms(monkeypatch)
+        for b in range(0, len(test), 7):
+            part = test[b : b + 7]
+            logits = model.forward_batch(packed, part.stock_index, part.start).values
+            npt.assert_allclose(logits, whole[b : b + 7], rtol=0, atol=1e-12)
     assert forms[0] == ("source", "source") and forms[-1] == ("window", "window")
+    for batch_size in (7, 4096):
+        npt.assert_array_equal(model.predict_part(packed, test, batch_size), whole.argmax(axis=1))
 
 
 BIASES = (".b", ".ba", ".bb")
 MULTI_HEAD_CFG = TrainConfig(d=4, ws=4, heads=2, head_dim=3, gat_heads=2, gat_layers=2, seed=7)
 
 
-def initial_weights(glu=False):
-    """Every weight of MULTI_HEAD_CFG with doc_dim 5, drawn in the model's
-    one order; with `glu`, each stage's glu map is drawn after its gate."""
-    cfg = MULTI_HEAD_CFG
-    rng = np.random.default_rng(cfg.seed)
-    d, dt = cfg.d, cfg.dtype
-
-    def draw(*shapes):
-        return [glorot(rng, shape, dt) for shape in shapes]
-
-    def side_by_side(n_heads, *shapes):
-        per_head = [draw(*shapes) for _ in range(n_heads)]
-        return [np.concatenate(blocks, axis=1) for blocks in zip(*per_head)]
-
-    want = dict(zip(["ind.close.w", "ind.open.w", "ind.high.w", "ind.mix.w", "doc.w"],
-                    draw((1, d), (1, d), (1, d), (3 * d, d), (5, d))))
-    for li in range(cfg.gat_layers):
-        want[f"gat.l{li}.w"], want[f"gat.l{li}.a"] = side_by_side(2, (d, d), (2 * d, 1))
-    for si in (1, 2):
-        qkv = side_by_side(2, (d, 3), (d, 3), (d, 3))
-        want.update(zip([f"fuse{si}.wq", f"fuse{si}.wk", f"fuse{si}.wv"], qkv))
-        want[f"fuse{si}.gate.wa"], want[f"fuse{si}.gate.wb"] = draw((6, d), (d, d))
-        if glu:
-            want[f"fuse{si}.glu.w"], = draw((d, 6))
-    want["pred.time.l0.w"], want["pred.time.l1.w"], want["pred.time.l2.w"] = draw(
-        (4, 2), (2, 1), (1, 1))
-    for i, shape in enumerate(((8, 4), (4, 2), (2, 3))):
-        want[f"pred.feat.l{i}.w"], = draw(shape)
-    return want
+def stream_draw(cfg, name, shape):
+    """The glorot draws of weight `name` from its own stream, seeded by
+    (seed, name): one block per head, in head order, side by side."""
+    if re.fullmatch(r"fuse\d\.w[qkv]", name):
+        n_heads = cfg.heads
+    else:
+        n_heads = cfg.gat_heads if name.startswith("gat.") else 1
+    rows, cols = shape
+    rng = np.random.default_rng([cfg.seed, *name.encode()])
+    blocks = [glorot(rng, (rows, cols // n_heads), cfg.dtype) for _ in range(n_heads)]
+    return np.concatenate(blocks, axis=1)
 
 
 def test_multi_head_weights_are_the_per_head_draws_side_by_side():
-    """Each projection holds the heads' glorot draws, taken in head order (per
-    head q, k, v for fusion; w, a for GAT) and concatenated by columns, and
-    every other weight is drawn in between as before: the initial model is
-    the one that stored every head as its own parameters."""
+    """Each weight holds the glorot draws of its own stream; a projection
+    holds its heads' blocks, drawn in head order from that stream and
+    concatenated by columns."""
     model = TrimodalModel(MULTI_HEAD_CFG, doc_dim=5)
-    want = initial_weights()
-    assert sorted(want) == sorted(n for n in model.params.names() if not n.endswith(BIASES))
-    for name, values in want.items():
-        npt.assert_array_equal(model.params[name].values, values, err_msg=name)
+    weights = [p for p in model.params if not p.name.endswith(BIASES)]
+    assert len(weights) == 25
+    for p in weights:
+        npt.assert_array_equal(
+            p.values, stream_draw(MULTI_HEAD_CFG, p.name, p.values.shape), err_msg=p.name
+        )
     assert model.params["gat.l1.w"].values.shape == (4, 8)
     assert model.params["gat.l1.a"].values.shape == (8, 2)
     assert model.params["fuse2.wv"].values.shape == (4, 6)
@@ -390,20 +381,32 @@ def test_default_model_parameter_count():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_held_parameters_start_as_drawn(variant):
-    """Every variant draws all weights in one order and holds a subset: a
-    held weight equals the same-named weight of a same-seed `full` model
-    (glu_fusion, which also draws its glu maps, equals that order's draw),
-    and every held bias starts at zero."""
+    """A held weight is its own stream's draw, so it equals the same-named
+    weight of a same-seed `full` model bit for bit; glu_fusion's glu maps are
+    the only weights `full` lacks. Every held bias starts at zero."""
     model = TrimodalModel(MULTI_HEAD_CFG, doc_dim=5, variant=variant)
     full = TrimodalModel(MULTI_HEAD_CFG, doc_dim=5)
-    want = initial_weights(glu=variant == "glu_fusion")
+    own = [name for name in model.params.names() if name not in full.params.names()]
+    assert own == (["fuse1.glu.w", "fuse2.glu.w"] if variant == "glu_fusion" else [])
     for p in model.params:
         if p.name.endswith(BIASES):
             assert not np.any(p.values), p.name
-            continue
-        npt.assert_array_equal(p.values, want[p.name], err_msg=p.name)
-        if variant != "glu_fusion":
+        elif p.name in own:
+            npt.assert_array_equal(
+                p.values, stream_draw(MULTI_HEAD_CFG, p.name, p.values.shape), err_msg=p.name
+            )
+        else:
             npt.assert_array_equal(p.values, full.params[p.name].values, err_msg=p.name)
+
+
+def test_gat_depth_changes_no_other_initial_weight():
+    """A second GAT layer only adds its own weights: every parameter of the
+    one-layer `full` model starts the same in the two-layer one."""
+    one = TrimodalModel(MULTI_HEAD_CFG.replace(gat_layers=1), doc_dim=5)
+    two = TrimodalModel(MULTI_HEAD_CFG, doc_dim=5)
+    assert set(two.params.names()) - set(one.params.names()) == {"gat.l1.w", "gat.l1.a"}
+    for p in one.params:
+        npt.assert_array_equal(p.values, two.params[p.name].values, err_msg=p.name)
 
 
 def tape_nodes(root):
