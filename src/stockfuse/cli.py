@@ -159,6 +159,14 @@ def _load_or_build_dataset(cfg: RunConfig):
 def _cmd_synth(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {args.seed}")
+    # the documents draw three orthonormal class prototypes, so dim >= 3
+    for flag, value, low in (("--stocks", args.stocks, 1), ("--days", args.days, 1),
+                             ("--dim", args.dim, 3), ("--sectors", args.sectors, 1)):
+        if value < low:
+            raise ConfigError(f"{flag} must be >= {low}, got {value}")
+    for flag, rate in (("--doc-missing", args.doc_missing), ("--conflict", args.conflict)):
+        if not 0.0 <= rate <= 1.0:
+            raise ConfigError(f"{flag} must lie in [0, 1], got {rate}")
     series, days, table, graph, truth = synth_dataset(
         n_stocks=args.stocks, n_days=args.days, dim=args.dim,
         doc_signal=args.doc_signal, doc_missing_rate=args.doc_missing,
@@ -267,8 +275,8 @@ def _cmd_ablate(args) -> int:
     csv_path, json_path = write_reports(reports, outdir)
     for r in reports:
         print(
-            f"{r.variant}: ACC {r.acc_mean:.4f}±{r.acc_var:.5f} "
-            f"MCC {r.mcc_mean:.4f}±{r.mcc_var:.5f}"
+            f"{r.variant}: ACC {r.acc_mean:.4f}±{np.sqrt(r.acc_var):.5f} "
+            f"MCC {r.mcc_mean:.4f}±{np.sqrt(r.mcc_var):.5f}"
         )
     print(f"reports: {csv_path}, {json_path}")
     return 0

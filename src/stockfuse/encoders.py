@@ -5,12 +5,13 @@ function serves a single window or a whole stacked calendar. The indicator
 encoder has no activation, so `fold_indicators` folds its lifts and
 projection, on the tape, into one 3 x d map W and one 1 x d shift c; the
 rows meet only those two. `encode_indicators` returns the encoder in that
-factored form, the rows [x, 1] and the 4 x d map [W; c], and every reader
-takes it so: no reader forms the d-wide indicator rows. The graph encoder
-runs multi-head attention over all stocks at one timestamp; the model
-stacks it across timestamps with shared weights. Each layer stores its K heads as two matrices: the
-projections W side by side (d x K*d, head k in columns k*d .. (k+1)*d) and
-the score vectors a as columns (2d x K). The heads keep separate softmaxes.
+factored form, the rows [x, 1] and the 4 x d map F = [W; c], and every
+reader takes it so: no reader forms the d-wide indicator rows. The graph
+encoder runs multi-head attention over all stocks at one timestamp; the
+model stacks it across timestamps with shared weights. Each layer stores its
+K heads as two matrices: the projections W side by side (d x K*d, head k in
+columns k*d .. (k+1)*d) and the score vectors a as columns (2d x K). The
+heads keep separate softmaxes.
 
 `block_gat_encode` is GAT's masked attention (Velickovic et al. 2018) in
 edge-list form, over T timestamps at once; the per-timestamp reference that
@@ -18,19 +19,18 @@ masks a dense n x n score matrix lives in `tests/reference.py`. Each layer
 is one tape node that scores and softmaxes only the neighbour pairs of all
 timestamps, so its elementwise work grows with the edge count, not n^2.
 
-A layer aggregates first and projects after: head k's output is
-A_k (Z G_k) = (A_k Z) G_k, with Z the layer's r-wide source rows and G_k
-the r x d map that takes them to head k's features. Layer 1 of the model
-reads the raw indicator rows through the folded indicator map (its `lift`),
-so Z = [ind, 1] and G_k = [W; c] W_k are rank 4; a deeper layer reads the
-previous layer's output, Z = h and G_k = W_k. The aggregation A_k Z is dense
-per block: attention only mixes neighbours, so whole connected components
-are packed into blocks of m nodes (m the largest component, as Cluster-GCN
-batches clusters, Chiang et al. 2019), and the edge weights are scattered
-into a zero-filled m x m matrix per block, head and timestamp for one
-batched GEMM. That costs n * m * r per head and timestamp, and the
-projection n * K * r * d, so layer 1 never forms the n x K*d head
-projections.
+A layer reads r-wide source rows Z through an r x K*d weight, head k's
+r x d block W_k. It aggregates first and projects after: head k's output
+is A_k (Z W_k) = (A_k Z) W_k. Layer 1 of the model reads the indicator rows
+Z = [ind, 1] through the weight F W_1, which one tape matmul folds from the
+map F (the GAT's `lift`), so r = 4; a deeper layer reads the previous
+layer's output, r = d. The aggregation A_k Z is dense per block: attention
+only mixes neighbours, so whole connected components are packed into
+blocks of m nodes (m the largest component, as Cluster-GCN batches
+clusters, Chiang et al. 2019), and the edge weights are scattered into a
+zero-filled m x m matrix per block, head and timestamp for one batched
+GEMM. That costs n * m * r per head and timestamp, and the projection
+n * K * r * d, so layer 1 never forms the n x K*d head projections.
 """
 
 from __future__ import annotations
@@ -72,15 +72,14 @@ class GatParams:
     """Per layer, the K heads' projections W (d x K*d, head k in columns
     k*d .. (k+1)*d) and score vectors a (2d x K, column k for head k).
 
-    `lift`, if set, is a folded affine map (W_l, c_l) from `fold_indicators`
-    that layer 1 applies to its input rows first: it attends over
-    x @ W_l + c_l, but aggregates the rows [x, 1] and projects them through
-    [W_l; c_l] W_k, so the gradient reaches the map through the tape. With
-    no lift the layers run over the given features.
+    `lift`, if set, is an r x d map F, such as the indicator map [W; c] of
+    `encode_indicators`, through which layer 1 reads r-wide rows: its
+    weight is the tape product F W, so the gradient reaches F. With no lift
+    the layers run over the given d-wide features.
     """
 
     layers: list  # [(w, a), ...layers]
-    lift: tuple[Tensor, Tensor] | None = None
+    lift: Tensor | None = None
 
     @property
     def n_layers(self) -> int:
@@ -101,9 +100,8 @@ def fold_indicators(params: IndicatorEncoderParams) -> tuple[Tensor, Tensor]:
     `c = b_mix + sum_k b_k @ W_mix[k]`. The fold is built from the d x d
     parameter blocks by tape ops, so backward chains into the eight stored
     parameters by itself. The model builds it once per forward and hands
-    it to the graph encoder's first layer and to `encode_indicators`, whose
-    [W; c] the fusion stage whose query is the indicators and the time
-    reduction's indicator branch share.
+    it to `encode_indicators`, whose map [W; c] all three readers of the
+    indicators share.
     """
     lifts = [
         (params.w_close, params.b_close),
@@ -130,9 +128,9 @@ def encode_indicators(x, fold: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
     F = [W; c] of `fold = fold_indicators(params)`, one 4 x d tape node:
     their product [x, 1] F = x @ W + c is the encoded rows, which no reader
     forms. The model calls this once per forward on the slab's raw rows and
-    hands both parts to the fusion stage whose query is the indicators and
-    to the time reduction, which read the rows (or their window rows)
-    through the same map node.
+    hands both parts to the graph encoder's first layer, to the fusion
+    stage whose query is the indicators and to the time reduction, which
+    read the rows (or their window rows) through the same map node.
     """
     x = np.asarray(x.values if isinstance(x, Tensor) else x)
     if x.ndim != 2 or x.shape[1] != 3:
@@ -157,21 +155,20 @@ def encode_documents(doc: Tensor, mask, params: DocEncoderParams) -> Tensor:
 def block_gat_encode(features_st: Tensor, neighbors: np.ndarray, params: GatParams) -> Tensor:
     """Multi-head graph attention on T stacked node sets, per connected-component block.
 
-    Input is T timestamps' node rows stacked date-major as (T*n) x c: the
-    features (c = d), or with `params.lift` the raw rows that the lift maps
-    to features (c = 3 for the indicator fold). Each layer is one tape node
-    doing all timestamps' attention at once: additive leaky-relu scores,
-    one softmax per head over each row's neighbours, heads averaged, then
-    ELU. Only the pairs (i, j) with `neighbors[i, j]` are scored:
-    leaky-relu scores and the softmax over each row's neighbours run on
-    K x T x E edge arrays, with segment reductions over the destination
-    rows.
+    Input is T timestamps' node rows stacked date-major as (T*n) x r: the
+    features (r = d), or with `params.lift` the rows the lift reads (r = 4
+    for the indicator rows [x, 1]). Each layer is one tape node doing all
+    timestamps' attention at once: additive leaky-relu scores, one softmax
+    per head over each row's neighbours, heads averaged, then ELU. Only the
+    pairs (i, j) with `neighbors[i, j]` are scored: leaky-relu scores and
+    the softmax over each row's neighbours run on K x T x E edge arrays,
+    with segment reductions over the destination rows.
 
     A layer aggregates its r-wide source rows Z per head, then projects the
-    K aggregates at once: `sum_k (A_k Z) G_k`. The score terms read Z
-    through `G_k a_k` as well. Layer 1 with a lift has Z = [x, 1] and
-    G_k = [W_l; c_l] W_k, so r = c + 1; otherwise Z is the layer's input
-    and G_k = W_k.
+    K aggregates at once through its r x K*d weight: `sum_k (A_k Z) W_k`.
+    The score terms read Z through `W_k a_k` as well. With a lift, layer 1's
+    weight is the tape matmul `lift @ W_1`; every other layer reads its
+    stored W.
 
     Attention only mixes neighbours, so the layer factorises exactly over the
     weakly connected components of the mask. Whole components are packed,
@@ -195,7 +192,7 @@ def block_gat_encode(features_st: Tensor, neighbors: np.ndarray, params: GatPara
         raise ShapeError(f"neighbor mask {neighbors.shape} is not square")
     if features_st.rows % n:
         raise ShapeError(f"{features_st.rows} rows not divisible by {n} nodes")
-    width = params.layers[0][0].values.shape[0] if params.lift is None else params.lift[0].rows
+    width = (params.layers[0][0].tensor if params.lift is None else params.lift).rows
     if features_st.cols != width:
         raise ShapeError(f"GAT input has {features_st.cols} columns, its first map reads {width}")
     lonely = np.flatnonzero(~neighbors.any(axis=1))
@@ -203,10 +200,10 @@ def block_gat_encode(features_st: Tensor, neighbors: np.ndarray, params: GatPara
         raise ShapeError(f"GAT rows without a neighbour: {lonely[:10].tolist()}")
     edges = _GatEdges.from_mask(neighbors)
     n_dates = features_st.rows // n
-    h, lift = features_st, params.lift
-    for layer in params.layers:
-        h = _block_gat_layer(h, lift, layer, edges, n_dates)
-        lift = None
+    h = features_st
+    for i, (w, a) in enumerate(params.layers):
+        w_in = w.tensor if i or params.lift is None else ad.matmul(params.lift, w.tensor)
+        h = _block_gat_layer(h, w_in, a.tensor, edges, n_dates)
     return h
 
 
@@ -342,25 +339,17 @@ class _GatEdges:
         return a if self.node_slot is None else np.take(a, self.node_slot, axis=-2)
 
 
-def _block_gat_layer(x_st: Tensor, lift, layer, edges: _GatEdges, n_dates: int) -> Tensor:
-    w, a = layer
-    k_heads = a.values.shape[1]
+def _block_gat_layer(x_st: Tensor, w: Tensor, a: Tensor, edges: _GatEdges, n_dates: int) -> Tensor:
+    k_heads = a.cols
     n, m, n_blocks = edges.n, edges.m, edges.n_blocks
-    w_cat = w.values  # d x K*d, head k at k*d
-    d = w_cat.shape[0]
-    x = x_st.values  # (T*n) x c
-    if lift is None:  # source rows Z = x, read through F = I
-        z, f = x, np.eye(d, dtype=x.dtype)
-    else:  # Z = [x, 1] through F = [W_l; c_l]: the rows of x @ W_l + c_l
-        z = affine_rows(x)
-        f = np.vstack([lift[0].values, lift[1].values])
-    r = z.shape[1]
-    w3 = w_cat.reshape(d, k_heads, d).swapaxes(0, 1)  # K x d x d, one W per head
+    z = x_st.values  # (T*n) x r source rows
+    w_cat = w.values  # r x K*d, head k at k*d
+    r, d = w_cat.shape[0], a.rows // 2
+    w3 = w_cat.reshape(r, k_heads, d).swapaxes(0, 1)  # K x r x d, one W per head
     a3 = a.values.T.reshape(k_heads, 2, d).swapaxes(0, 1)  # 2 x K x d: a_src, a_dst per head
-    # score projections: left = z F W_k a_src_k (destination), right = z F W_k a_dst_k (source)
-    wa = (w3 @ a3[..., None]).reshape(2 * k_heads, d).T  # d x 2K
-    fwa = f @ wa  # r x 2K
-    lr = (fwa.T @ z.T).reshape(2 * k_heads, n_dates, n)  # left rows, then right rows
+    # score projections: left = z W_k a_src_k (destination), right = z W_k a_dst_k (source)
+    wa = (w3 @ a3[..., None]).reshape(2 * k_heads, r).T  # r x 2K
+    lr = (wa.T @ z.T).reshape(2 * k_heads, n_dates, n)  # left rows, then right rows
     # edge arrays are K x T x E, built in place; repeat() and take() keep them
     # contiguous, where fancy indexing would return a transposed layout
     alpha = edges.per_edge(lr[:k_heads])
@@ -378,17 +367,16 @@ def _block_gat_layer(x_st: Tensor, lift, layer, edges: _GatEdges, n_dates: int) 
     # between the block layout and node order
     z_b = edges.to_blocks(z.reshape(n_dates, n, r))  # T x blocks x m x r
     flat = (edges.dst_slot * k_heads + np.arange(k_heads)[:, None]) * m + edges.src_pos  # K x E
-    attn = np.zeros((n_dates, n_blocks * m * k_heads * m), dtype=x.dtype)
+    attn = np.zeros((n_dates, n_blocks * m * k_heads * m), dtype=z.dtype)
     for tau, row in enumerate(attn):
         for f_k, weights in zip(flat, alpha[:, tau]):
             row[f_k] = weights  # 1-D scatters: faster than 2-D or 3-D indexing
     attn = attn.reshape(n_dates, n_blocks, m * k_heads, m)  # zero off the edges
     agg = edges.from_blocks((attn @ z_b).reshape(n_dates, n_blocks, m, k_heads * r))
     agg = agg.reshape(-1, k_heads * r)  # (T*n) x K*r, head k's aggregate in columns k*r
-    # then project: G_k = F W_k, stacked by head to match agg's columns
-    g_cat = f @ w_cat  # r x K*d, as W
-    g_stack = g_cat.reshape(r, k_heads, d).swapaxes(0, 1).reshape(k_heads * r, d)
-    pre = agg @ g_stack  # (T*n) x d
+    # then project: the W_k stacked by head to match agg's columns
+    w_stack = w3.reshape(k_heads * r, d)
+    pre = agg @ w_stack  # (T*n) x d
     expm1 = np.expm1(np.minimum(pre, 0.0))
     out = np.maximum(pre, 0.0, out=pre)
     out += expm1  # elu, without a branch
@@ -397,7 +385,7 @@ def _block_gat_layer(x_st: Tensor, lift, layer, edges: _GatEdges, n_dates: int) 
         g3 = np.minimum(out, 0.0)
         g3 += 1.0
         g3 *= g  # through elu'
-        d_agg = edges.to_blocks((g3 @ g_stack.T).reshape(n_dates, n, k_heads * r))
+        d_agg = edges.to_blocks((g3 @ w_stack.T).reshape(n_dates, n, k_heads * r))
         d_agg = d_agg.reshape(attn.shape[:-1] + (r,))  # as attn @ z_b
         d_attn = (d_agg @ z_b.swapaxes(-1, -2)).reshape(n_dates, -1)
         d_s = np.empty_like(alpha)  # K x T x E, the gradient of the weights
@@ -415,22 +403,15 @@ def _block_gat_layer(x_st: Tensor, lift, layer, edges: _GatEdges, n_dates: int) 
         d_lr = d_lr.reshape(2 * k_heads, -1)  # as lr
         if x_st.requires_grad:
             d_z = edges.from_blocks(attn.swapaxes(-1, -2) @ d_agg).reshape(-1, r)
-            d_z += d_lr.T @ fwa.T
-            ad.add_grad(x_st, d_z if lift is None else d_z[:, :-1].copy())
-        d_g = (agg.T @ g3).reshape(k_heads, r, d).swapaxes(0, 1).reshape(r, -1)  # as g_cat
-        d_fwa = z.T @ d_lr.T  # as fwa
-        if lift is not None:
-            d_f = d_g @ w_cat.T
-            d_f += d_fwa @ wa.T
-            ad.add_grad(lift[0], d_f[:-1])
-            ad.add_grad(lift[1], d_f[-1:])
-        d_w = f.T @ d_g
-        d_wa = (f.T @ d_fwa).T.reshape(2, k_heads, d)  # the gradient of wa, laid out as a3
-        # the score terms: head k's W gets g_src_k a_src_k^T + g_dst_k a_dst_k^T
-        score = d_wa[0].T[:, :, None] * a3[0] + d_wa[1].T[:, :, None] * a3[1]
-        d_w += score.reshape(d, -1)
-        ad.add_grad(w.tensor, d_w)
+            d_z += d_lr.T @ wa.T
+            ad.add_grad(x_st, d_z)
+        d_wa = (d_lr @ z).reshape(2, k_heads, r)  # the gradient of wa, laid out as a3
+        # the projection term, laid out by head as W, plus the score terms:
+        # head k's W gets g_src_k a_src_k^T + g_dst_k a_dst_k^T
+        d_w3 = (agg.T @ g3).reshape(k_heads, r, d)
+        d_w3 += d_wa[0][..., None] * a3[0][:, None] + d_wa[1][..., None] * a3[1][:, None]
+        ad.add_grad(w, d_w3.swapaxes(0, 1).reshape(r, -1))
         d_a = (w3.swapaxes(1, 2) @ d_wa[..., None])[..., 0]  # 2 x K x d: W_k^T g per half
-        ad.add_grad(a.tensor, d_a.transpose(0, 2, 1).reshape(2 * d, k_heads))
+        ad.add_grad(a, d_a.transpose(0, 2, 1).reshape(2 * d, k_heads))
 
-    return ad.node(out, (x_st, w.tensor, a.tensor, *(lift or ())), backward)
+    return ad.node(out, (x_st, w, a), backward)

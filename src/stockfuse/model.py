@@ -3,16 +3,15 @@
 The batched forward works on a date-major packing of the panel: all stocks'
 feature rows for one calendar date sit together, so the encoders run once
 over the calendar slab the batch spans (the graph encoder once per date),
-and a window is a B x t row index into that slab. The indicator encoder's
-folded map (W, c) is built once per forward, and each reader of the
-indicators reads raw rows through it: the graph encoder's first layer reads
-the slab (the `lift` of its `GatParams`). `encode_indicators`, called once
-per forward on the slab, returns the rows [ind, 1] and one map node
-[W; c]: the stage whose query they are reads those rows through that map
-(its query map), and the time reduction's indicator branch reads the
-batch's 4-wide window rows, gathered off the tape, through the same node.
-So no d-wide indicator feature is formed, gathered or scattered, of the
-slab or of the windows.
+and a window is a B x t row index into that slab. `encode_indicators`,
+called once per forward on the slab, returns the rows [ind, 1] and one map
+node F = [W; c], the indicator encoder folded, and each reader of the
+indicators reads those rows through F: the graph encoder's first layer
+reads the slab through F folded into its weight (the `lift` of its
+`GatParams`), the stage whose query they are through F as its query map,
+and the time reduction's indicator branch reads the batch's 4-wide window
+rows, gathered off the tape, through the same node. So no d-wide indicator
+feature is formed, gathered or scattered, of the slab or of the windows.
 Windows are processed as row-stacked blocks. The row-level work of each
 fusion stage layer is one tape node with a hand-derived backward,
 `block_cross_attention`: attention (or the glu map), the gate's two affine
@@ -302,20 +301,20 @@ class TrimodalModel:
     # -- batched path --------------------------------------------------
 
     def _calendar_features(self, packed: PackedPanel, r_lo: int, r_hi: int):
-        """The indicator fold, and the encoded document and graph rows of
-        date-major rows [r_lo, r_hi); None where the model holds no encoder."""
-        fold = vd_cal = vg_cal = None
+        """The indicator rows [ind, 1] and map [W; c], and the encoded document
+        and graph rows, of date-major rows [r_lo, r_hi); None where the model
+        holds no encoder."""
+        ind = vd_cal = vg_cal = None
         if self.ind is not None:
-            fold = fold_indicators(self.ind)
+            ind = encode_indicators(packed.ind[r_lo:r_hi], fold_indicators(self.ind))
         if self.doc is not None:
             vd_cal = encode_documents(
                 Tensor(packed.doc[r_lo:r_hi]), packed.mask[r_lo:r_hi], self.doc
             )
-        if self.gat is not None:
-            # the GAT reads the raw indicator rows through the fold
-            ind = Tensor(packed.ind[r_lo:r_hi])
-            vg_cal = block_gat_encode(ind, packed.neighbors, GatParams(self.gat.layers, fold))
-        return fold, vd_cal, vg_cal
+        if self.gat is not None:  # layer 1 reads the indicator rows through the map
+            rows, ind_map = ind
+            vg_cal = block_gat_encode(rows, packed.neighbors, GatParams(self.gat.layers, ind_map))
+        return ind, vd_cal, vg_cal
 
     def _fuse_blocks(self, query, kv, stage: FusionStageParams, block: int, diagnostics):
         """Stable output of a stage; with diagnostics also (unstable, stable, gate).
@@ -363,7 +362,7 @@ class TrimodalModel:
         start = np.asarray(start, dtype=np.intp)
         lo = int(start.min())
         hi = int(start.max()) + t
-        fold, vd_cal, vg_cal = self._calendar_features(packed, lo * n, hi * n)
+        ind, vd_cal, vg_cal = self._calendar_features(packed, lo * n, hi * n)
         idx = (start[:, None] - lo + np.arange(t)[None, :]) * n + stock_idx[:, None]  # B x t
         from_source = (hi - lo) * n < idx.size
 
@@ -371,13 +370,13 @@ class TrimodalModel:
             return (cal, idx) if from_source else (ad.gather_rows(cal, idx), None)
 
         fused = None
-        if fold is None:  # drop_indicators: the indicator branch reads zeros
+        if ind is None:  # drop_indicators: the indicator branch reads zeros
             dt = self.cfg.dtype
             z, z_map = Tensor(np.zeros((idx.size, 1), dt)), Tensor(np.zeros((1, self.cfg.d), dt))
         else:
             # raw rows [ind, 1] and the map [W; c], read by the indicator
             # query of a stage and by the time reduction's indicator branch
-            rows, z_map = encode_indicators(packed.ind[lo * n : hi * n], fold)
+            rows, z_map = ind
             z = Tensor(np.take(rows.values, idx.reshape(-1), axis=0))
             fused = (rows, idx, z_map) if from_source else (z, None, z_map)
         diag = {}

@@ -182,26 +182,27 @@ MUTANTS = [
     Mutant("gat: source-score gradient summed by destination", ENCODERS,
            "edges.sum_by_src(d_s)", "edges.sum_by_dst(d_s)", GAT_PINS),
     Mutant("gat: input gradient without the score path", ENCODERS,
-           "            d_z += d_lr.T @ fwa.T\n", "            d_z += 0.0 * (d_lr.T @ fwa.T)\n",
+           "            d_z += d_lr.T @ wa.T\n", "            d_z += 0.0 * (d_lr.T @ wa.T)\n",
            GAT_PINS),
     Mutant("gat: input gradient aggregated by head 0 only", ENCODERS,
            "d_z = edges.from_blocks(attn.swapaxes(-1, -2) @ d_agg)",
            "d_z = edges.from_blocks(k_heads * attn[..., ::k_heads, :].swapaxes(-1, -2)"
            " @ d_agg[..., ::k_heads, :])", GAT_PINS),
     Mutant("gat: no score term in W's gradient", ENCODERS,
-           "        d_w += score.reshape(d, -1)\n", "        d_w += 0.0 * score.reshape(d, -1)\n",
-           GAT_PINS),
+           "        d_w3 += d_wa[0]", "        d_w3 += 0.0 * d_wa[0]", GAT_PINS),
     Mutant("gat: score-vector halves swapped", ENCODERS,
-           "d_wa = (f.T @ d_fwa).T.reshape(2, k_heads, d)",
-           "d_wa = (f.T @ d_fwa).T.reshape(2, k_heads, d)[::-1]", GAT_PINS),
+           "d_wa = (d_lr @ z).reshape(2, k_heads, r)",
+           "d_wa = (d_lr @ z).reshape(2, k_heads, r)[::-1]", GAT_PINS),
     Mutant("gat: projection gradient laid out by rows, not heads", ENCODERS,
-           "d_g = (agg.T @ g3).reshape(k_heads, r, d).swapaxes(0, 1).reshape(r, -1)",
-           "d_g = (agg.T @ g3).reshape(r, -1)", GAT_PINS),
-    Mutant("gat: lift gradient without the score path", ENCODERS,
-           "            d_f += d_fwa @ wa.T\n", "            d_f += 0.0 * (d_fwa @ wa.T)\n",
+           "ad.add_grad(w, d_w3.swapaxes(0, 1).reshape(r, -1))",
+           "ad.add_grad(w, d_w3.reshape(r, -1))", GAT_PINS),
+    # the indicator map folded into layer 1's weight, and the r-wide layer
+    Mutant("gat: the indicator map folded in off the tape", ENCODERS,
+           "ad.matmul(params.lift, w.tensor)", "ad.matmul(Tensor(params.lift.values), w.tensor)",
            GAT_PINS),
-    Mutant("gat: lift shift gets no gradient", ENCODERS,
-           "ad.add_grad(lift[1], d_f[-1:])", "ad.add_grad(lift[1], 0.0 * d_f[-1:])", GAT_PINS),
+    Mutant("gat: heads of an r-row weight split by rows, not columns", ENCODERS,
+           "w3 = w_cat.reshape(r, k_heads, d).swapaxes(0, 1)", "w3 = w_cat.reshape(k_heads, r, d)",
+           GAT_PINS),
     # block_reduce_time
     Mutant("reduce_time: no ReLU mask", PREDICTOR,
            "                    g_h *= h_in > 0\n", "                    g_h *= 1.0\n", TIME_PINS),

@@ -144,7 +144,7 @@ def gat_encode(features: Tensor, neighbors: np.ndarray, gat, alphas: list | None
     mask_bias = Tensor(np.where(neighbors, 0.0, NEG_MASK).astype(features.values.dtype))
     h = features
     for w, a in gat.layers:
-        d, k_heads = h.cols, a.values.shape[1]
+        d, k_heads = a.values.shape[0] // 2, a.values.shape[1]  # W is h.cols x K*d
         hw_all = ad.matmul(h, w.tensor)
         total = None
         for k in range(k_heads):  # head k is column block k of W and column k of a

@@ -136,10 +136,25 @@ def test_missing_inputs_and_bad_flags_exit_1(tmp_path):
     (["train", "--seed", "-1"], "seed must be >= 0"),
     (["ablate", "--seeds", "0,-1"], "seeds must be >= 0"),
     (["synth", "--seed", "-1"], "seed must be >= 0"),
+    (["synth", "--doc-missing", "2"], "--doc-missing must lie in [0, 1]"),
+    (["synth", "--sectors", "0"], "--sectors must be >= 1"),
+    (["synth", "--dim", "0"], "--dim must be >= 3"),
 ])
 def test_bad_flag_value_exit_1(tmp_path, caplog, flags, message):
     assert run_command(flags + ["--out", str(tmp_path)]) == 1
     assert message in caplog.text
+
+
+def test_ablate_prints_the_std_over_seeds(trained, tmp_path, capsys):
+    """The ± after each mean is the std over seeds; report.json keeps the variance."""
+    args = train_args(trained / "data", tmp_path, "--epochs", "1")
+    args[0] = "ablate"
+    assert run_command(args + ["--variants", "full", "--seeds", "0,1"]) == 0
+    (report,) = json.loads((tmp_path / "report.json").read_text())
+    acc, mcc = np.array(report["acc_values"]), np.array(report["mcc_values"])
+    assert report["acc_var"] == pytest.approx(np.var(acc)) and np.std(acc) > 0
+    line = f"full: ACC {acc.mean():.4f}±{np.std(acc):.5f} MCC {mcc.mean():.4f}±{np.std(mcc):.5f}"
+    assert line in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("section,line,message", [

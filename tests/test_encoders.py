@@ -396,6 +396,35 @@ class TestBlockGat:
         for got, want in zip(block, loop):
             npt.assert_allclose(got, want, rtol=tol, atol=tol)
 
+    @staticmethod
+    def rectangular_params(rng, r, d, heads=2):
+        """Layer 1 reads r-wide rows through an r x K*d weight; layer 2 is square."""
+        deep = make_gat_params(d, heads=heads, rng=rng).layers[0]
+        w = P("w_in", rng.normal(size=(r, heads * d)) * 0.5)
+        a = P("a_in", rng.normal(size=(2 * d, heads)) * 0.5)
+        return GatParams(layers=[(w, a), deep])
+
+    def test_rectangular_first_weight_gradients(self, rng):
+        params = self.rectangular_params(rng, r=5, d=3)
+        x = P("x", rng.normal(size=(8, 5)))  # 2 timestamps x 4 nodes
+        neighbors = np.array([[1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0], [0, 0, 1, 1]], dtype=bool)
+
+        def f():
+            out = block_gat_encode(x.tensor, neighbors, params)
+            assert out.shape == (8, 3)
+            return ad.sum_all(ad.mul(out, out))
+
+        assert grad_check(f, [x, *ref.params_of(params)], eps=1e-5) < 1e-4
+
+    def test_rectangular_first_weight_matches_loop(self, rng):
+        params = self.rectangular_params(rng, r=2, d=4)
+        neighbors = sector_mask([0, 1, None, 0, 0, 1, None, 0])
+        block, loop = self.loop_and_block(
+            rng.normal(size=(24, 2)), neighbors, params, rng.normal(size=(24, 4))
+        )
+        for got, want in zip(block, loop):
+            npt.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
     def test_input_gradient(self, rng):
         params = make_gat_params(3, heads=2, layers=2)
         x = P("x", rng.normal(size=(6, 3)))  # 2 timestamps x 3 nodes
@@ -551,8 +580,9 @@ LIFT_MASKS = {
 
 
 class TestLiftedGat:
-    """block_gat_encode over raw indicator rows through `GatParams.lift`,
-    against the GAT run on the encoded indicators."""
+    """block_gat_encode over the indicator rows [x, 1] read through the map
+    F = [W; c] of `encode_indicators` (`GatParams.lift`), against the GAT
+    run on the encoded indicators."""
 
     @staticmethod
     def setup(rng, mask, gat_layers, T=2):
@@ -563,18 +593,21 @@ class TestLiftedGat:
 
     @staticmethod
     def run(ind, mask, ind_params, gat, lifted, g):
-        """Output and the gradients of the rows and of every indicator and GAT parameter."""
-        x = P("x", ind)
-        params = [x, *ref.params_of(ind_params), *ref.params_of(gat)]
+        """Output and the gradients of the indicator columns and of every
+        indicator and GAT parameter."""
+        params = [*ref.params_of(ind_params), *ref.params_of(gat)]
         for p in params:
             p.zero_grad()
         fold = fold_indicators(ind_params)
         if lifted:
-            out = block_gat_encode(x.tensor, mask, GatParams(gat.layers, fold))
+            rows, f_map = encode_indicators(ind, fold)
+            x = P("x", rows.values)  # [x, 1] as a leaf, so its gradient can be compared
+            out = block_gat_encode(x.tensor, mask, GatParams(gat.layers, f_map))
         else:
+            x = P("x", ind)
             out = block_gat_encode(ref.encode_indicators(x.tensor, fold), mask, gat)
         ad.sum_all(ad.mul(out, Tensor(g))).backward()
-        return [out.values] + [p.tensor.grad.copy() for p in params]
+        return [out.values, x.tensor.grad[:, :3]] + [p.tensor.grad.copy() for p in params]
 
     @pytest.mark.parametrize("gat_layers", [1, 2])
     @pytest.mark.parametrize("mask", sorted(LIFT_MASKS))
@@ -596,8 +629,8 @@ class TestLiftedGat:
         params = [*ref.params_of(ind_params), *ref.params_of(gat)]
 
         def f():
-            lift = GatParams(gat.layers, fold_indicators(ind_params))
-            out = block_gat_encode(Tensor(ind), neighbors, lift)
+            rows, f_map = encode_indicators(ind, fold_indicators(ind_params))
+            out = block_gat_encode(rows, neighbors, GatParams(gat.layers, f_map))
             return ad.sum_all(ad.mul(out, out))
 
         assert grad_check(f, params, eps=1e-6) < 1e-7
@@ -606,8 +639,9 @@ class TestLiftedGat:
     def test_layer_one_reads_the_lift_width(self, rng):
         neighbors = LIFT_MASKS["connected"]
         ind_params, gat, ind = self.setup(rng, neighbors, 1)
-        lift = GatParams(gat.layers, fold_indicators(ind_params))
-        with pytest.raises(ShapeError, match="reads 3"):
-            block_gat_encode(Tensor(rng.normal(size=(10, 4))), neighbors, lift)
+        _, f_map = encode_indicators(ind, fold_indicators(ind_params))
+        lift = GatParams(gat.layers, f_map)
+        with pytest.raises(ShapeError, match="reads 4"):
+            block_gat_encode(Tensor(ind), neighbors, lift)
         with pytest.raises(ShapeError, match="reads 3"):
             block_gat_encode(Tensor(rng.normal(size=(10, 4))), neighbors, gat)

@@ -482,7 +482,7 @@ def full_loss_ops(contract_batch, batch_rows=slice(None)):
 def test_full_loss_tape_size(contract_batch):
     """One `full` loss_batch on the contract batch, whose 960 window rows
     come from a calendar slab of fewer rows, so the stages read it through
-    the window index: 39 op nodes, and every parameter is a leaf.
+    the window index: 40 op nodes, and every parameter is a leaf.
 
     The time reduction of both branches is one node. As two chains of 7
     generic ops plus a concat it made the tape 14 nodes longer, so a change
@@ -494,17 +494,20 @@ def test_full_loss_tape_size(contract_batch):
     of encoded indicator rows that the d-wide query needed: 38 -> 40. The
     time reduction reads the indicator branch as the same rows through the
     same map node, so the encoder's d-wide affine node is gone: 40 -> 39.
+    The GAT's first layer reads the same rows [ind, 1] through that map
+    too, folded into its weight as one tape matmul F W_1, where it had kept
+    (W, c) off the tape in a hand-written gradient: 39 -> 40.
     """
-    assert len(full_loss_ops(contract_batch)) == 39
+    assert len(full_loss_ops(contract_batch)) == 40
 
 
 def test_full_loss_tape_size_of_gathered_windows(contract_batch):
     """4 windows (40 rows from a slab of at least 120) are gathered first:
     one gather node more per key/value modality than the source-row form,
-    so 41 (42 before the time reduction read the indicator rows through the
-    shared map, 40 before stage 1 read the lifted query, for the reasons
-    above)."""
-    assert len(full_loss_ops(contract_batch, slice(4))) == 41
+    so 42 (41 before the GAT folded the map into its first weight, 42
+    before the time reduction read the indicator rows through the shared
+    map, 40 before stage 1 read the lifted query, for the reasons above)."""
+    assert len(full_loss_ops(contract_batch, slice(4))) == 42
 
 
 def traced_full_loss(contract_batch, batch_rows=slice(None)) -> Tracer:
@@ -526,7 +529,7 @@ def test_traced_loss_batch_records_reduce_time_spans(contract_batch):
     assert names.count("predictor.reduce_time") == 1
     assert names.count("predictor.reduce_time.bwd") == 1
     recorded = sum(c.value for c in tracer.counts if c.name == "autodiff.tape_nodes")
-    assert recorded == 39  # as test_full_loss_tape_size counts, for the reason given there
+    assert recorded == 40  # as test_full_loss_tape_size counts, for the reason given there
 
 
 @pytest.mark.parametrize("gathered", [False, True], ids=["source rows", "gathered"])
@@ -549,13 +552,14 @@ def test_traced_loss_batch_records_indicator_and_gather_spans(contract_batch, ga
 def test_traced_loss_batch_records_gat_spans(contract_batch):
     """The tracer replaces `model.block_gat_encode` with a wrapper that takes
     (features, neighbours, params) positionally and reads the date count
-    from the features' rows. The model calls it so: one span, and one
-    backward span, for the GAT's single layer node; the indicator fold it
-    reads is built outside it."""
+    from the features' rows. The model calls it so: one span, and two
+    backward spans, for the GAT's single layer node and the matmul F W_1
+    that folds the indicator map into its weight; the indicator fold and
+    the map F are built outside it."""
     tracer = traced_full_loss(contract_batch)
     names = [span.name for span in tracer.spans]
     assert names.count("encoders.gat") == 1
-    assert names.count("encoders.gat.bwd") == 1
+    assert names.count("encoders.gat.bwd") == 2
     panel, graph, batch = contract_batch
     starts = batch.start
     dates = int(starts.max()) + 10 - int(starts.min())  # ws = 10
