@@ -60,6 +60,8 @@ class TrainConfig:
             raise ConfigError(f"precision must be float64 or float32, got {self.precision!r}")
         if self.head_dim is not None and self.head_dim < 1:
             raise ConfigError(f"head_dim must be positive, got {self.head_dim}")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ConfigError(f"grad_clip must be positive, got {self.grad_clip}")
         return self
 
     @property

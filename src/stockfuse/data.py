@@ -240,6 +240,14 @@ def load_documents(path) -> list[DocumentDay]:
     return days
 
 
+def parse_vector(value) -> np.ndarray:
+    """A JSON `vector` field as a 1-D float64 array; anything else raises ValueError."""
+    vec = np.asarray(value, dtype=np.float64)
+    if vec.ndim != 1:
+        raise ValueError(f"vector is not a flat list of numbers: {value!r:.40}")
+    return vec
+
+
 def load_embeddings(path, dim: int | None = None) -> EmbeddingTable:
     """Parse embeddings JSONL: {"symbol","date","vector":[...]} per line.
 
@@ -255,9 +263,9 @@ def load_embeddings(path, dim: int | None = None) -> EmbeddingTable:
                 continue
             try:
                 obj = json.loads(line)
-                vec = obj["vector"]
+                vec = parse_vector(obj["vector"])
                 symbol, date = str(obj["symbol"]), str(obj["date"])
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 if not raw.endswith("\n"):  # only the last line can lack one
                     log.warning("%s:%d: dropping torn last line: %s", path, lineno, exc)
                     break

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import requests
 
-from .data import DocumentDay, EmbeddingTable, load_embeddings
+from .data import DocumentDay, EmbeddingTable, load_embeddings, parse_vector
 from .errors import ConfigError, ContractError, MissingEmbeddingError, ProviderError
 
 log = logging.getLogger(__name__)
@@ -86,8 +86,8 @@ def _load_text_cache(path) -> dict[str, np.ndarray]:
                 continue
             try:
                 obj = json.loads(line)
-                cache[str(obj["key"])] = np.asarray(obj["vector"], dtype=np.float64)
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                cache[str(obj["key"])] = parse_vector(obj["vector"])
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ProviderError(f"{path}:{lineno}: bad cache line: {exc}") from exc
     return cache
 

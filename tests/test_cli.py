@@ -114,6 +114,29 @@ def test_checkpoint_array_missing_or_misshaped_exit_2(trained, tmp_path, caplog,
     assert "param/doc.b" in caplog.text
 
 
+def test_malformed_embedding_vector_exit_2(trained, tmp_path, caplog):
+    data = trained / "data"
+    embeddings = tmp_path / "embeddings.jsonl"
+    lines = (data / "embeddings.jsonl").read_text().splitlines(keepends=True)
+    bad = json.loads(lines[1])
+    bad["vector"] = "abc"
+    embeddings.write_text("".join([lines[0], json.dumps(bad) + "\n", *lines[2:]]))
+    args = train_args(data, tmp_path / "out")
+    args[args.index("--embeddings") + 1] = str(embeddings)
+    assert run_command(args) == 2
+    assert "embeddings.jsonl:2: bad embedding line" in caplog.text
+
+
+def test_malformed_text_cache_vector_exit_2(trained, tmp_path, caplog):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text(json.dumps({"key": "k", "vector": "abc"}) + "\n")
+    code = run_command(["embed", "--documents", str(trained / "data" / "documents.jsonl"),
+                        "--out", str(tmp_path / "e.jsonl"), "--endpoint", str(cache),
+                        "--dim", "6"])
+    assert code == 2
+    assert "cache.jsonl:1: bad cache line" in caplog.text
+
+
 def test_unknown_ini_key_exit_1(trained, tmp_path, caplog):
     ini = tmp_path / "run.ini"
     ini.write_text("[train]\nepochs = 1\nlearning_rate = 0.1\n")
@@ -139,6 +162,8 @@ def test_missing_inputs_and_bad_flags_exit_1(tmp_path):
     (["synth", "--doc-missing", "2"], "--doc-missing must lie in [0, 1]"),
     (["synth", "--sectors", "0"], "--sectors must be >= 1"),
     (["synth", "--dim", "0"], "--dim must be >= 3"),
+    (["train", "--grad-clip", "-1"], "grad_clip must be positive"),
+    (["train", "--grad-clip", "0"], "grad_clip must be positive"),
 ])
 def test_bad_flag_value_exit_1(tmp_path, caplog, flags, message):
     assert run_command(flags + ["--out", str(tmp_path)]) == 1
@@ -164,6 +189,8 @@ def test_ablate_prints_the_std_over_seeds(trained, tmp_path, capsys):
     ("eval", "seeds = 1,x", "bad value in"),
     ("train", "seed = -1", "seed must be >= 0"),
     ("eval", "seeds = 0,-1", "seeds must be >= 0"),
+    ("train", "grad_clip = -1", "grad_clip must be positive"),
+    ("train", "grad_clip = 0", "grad_clip must be positive"),
 ])
 def test_bad_config_value_exit_1(tmp_path, caplog, section, line, message):
     """The config file's values parse and validate as the flags' do."""

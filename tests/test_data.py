@@ -753,3 +753,11 @@ class TestLoadEmbeddingsTornLine:
         path.write_text(self.LINES[0] + '\n{"symbol": "C", "da\n' + self.LINES[1])
         with pytest.raises(FormatError, match=":2:"):
             D.load_embeddings(path)
+
+    @pytest.mark.parametrize("vector", [5, None, "abc", [1, "x"], [[1.0, 2.0]]])
+    def test_malformed_vector_raises(self, tmp_path, vector):
+        path = tmp_path / "e.jsonl"
+        bad = json.dumps({"symbol": "C", "date": "2020-01-02", "vector": vector})
+        path.write_text("\n".join([bad, *self.LINES]) + "\n")
+        with pytest.raises(FormatError, match="e.jsonl:1: bad embedding line"):
+            D.load_embeddings(path)

@@ -136,6 +136,15 @@ class TestFileBackend:
         with pytest.raises(MissingEmbeddingError):
             embed_texts(EmbedRequest(texts=["alpha"], model="m2"), cfg)
 
+    @pytest.mark.parametrize("vector", [5, None, "abc", [1, "x"]])
+    def test_malformed_cache_vector_raises(self, tmp_path, vector):
+        path = self.write_cache(tmp_path, "m", ["alpha"])
+        with open(path, "a") as fh:
+            fh.write(json.dumps({"key": text_cache_key("m", "beta"), "vector": vector}) + "\n")
+        cfg = ProviderConfig(backend="file", endpoint=str(path), dim=DIM)
+        with pytest.raises(ProviderError, match="cache.jsonl:2: bad cache line"):
+            embed_texts(EmbedRequest(texts=["alpha"], model="m"), cfg)
+
 
 class TestHttpBackend:
     def test_stub_fixture_exact(self, stub_server):

@@ -10,13 +10,14 @@ from stockfuse.encoders import (
     GatParams,
     IndicatorEncoderParams,
     LEAKY_SLOPE,
-    _GatEdges,
+    _GatBlocks,
     block_gat_encode,
     encode_documents,
     encode_indicators,
     fold_indicators,
 )
 from stockfuse.errors import ShapeError
+from stockfuse.synth import synth_dataset
 
 import reference as ref
 
@@ -454,8 +455,8 @@ class TestBlockGat:
         npt.assert_allclose(out[[2, 7]], np.where(pre > 0, pre, np.expm1(pre)), atol=1e-12)
 
     def test_node_no_row_attends_to(self, rng):
-        # column 0 is empty: node 0 is no row's neighbour, so as a source it
-        # has no edges and its score-vector gradient segment is empty
+        # column 0 is empty: node 0 is no row's neighbour, so its column of
+        # weights is all masked and its source-score gradient sums only zeros
         neighbors = np.ones((5, 5), dtype=bool)
         neighbors[:, 0] = False
         self.assert_matches_loop(rng, neighbors, make_gat_params(4, heads=2, layers=2))
@@ -501,10 +502,16 @@ def sector_mask(sectors, links=()):
     return build_graph(edges, stocks=symbols).neighbor_mask(symbols)
 
 
-def block_of(edges, nodes):
-    """Block index of each node in the aggregation layout."""
-    slot = np.arange(edges.n) if edges.node_slot is None else edges.node_slot
-    return {int(i) // edges.m for i in slot[nodes]}
+def block_of(blocks, nodes):
+    """Block index of each node in the block layout."""
+    slot = np.arange(blocks.n) if blocks.node_slot is None else blocks.node_slot
+    return {int(i) // blocks.m for i in slot[nodes]}
+
+
+def cast_params(params, dtype):
+    """A copy of GAT parameters with their values cast to dtype."""
+    cast = lambda p: Parameter(p.name, Tensor(p.values.astype(dtype), requires_grad=True))
+    return GatParams(layers=[tuple(map(cast, layer)) for layer in params.layers])
 
 
 class TestComponentBlocks:
@@ -514,61 +521,109 @@ class TestComponentBlocks:
     def check(self, rng, neighbors, T=3):
         params = make_gat_params(4, heads=2, layers=2, rng=rng)
         TestBlockGat().assert_matches_loop(rng, neighbors, params, T=T, tol=1e-12)
-        return _GatEdges.from_mask(neighbors)
+        return _GatBlocks.from_mask(neighbors)
 
     def test_unequal_components_share_a_block(self, rng):
         # sectors of 4 and 2 plus two isolated stocks, interleaved: a block
         # for the 4, and the 2 and both singletons packed into a second one
         neighbors = sector_mask([0, 1, None, 0, 0, 1, None, 0])
-        edges = self.check(rng, neighbors)
-        assert (edges.m, edges.n_blocks) == (4, 2)
-        assert block_of(edges, [0, 3, 4, 7]) != block_of(edges, [1, 2, 5, 6])
-        assert len(block_of(edges, [1, 2, 5, 6])) == 1
+        blocks = self.check(rng, neighbors)
+        assert (blocks.m, blocks.n_blocks) == (4, 2)
+        assert block_of(blocks, [0, 3, 4, 7]) != block_of(blocks, [1, 2, 5, 6])
+        assert len(block_of(blocks, [1, 2, 5, 6])) == 1
 
     def test_stock_edge_merges_two_sectors(self, rng):
         sectors = [0, 1, 2, 0, 1, 3, 0, 1, 2, 3]
-        assert _GatEdges.from_mask(sector_mask(sectors)).m == 3
+        assert _GatBlocks.from_mask(sector_mask(sectors)).m == 3
         neighbors = sector_mask(sectors, links=[(0, 1)])  # S000 (sector 0) - S001 (sector 1)
-        edges = self.check(rng, neighbors)
-        assert (edges.m, edges.n_blocks) == (6, 2)
-        assert len(block_of(edges, [0, 1, 3, 4, 6, 7])) == 1
+        blocks = self.check(rng, neighbors)
+        assert (blocks.m, blocks.n_blocks) == (6, 2)
+        assert len(block_of(blocks, [0, 1, 3, 4, 6, 7])) == 1
 
     def test_directed_edge_joins_components(self, rng):
         neighbors = np.eye(9, dtype=bool)
         neighbors[np.ix_([0, 3, 6], [0, 3, 6])] = True
         neighbors[np.ix_([1, 4, 5], [1, 4, 5])] = True
         neighbors[1, 2] = True  # 1 attends to 2, which attends to no other node
-        edges = self.check(rng, neighbors)
-        assert edges.m == 4
-        assert len(block_of(edges, [1, 2, 4, 5])) == 1
+        blocks = self.check(rng, neighbors)
+        assert blocks.m == 4
+        assert len(block_of(blocks, [1, 2, 4, 5])) == 1
 
     def test_one_component_is_one_dense_block(self, rng):
-        edges = self.check(rng, sector_mask([0] * 12))
-        assert (edges.m, edges.n_blocks, edges.slot_node) == (12, 1, None)
+        blocks = self.check(rng, sector_mask([0] * 12))
+        assert (blocks.m, blocks.n_blocks, blocks.slot_node) == (12, 1, None)
 
     def test_large_component_with_singletons(self, rng):
         # blocks of 150 would need 2 * 150^2 > 200^2 entries: one block of all
         sectors = [None] * 200
         for i in rng.permutation(200)[:150]:
             sectors[i] = 0
-        edges = self.check(rng, sector_mask(sectors), T=2)
-        assert (edges.m, edges.n_blocks, edges.slot_node) == (200, 1, None)
+        blocks = self.check(rng, sector_mask(sectors), T=2)
+        assert (blocks.m, blocks.n_blocks, blocks.slot_node) == (200, 1, None)
 
     def test_padded_blocks_over_two_hundred_nodes(self, rng):
-        edges = self.check(rng, sector_mask(list(rng.integers(0, 10, 200))), T=2)
-        assert edges.n_blocks * edges.m > 200 and edges.n_blocks * edges.m**2 < 200**2
+        blocks = self.check(rng, sector_mask(list(rng.integers(0, 10, 200))), T=2)
+        assert blocks.n_blocks * blocks.m > 200 and blocks.n_blocks * blocks.m**2 < 200**2
 
     def test_block_layout_arrays_are_contiguous(self, rng):
         """Both layout moves return C-contiguous arrays, so reshaping their
-        rows copies nothing; fancy indexing of the middle axis did not."""
-        edges = _GatEdges.from_mask(sector_mask([0, 1, None, 0, 0, 1, None, 0]))
-        assert edges.slot_node is not None
-        rows = rng.normal(size=(3, 8, 5))
-        blocks = edges.to_blocks(rows)
-        assert blocks.shape == (3, edges.n_blocks, edges.m, 5) and blocks.flags.c_contiguous
-        back = edges.from_blocks(blocks)
+        rows copies nothing; fancy indexing of the middle axis did not.
+        Padding slots hold zero rows."""
+        blocks = _GatBlocks.from_mask(sector_mask([0, 1, 0, 1, 0]))  # sectors of 3 and 2
+        assert (blocks.m, blocks.n_blocks) == (3, 2) and blocks.slot_node is not None
+        rows = rng.normal(size=(3, 5, 4))
+        in_blocks = blocks.to_blocks(rows)
+        assert in_blocks.shape == (3, 2, 3, 4) and in_blocks.flags.c_contiguous
+        padding = blocks.slot_node == blocks.n
+        assert padding.sum() == 1
+        npt.assert_array_equal(in_blocks.reshape(3, 6, 4)[:, padding], 0.0)
+        back = blocks.from_blocks(in_blocks)
         assert back.flags.c_contiguous
         npt.assert_array_equal(back, rows)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_off_edge_weights_are_exactly_zero(self, rng, dtype):
+        """A row's output is bit-identical whatever the rows of the nodes it
+        does not attend to hold, also those sharing its block: its weights
+        on them are exactly 0, not merely small."""
+        neighbors = sector_mask([0, 1, None, 0, 0, 1, None, 0])  # node 2 shares a block with 1, 5, 6
+        params = cast_params(make_gat_params(4, heads=2, rng=rng), dtype)
+        T, n = 3, 8
+        h = rng.normal(size=(T, n, 4)).astype(dtype)
+        out = block_gat_encode(Tensor(h.reshape(-1, 4)), neighbors, params).values.reshape(T, n, 4)
+        for node in range(n):
+            changed = np.where(neighbors[node][:, None], h, dtype(100.0))
+            got = block_gat_encode(Tensor(changed.reshape(-1, 4)), neighbors, params).values
+            npt.assert_array_equal(got.reshape(T, n, 4)[:, node], out[:, node])
+
+    def test_float32_holed_blocks_match_float64(self, rng):
+        """Blocks with masked pairs and padding slots: the float32 layer stays
+        finite and within 1e-5 of float64, output and every gradient."""
+        neighbors = sector_mask([0, 1, 0, 1, 0, None, 2, 2])  # blocks of 3 with holes and padding
+        blocks = _GatBlocks.from_mask(neighbors)
+        assert blocks.n_blocks * blocks.m**2 > neighbors.sum() and blocks.slot_node.size > 8
+        params = make_gat_params(4, heads=2, layers=2, rng=rng)
+        h, g = rng.normal(size=(2, 24, 4))
+        results = []
+        for dtype in (np.float32, np.float64):
+            cast = cast_params(params, dtype)
+            x = Parameter("x", Tensor(h.astype(dtype), requires_grad=True))
+            out = block_gat_encode(x.tensor, neighbors, cast)
+            ad.sum_all(ad.mul(out, Tensor(g.astype(dtype)))).backward()
+            results.append([out.values] + [p.tensor.grad for p in (x, *ref.params_of(cast))])
+        for got, want in zip(*results):
+            assert got.dtype == np.float32 and np.isfinite(got).all()
+            npt.assert_allclose(got, want, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.parametrize("stocks, sectors", [(200, 10), (100, 10), (12, 3), (12, 1)])
+    def test_synth_sectors_fill_their_blocks(self, stocks, sectors):
+        """On a synth graph whose sector count divides the stock count every
+        block is one sector clique, so the layer scores exactly the edges."""
+        graph = synth_dataset(stocks, 3, 3, 4.0, 0.2, 0.1, sectors, seed=0)[3]
+        neighbors = graph.neighbor_mask([f"S{i:03d}" for i in range(stocks)])
+        blocks = _GatBlocks.from_mask(neighbors)
+        assert blocks.n_blocks * blocks.m**2 == neighbors.sum()
+        npt.assert_array_equal(blocks.edge, True)
 
 
 # a mask whose components the layout packs into two blocks, and a connected one
