@@ -52,7 +52,7 @@ class TrainConfig:
         for name, value in (("epochs", self.epochs), ("seed", self.seed)):
             if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
-        if self.lr <= 0:
+        if not self.lr > 0:  # NaN included
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if not 0.0 <= self.warmup_frac <= 0.5:
             raise ConfigError(f"warmup_frac must lie in [0, 0.5], got {self.warmup_frac}")

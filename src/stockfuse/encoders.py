@@ -13,28 +13,24 @@ K heads as two matrices: the projections W side by side (d x K*d, head k in
 columns k*d .. (k+1)*d) and the score vectors a as columns (2d x K). The
 heads keep separate softmaxes.
 
-`block_gat_encode` is GAT's masked attention (Velickovic et al. 2018) over T
-timestamps at once; the per-timestamp reference that masks a dense n x n
-score matrix lives in `tests/reference.py`. Attention only mixes
-neighbours, so whole connected components of the mask are packed into
-blocks of m nodes (m the largest component, as Cluster-GCN batches
-clusters, Chiang et al. 2019). Each layer is one tape node that scores,
-masks and softmaxes every block's m x m slot pairs, per head and
-timestamp, in the layout its aggregation GEMM reads: elementwise work
-K * T * blocks * m^2. On the sector graphs of `synth` with a sector count
-that divides the stock count each block is one sector clique, so that is
-K * T * E for E mask edges; a block with holes (components packed
-together, or padding) also pays for the pairs it masks.
+`block_gat_encode` is GAT's masked attention (Velickovic et al. 2018) in
+edge-list form, over T timestamps at once; the per-timestamp reference that
+masks a dense n x n score matrix lives in `tests/reference.py`. Each layer
+is one tape node that scores and softmaxes only the neighbour pairs of all
+timestamps, so its elementwise work grows with the edge count, not n^2.
 
 A layer reads r-wide source rows Z through an r x K*d weight, head k's
 r x d block W_k. It aggregates first and projects after: head k's output
 is A_k (Z W_k) = (A_k Z) W_k. Layer 1 of the model reads the indicator rows
 Z = [ind, 1] through the weight F W_1, which one tape matmul folds from the
 map F (the GAT's `lift`), so r = 4; a deeper layer reads the previous
-layer's output, r = d. The aggregation A_k Z is one batched GEMM of each
-block's weights with its m x r source rows, n * m * r per head and
-timestamp, and the projection n * K * r * d, so layer 1 never forms the
-n x K*d head projections.
+layer's output, r = d. The aggregation A_k Z is dense per block: attention
+only mixes neighbours, so whole connected components are packed into
+blocks of m nodes (m the largest component, as Cluster-GCN batches
+clusters, Chiang et al. 2019), and the edge weights are scattered into a
+zero-filled m x m matrix per block, head and timestamp for one batched
+GEMM. That costs n * m * r per head and timestamp, and the projection
+n * K * r * d, so layer 1 never forms the n x K*d head projections.
 """
 
 from __future__ import annotations
@@ -163,7 +159,10 @@ def block_gat_encode(features_st: Tensor, neighbors: np.ndarray, params: GatPara
     features (r = d), or with `params.lift` the rows the lift reads (r = 4
     for the indicator rows [x, 1]). Each layer is one tape node doing all
     timestamps' attention at once: additive leaky-relu scores, one softmax
-    per head over each row's neighbours, heads averaged, then ELU.
+    per head over each row's neighbours, heads averaged, then ELU. Only the
+    pairs (i, j) with `neighbors[i, j]` are scored: leaky-relu scores and
+    the softmax over each row's neighbours run on K x T x E edge arrays,
+    with segment reductions over the destination rows.
 
     A layer aggregates its r-wide source rows Z per head, then projects the
     K aggregates at once through its r x K*d weight: `sum_k (A_k Z) W_k`.
@@ -174,18 +173,13 @@ def block_gat_encode(features_st: Tensor, neighbors: np.ndarray, params: GatPara
     Attention only mixes neighbours, so the layer factorises exactly over the
     weakly connected components of the mask. Whole components are packed,
     first-fit decreasing, into blocks of m nodes, m the size of the largest
-    component, so no edge crosses a block. The scores of every slot pair of
-    a block are formed date- and key-major, T x m (source) x blocks x m
-    (destination) x K; an additive bias of 0 on the edges and NEG_MASK off
-    them makes the weights off the edges exactly 0 after the softmax, which
-    reduces along the source axis. Viewed as T x blocks x (m * K) x m, row
-    i*K + k for destination i and head k, the same array is the aggregation
-    GEMM's left operand: one batched GEMM with each block's m x r source
-    rows gives each slot's K aggregates side by side. Cost and saved memory
-    grow with blocks * m^2, which is the edge count when every block is one
-    clique (`_GatBlocks`). Where packing would not shrink blocks * m^2 below
-    n^2 (as for a connected graph), all n nodes form one block in index
-    order, the dense n x n attention.
+    component, so no edge crosses a block. The edge weights are scattered
+    into a zero-filled T x blocks x (m * K) x m matrix, row i*K + k for
+    destination i and head k, whose batched GEMM with the block's m x r
+    source rows gives each slot's K aggregates side by side: cost and saved
+    memory grow with n * m, not n^2. Where packing would not shrink the
+    matrix (blocks * m^2 >= n^2, as for a connected graph), all n nodes
+    form one block in index order, which is the dense n x n aggregation.
 
     Matches the per-timestamp reference up to the order of floating-point
     sums. Every row needs at least one neighbour
@@ -204,22 +198,25 @@ def block_gat_encode(features_st: Tensor, neighbors: np.ndarray, params: GatPara
     lonely = np.flatnonzero(~neighbors.any(axis=1))
     if lonely.size:
         raise ShapeError(f"GAT rows without a neighbour: {lonely[:10].tolist()}")
-    blocks = _GatBlocks.from_mask(neighbors)
+    edges = _GatEdges.from_mask(neighbors)
     n_dates = features_st.rows // n
     h = features_st
     for i, (w, a) in enumerate(params.layers):
         w_in = w.tensor if i or params.lift is None else ad.matmul(params.lift, w.tensor)
-        h = _block_gat_layer(h, w_in, a.tensor, blocks, n_dates)
+        h = _block_gat_layer(h, w_in, a.tensor, edges, n_dates)
     return h
 
 
 def _components(neighbors: np.ndarray) -> np.ndarray:
-    """Weakly connected component label per node: the smallest node index in it."""
-    dst, src = np.nonzero(neighbors | neighbors.T)
+    """Weakly connected component label per node: the smallest node index in it.
+
+    Every row of `neighbors` must have an edge.
+    """
+    dst, src = np.nonzero(neighbors | neighbors.T)  # every row has an edge
+    starts = np.searchsorted(dst, np.arange(neighbors.shape[0]))
     labels = np.arange(neighbors.shape[0])
     while True:
-        new = labels.copy()
-        np.minimum.at(new, dst, labels[src])
+        new = np.minimum(labels, np.minimum.reduceat(labels[src], starts))
         new = new[new]  # jump to the label's label
         if np.array_equal(new, labels):
             return labels
@@ -253,98 +250,129 @@ def _pack_components(labels: np.ndarray) -> tuple[int, int, np.ndarray]:
 
 
 @dataclass
-class _GatBlocks:
-    """An n x n neighbour mask in the block layout the graph attention runs in.
+class _GatEdges:
+    """Edge list of an n x n neighbour mask: edge e scores its row with src[e].
 
-    Whole weakly connected components are packed into `n_blocks` blocks of
-    `m` nodes, so no edge crosses a block. `slot_node` is the node in each
-    of the n_blocks * m slots, n for a padding slot, which reads the zero
-    row that `to_blocks` appends; `node_slot` is the slot of each node. Both
-    are None when the layout is the identity (one block of all n nodes in
-    index order). `edge[j, b, i]` is True where slot i of block b attends to
-    slot j of the same block: key-major, as the layer stores its scores. No
-    edge touches a padding slot. A layer scores all blocks * m^2 pairs per
-    head and timestamp; the sector graphs of `synth` fill their blocks
-    (blocks * m^2 == E, the edge count) when the sector count divides the
-    stock count.
+    Edges are sorted by destination row (CSR), so `dst_starts` are the
+    row segments for reduceat and `dst_counts` their lengths (every row has
+    an edge). `by_src` is the stable permutation that sorts them by source;
+    `src_nodes` are the sources that have an edge, and `src_starts` their
+    segments in that order.
+
+    The aggregation runs on `n_blocks` blocks of `m` nodes, no edge across
+    two blocks: `slot_node` is the node in each of the n_blocks * m slots
+    (padding repeats node 0; no edge reaches a padding slot), `node_slot` the
+    slot of each node, `dst_slot` the slot of each edge's destination and
+    `src_pos` the position of its source within that block. `slot_node` and
+    `node_slot` are None when the layout is the identity (one block of all
+    n nodes in index order).
     """
 
     n: int
+    src: np.ndarray
+    dst_starts: np.ndarray
+    dst_counts: np.ndarray
+    by_src: np.ndarray
+    src_nodes: np.ndarray
+    src_starts: np.ndarray
     m: int
     n_blocks: int
     slot_node: np.ndarray | None
     node_slot: np.ndarray | None
-    edge: np.ndarray  # m (source j) x n_blocks x m (destination i)
+    dst_slot: np.ndarray
+    src_pos: np.ndarray
 
     @classmethod
-    def from_mask(cls, neighbors: np.ndarray) -> "_GatBlocks":
+    def from_mask(cls, neighbors: np.ndarray) -> "_GatEdges":
         n = neighbors.shape[0]
+        dst, src = np.nonzero(neighbors)
+        by_src = np.argsort(src, kind="stable")
+        src_nodes, src_starts = np.unique(src[by_src], return_index=True)
         m, n_blocks, node_slot = _pack_components(_components(neighbors))
-        dst, src = (node_slot[nodes] for nodes in np.nonzero(neighbors))
-        edge = np.zeros((m, n_blocks, m), dtype=bool)
-        edge[src % m, dst // m, dst % m] = True
-        if n_blocks * m == n and np.array_equal(node_slot, np.arange(n)):
-            return cls(n, m, n_blocks, None, None, edge)
-        slot_node = np.full(n_blocks * m, n)  # padding reads the zero row after the nodes
+        slot_node = np.zeros(n_blocks * m, dtype=np.intp)  # padding repeats node 0
         slot_node[node_slot] = np.arange(n)
-        return cls(n, m, n_blocks, slot_node, node_slot, edge)
+        identity = slot_node.size == n and bool(np.all(node_slot == np.arange(n)))
+        return cls(
+            n=n,
+            src=src,
+            dst_starts=np.searchsorted(dst, np.arange(n)),
+            dst_counts=np.bincount(dst, minlength=n),
+            by_src=by_src,
+            src_nodes=src_nodes,
+            src_starts=src_starts,
+            m=m,
+            n_blocks=n_blocks,
+            slot_node=None if identity else slot_node,
+            node_slot=None if identity else node_slot,
+            dst_slot=node_slot[dst],
+            src_pos=node_slot[src] % m,
+        )
+
+    def sum_by_dst(self, e: np.ndarray) -> np.ndarray:
+        """Sum a ... x E edge array over each destination row: ... x n."""
+        return np.add.reduceat(e, self.dst_starts, axis=-1)
+
+    def sum_by_src(self, e: np.ndarray) -> np.ndarray:
+        """Sum a ... x E edge array over each source node: ... x n, 0 where none."""
+        out = np.zeros(e.shape[:-1] + (self.n,), dtype=e.dtype)
+        by_src = np.take(e, self.by_src, axis=-1)
+        out[..., self.src_nodes] = np.add.reduceat(by_src, self.src_starts, axis=-1)
+        return out
+
+    def per_edge(self, rows: np.ndarray) -> np.ndarray:
+        """... x n values per destination row -> ... x E, one per edge."""
+        return np.repeat(rows, self.dst_counts, axis=-1)
 
     def to_blocks(self, a: np.ndarray) -> np.ndarray:
-        """... x n x c node rows -> ... x n_blocks x m x c, padding slots zero.
+        """... x n x d node rows -> ... x n_blocks x m x d, laid out by block.
 
         take() keeps the result C-contiguous, so it reshapes to rows without
         a copy; fancy indexing of the middle axis would not.
         """
         if self.slot_node is not None:
-            a = np.concatenate([a, np.zeros_like(a[..., :1, :])], axis=-2)
             a = np.take(a, self.slot_node, axis=-2)
         return a.reshape(a.shape[:-2] + (self.n_blocks, self.m, a.shape[-1]))
 
     def from_blocks(self, a: np.ndarray) -> np.ndarray:
-        """... x n_blocks x m x c -> ... x n x c in node order, padding dropped."""
+        """... x n_blocks x m x d -> ... x n x d in node order, padding dropped."""
         a = a.reshape(a.shape[:-3] + (self.n_blocks * self.m, a.shape[-1]))
         return a if self.node_slot is None else np.take(a, self.node_slot, axis=-2)
 
 
-def _block_gat_layer(x_st: Tensor, w: Tensor, a: Tensor, blocks: _GatBlocks, n_dates: int) -> Tensor:
+def _block_gat_layer(x_st: Tensor, w: Tensor, a: Tensor, edges: _GatEdges, n_dates: int) -> Tensor:
     k_heads = a.cols
-    n, m, n_blocks = blocks.n, blocks.m, blocks.n_blocks
+    n, m, n_blocks = edges.n, edges.m, edges.n_blocks
     z = x_st.values  # (T*n) x r source rows
     w_cat = w.values  # r x K*d, head k at k*d
     r, d = w_cat.shape[0], a.rows // 2
     w3 = w_cat.reshape(r, k_heads, d).swapaxes(0, 1)  # K x r x d, one W per head
     a3 = a.values.T.reshape(k_heads, 2, d).swapaxes(0, 1)  # 2 x K x d: a_src, a_dst per head
-    # score terms per slot: z W_k a_src_k (as destination), then z W_k a_dst_k (as source)
+    # score projections: left = z W_k a_src_k (destination), right = z W_k a_dst_k (source)
     wa = (w3 @ a3[..., None]).reshape(2 * k_heads, r).T  # r x 2K
-    z_b = blocks.to_blocks(z.reshape(n_dates, n, r))  # T x blocks x m x r
-    s = (z_b.reshape(-1, r) @ wa).reshape(z_b.shape[:-1] + (2 * k_heads,))
-    # scores key-major, alpha[t, j, b, i, k] for source slot j, destination
-    # slot i and head k, so the softmax reduces along a long axis
-    alpha = np.empty((n_dates, m, n_blocks, m, k_heads), dtype=z.dtype)
-    for k in range(k_heads):  # one add per head: a K-long inner loop is 3x slower
-        np.add(s[:, None, ..., k], s[..., k_heads + k].swapaxes(1, 2)[..., None], out=alpha[..., k])
-    slope = np.multiply(alpha > 0, 1 - LEAKY_SLOPE, dtype=alpha.dtype)
-    slope += LEAKY_SLOPE  # 1 above zero, LEAKY_SLOPE below; np.where is 4x slower
+    lr = (wa.T @ z.T).reshape(2 * k_heads, n_dates, n)  # left rows, then right rows
+    # edge arrays are K x T x E, built in place; repeat() and take() keep them
+    # contiguous, where fancy indexing would return a transposed layout
+    alpha = edges.per_edge(lr[:k_heads])
+    alpha += np.take(lr[k_heads:], edges.src, axis=-1)
+    slope = np.where(alpha > 0, alpha.dtype.type(1), alpha.dtype.type(LEAKY_SLOPE))
     alpha *= slope  # leaky relu; backward scales by the same factor
-    # 0 on the edges, NEG_MASK off them, head axis included: broadcasting it is 10x slower
-    bias = np.where(blocks.edge[..., None], np.zeros(k_heads, z.dtype), z.dtype.type(NEG_MASK))
-    alpha += bias  # off the edges the weights underflow to exactly 0
-    alpha -= alpha.max(axis=1, keepdims=True)
+    alpha -= edges.per_edge(np.maximum.reduceat(alpha, edges.dst_starts, axis=-1))
     np.exp(alpha, out=alpha)
-    # softmax over each destination's sources, divided by K as well: the
-    # weights also average the heads
-    alpha /= alpha.sum(axis=1, keepdims=True) * k_heads
-
-    def as_attn(e):
-        """A key-major score array viewed as T x blocks x (m * K) x m, row i*K + k."""
-        return e.reshape(n_dates, m, n_blocks, m * k_heads).transpose(0, 2, 3, 1)
-
+    # softmax over each row's edges, divided by K as well: the weights also
+    # average the heads
+    alpha /= edges.per_edge(edges.sum_by_dst(alpha) * k_heads)
     # aggregate by block: row i*K + k of a block's attention holds head k's
     # weights for slot i, so one GEMM with the block's source rows gives
     # slot i's K aggregates side by side; only these r-wide rows move
     # between the block layout and node order
-    attn = as_attn(alpha)
-    agg = blocks.from_blocks((attn @ z_b).reshape(n_dates, n_blocks, m, k_heads * r))
+    z_b = edges.to_blocks(z.reshape(n_dates, n, r))  # T x blocks x m x r
+    flat = (edges.dst_slot * k_heads + np.arange(k_heads)[:, None]) * m + edges.src_pos  # K x E
+    attn = np.zeros((n_dates, n_blocks * m * k_heads * m), dtype=z.dtype)
+    for tau, row in enumerate(attn):
+        for f_k, weights in zip(flat, alpha[:, tau]):
+            row[f_k] = weights  # 1-D scatters: faster than 2-D or 3-D indexing
+    attn = attn.reshape(n_dates, n_blocks, m * k_heads, m)  # zero off the edges
+    agg = edges.from_blocks((attn @ z_b).reshape(n_dates, n_blocks, m, k_heads * r))
     agg = agg.reshape(-1, k_heads * r)  # (T*n) x K*r, head k's aggregate in columns k*r
     # then project: the W_k stacked by head to match agg's columns
     w_stack = w3.reshape(k_heads * r, d)
@@ -357,28 +385,27 @@ def _block_gat_layer(x_st: Tensor, w: Tensor, a: Tensor, blocks: _GatBlocks, n_d
         g3 = np.minimum(out, 0.0)
         g3 += 1.0
         g3 *= g  # through elu'
-        # padding slots get zero rows, so their weights (uniform over a
-        # fully masked row) pass no gradient on
-        d_agg = blocks.to_blocks((g3 @ w_stack.T).reshape(n_dates, n, k_heads * r))
+        d_agg = edges.to_blocks((g3 @ w_stack.T).reshape(n_dates, n, k_heads * r))
         d_agg = d_agg.reshape(attn.shape[:-1] + (r,))  # as attn @ z_b
-        d_s = np.empty_like(alpha)  # the gradient of the weights, key-major
-        np.matmul(d_agg, z_b.swapaxes(-1, -2), out=as_attn(d_s))
+        d_attn = (d_agg @ z_b.swapaxes(-1, -2)).reshape(n_dates, -1)
+        d_s = np.empty_like(alpha)  # K x T x E, the gradient of the weights
+        for f_k, out_k in zip(flat, d_s):
+            # mode="raise" would buffer the output; the slots are in range
+            np.take(d_attn, f_k, axis=1, out=out_k, mode="clip")
         # softmax backward; the weights are the softmax divided by K, which
         # puts a factor K on the row dot product
-        dot = (d_s * alpha).sum(axis=1, keepdims=True)
+        dot = edges.sum_by_dst(d_s * alpha)
         dot *= k_heads
-        d_s -= dot
+        d_s -= edges.per_edge(dot)
         d_s *= alpha
         d_s *= slope
-        # the gradient of s: each destination term sums its row of scores,
-        # each source term its column
-        g_s = np.concatenate([d_s.sum(axis=1), np.einsum("tjbik->tbjk", d_s)], axis=-1)
-        g_s = g_s.reshape(-1, 2 * k_heads)  # slot rows x 2K
+        d_lr = np.concatenate([edges.sum_by_dst(d_s), edges.sum_by_src(d_s)])
+        d_lr = d_lr.reshape(2 * k_heads, -1)  # as lr
         if x_st.requires_grad:
-            d_zb = attn.swapaxes(-1, -2) @ d_agg  # T x blocks x m x r
-            d_zb += (g_s @ wa.T).reshape(d_zb.shape)
-            ad.add_grad(x_st, blocks.from_blocks(d_zb).reshape(-1, r))
-        d_wa = (g_s.T @ z_b.reshape(-1, r)).reshape(2, k_heads, r)  # the gradient of wa, as a3
+            d_z = edges.from_blocks(attn.swapaxes(-1, -2) @ d_agg).reshape(-1, r)
+            d_z += d_lr.T @ wa.T
+            ad.add_grad(x_st, d_z)
+        d_wa = (d_lr @ z).reshape(2, k_heads, r)  # the gradient of wa, laid out as a3
         # the projection term, laid out by head as W, plus the score terms:
         # head k's W gets g_src_k a_src_k^T + g_dst_k a_dst_k^T
         d_w3 = (agg.T @ g3).reshape(k_heads, r, d)

@@ -164,6 +164,7 @@ def test_missing_inputs_and_bad_flags_exit_1(tmp_path):
     (["synth", "--dim", "0"], "--dim must be >= 3"),
     (["train", "--grad-clip", "-1"], "grad_clip must be positive"),
     (["train", "--grad-clip", "0"], "grad_clip must be positive"),
+    (["train", "--lr", "nan"], "lr must be positive"),
 ])
 def test_bad_flag_value_exit_1(tmp_path, caplog, flags, message):
     assert run_command(flags + ["--out", str(tmp_path)]) == 1
@@ -191,6 +192,7 @@ def test_ablate_prints_the_std_over_seeds(trained, tmp_path, capsys):
     ("eval", "seeds = 0,-1", "seeds must be >= 0"),
     ("train", "grad_clip = -1", "grad_clip must be positive"),
     ("train", "grad_clip = 0", "grad_clip must be positive"),
+    ("train", "lr = nan", "lr must be positive"),
 ])
 def test_bad_config_value_exit_1(tmp_path, caplog, section, line, message):
     """The config file's values parse and validate as the flags' do."""

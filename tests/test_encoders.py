@@ -10,7 +10,7 @@ from stockfuse.encoders import (
     GatParams,
     IndicatorEncoderParams,
     LEAKY_SLOPE,
-    _GatBlocks,
+    _GatEdges,
     block_gat_encode,
     encode_documents,
     encode_indicators,
@@ -455,8 +455,8 @@ class TestBlockGat:
         npt.assert_allclose(out[[2, 7]], np.where(pre > 0, pre, np.expm1(pre)), atol=1e-12)
 
     def test_node_no_row_attends_to(self, rng):
-        # column 0 is empty: node 0 is no row's neighbour, so its column of
-        # weights is all masked and its source-score gradient sums only zeros
+        # column 0 is empty: node 0 is no row's neighbour, so as a source it
+        # has no edges and its score-vector gradient segment is empty
         neighbors = np.ones((5, 5), dtype=bool)
         neighbors[:, 0] = False
         self.assert_matches_loop(rng, neighbors, make_gat_params(4, heads=2, layers=2))
@@ -502,10 +502,10 @@ def sector_mask(sectors, links=()):
     return build_graph(edges, stocks=symbols).neighbor_mask(symbols)
 
 
-def block_of(blocks, nodes):
-    """Block index of each node in the block layout."""
-    slot = np.arange(blocks.n) if blocks.node_slot is None else blocks.node_slot
-    return {int(i) // blocks.m for i in slot[nodes]}
+def block_of(edges, nodes):
+    """Block index of each node in the aggregation layout."""
+    slot = np.arange(edges.n) if edges.node_slot is None else edges.node_slot
+    return {int(i) // edges.m for i in slot[nodes]}
 
 
 def cast_params(params, dtype):
@@ -521,63 +521,59 @@ class TestComponentBlocks:
     def check(self, rng, neighbors, T=3):
         params = make_gat_params(4, heads=2, layers=2, rng=rng)
         TestBlockGat().assert_matches_loop(rng, neighbors, params, T=T, tol=1e-12)
-        return _GatBlocks.from_mask(neighbors)
+        return _GatEdges.from_mask(neighbors)
 
     def test_unequal_components_share_a_block(self, rng):
         # sectors of 4 and 2 plus two isolated stocks, interleaved: a block
         # for the 4, and the 2 and both singletons packed into a second one
         neighbors = sector_mask([0, 1, None, 0, 0, 1, None, 0])
-        blocks = self.check(rng, neighbors)
-        assert (blocks.m, blocks.n_blocks) == (4, 2)
-        assert block_of(blocks, [0, 3, 4, 7]) != block_of(blocks, [1, 2, 5, 6])
-        assert len(block_of(blocks, [1, 2, 5, 6])) == 1
+        edges = self.check(rng, neighbors)
+        assert (edges.m, edges.n_blocks) == (4, 2)
+        assert block_of(edges, [0, 3, 4, 7]) != block_of(edges, [1, 2, 5, 6])
+        assert len(block_of(edges, [1, 2, 5, 6])) == 1
 
     def test_stock_edge_merges_two_sectors(self, rng):
         sectors = [0, 1, 2, 0, 1, 3, 0, 1, 2, 3]
-        assert _GatBlocks.from_mask(sector_mask(sectors)).m == 3
+        assert _GatEdges.from_mask(sector_mask(sectors)).m == 3
         neighbors = sector_mask(sectors, links=[(0, 1)])  # S000 (sector 0) - S001 (sector 1)
-        blocks = self.check(rng, neighbors)
-        assert (blocks.m, blocks.n_blocks) == (6, 2)
-        assert len(block_of(blocks, [0, 1, 3, 4, 6, 7])) == 1
+        edges = self.check(rng, neighbors)
+        assert (edges.m, edges.n_blocks) == (6, 2)
+        assert len(block_of(edges, [0, 1, 3, 4, 6, 7])) == 1
 
     def test_directed_edge_joins_components(self, rng):
         neighbors = np.eye(9, dtype=bool)
         neighbors[np.ix_([0, 3, 6], [0, 3, 6])] = True
         neighbors[np.ix_([1, 4, 5], [1, 4, 5])] = True
         neighbors[1, 2] = True  # 1 attends to 2, which attends to no other node
-        blocks = self.check(rng, neighbors)
-        assert blocks.m == 4
-        assert len(block_of(blocks, [1, 2, 4, 5])) == 1
+        edges = self.check(rng, neighbors)
+        assert edges.m == 4
+        assert len(block_of(edges, [1, 2, 4, 5])) == 1
 
     def test_one_component_is_one_dense_block(self, rng):
-        blocks = self.check(rng, sector_mask([0] * 12))
-        assert (blocks.m, blocks.n_blocks, blocks.slot_node) == (12, 1, None)
+        edges = self.check(rng, sector_mask([0] * 12))
+        assert (edges.m, edges.n_blocks, edges.slot_node) == (12, 1, None)
 
     def test_large_component_with_singletons(self, rng):
         # blocks of 150 would need 2 * 150^2 > 200^2 entries: one block of all
         sectors = [None] * 200
         for i in rng.permutation(200)[:150]:
             sectors[i] = 0
-        blocks = self.check(rng, sector_mask(sectors), T=2)
-        assert (blocks.m, blocks.n_blocks, blocks.slot_node) == (200, 1, None)
+        edges = self.check(rng, sector_mask(sectors), T=2)
+        assert (edges.m, edges.n_blocks, edges.slot_node) == (200, 1, None)
 
     def test_padded_blocks_over_two_hundred_nodes(self, rng):
-        blocks = self.check(rng, sector_mask(list(rng.integers(0, 10, 200))), T=2)
-        assert blocks.n_blocks * blocks.m > 200 and blocks.n_blocks * blocks.m**2 < 200**2
+        edges = self.check(rng, sector_mask(list(rng.integers(0, 10, 200))), T=2)
+        assert edges.n_blocks * edges.m > 200 and edges.n_blocks * edges.m**2 < 200**2
 
     def test_block_layout_arrays_are_contiguous(self, rng):
         """Both layout moves return C-contiguous arrays, so reshaping their
-        rows copies nothing; fancy indexing of the middle axis did not.
-        Padding slots hold zero rows."""
-        blocks = _GatBlocks.from_mask(sector_mask([0, 1, 0, 1, 0]))  # sectors of 3 and 2
-        assert (blocks.m, blocks.n_blocks) == (3, 2) and blocks.slot_node is not None
-        rows = rng.normal(size=(3, 5, 4))
-        in_blocks = blocks.to_blocks(rows)
-        assert in_blocks.shape == (3, 2, 3, 4) and in_blocks.flags.c_contiguous
-        padding = blocks.slot_node == blocks.n
-        assert padding.sum() == 1
-        npt.assert_array_equal(in_blocks.reshape(3, 6, 4)[:, padding], 0.0)
-        back = blocks.from_blocks(in_blocks)
+        rows copies nothing; fancy indexing of the middle axis did not."""
+        edges = _GatEdges.from_mask(sector_mask([0, 1, None, 0, 0, 1, None, 0]))
+        assert edges.slot_node is not None
+        rows = rng.normal(size=(3, 8, 5))
+        blocks = edges.to_blocks(rows)
+        assert blocks.shape == (3, edges.n_blocks, edges.m, 5) and blocks.flags.c_contiguous
+        back = edges.from_blocks(blocks)
         assert back.flags.c_contiguous
         npt.assert_array_equal(back, rows)
 
@@ -600,8 +596,8 @@ class TestComponentBlocks:
         """Blocks with masked pairs and padding slots: the float32 layer stays
         finite and within 1e-5 of float64, output and every gradient."""
         neighbors = sector_mask([0, 1, 0, 1, 0, None, 2, 2])  # blocks of 3 with holes and padding
-        blocks = _GatBlocks.from_mask(neighbors)
-        assert blocks.n_blocks * blocks.m**2 > neighbors.sum() and blocks.slot_node.size > 8
+        edges = _GatEdges.from_mask(neighbors)
+        assert edges.n_blocks * edges.m**2 > neighbors.sum() and edges.slot_node.size > 8
         params = make_gat_params(4, heads=2, layers=2, rng=rng)
         h, g = rng.normal(size=(2, 24, 4))
         results = []
@@ -618,12 +614,12 @@ class TestComponentBlocks:
     @pytest.mark.parametrize("stocks, sectors", [(200, 10), (100, 10), (12, 3), (12, 1)])
     def test_synth_sectors_fill_their_blocks(self, stocks, sectors):
         """On a synth graph whose sector count divides the stock count every
-        block is one sector clique, so the layer scores exactly the edges."""
+        block is one sector clique, so the aggregation's blocks hold exactly
+        the edges and no masked pair."""
         graph = synth_dataset(stocks, 3, 3, 4.0, 0.2, 0.1, sectors, seed=0)[3]
         neighbors = graph.neighbor_mask([f"S{i:03d}" for i in range(stocks)])
-        blocks = _GatBlocks.from_mask(neighbors)
-        assert blocks.n_blocks * blocks.m**2 == neighbors.sum()
-        npt.assert_array_equal(blocks.edge, True)
+        edges = _GatEdges.from_mask(neighbors)
+        assert edges.n_blocks * edges.m**2 == neighbors.sum()
 
 
 # a mask whose components the layout packs into two blocks, and a connected one
