@@ -10,13 +10,12 @@ windows from calendar-indexed features. Fused ops elsewhere in the package
 build their own nodes with `node` and `add_grad`, and so do the reference
 path's extra ops in `tests/reference.py`. `sigmoid` serves that reference
 too: the model's gates apply `sigmoid_values` inside their stage node.
+Every op calls `node` through the module global, so one wrapper of
+`autodiff.node` sees every forward value (the tests' finite check does so).
 
 A backward that computes a fresh gradient array hands it to `add_grad`,
 which assigns it on the first write; one that passes on the upstream
 gradient or a view of it adds into a zero-filled buffer instead.
-
-Gradient checking is done against central finite differences; run it in
-64-bit mode (the default dtype) so the comparison is meaningful.
 """
 
 from __future__ import annotations
@@ -26,16 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import ShapeError
 
 _grad_enabled = True
-_debug_checks = False
-
-
-def set_debug_checks(on: bool) -> None:
-    """Enable NaN/Inf checks after every forward op (slow, for tests)."""
-    global _debug_checks
-    _debug_checks = bool(on)
 
 
 def grad_enabled() -> bool:
@@ -97,7 +89,7 @@ class Tensor:
             self.grad = np.zeros_like(self.values)
         return self.grad
 
-    def backward(self, seed=None) -> None:
+    def backward(self) -> None:
         """Accumulate gradients of this (scalar) tensor into the graph."""
         topo: list[Tensor] = []
         seen = set()
@@ -113,10 +105,8 @@ class Tensor:
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
-        if seed is None:
-            seed = np.ones_like(self.values)
         self._ensure_grad()
-        self.grad += seed
+        self.grad += 1.0
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -124,26 +114,14 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
 
 def node(values: np.ndarray, parents, backward) -> Tensor:
     """Create a tape node. `backward(g)` must accumulate into parent grads.
 
     This is the extension point used by the fused batched ops elsewhere in
-    the package; it applies the same grad-mode and debug-check rules as the
-    built-in ops.
+    the package; it applies the same grad-mode rule as the built-in ops.
     """
     out = Tensor(values)
-    if _debug_checks and not np.all(np.isfinite(values)):
-        raise NumericError("non-finite values produced by a forward op")
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(p for p in parents if p.requires_grad)
@@ -312,19 +290,6 @@ def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
     return node(a.values[lo:hi].copy(), (a,), backward)
 
 
-def scatter_add_rows(target: np.ndarray, idx: np.ndarray, g: np.ndarray) -> None:
-    """target[idx] += g with repeated indices, via sort + reduceat.
-
-    Much faster than np.add.at for the window-gather workloads here.
-    """
-    order = np.argsort(idx, kind="stable")
-    sidx = idx[order]
-    sg = g[order]
-    boundaries = np.flatnonzero(np.concatenate(([True], sidx[1:] != sidx[:-1])))
-    sums = np.add.reduceat(sg, boundaries, axis=0)
-    target[sidx[boundaries]] += sums
-
-
 def distinct_columns(idx: np.ndarray) -> bool:
     """Whether each column of a 2-D B x t window index holds distinct rows.
 
@@ -342,15 +307,15 @@ def distinct_columns(idx: np.ndarray) -> bool:
 def scatter_add_windows(target: np.ndarray, idx: np.ndarray, g: np.ndarray, by_column: bool):
     """target[idx.flat] += g; one column of window rows at a time when `by_column`.
 
-    `by_column` must hold only if `distinct_columns(idx)`; otherwise the
-    repeated rows are summed by `scatter_add_rows`' sort.
+    `by_column` must hold only if `distinct_columns(idx)`; otherwise
+    `np.add.at` sums the repeated rows.
     """
     if by_column:
         g3 = g.reshape(idx.shape[0], idx.shape[1], -1)
         for j in range(idx.shape[1]):
             target[idx[:, j]] += g3[:, j]
     else:
-        scatter_add_rows(target, idx.reshape(-1), g)
+        np.add.at(target, idx.reshape(-1), g)
 
 
 def gather_rows(a: Tensor, idx) -> Tensor:
@@ -358,8 +323,8 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
     `idx` is 1-D, or 2-D B x t for windows of t rows each, gathered in row
     order. When each column holds distinct rows (`distinct_columns`), the
-    backward adds one column of gradient rows at a time, without the sort
-    that repeated indices need.
+    backward adds one column of gradient rows at a time, without the
+    unbuffered `np.add.at` that repeated indices need.
     """
     a = _as_tensor(a)
     idx = np.asarray(idx, dtype=np.intp)
@@ -449,7 +414,7 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# parameters and gradient checking
+# parameters
 
 
 @dataclass
@@ -475,50 +440,3 @@ class Parameter:
     def zero_grad(self) -> None:
         self.tensor.grad = None
 
-
-def grad_check(f, params, eps: float = 1e-5) -> float:
-    """Max relative error between tape gradients and central differences.
-
-    `f` is a no-argument callable returning a scalar Tensor; it must read the
-    parameter values afresh on every call. `params` is any iterable of
-    Parameter. Relative error per entry is |analytic - fd| / max(1, |analytic|).
-    """
-    params = list(params)
-    if not 1e-7 <= eps <= 1e-4:
-        raise ValueError(f"eps {eps} outside [1e-7, 1e-4]")
-    for p in params:
-        p.zero_grad()
-    out = f()
-    if out.values.size != 1:
-        raise ShapeError("grad_check target must be scalar")
-    out.backward()
-    analytic = [
-        p.tensor.grad.copy() if p.tensor.grad is not None else np.zeros_like(p.values)
-        for p in params
-    ]
-
-    def probe() -> float:
-        with no_grad():
-            val = f().item()
-        return val
-
-    max_rel = 0.0
-    for p, an in zip(params, analytic):
-        vals = p.tensor.values
-        for i in range(vals.shape[0]):
-            for j in range(vals.shape[1]):
-                orig = vals[i, j]
-                vals[i, j] = orig + eps
-                f_plus = probe()
-                vals[i, j] = orig - eps
-                f_minus = probe()
-                vals[i, j] = orig
-                if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-                    raise NumericError(
-                        f"non-finite objective while perturbing {p.name}[{i},{j}]"
-                    )
-                fd = (f_plus - f_minus) / (2.0 * eps)
-                rel = abs(an[i, j] - fd) / max(1.0, abs(an[i, j]))
-                if rel > max_rel:
-                    max_rel = rel
-    return max_rel

@@ -52,16 +52,16 @@ class TrainConfig:
         for name, value in (("epochs", self.epochs), ("seed", self.seed)):
             if value < 0:
                 raise ConfigError(f"{name} must be >= 0, got {value}")
-        if not self.lr > 0:  # NaN included
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:  # NaN included
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if not 0.0 <= self.warmup_frac <= 0.5:
             raise ConfigError(f"warmup_frac must lie in [0, 0.5], got {self.warmup_frac}")
         if self.precision not in ("float64", "float32"):
             raise ConfigError(f"precision must be float64 or float32, got {self.precision!r}")
         if self.head_dim is not None and self.head_dim < 1:
             raise ConfigError(f"head_dim must be positive, got {self.head_dim}")
-        if self.grad_clip is not None and not self.grad_clip > 0:
-            raise ConfigError(f"grad_clip must be positive, got {self.grad_clip}")
+        if self.grad_clip is not None and not 0 < self.grad_clip < np.inf:
+            raise ConfigError(f"grad_clip must be positive and finite, got {self.grad_clip}")
         return self
 
     @property

@@ -29,7 +29,6 @@ from .errors import ConfigError, DataError, FormatError, MissingEmbeddingError
 
 log = logging.getLogger(__name__)
 
-CLASS_NAMES = ("down", "flat", "up")
 DOWN, FLAT, UP = 0, 1, 2
 NO_LABEL = -1
 

@@ -44,7 +44,6 @@ from .autodiff import Parameter, Tensor
 from .errors import ShapeError
 
 LEAKY_SLOPE = 0.2
-NEG_MASK = -1e30
 
 
 @dataclass

@@ -35,11 +35,10 @@ gradient. P and N are tape nodes built from the stored projections,
 d^2*d' each per call, and they are the stage node's parents: its backward
 emits d(y P^T)^T y into P and y^T d(yN) into N, and the tape chains those
 into W_Q, W_K, W_V (or glu) and W_a. Every row-level product is d x d (maps) or t x t per window
-(scores, mixing), so no row array is wider than d. At B*t = 20,480, d = 64,
-d' = 128, forward plus backward of a stage needs about 1.8 GFLOP against
-5.2 for the wide-head form. The fold costs more only if d' < d, which no
-shipped config uses. `block_unstable` recomputes the unstable feature off
-the tape from the returned attention weights, for diagnostics.
+(scores, mixing), so no row array is wider than d, and the fold does less
+work than the wide-head form whenever d' >= d, as in every shipped config.
+`block_unstable` recomputes the unstable feature off the tape from the
+returned attention weights, for diagnostics.
 
 Row-wise maps and per-window work. The maps of single rows are the gate's
 sigmoid(x W_b + b_b) on query rows, and y P^T and y N + b_a on key/value
@@ -58,11 +57,9 @@ calendar rows, so both sides take this form; stage 2 reads stage 1's window
 output as its query, so there only its gate runs on window rows. The model
 takes this form when the calendar slab has fewer rows than the batch
 gathers, and gathers windows first otherwise. A shuffled training batch
-spans most of the calendar (~24,600-29,600 slab rows against 20,480 window
-rows on `train_graph`), so it keeps the gathered form: compacting it to its
-unique rows instead made stage 1's forward plus backward slower on 2 cores,
-63 -> 78 ms in float32 and 124 -> 151 ms in float64, because the four
-scatters cost more than the third of the GEMM rows they save.
+spans most of the calendar, more slab rows than window rows, so it keeps
+the gathered form: compacting it to its unique rows instead costs four
+scatters, more than the GEMM rows they save (measured in `CHANGES.md`).
 
 The query map. A query whose rows are a linear map of narrower rows, x =
 z F with F r x d, is passed as z with `query_map=F`. The op folds F into
@@ -78,20 +75,15 @@ Key-major scores. A tile's scores are one t x (windows*t) buffer, stored
 key-major: column w*t + i holds query row i of window w against its
 window's t keys. Each window's K X^T is written into it through an `out=`
 view of `np.matmul`, so the softmax's max, exp and sum, and the
-backward's row dot, reduce along axis 0 over ~1,020-element contiguous
-rows, not along 20-element rows. The mixing A (y N + b_a) and the
-gradients read the same buffer through transposed views, with no copy;
-the attention the diagnostics read is the B x t x t query-major view of
-the whole buffer. On an `ingest_eval`-shaped eval batch (2,300 windows,
-float64, no tape; medians of 30 alternating rounds in one process) stage
-1's forward took 27.6 ms with query-major scores and b_a added per tile,
-22.9 with key-major scores and 22.3 with b_a on the value rows as well;
-stage 2's took 55.9, 51.0 and 48.3 ms.
+backward's row dot, reduce along axis 0 over long contiguous rows, not
+along t-element rows. The mixing A (y N + b_a) and the gradients read the
+same buffer through transposed views, with no copy; the attention the
+diagnostics read is the B x t x t query-major view of the whole buffer.
 
 Tiles. The window-row work runs over tiles of whole windows, TILE_ROWS //
 t windows each (1,020 rows at t = 20), so that its intermediates stay in
-a core's 2 MiB L2 cache instead of streaming 46,000 x 64 arrays (23.5 MB
-in float64 on an `ingest_eval` batch) through memory once per elementwise
+a core's L2 cache instead of streaming 46,000 x 64 arrays (23.5 MB in
+float64 on an `ingest_eval` batch) through memory once per elementwise
 pass (cf. FlashAttention, Dao et al. 2022). Forward, each tile gathers its
 query, key and value rows and its gate (the source rows' gate, one GEMM,
 in the stage-1 form) or computes the gate from its query rows, then runs
@@ -111,18 +103,9 @@ tile, so the tiled op is bit-identical to one tile: float64 `ingest_eval`
 eval logits, and a float32 `train_graph`-shaped batch's loss and every
 gradient, came out equal bit for bit (the tile tests pin tiles against
 one tile at 1e-12). A batch that fits one tile runs the loop once.
-
-Measured with OpenBLAS 0.3.31 on 2 cores of a Xeon with 2 MiB of L2 per
-core. Against the untiled op in the same process, stage 2's forward on an
-`ingest_eval` batch took 59.9 against 93.7 ms in float64 (32.5 against
-48.3 in float32) and stage 1's 33.8 against 48.3 (17.4 against 27.3); a
-`train_graph` step's stages gained 7-9% in forward plus backward, whose
-whole-row GEMMs dominate. With key-major scores and b_a on the value rows,
-a whole `ingest_eval` eval (2,300 windows, seed 9404, 30 alternating
-rounds in one process) took 139.9, 137.1, 132.9, 129.9 and 138.2 ms in
-float64 for tiles of 256, 512, 1,024, 2,048 and 4,096 rows, and 77.1,
-64.5, 61.8, 61.6 and 66.8 ms in float32. 2,048 is within the host's
-run-to-run drift of 1,024, hence 1,024.
+TILE_ROWS was chosen by timing a whole eval over tile sizes; those
+timings, and those of the key-major scores and the two stage forms, are
+in `CHANGES.md`.
 """
 
 from __future__ import annotations

@@ -148,9 +148,10 @@ def train_model(
 
     Per batch: encode the three modalities, run both fusion stages, aggregate,
     compute the loss, backpropagate, and take one Adam step at the scheduled
-    rate. The checkpoint with the highest validation MCC is restored into the
-    returned model; `checkpoint_path` (if given) additionally captures the
-    last epoch's full state for resuming.
+    rate. A non-finite loss, or a non-finite parameter after an epoch's last
+    step, raises NumericError. The checkpoint with the highest validation MCC
+    is restored into the returned model; `checkpoint_path` (if given)
+    additionally captures the last epoch's full state for resuming.
     """
     cfg.validate()
     if len(split.train) == 0:
@@ -207,6 +208,9 @@ def train_model(
                 step += 1
                 adam_step(model.params, lr_schedule(cfg.lr, step, total_steps, cfg.warmup_frac), step)
                 losses.append(loss_val)
+            bad = [p.name for p in model.params if not np.isfinite(p.values).all()]
+            if bad:  # before validation can snapshot them
+                raise NumericError(f"non-finite parameters after epoch {epoch}: {', '.join(bad)}")
             valid_acc, valid_mcc = evaluate_part(model, packed, split.valid)
             row = EpochStats(
                 epoch=epoch,

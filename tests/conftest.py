@@ -1,21 +1,38 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import stockfuse.autodiff as ad
+from stockfuse.errors import NumericError
 
 settings.register_profile("ci", deadline=None, derandomize=True, max_examples=25)
 settings.load_profile("ci")
 
 
+_node = ad.node
+
+
+@functools.wraps(_node)
+def _finite_node(values, parents, backward):
+    """`ad.node` that raises NumericError on a non-finite forward value."""
+    out = _node(values, parents, backward)
+    if not np.all(np.isfinite(values)):
+        raise NumericError("non-finite values produced by a forward op")
+    return out
+
+
 @pytest.fixture(autouse=True)
-def debug_checks():
-    """NaN/Inf-check every forward op in tests (perf tests opt out locally)."""
-    ad.set_debug_checks(True)
-    yield
-    ad.set_debug_checks(False)
+def debug_checks(monkeypatch):
+    """NaN/Inf-check every forward op in tests.
+
+    Every op, autodiff's own included, calls `node` through the module
+    global, so patching `ad.node` reaches them all. A test that must see
+    non-finite values sets `ad.node` back to `ad.node.__wrapped__`.
+    """
+    monkeypatch.setattr(ad, "node", _finite_node)
 
 
 @pytest.fixture

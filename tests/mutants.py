@@ -1,4 +1,5 @@
-"""Hand-made mutants of the hand-written backward code, each run against its pins.
+"""Hand-made mutants of the hand-written backward code and of the finite checks,
+each run against its pins.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py gat        # the mutants whose name contains "gat"
@@ -36,6 +37,7 @@ AUTODIFF = "src/stockfuse/autodiff.py"
 ENCODERS = "src/stockfuse/encoders.py"
 PREDICTOR = "src/stockfuse/predictor.py"
 MODEL = "src/stockfuse/model.py"
+TRAINING = "src/stockfuse/training.py"
 
 STAGE_PINS = (
     "tests/test_fusion.py::TestBlockCrossAttention",
@@ -228,6 +230,14 @@ MUTANTS = [
            "            out = ad.relu(out)\n    return out\n",
            "            out = ad.relu(out)\n    return ad.scale(out, 0.0)\n",
            ("tests/test_cli.py::test_eval_beats_chance",)),
+    # the finite checks: training's own after each epoch, and the tests' on every forward op
+    Mutant("training: non-finite parameters reach validation", TRAINING,
+           "bad = [p.name for p in model.params if not np.isfinite(p.values).all()]", "bad = []",
+           ("tests/test_training.py"
+            "::test_non_finite_parameter_after_an_epoch_is_a_numeric_error",)),
+    Mutant("tests: the node wrapper passes non-finite values", "tests/conftest.py",
+           "    if not np.all(np.isfinite(values)):\n", "    if False:\n",
+           ("tests/test_autodiff.py::test_debug_mode_flags_nonfinite",)),
 ]
 
 

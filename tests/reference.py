@@ -6,7 +6,8 @@ each of its dates (masked dense n x n scores), fuses the modalities stage by
 stage and reduces the time axis one window at a time, so it shares no code
 with `block_cross_attention`, `block_gat_encode` or `block_reduce_time`. The
 tape ops only this path needs are defined here on `ad.node`/`ad.add_grad`;
-`tests/test_autodiff.py` checks their gradients with the package's ops.
+`tests/test_autodiff.py` checks their gradients with the package's ops,
+through `grad_check`'s central differences.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ import numpy as np
 
 from stockfuse import autodiff as ad
 from stockfuse.autodiff import Parameter, Tensor
-from stockfuse.encoders import LEAKY_SLOPE, NEG_MASK, encode_documents, fold_indicators
+from stockfuse.encoders import LEAKY_SLOPE, encode_documents, fold_indicators
+from stockfuse.errors import NumericError, ShapeError
 from stockfuse.predictor import aggregate_features
+
+NEG_MASK = -1e30  # score bias of a non-neighbour in `gat_encode`'s dense softmax
 
 
 def params_of(obj) -> list[Parameter]:
@@ -30,6 +34,55 @@ def params_of(obj) -> list[Parameter]:
     if not isinstance(obj, (list, tuple)):
         return []
     return [p for item in obj for p in params_of(item)]
+
+
+def grad_check(f, params, eps: float = 1e-5) -> float:
+    """Max relative error between tape gradients and central differences.
+
+    `f` is a no-argument callable returning a scalar Tensor; it must read the
+    parameter values afresh on every call. `params` is any iterable of
+    Parameter. Relative error per entry is |analytic - fd| / max(1, |analytic|).
+    Run it in float64 (the default dtype) so the comparison is meaningful.
+    """
+    params = list(params)
+    if not 1e-7 <= eps <= 1e-4:
+        raise ValueError(f"eps {eps} outside [1e-7, 1e-4]")
+    for p in params:
+        p.zero_grad()
+    out = f()
+    if out.values.size != 1:
+        raise ShapeError("grad_check target must be scalar")
+    out.backward()
+    analytic = [
+        p.tensor.grad.copy() if p.tensor.grad is not None else np.zeros_like(p.values)
+        for p in params
+    ]
+
+    def probe() -> float:
+        with ad.no_grad():
+            val = f().item()
+        return val
+
+    max_rel = 0.0
+    for p, an in zip(params, analytic):
+        vals = p.tensor.values
+        for i in range(vals.shape[0]):
+            for j in range(vals.shape[1]):
+                orig = vals[i, j]
+                vals[i, j] = orig + eps
+                f_plus = probe()
+                vals[i, j] = orig - eps
+                f_minus = probe()
+                vals[i, j] = orig
+                if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
+                    raise NumericError(
+                        f"non-finite objective while perturbing {p.name}[{i},{j}]"
+                    )
+                fd = (f_plus - f_minus) / (2.0 * eps)
+                rel = abs(an[i, j] - fd) / max(1.0, abs(an[i, j]))
+                if rel > max_rel:
+                    max_rel = rel
+    return max_rel
 
 
 # ---------------------------------------------------------------------------

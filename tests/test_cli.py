@@ -165,6 +165,8 @@ def test_missing_inputs_and_bad_flags_exit_1(tmp_path):
     (["train", "--grad-clip", "-1"], "grad_clip must be positive"),
     (["train", "--grad-clip", "0"], "grad_clip must be positive"),
     (["train", "--lr", "nan"], "lr must be positive"),
+    (["train", "--lr", "inf"], "lr must be positive and finite"),
+    (["train", "--grad-clip", "inf"], "grad_clip must be positive and finite"),
 ])
 def test_bad_flag_value_exit_1(tmp_path, caplog, flags, message):
     assert run_command(flags + ["--out", str(tmp_path)]) == 1
@@ -193,6 +195,8 @@ def test_ablate_prints_the_std_over_seeds(trained, tmp_path, capsys):
     ("train", "grad_clip = -1", "grad_clip must be positive"),
     ("train", "grad_clip = 0", "grad_clip must be positive"),
     ("train", "lr = nan", "lr must be positive"),
+    ("train", "lr = inf", "lr must be positive and finite"),
+    ("train", "grad_clip = inf", "grad_clip must be positive and finite"),
 ])
 def test_bad_config_value_exit_1(tmp_path, caplog, section, line, message):
     """The config file's values parse and validate as the flags' do."""

@@ -3,7 +3,7 @@ import numpy.testing as npt
 import pytest
 
 from stockfuse import autodiff as ad
-from stockfuse.autodiff import Parameter, Tensor, grad_check
+from stockfuse.autodiff import Parameter, Tensor
 from stockfuse.data import build_graph
 from stockfuse.encoders import (
     DocEncoderParams,
@@ -109,7 +109,7 @@ class TestIndicatorEncoder:
             out = folded_encoder(x, params)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, ref.params_of(params), eps=1e-5) < 1e-4
+        assert ref.grad_check(f, ref.params_of(params), eps=1e-5) < 1e-4
 
 
 def composed_indicators(x: Tensor, params: IndicatorEncoderParams) -> Tensor:
@@ -238,7 +238,7 @@ class TestDocEncoder:
             out = encode_documents(Tensor(doc), mask, params)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, ref.params_of(params), eps=1e-5) < 1e-4
+        assert ref.grad_check(f, ref.params_of(params), eps=1e-5) < 1e-4
 
 
 def dense_gat_oracle(h, neighbors, params):
@@ -341,7 +341,7 @@ class TestGraphEncoder:
             out = block_gat_encode(h, neighbors, params)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, ref.params_of(params), eps=1e-5) < 1e-4
+        assert ref.grad_check(f, ref.params_of(params), eps=1e-5) < 1e-4
 
 
 class TestBlockGat:
@@ -367,7 +367,7 @@ class TestBlockGat:
             out = block_gat_encode(h, neighbors, params)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, ref.params_of(params), eps=1e-5) < 1e-4
+        assert ref.grad_check(f, ref.params_of(params), eps=1e-5) < 1e-4
 
     @staticmethod
     def loop_and_block(h, neighbors, params, g):
@@ -415,7 +415,7 @@ class TestBlockGat:
             assert out.shape == (8, 3)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, [x, *ref.params_of(params)], eps=1e-5) < 1e-4
+        assert ref.grad_check(f, [x, *ref.params_of(params)], eps=1e-5) < 1e-4
 
     def test_rectangular_first_weight_matches_loop(self, rng):
         params = self.rectangular_params(rng, r=2, d=4)
@@ -435,7 +435,7 @@ class TestBlockGat:
             out = block_gat_encode(x.tensor, neighbors, params)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, [x, *ref.params_of(params)], eps=1e-5) < 1e-4
+        assert ref.grad_check(f, [x, *ref.params_of(params)], eps=1e-5) < 1e-4
 
     def test_asymmetric_mask(self, rng):
         neighbors = np.eye(6, dtype=bool) | (rng.random((6, 6)) < 0.3)
@@ -684,7 +684,7 @@ class TestLiftedGat:
             out = block_gat_encode(rows, neighbors, GatParams(gat.layers, f_map))
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, params, eps=1e-6) < 1e-7
+        assert ref.grad_check(f, params, eps=1e-6) < 1e-7
         assert all(np.any(p.tensor.grad) for p in params)
 
     def test_layer_one_reads_the_lift_width(self, rng):

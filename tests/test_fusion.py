@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from stockfuse import autodiff as ad
 from stockfuse import fusion
-from stockfuse.autodiff import Parameter, Tensor, grad_check
+from stockfuse.autodiff import Parameter, Tensor
 from stockfuse.errors import ShapeError
 from stockfuse.fusion import (
     CrossAttnParams,
@@ -223,7 +223,7 @@ class TestTrimodal:
             fused, _ = ref.fuse_trimodal(v_i, v_d, v_g, s1, s2)
             return ad.sum_all(ad.mul(fused, fused))
 
-        assert grad_check(f, ref.params_of([s1, s2]), eps=1e-5) < 1e-4
+        assert ref.grad_check(f, ref.params_of([s1, s2]), eps=1e-5) < 1e-4
 
     def test_stable_output_chains_to_a_fourth_modality(self, rng):
         d = 3
@@ -360,7 +360,7 @@ class TestBlockCrossAttention:
             out, _, _ = block_cross_attention(q, kv, stage, block=3)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
+        assert ref.grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
 
     @pytest.mark.parametrize(
         "d,heads,head_dim",
@@ -397,7 +397,7 @@ class TestBlockCrossAttention:
             out, _, _ = block_cross_attention(x, x, stage, block=3)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
+        assert ref.grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
 
     def test_unstable_recomputed_from_attention(self, rng):
         d, t = 3, 4
@@ -502,7 +502,7 @@ class TestBlockGatedSelection:
             stable, _, _ = block_cross_attention(q, kv, stage, block=2)
             return ad.sum_all(ad.mul(stable, stable))
 
-        assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
+        assert ref.grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
 
     def test_row_mismatch_rejected(self, rng):
         stage = make_stage(3, rng=rng, head_dim=3)
@@ -595,7 +595,7 @@ class TestSourceRows:
             out, _, _ = block_cross_attention(q, kv, stage, 3, query_index=idx, kv_index=idx)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
+        assert ref.grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
 
     def test_bad_index_rejected(self, rng):
         stage = make_stage(3, rng=rng, head_dim=3)
@@ -691,7 +691,7 @@ class TestQueryMap:
                                               query_map=f_map.tensor)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
+        assert ref.grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
 
     def test_map_of_wrong_shape_rejected(self, rng):
         stage = make_stage(3, rng=rng, head_dim=3)
@@ -795,7 +795,7 @@ class TestTiles:
             out, _, _ = block_cross_attention(q, kv, stage, T, q_idx, kv_idx, f_map.tensor)
             return ad.sum_all(ad.mul(out, out))
 
-        assert grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
+        assert ref.grad_check(f, ref.params_of(stage) + extras, eps=1e-5) < 1e-4
 
     @pytest.mark.parametrize("query", ["source", "window", "mapped", "gathered"])
     def test_block_gate_is_the_taped_gate(self, monkeypatch, query):

@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 
 from perfbench.trace import Tracer, instrumented
-from stockfuse.autodiff import grad_check
 from stockfuse.config import VARIANTS, TrainConfig
 from stockfuse.data import build_dataset
 from stockfuse.errors import DataError
@@ -148,7 +147,7 @@ def test_model_grad_check_every_parameter():
         return cross_entropy_loss(model.forward_batch(packed, stock_idx, start), labels)
 
     params = list(model.params)
-    assert grad_check(loss, params, eps=1e-6) < 1e-8
+    assert ref.grad_check(loss, params, eps=1e-6) < 1e-8
     with_grad = {p.name for p in params if p.tensor.grad is not None and np.any(p.tensor.grad)}
     assert with_grad == set(model.params.names())  # ind.*, gat.* and all the rest
 
@@ -294,7 +293,7 @@ def test_model_grad_check_through_source_rows(monkeypatch, stock_idx, start):
         return cross_entropy_loss(model.forward_batch(packed, stock_idx, start), labels)
 
     params = list(model.params)
-    assert grad_check(loss, params, eps=1e-6) < 1e-8
+    assert ref.grad_check(loss, params, eps=1e-6) < 1e-8
     assert forms[0] == ("source", "source")
     with_grad = {p.name for p in params if p.tensor.grad is not None and np.any(p.tensor.grad)}
     assert with_grad == set(model.params.names())

@@ -6,7 +6,8 @@ from perfbench.trace import Tracer, instrumented
 from stockfuse.config import VARIANTS, TrainConfig
 from stockfuse.container import load_bundle, save_bundle
 from stockfuse.data import build_dataset
-from stockfuse.errors import CheckpointError, DataError
+from stockfuse import autodiff as ad
+from stockfuse.errors import CheckpointError, DataError, NumericError
 from stockfuse import training
 from stockfuse.model import PackedPanel, TrimodalModel
 from stockfuse.synth import synth_dataset
@@ -49,6 +50,23 @@ def test_nan_read_only_by_the_graph_encoder_is_a_data_error(tiny_split, nan_outs
     poisoned, _ = nan_outside_windows(split, graph, "train")
     with pytest.raises(DataError, match="not finite"):
         train_model(poisoned, graph, tiny_config())
+
+
+def test_non_finite_parameter_after_an_epoch_is_a_numeric_error(tiny_split, monkeypatch):
+    """An update that leaves a NaN weight stops training before validation
+    can snapshot it, even in a one-batch epoch, where no later loss shows it."""
+    split, graph = tiny_split
+    monkeypatch.setattr(ad, "node", ad.node.__wrapped__)  # the loop's own check, not the tests'
+    adam_step = training.adam_step
+
+    def nan_step(params, *args):
+        adam_step(params, *args)
+        params["gat.l0.a"].values[0, 0] = np.nan
+
+    monkeypatch.setattr(training, "adam_step", nan_step)
+    cfg = tiny_config().replace(batch_size=len(split.train))
+    with pytest.raises(NumericError, match="after epoch 1: gat.l0.a$"):
+        train_model(split, graph, cfg)
 
 
 def _save_fresh(path, cfg, doc_dim):
