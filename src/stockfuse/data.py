@@ -17,12 +17,14 @@ Class indices are fixed everywhere: down=0, flat=1, up=2.
 from __future__ import annotations
 
 import csv
-import json
 import logging
+import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .container import load_bundle, save_bundle
 from .errors import ConfigError, DataError, FormatError, MissingEmbeddingError
@@ -176,36 +178,58 @@ class DatasetSplit:
 # file loading
 
 
+def _not_utf8(path) -> FormatError:
+    """The FormatError for a text file that is not UTF-8, naming the line of its first bad byte."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return FormatError(f"{path}:{line}: not UTF-8 text: {exc.reason}")
+    return FormatError(f"{path}: not UTF-8 text")  # the file changed since it was read
+
+
 def load_prices(path) -> list[PriceSeries]:
     """Parse a prices CSV with header date,symbol,open,high,close."""
     path = Path(path)
-    required = {"date", "symbol", "open", "high", "close"}
+    required = ("date", "symbol", "open", "high", "close")
     rows_by_symbol: dict[str, dict[str, tuple]] = {}
     bad_rows: list[int] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            missing = sorted(required - set(reader.fieldnames or ()))
-            raise FormatError(f"{path}: missing columns {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                date = row["date"].strip()
-                symbol = row["symbol"].strip()
-                o, h, c = (float(row[k]) for k in ("open", "high", "close"))
-                if not date or not symbol:
-                    raise ValueError("empty date or symbol")
-            except (AttributeError, TypeError, ValueError):  # a short row has None fields
-                bad_rows.append(lineno)
-                continue
-            if not (np.isfinite(o) and np.isfinite(h) and np.isfinite(c)):
-                bad_rows.append(lineno)
-                continue
-            if o <= 0 or h <= 0 or c <= 0:
-                raise DataError(f"{path}:{lineno}: non-positive price for {symbol} on {date}")
-            per_symbol = rows_by_symbol.setdefault(symbol, {})
-            if date in per_symbol:
-                raise DataError(f"{path}:{lineno}: duplicate row for ({symbol}, {date})")
-            per_symbol[date] = (o, h, c)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None) or []
+            column = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+            missing = sorted(set(required) - set(column))
+            if missing:
+                raise FormatError(f"{path}: missing columns {missing}")
+            i_date, i_symbol, i_open, i_high, i_close = (column[k] for k in required)
+            for row in reader:
+                if not row:
+                    continue
+                lineno = reader.line_num
+                try:
+                    date = row[i_date].strip()
+                    symbol = row[i_symbol].strip()
+                    o, h, c = float(row[i_open]), float(row[i_high]), float(row[i_close])
+                    if not date or not symbol:
+                        raise ValueError("empty date or symbol")
+                except (IndexError, ValueError):  # a short row lacks fields
+                    bad_rows.append(lineno)
+                    continue
+                if not (math.isfinite(o) and math.isfinite(h) and math.isfinite(c)):
+                    bad_rows.append(lineno)
+                    continue
+                if o <= 0 or h <= 0 or c <= 0:
+                    raise DataError(f"{path}:{lineno}: non-positive price for {symbol} on {date}")
+                per_symbol = rows_by_symbol.setdefault(symbol, {})
+                if date in per_symbol:
+                    raise DataError(f"{path}:{lineno}: duplicate row for ({symbol}, {date})")
+                per_symbol[date] = (o, h, c)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path) from exc
+        except csv.Error as exc:
+            raise FormatError(f"{path}:{reader.line_num}: {exc}") from exc
     if bad_rows:
         log.warning("%s: rejected %d malformed rows (lines %s)", path, len(bad_rows), bad_rows)
     series = []
@@ -218,24 +242,25 @@ def load_prices(path) -> list[PriceSeries]:
 
 
 def load_documents(path) -> list[DocumentDay]:
-    """Parse documents JSONL: one {"symbol","date","texts":[...]} per line."""
+    """Parse documents JSONL: one {"symbol","date","texts":[...]} per line.
+
+    `texts`, if present, is a list of strings; any other line raises
+    FormatError naming it.
+    """
     days = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
-                obj = json.loads(line)
-                days.append(
-                    DocumentDay(
-                        symbol=str(obj["symbol"]),
-                        date=str(obj["date"]),
-                        texts=[str(t) for t in obj.get("texts", [])],
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                obj = orjson.loads(line)
+                symbol, date = str(obj["symbol"]), str(obj["date"])
+                texts = obj.get("texts", [])
+                if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+                    raise TypeError(f"texts is not a list of strings: {texts!r:.40}")
+            except (KeyError, TypeError, ValueError) as exc:
                 raise FormatError(f"{path}:{lineno}: bad document line: {exc}") from exc
+            days.append(DocumentDay(symbol=symbol, date=date, texts=texts))
     return days
 
 
@@ -247,34 +272,62 @@ def parse_vector(value) -> np.ndarray:
     return vec
 
 
+def _check_finite(rows: np.ndarray, keys: list[tuple[str, str]]) -> None:
+    """Raise DataError naming the first entry whose row holds a non-finite value."""
+    finite = np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        symbol, date = keys[int(np.argmin(finite))]
+        raise DataError(f"embedding for ({symbol}, {date}) contains non-finite values")
+
+
 def load_embeddings(path, dim: int | None = None) -> EmbeddingTable:
     """Parse embeddings JSONL: {"symbol","date","vector":[...]} per line.
 
     A bad line raises FormatError, except a final line without its newline:
     that is a write cut short (the table is appended to line by line), so it
-    is dropped with a warning.
+    is dropped with a warning. A vector of another width, or one holding a
+    non-finite value, raises DataError; the first bad line decides the error.
+    The vectors are parsed into one float64 array, first sized for twice as
+    many lines as the file would hold if each were as long as the first, and
+    doubled when full. Each entry is a row of it.
     """
-    table = None
-    with open(path) as fh:
+    keys: list[tuple[str, str]] = []
+    rows = np.empty((0, dim or 0))  # entry i is row i
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+            if raw.isspace():
                 continue
+            n = len(keys)
             try:
-                obj = json.loads(line)
-                vec = parse_vector(obj["vector"])
-                symbol, date = str(obj["symbol"]), str(obj["date"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                if not raw.endswith("\n"):  # only the last line can lack one
+                obj = orjson.loads(raw)
+                vec = obj["vector"]
+                key = (str(obj["symbol"]), str(obj["date"]))
+                if not isinstance(vec, list) or len(vec) != dim:
+                    vec = parse_vector(vec)
+                    if dim is None:
+                        dim = len(vec)
+                        rows = np.empty((0, dim))
+                    elif len(vec) != dim:
+                        _check_finite(rows[:n], keys)
+                        raise DataError(
+                            f"{path}:{lineno}: embedding for ({key[0]}, {key[1]}) has width "
+                            f"{vec.shape}, expected ({dim},)"
+                        )
+                if n == len(rows):
+                    grown = np.empty((max(2 * n, 2 * size // len(raw)), dim))
+                    grown[:n] = rows
+                    rows = grown
+                rows[n] = vec  # a nested or non-numeric item raises here
+            except (KeyError, TypeError, ValueError) as exc:
+                if not raw.endswith(b"\n"):  # only the last line can lack one
                     log.warning("%s:%d: dropping torn last line: %s", path, lineno, exc)
                     break
+                _check_finite(rows[:n], keys)
                 raise FormatError(f"{path}:{lineno}: bad embedding line: {exc}") from exc
-            if table is None:
-                table = EmbeddingTable(dim=dim if dim is not None else len(vec))
-            table.put(symbol, date, vec)
-    if table is None:
-        table = EmbeddingTable(dim=dim if dim is not None else 1536)
-    return table
+            keys.append(key)
+    _check_finite(rows[: len(keys)], keys)
+    return EmbeddingTable(dim=dim if dim is not None else 1536, entries=dict(zip(keys, rows)))
 
 
 def load_graph(path, stocks=None) -> RelationalGraph:
@@ -286,15 +339,18 @@ def load_graph(path, stocks=None) -> RelationalGraph:
     whose source is not a known stock are dropped with a warning.
     """
     edges = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            edges.append((parts[0].strip(), parts[1].strip(), parts[2].strip()))
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line.strip():
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 3:
+                    raise FormatError(f"{path}:{lineno}: expected 3 tab-separated fields")
+                edges.append((parts[0].strip(), parts[1].strip(), parts[2].strip()))
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path) from exc
     return build_graph(edges, stocks=stocks)
 
 

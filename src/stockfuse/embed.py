@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 import requests
 
-from .data import DocumentDay, EmbeddingTable, load_embeddings, parse_vector
+from .data import DocumentDay, EmbeddingTable, _not_utf8, load_embeddings, parse_vector
 from .errors import ConfigError, ContractError, MissingEmbeddingError, ProviderError
 
 log = logging.getLogger(__name__)
@@ -78,17 +79,21 @@ def text_cache_key(model: str, text: str) -> str:
 
 
 def _load_text_cache(path) -> dict[str, np.ndarray]:
+    """The `file` backend's cache: key -> vector. A bad line is the provider's
+    error; a file that is not UTF-8 is a FormatError naming its line."""
     cache = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                cache[str(obj["key"])] = parse_vector(obj["vector"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ProviderError(f"{path}:{lineno}: bad cache line: {exc}") from exc
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.isspace():
+                    continue
+                try:
+                    obj = orjson.loads(line)
+                    cache[str(obj["key"])] = parse_vector(obj["vector"])
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise ProviderError(f"{path}:{lineno}: bad cache line: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path) from exc
     return cache
 
 

@@ -1,5 +1,5 @@
-"""Hand-made mutants of the hand-written backward code and of the finite checks,
-each run against its pins.
+"""Hand-made mutants of the hand-written backward code, of the finite checks and
+of the embeddings reader's checks, each run against its pins.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py gat        # the mutants whose name contains "gat"
@@ -38,6 +38,7 @@ ENCODERS = "src/stockfuse/encoders.py"
 PREDICTOR = "src/stockfuse/predictor.py"
 MODEL = "src/stockfuse/model.py"
 TRAINING = "src/stockfuse/training.py"
+DATA = "src/stockfuse/data.py"
 
 STAGE_PINS = (
     "tests/test_fusion.py::TestBlockCrossAttention",
@@ -235,6 +236,16 @@ MUTANTS = [
            "bad = [p.name for p in model.params if not np.isfinite(p.values).all()]", "bad = []",
            ("tests/test_training.py"
             "::test_non_finite_parameter_after_an_epoch_is_a_numeric_error",)),
+    # the embeddings reader: one array, checked for finiteness once; a width check per line
+    Mutant("embeddings: the array's finite check skipped", DATA,
+           "    _check_finite(rows[: len(keys)], keys)\n", "",
+           ("tests/test_data.py::TestLoadEmbeddingsChecks",)),
+    Mutant("embeddings: no width check per line", DATA,
+           "                    elif len(vec) != dim:\n", "                    elif False:\n",
+           ("tests/test_data.py::TestLoadEmbeddingsChecks",)),
+    Mutant("embeddings: every bad line taken for a torn last line", DATA,
+           'if not raw.endswith(b"\\n"):', "if True:",
+           ("tests/test_data.py::TestLoadEmbeddingsTornLine",)),
     Mutant("tests: the node wrapper passes non-finite values", "tests/conftest.py",
            "    if not np.all(np.isfinite(values)):\n", "    if False:\n",
            ("tests/test_autodiff.py::test_debug_mode_flags_nonfinite",)),

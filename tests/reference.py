@@ -8,16 +8,21 @@ with `block_cross_attention`, `block_gat_encode` or `block_reduce_time`. The
 tape ops only this path needs are defined here on `ad.node`/`ad.add_grad`;
 `tests/test_autodiff.py` checks their gradients with the package's ops,
 through `grad_check`'s central differences.
+
+`load_embeddings` is the reference for the package's embeddings reader: the
+stdlib `json` parser and one array per entry.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from stockfuse import autodiff as ad
 from stockfuse.autodiff import Parameter, Tensor
+from stockfuse.data import EmbeddingTable
 from stockfuse.encoders import LEAKY_SLOPE, encode_documents, fold_indicators
 from stockfuse.errors import NumericError, ShapeError
 from stockfuse.predictor import aggregate_features
@@ -250,3 +255,19 @@ def forward_sample(model, packed, stock: int, start: int):
         v_g = ad.concat_rows(per_date)
     fused, stages = fuse_trimodal(v_i, v_d, v_g, *model.stages, variant, cfg.fusion_layers)
     return aggregate_features(aggregate_time(fused, v_i, model.pred), model.pred), stages
+
+
+def load_embeddings(path, dim: int | None = None) -> EmbeddingTable:
+    """An embeddings JSONL read line by line with `json.loads`, one array per entry."""
+    table = None
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not line.strip():
+                continue
+            obj = json.loads(line)
+            vec = np.asarray(obj["vector"], dtype=np.float64)
+            assert vec.ndim == 1
+            if table is None:
+                table = EmbeddingTable(dim=dim if dim is not None else len(vec))
+            table.put(str(obj["symbol"]), str(obj["date"]), vec)
+    return table if table is not None else EmbeddingTable(dim=dim if dim is not None else 1536)

@@ -127,6 +127,35 @@ def test_malformed_embedding_vector_exit_2(trained, tmp_path, caplog):
     assert "embeddings.jsonl:2: bad embedding line" in caplog.text
 
 
+def test_embedding_nan_literal_exit_2(trained, tmp_path, caplog):
+    """`NaN` is not JSON, so the line is bad: the error names the line, and the exit is 2."""
+    data = trained / "data"
+    embeddings = tmp_path / "embeddings.jsonl"
+    lines = (data / "embeddings.jsonl").read_text().splitlines(keepends=True)
+    bad = json.loads(lines[1])
+    bad["vector"][0] = float("nan")
+    embeddings.write_text("".join([lines[0], json.dumps(bad) + "\n", *lines[2:]]))
+    args = train_args(data, tmp_path / "out")
+    args[args.index("--embeddings") + 1] = str(embeddings)
+    assert run_command(args) == 2
+    assert "embeddings.jsonl:2: bad embedding line" in caplog.text
+
+
+@pytest.mark.parametrize("name", ["prices.csv", "documents.jsonl", "embeddings.jsonl",
+                                  "graph.tsv"])
+def test_input_not_utf8_exit_2(trained, tmp_path, caplog, name):
+    """A byte that is not UTF-8 in any input file is a data error naming its line."""
+    data = tmp_path / "data"
+    data.mkdir()
+    for f in ("prices.csv", "documents.jsonl", "embeddings.jsonl", "graph.tsv"):
+        (data / f).write_bytes((trained / "data" / f).read_bytes())
+    lines = (data / name).read_bytes().splitlines(keepends=True)
+    lines[2] = b"\xff" + lines[2]
+    (data / name).write_bytes(b"".join(lines))
+    assert run_command(train_args(data, tmp_path / "out")) == 2
+    assert f"{name}:3:" in caplog.text
+
+
 def test_malformed_text_cache_vector_exit_2(trained, tmp_path, caplog):
     cache = tmp_path / "cache.jsonl"
     cache.write_text(json.dumps({"key": "k", "vector": "abc"}) + "\n")
@@ -135,6 +164,16 @@ def test_malformed_text_cache_vector_exit_2(trained, tmp_path, caplog):
                         "--dim", "6"])
     assert code == 2
     assert "cache.jsonl:1: bad cache line" in caplog.text
+
+
+def test_text_cache_not_utf8_exit_2(trained, tmp_path, caplog):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_bytes(b'{"key": "k", "vector": [1.0]}\n\xff{"key": "l", "vector": [2.0]}\n')
+    code = run_command(["embed", "--documents", str(trained / "data" / "documents.jsonl"),
+                        "--out", str(tmp_path / "e.jsonl"), "--endpoint", str(cache),
+                        "--dim", "6"])
+    assert code == 2
+    assert "cache.jsonl:2: not UTF-8" in caplog.text
 
 
 def test_unknown_ini_key_exit_1(trained, tmp_path, caplog):

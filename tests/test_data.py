@@ -6,18 +6,22 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stockfuse import data as D
+from stockfuse import embed
 from stockfuse.container import load_bundle, save_bundle
 from stockfuse.errors import (
     ConfigError,
     DataError,
     FormatError,
     MissingEmbeddingError,
+    ProviderError,
     StockfuseError,
 )
 from stockfuse.synth import synth_dataset
+
+import reference as ref
 
 
 def write_prices(tmp_path, rows, header="date,symbol,open,high,close"):
@@ -761,3 +765,208 @@ class TestLoadEmbeddingsTornLine:
         path.write_text("\n".join([bad, *self.LINES]) + "\n")
         with pytest.raises(FormatError, match="e.jsonl:1: bad embedding line"):
             D.load_embeddings(path)
+
+
+class TestLoadEmbeddingsChecks:
+    LINES = TestLoadEmbeddingsTornLine.LINES
+    BAD_C = json.dumps({"symbol": "C", "date": "2020-01-02", "vector": [None, 1.0]})
+
+    def write(self, tmp_path, lines):
+        path = tmp_path / "e.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @pytest.mark.parametrize("vector", [[None, 1.0], ["nan", 1.0], [1.0, "-inf"]])
+    def test_non_finite_entry_is_a_data_error(self, tmp_path, vector):
+        bad = json.dumps({"symbol": "C", "date": "2020-01-02", "vector": vector})
+        with pytest.raises(DataError, match=r"\(C, 2020-01-02\) contains non-finite") as info:
+            D.load_embeddings(self.write(tmp_path, [*self.LINES, bad]))
+        assert not isinstance(info.value, FormatError)
+
+    @pytest.mark.parametrize("vector", [[1.0], [1.0, 2.0, 3.0], []])
+    def test_other_width_is_a_data_error(self, tmp_path, vector):
+        bad = json.dumps({"symbol": "C", "date": "2020-01-02", "vector": vector})
+        width = rf"e.jsonl:3: embedding for \(C, 2020-01-02\) has width \({len(vector)},\)"
+        with pytest.raises(DataError, match=width) as info:
+            D.load_embeddings(self.write(tmp_path, [*self.LINES, bad]))
+        assert not isinstance(info.value, FormatError)
+
+    def test_dim_argument_checks_the_first_line(self, tmp_path):
+        with pytest.raises(DataError, match=r"e.jsonl:1: .* has width \(2,\), expected \(3,\)"):
+            D.load_embeddings(self.write(tmp_path, self.LINES), dim=3)
+
+    @pytest.mark.parametrize("lines, error, message", [
+        ([BAD_C, LINES[0], '{"symbol"', LINES[1]], DataError, r"\(C, 2020-01-02\) contains"),
+        ([BAD_C, json.dumps({"symbol": "D", "date": "d", "vector": [1.0]})], DataError,
+         r"\(C, 2020-01-02\) contains"),
+        ([LINES[0], '{"symbol"', BAD_C], FormatError, "e.jsonl:2: bad embedding line"),
+    ])
+    def test_first_bad_line_decides_the_error(self, tmp_path, lines, error, message):
+        with pytest.raises(DataError, match=message) as info:
+            D.load_embeddings(self.write(tmp_path, lines))
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+    def test_number_outside_json_is_a_format_error(self, tmp_path, number):
+        """`NaN`, `Infinity` and numbers that overflow are not JSON: the line is bad."""
+        bad = '{"symbol": "C", "date": "2020-01-02", "vector": [1.0, %s]}' % number
+        with pytest.raises(FormatError, match="e.jsonl:2: bad embedding line"):
+            D.load_embeddings(self.write(tmp_path, [self.LINES[0], bad, self.LINES[1]]))
+
+    def test_lone_surrogate_is_a_format_error(self, tmp_path):
+        bad = json.dumps({"symbol": "\ud800", "date": "2020-01-02", "vector": [1.0, 2.0]})
+        with pytest.raises(FormatError, match="e.jsonl:2: bad embedding line"):
+            D.load_embeddings(self.write(tmp_path, [self.LINES[0], bad, self.LINES[1]]))
+
+    def test_entries_are_rows_of_one_float64_array(self, tmp_path):
+        table = D.load_embeddings(self.write(tmp_path, self.LINES))
+        rows = [table.get("A", "2020-01-02"), table.get("B", "2020-01-02")]
+        assert rows[0].base is rows[1].base and rows[0].base.dtype == np.float64
+        npt.assert_array_equal(rows[0].base[:2], [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_repeated_key_keeps_its_place_and_takes_the_last_vector(self, tmp_path):
+        again = json.dumps({"symbol": "A", "date": "2020-01-02", "vector": [5.0, 6.0]})
+        table = D.load_embeddings(self.write(tmp_path, [*self.LINES, again]))
+        assert list(table.entries) == [("A", "2020-01-02"), ("B", "2020-01-02")]
+        npt.assert_array_equal(table.get("A", "2020-01-02"), [5.0, 6.0])
+
+    def test_more_entries_than_the_first_allocation(self, tmp_path):
+        """A long first line sizes the array for fewer entries than the file holds."""
+        lines = [json.dumps({"symbol": f"S{i}" + "x" * (400 if i == 0 else 0), "date": "d",
+                             "vector": [i, -i / 3]}) for i in range(2500)]
+        table = D.load_embeddings(self.write(tmp_path, lines))
+        assert len({id(v.base) for v in table.entries.values()}) == 1
+        symbols = [symbol for symbol, _ in table.entries]
+        assert symbols == ["S0" + "x" * 400] + [f"S{i}" for i in range(1, 2500)]
+        npt.assert_array_equal(np.stack(list(table.entries.values())),
+                               [[i, -i / 3] for i in range(2500)])
+
+
+# numbers whose text the parser must round exactly as `json` does
+FLOAT_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.30000000000000004,
+               0.1, 1 / 3, 123456789.12345679]
+NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(FLOAT_EDGES).map(repr),
+    st.builds(lambda sign, m, e: f"{sign}{m}e{e}",  # up to 20-digit mantissas, no overflow
+              st.sampled_from(["", "-"]), st.integers(0, 10**20 - 1), st.integers(-345, 280)),
+    st.integers(-(10**30), 10**30).map(str),
+)
+EMBEDDING_LINES = st.integers(0, 4).flatmap(lambda dim: st.lists(
+    st.tuples(st.sampled_from("ABC"), st.sampled_from(["2020-01-02", "2020-01-03"]),
+              st.lists(NUMBER_TEXT, min_size=dim, max_size=dim)),
+    max_size=8,
+))
+
+
+@settings(max_examples=100)
+@given(EMBEDDING_LINES)
+def test_load_embeddings_equals_the_json_reference(tmp_path_factory, lines):
+    """Bit for bit, keys in the same order, repeated keys included."""
+    path = tmp_path_factory.getbasetemp() / "reference.jsonl"
+    path.write_text("".join(
+        f'{{"symbol": "{s}", "date": "{d}", "vector": [{", ".join(v)}]}}\n' for s, d, v in lines
+    ))
+    want, got = ref.load_embeddings(path), D.load_embeddings(path)
+    assert got.dim == want.dim
+    assert list(got.entries) == list(want.entries)
+    for key, vec in want.entries.items():
+        assert got.entries[key].dtype == np.float64
+        assert got.entries[key].tobytes() == vec.tobytes()
+
+
+# reader: (load, file name, a valid file, the errors a bad file raises)
+VALID_FILES = {
+    "prices": (D.load_prices, "prices.csv",
+               "date,symbol,open,high,close\n2020-01-02,AAA,10,11,10.5\n"
+               "2020-01-03,AAA,10.5,11.5,11\n2020-01-02,BÉ,5,6,5.5\n", DataError),
+    "documents": (D.load_documents, "docs.jsonl",
+                  '{"symbol": "A", "date": "2020-01-02", "texts": ["up é", "b"]}\n'
+                  '{"symbol": "B", "date": "2020-01-02", "texts": []}\n', DataError),
+    "embeddings": (D.load_embeddings, "e.jsonl",
+                   '{"symbol": "Aé", "date": "2020-01-02", "vector": [1.5, -2e-3]}\n'
+                   '{"symbol": "B", "date": "2020-01-02", "vector": [3, 4.0]}\n', DataError),
+    "graph": (D.load_graph, "graph.tsv", "A\tin\tSé\nB\tin\tSé\nC\tin\tS2\n", DataError),
+    # the `file` embeddings backend's cache: a bad line there is the provider's error
+    "text cache": (embed._load_text_cache, "cache.jsonl",
+                   '{"key": "k1", "vector": [0.5, 1e-7]}\n{"key": "ké", "vector": [2, 3]}\n',
+                   (ProviderError, FormatError)),
+}
+BYTE_EDITS = st.lists(st.tuples(st.sampled_from(["flip", "insert", "delete", "truncate"]),
+                                st.integers(0, 10**6), st.integers(0, 255)), min_size=1, max_size=3)
+
+
+def edit_bytes(data: bytes, edits) -> bytes:
+    """`data` after each (kind, position, byte) edit in turn; positions wrap around."""
+    for kind, pos, byte in edits:
+        pos %= len(data) + 1
+        if kind == "flip" and pos < len(data):
+            data = data[:pos] + bytes([data[pos] ^ (1 << byte % 8)]) + data[pos + 1 :]
+        elif kind == "insert":
+            data = data[:pos] + bytes([byte]) + data[pos:]
+        elif kind == "delete":
+            data = data[:pos] + data[pos + 1 :]
+        elif kind == "truncate":
+            data = data[:pos]
+    return data
+
+
+@pytest.mark.parametrize("reader", sorted(VALID_FILES))
+@settings(max_examples=100)
+@given(edits=BYTE_EDITS)
+def test_byte_edits_load_or_raise_the_readers_error(tmp_path_factory, reader, edits):
+    load, name, text, error = VALID_FILES[reader]
+    path = tmp_path_factory.getbasetemp() / name
+    path.write_bytes(edit_bytes(text.encode(), edits))
+    try:
+        load(path)
+    except error:
+        pass
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is a FormatError naming the file and its line."""
+
+    @staticmethod
+    def poison(path, lineno):
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[lineno - 1] = b"\xff" + lines[lineno - 1]
+        path.write_bytes(b"".join(lines))
+        return path
+
+    def test_prices(self, tmp_path):
+        """Line 400 lies past the first read buffer, so its number is counted from the bytes."""
+        rows = [f"2020-01-{d:02d},S{s},10,11,10.5" for s in range(20) for d in range(1, 26)]
+        path = self.poison(write_prices(tmp_path, rows), 400)
+        with pytest.raises(FormatError, match=r"prices\.csv:400: not UTF-8"):
+            D.load_prices(path)
+
+    def test_documents(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text("".join(json.dumps({"symbol": s, "date": "d", "texts": ["x"]}) + "\n"
+                                for s in "ABC"))
+        with pytest.raises(FormatError, match=r"docs\.jsonl:2: bad document line"):
+            D.load_documents(self.poison(path, 2))
+
+    def test_embeddings(self, tmp_path):
+        path = tmp_path / "e.jsonl"
+        path.write_text("\n".join(TestLoadEmbeddingsTornLine.LINES) + "\n")
+        with pytest.raises(FormatError, match=r"e\.jsonl:2: bad embedding line"):
+            D.load_embeddings(self.poison(path, 2))
+
+    def test_graph(self, tmp_path):
+        path = tmp_path / "graph.tsv"
+        path.write_text("A\tin\tS1\nB\tin\tS1\nC\tin\tS2\n")
+        with pytest.raises(FormatError, match=r"graph\.tsv:3: not UTF-8"):
+            D.load_graph(self.poison(path, 3))
+
+
+@pytest.mark.parametrize("texts", ["hello", {"a": "b"}, ["a", None], ["a", 1], [["a"]], None])
+def test_document_texts_must_be_a_list_of_strings(tmp_path, texts):
+    path = tmp_path / "docs.jsonl"
+    rows = [{"symbol": "A", "date": "2020-01-02", "texts": ["ok"]},
+            {"symbol": "B", "date": "2020-01-02", "texts": texts}]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    with pytest.raises(FormatError, match=r"docs\.jsonl:2: bad document line"):
+        D.load_documents(path)

@@ -18,6 +18,7 @@ from stockfuse.embed import (
 from stockfuse.errors import (
     ConfigError,
     ContractError,
+    FormatError,
     MissingEmbeddingError,
     ProviderError,
 )
@@ -143,6 +144,14 @@ class TestFileBackend:
             fh.write(json.dumps({"key": text_cache_key("m", "beta"), "vector": vector}) + "\n")
         cfg = ProviderConfig(backend="file", endpoint=str(path), dim=DIM)
         with pytest.raises(ProviderError, match="cache.jsonl:2: bad cache line"):
+            embed_texts(EmbedRequest(texts=["alpha"], model="m"), cfg)
+
+    def test_cache_line_not_utf8_raises(self, tmp_path):
+        path = self.write_cache(tmp_path, "m", ["alpha", "beta", "gamma"])
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join([lines[0], b"\xff" + lines[1], lines[2]]))
+        cfg = ProviderConfig(backend="file", endpoint=str(path), dim=DIM)
+        with pytest.raises(FormatError, match=r"cache\.jsonl:2: not UTF-8"):
             embed_texts(EmbedRequest(texts=["alpha"], model="m"), cfg)
 
 

@@ -2,13 +2,19 @@
 
 Every module-level function, class and constant of the package is read
 somewhere in `src/` besides its definition, or is listed in UNREAD with the
-reason it stays. Test hooks and oracles live in `tests/` instead.
+reason it stays. Test hooks and oracles live in `tests/` instead. The
+third-party packages `src/` imports are the ones `pyproject.toml` declares.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "stockfuse"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "stockfuse"
 
 UNREAD = {
     ("autodiff", "sigmoid"): "tests/reference.py's gates and perfbench/trace.py's patch read it; "
@@ -55,3 +61,20 @@ def test_every_module_level_name_is_read_in_src():
 def test_unread_allowlist_is_current():
     """An entry whose name is gone, or now read in `src/`, is dropped."""
     assert set(UNREAD) - _unread() == set()
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    imported = set()
+    for path in SRC.glob("*.py"):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in n.names)
+            elif isinstance(n, ast.ImportFrom) and n.level == 0:
+                imported.add(n.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"stockfuse"}
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower().replace("-", "_")
+                for d in dependencies}
+    assert third_party == declared
