@@ -9,7 +9,6 @@ error, 2 data error, 3 numeric abort.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -17,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import LIST_KEYS, VARIANTS, RunConfig, echo_config, load_run_config, parse_list
+from .container import json_text
 from .data import (
     build_dataset,
     load_documents,
@@ -196,12 +196,12 @@ def _cmd_train(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     echo_config(cfg, outdir)
     split, graph = _load_or_build_dataset(cfg)
-    splits_path = outdir / "splits.sfb"
+    splits_path, checkpoint = outdir / "splits.sfb", outdir / "checkpoint.sfb"
     save_split(splits_path, split, graph)
     model, history = train_model(
         split, graph, cfg.train, variant=args.variant,
         metrics_csv=outdir / "metrics.csv",
-        checkpoint_path=outdir / "checkpoint.sfb",
+        checkpoint_path=checkpoint,
         resume_from=args.resume,
     )
     packed = PackedPanel.from_panel(split.panel, graph, cfg.train.dtype)
@@ -214,11 +214,9 @@ def _cmd_train(args) -> int:
         "test_acc": test_acc,
         "test_mcc": test_mcc,
         "splits": str(splits_path),
-        "checkpoint": str(outdir / "checkpoint.sfb"),
+        "checkpoint": str(checkpoint) if checkpoint.exists() else None,  # none after 0 epochs
     }
-    with open(outdir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (outdir / "summary.json").write_text(json_text(summary) + "\n")
     print(f"best valid MCC {best:.4f}; test ACC {test_acc:.4f} MCC {test_mcc:.4f}")
     return 0
 
@@ -253,13 +251,11 @@ def _cmd_eval(args) -> int:
         "test_mcc": test_mcc,
         "confusion": cm.tolist(),
     }
-    print(json.dumps(result, indent=2, sort_keys=True))
+    print(json_text(result))
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        with open(outdir / "eval.json", "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        (outdir / "eval.json").write_text(json_text(result) + "\n")
     return 0
 
 

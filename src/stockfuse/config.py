@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .container import json_text
 from .errors import ConfigError
 
 VARIANTS = ("full", "glu_fusion", "ca_fusion", "drop_graph", "drop_docs", "drop_indicators")
@@ -85,9 +85,9 @@ class TrainConfig:
         if unknown:
             raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
         for name, value in d.items():
-            ftype = _TRAIN_TYPES[name].type  # "int", "float | None", ...
-            kinds = {"int": (int,), "float": (int, float), "str": (str,)}[ftype.split(" |")[0]]
-            if not (value is None and "None" in ftype) and (
+            ftype, kind, optional = _TRAIN_TYPES[name]
+            kinds = (int, float) if kind is float else (kind,)
+            if not (value is None and optional) and (
                 not isinstance(value, kinds) or isinstance(value, bool)
             ):
                 raise ConfigError(f"train config {name} = {value!r} is not of type {ftype}")
@@ -122,23 +122,26 @@ class RunConfig:
         return self
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["train"] = self.train.to_dict()
-        return d
+        return dataclasses.asdict(self)
 
 
-_TRAIN_TYPES = {f.name: f for f in dataclasses.fields(TrainConfig)}
+# [train] key -> (annotation, scalar type, whether None is allowed), read off TrainConfig
+_TRAIN_TYPES = {
+    f.name: (
+        f.type,  # "int", "float | None", ...
+        {"int": int, "float": float, "str": str}[f.type.split(" |")[0]],
+        f.type.endswith(" | None"),
+    )
+    for f in dataclasses.fields(TrainConfig)
+}
 
 
 def _parse_scalar(name: str, raw: str):
+    _, kind, optional = _TRAIN_TYPES[name]
     raw = raw.strip()
-    if name in ("head_dim", "grad_clip") and raw.lower() in ("", "none"):
+    if optional and raw.lower() in ("", "none"):
         return None
-    if name == "precision":
-        return raw
-    if name in ("lr", "warmup_frac", "grad_clip"):
-        return float(raw)
-    return int(raw)
+    return kind(raw)
 
 
 LIST_KEYS = ("thresholds", "ratios", "seeds", "variants")
@@ -199,7 +202,5 @@ def echo_config(cfg: RunConfig, outdir) -> Path:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "effective_config.json"
-    with open(path, "w") as fh:
-        json.dump(cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    path.write_text(json_text(cfg.to_dict()) + "\n")
     return path

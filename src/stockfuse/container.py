@@ -4,6 +4,9 @@ Layout: magic line, 8-byte little-endian header length, UTF-8 JSON header,
 then each array's raw C-order bytes in header order. Unlike zip-based
 formats there are no timestamps, so identical content is byte-identical,
 which the dataset-build and synth determinism contracts rely on.
+
+`json_text` renders the JSON text files the commands write (config echo,
+summary, eval result, reports) so that every one of them is valid JSON.
 """
 
 from __future__ import annotations
@@ -58,6 +61,21 @@ def save_bundle(path, arrays: dict[str, np.ndarray], meta: dict | None = None) -
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
+
+
+def json_text(obj) -> str:
+    """`obj` as indented, key-sorted JSON; a non-finite float is written as null."""
+    return json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False)
 
 
 def load_bundle(path) -> tuple[dict[str, np.ndarray], dict]:

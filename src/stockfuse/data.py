@@ -2,9 +2,15 @@
 
 Raw inputs are a prices CSV, a documents JSONL, an embeddings JSONL, and a
 relational-graph TSV. Assembly aligns everything on a global trading
-calendar, computes 3-class trend labels from close-to-close returns, finds
-every sliding window in one pass over the panel, and splits the windows
-chronologically by label date.
+calendar, finds every sliding window in one pass over the panel, and splits
+the windows chronologically by label date.
+
+On that calendar a stock's missing date repeats the prices of its last
+observed date (a flat day), and the dates before its first observation take
+that first observation's prices; neither is marked observed. An observed
+date's 3-class trend label classifies the return from the stock's previous
+observed close, the ratio the first indicator feature also reads; the
+stock's first observed date has none.
 
 A window is not an object: each split part is an `np.recarray` of
 (stock_index, start, label) refs into the shared panel, and the window size
@@ -89,7 +95,6 @@ class RelationalGraph:
     mutual neighbors, as does a direct stock-stock edge.
     """
 
-    nodes: set[str]
     edges: list[tuple[str, str, str]]
     adjacency: dict[str, list[str]]
 
@@ -116,8 +121,14 @@ class Panel:
     `features` holds the model-side indicator rows, derived from the prices
     on construction: close/open/high divided by the previous day's close
     (day 0 uses its own close), which keeps the inputs scale-free and lets
-    one row serve every window that covers the date. `observed` is False where a price row was forward-filled to keep
-    the calendar rectangular.
+    one row serve every window that covers the date.
+
+    `observed` is False where a stock has no price row: such a date repeats
+    the stock's last observed prices, or its first ones before it was first
+    observed, to keep the calendar rectangular. `labels` classifies, on each
+    observed date, the return from the stock's previous observed close (up
+    if >= upper, down if <= lower, flat in between); unobserved dates and
+    each stock's first observed date hold NO_LABEL.
     """
 
     symbols: list[str]
@@ -374,63 +385,12 @@ def build_graph(edges, stocks=None) -> RelationalGraph:
     for members in sector_members.values():
         for a in members:
             neighbors[a].update(members)
-    nodes = stock_set | set(sector_members)
     adjacency = {s: sorted(nb) for s, nb in neighbors.items()}
-    return RelationalGraph(nodes=nodes, edges=kept, adjacency=adjacency)
+    return RelationalGraph(edges=kept, adjacency=adjacency)
 
 
 # ---------------------------------------------------------------------------
-# labeling, alignment, windows
-
-
-def compute_labels(series: PriceSeries, lower: float, upper: float) -> np.ndarray:
-    """Per-date trend classes from close-to-close returns.
-
-    Entry t labels the move into date t: up if the return is >= upper, down
-    if <= lower (both boundaries inclusive), flat in between. Entry 0 is
-    NO_LABEL; series shorter than 2 yield all NO_LABEL.
-    """
-    if not lower < 0 < upper:
-        raise ConfigError(f"thresholds must straddle zero, got ({lower}, {upper})")
-    labels = np.full(len(series), NO_LABEL, dtype=np.int64)
-    if len(series) < 2:
-        return labels
-    r = series.close[1:] / series.close[:-1] - 1.0
-    labels[1:] = np.where(r >= upper, UP, np.where(r <= lower, DOWN, FLAT))
-    return labels
-
-
-def align_documents(
-    series: PriceSeries, days: list[DocumentDay], table: EmbeddingTable
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trading-date embedding matrix and presence mask for one symbol.
-
-    Dates with documents take the cached (already pooled) vector; dates
-    without get the zero vector and mask 0. Documents on non-trading dates
-    are dropped with a warning.
-    """
-    date_index = {d: i for i, d in enumerate(series.dates)}
-    matrix = np.zeros((len(series), table.dim), dtype=np.float64)
-    mask = np.zeros(len(series), dtype=np.int64)
-    missing = []
-    for day in days:
-        if day.symbol != series.symbol or not day.texts:
-            continue
-        pos = date_index.get(day.date)
-        if pos is None:
-            log.warning(
-                "dropping documents for (%s, %s): not a trading date", day.symbol, day.date
-            )
-            continue
-        vec = table.get(day.symbol, day.date)
-        if vec is None:
-            missing.append((day.symbol, day.date))
-            continue
-        matrix[pos] = vec
-        mask[pos] = 1
-    if missing:
-        raise MissingEmbeddingError(missing)
-    return matrix, mask
+# windows and splits
 
 
 def window_refs(panel: Panel, ws: int) -> np.recarray:
@@ -504,6 +464,17 @@ def batch_iter(refs: np.ndarray, batch_size: int, seed: int, epoch: int = 0):
 FEATURE_SCALE = 100.0  # percent units keep encoder inputs O(1)
 
 
+def _over_previous_close(close: np.ndarray, *prices: np.ndarray) -> list[np.ndarray]:
+    """Each n x T price array over its stock's previous-date close, minus 1.
+
+    Date 0 uses its own close as the base. The close-to-close ratio this
+    forms is both the first indicator feature and the return that labels
+    the date.
+    """
+    prev = np.concatenate((close[:, :1], close[:, :-1]), axis=1)
+    return [p / prev - 1.0 for p in prices]
+
+
 def _indicator_features(close: np.ndarray, open_: np.ndarray, high: np.ndarray) -> np.ndarray:
     """Previous-close relative changes in percent, (n, T, 3), (close, open, high).
 
@@ -512,10 +483,7 @@ def _indicator_features(close: np.ndarray, open_: np.ndarray, high: np.ndarray) 
     Being per-date quantities, the same row serves every window covering the
     date, which the shared graph computation relies on.
     """
-    prev = np.concatenate((close[:, :1], close[:, :-1]), axis=1)
-    return np.stack(
-        [close / prev - 1.0, open_ / prev - 1.0, high / prev - 1.0], axis=-1
-    ) * FEATURE_SCALE
+    return np.stack(_over_previous_close(close, close, open_, high), axis=-1) * FEATURE_SCALE
 
 
 def build_panel(
@@ -526,49 +494,67 @@ def build_panel(
 ) -> Panel:
     """Align all stocks on the union calendar and stack every modality.
 
-    Stocks missing a calendar date get forward-filled prices (flat day) so
-    the graph encoder always sees a full cross-section; those positions are
-    marked unobserved and never produce samples.
+    Prices are filled and dates labeled as `Panel` states, so the graph
+    encoder always sees a full cross-section; filled positions never produce
+    samples. A series with no rows raises DataError. A document day takes
+    the table's pooled vector; one on a date its stock did not trade is
+    dropped with a warning, and missing vectors raise MissingEmbeddingError
+    naming every one.
     """
     if not series_list:
         raise DataError("no price series to assemble")
-    symbols = sorted(s.symbol for s in series_list)
-    by_symbol = {s.symbol: s for s in series_list}
+    series_list = sorted(series_list, key=lambda s: s.symbol)
+    empty = [s.symbol for s in series_list if len(s) == 0]
+    if empty:
+        raise DataError(f"price series with no rows: {', '.join(empty)}")
+    lower, upper = label_spec
+    if not lower < 0 < upper:
+        raise ConfigError(f"thresholds must straddle zero, got ({lower}, {upper})")
+    symbols = [s.symbol for s in series_list]
     calendar = sorted({d for s in series_list for d in s.dates})
     n, T = len(symbols), len(calendar)
-    cal_index = {d: i for i, d in enumerate(calendar)}
-    close = np.zeros((n, T))
-    open_ = np.zeros((n, T))
-    high = np.zeros((n, T))
+    cal_index = {d: t for t, d in enumerate(calendar)}
+    stock = np.repeat(np.arange(n), [len(s) for s in series_list])
+    date = np.array([cal_index[d] for s in series_list for d in s.dates])
     observed = np.zeros((n, T), dtype=bool)
+    observed[stock, date] = True
+    first = observed.argmax(axis=1)[:, None]
+    # the last observed date at or before each date; the first one before it
+    source = np.maximum.accumulate(np.where(observed, np.arange(T), first), axis=1)
+    prices = np.zeros((3, n, T))  # close, open, high
+    prices[:, stock, date] = [
+        np.concatenate([getattr(s, attr) for s in series_list])
+        for attr in ("close", "open", "high")
+    ]
+    close, open_, high = prices[:, np.arange(n)[:, None], source]
+    (ret,) = _over_previous_close(close, close)
+    labels = np.where(
+        observed & (np.arange(T) > first),
+        np.where(ret >= upper, UP, np.where(ret <= lower, DOWN, FLAT)),
+        NO_LABEL,
+    )
+    row = {s: i for i, s in enumerate(symbols)}
     doc_emb = np.zeros((n, T, table.dim))
     doc_mask = np.zeros((n, T), dtype=np.int64)
-    labels = np.full((n, T), NO_LABEL, dtype=np.int64)
-    days_by_symbol: dict[str, list[DocumentDay]] = {}
-    for day in doc_days:
-        days_by_symbol.setdefault(day.symbol, []).append(day)
-    filled_cells = 0
-    for i, sym in enumerate(symbols):
-        ser = by_symbol[sym]
-        pos = np.array([cal_index[d] for d in ser.dates])
-        close[i, pos] = ser.close
-        open_[i, pos] = ser.open
-        high[i, pos] = ser.high
-        observed[i, pos] = True
-        if not observed[i].all():
-            filled_cells += int((~observed[i]).sum())
-            last = np.maximum.accumulate(np.where(observed[i], np.arange(T), -1))
-            first_obs = int(pos.min())
-            last = np.where(last < 0, first_obs, last)
-            for arr in (close, open_, high):
-                arr[i] = arr[i, last]
-        lab = compute_labels(ser, *label_spec)
-        labels[i, pos] = lab
-        mat, msk = align_documents(ser, days_by_symbol.get(sym, []), table)
-        doc_emb[i, pos] = mat
-        doc_mask[i, pos] = msk
-    if filled_cells:
-        log.warning("forward-filled %d missing (stock, date) price cells", filled_cells)
+    missing = []
+    for day in sorted(doc_days, key=lambda d: row.get(d.symbol, -1)):  # stable: warnings by symbol
+        i = row.get(day.symbol)
+        if i is None or not day.texts:
+            continue
+        t = cal_index.get(day.date)
+        if t is None or not observed[i, t]:
+            log.warning(
+                "dropping documents for (%s, %s): not a trading date", day.symbol, day.date
+            )
+        elif (vec := table.get(day.symbol, day.date)) is None:
+            missing.append((day.symbol, day.date))
+        else:
+            doc_emb[i, t] = vec
+            doc_mask[i, t] = 1
+    if missing:
+        raise MissingEmbeddingError(missing)
+    if not observed.all():
+        log.warning("forward-filled %d missing (stock, date) price cells", (~observed).sum())
     return Panel(
         symbols=symbols,
         calendar=calendar,
@@ -651,7 +637,6 @@ def load_split(path) -> tuple[DatasetSplit, RelationalGraph | None]:
         panel_arrays = {name: arrays[name] for name in _PANEL_ARRAYS}
         adjacency = meta.get("adjacency")
         graph = None if adjacency is None else RelationalGraph(
-            nodes=set(symbols),
             edges=[tuple(e) for e in meta.get("graph_edges") or []],
             adjacency={s: list(nb) for s, nb in adjacency.items()},
         )

@@ -11,7 +11,6 @@ their smoothness along the stock's price timeline.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import VARIANTS, TrainConfig
-from .container import save_bundle
+from .container import json_text, save_bundle
 from .data import DatasetSplit, RelationalGraph
 from .errors import ConfigError
 from .metrics import pca_project_1d, smoothness
@@ -105,9 +104,7 @@ def write_reports(reports: list[EvalReport], outdir) -> tuple[Path, Path]:
                  repr(r.mcc_var), repr(r.seconds_per_epoch), r.peak_mem_bytes,
                  len(r.seeds), r.n_test]
             )
-    with open(json_path, "w") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    json_path.write_text(json_text([r.to_dict() for r in reports]) + "\n")
     return csv_path, json_path
 
 
@@ -184,12 +181,9 @@ def write_stability(report: StabilityReport, outdir) -> tuple[Path, Path, Path]:
         for row in report.rows():
             writer.writerow(row)
     json_path = outdir / "smoothness.json"
-    with open(json_path, "w") as fh:
-        json.dump(
-            {"symbol": report.symbol, "smoothness": report.smoothness}, fh,
-            indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    json_path.write_text(
+        json_text({"symbol": report.symbol, "smoothness": report.smoothness}) + "\n"
+    )
     bundle_path = outdir / "stability_features.sfb"
     arrays = {key.replace("/", "_"): values for key, values in report.series.items()}
     arrays["close"] = report.closes

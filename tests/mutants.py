@@ -1,5 +1,6 @@
-"""Hand-made mutants of the hand-written backward code, of the finite checks and
-of the embeddings reader's checks, each run against its pins.
+"""Hand-made mutants of the hand-written backward code, of the finite checks, of
+the embeddings reader's checks and of the panel assembly, each run against its
+pins.
 
     python tests/mutants.py            # every mutant
     python tests/mutants.py gat        # the mutants whose name contains "gat"
@@ -52,6 +53,7 @@ STAGE_PINS = (
     "tests/test_model.py::test_model_grad_check_through_source_rows",
 )
 GAT_PINS = ("tests/test_encoders.py::TestBlockGat", "tests/test_encoders.py::TestLiftedGat")
+PANEL_PINS = ("tests/test_data.py::test_build_panel_equals_the_per_stock_reference",)
 TIME_PINS = (
     "tests/test_predictor.py::TestAggregateTime",
     "tests/test_predictor.py::test_block_reduce_time_matches_per_window",
@@ -246,6 +248,17 @@ MUTANTS = [
     Mutant("embeddings: every bad line taken for a torn last line", DATA,
            'if not raw.endswith(b"\\n"):', "if True:",
            ("tests/test_data.py::TestLoadEmbeddingsTornLine",)),
+    # build_panel: labels from the previous observed close, prices filled from the last
+    # observed date, documents only on the stock's own dates
+    Mutant("panel: the first observed date keeps its label", DATA,
+           "observed & (np.arange(T) > first)", "observed & (np.arange(T) >= first)",
+           PANEL_PINS),
+    Mutant("panel: the fill reads the next observed date, not the last", DATA,
+           "np.maximum.accumulate(np.where(observed, np.arange(T), first), axis=1)",
+           "np.minimum.accumulate(np.where(observed, np.arange(T), T - 1)[:, ::-1], axis=1)"
+           "[:, ::-1]", PANEL_PINS),
+    Mutant("panel: a document on an untraded date is kept", DATA,
+           "if t is None or not observed[i, t]:", "if t is None:", PANEL_PINS),
     Mutant("tests: the node wrapper passes non-finite values", "tests/conftest.py",
            "    if not np.all(np.isfinite(values)):\n", "    if False:\n",
            ("tests/test_autodiff.py::test_debug_mode_flags_nonfinite",)),

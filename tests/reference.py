@@ -11,21 +11,32 @@ through `grad_check`'s central differences.
 
 `load_embeddings` is the reference for the package's embeddings reader: the
 stdlib `json` parser and one array per entry.
+
+`build_panel` is the reference for the package's panel assembly: a loop over
+stocks that labels each from its own close series (`compute_labels`) and
+aligns its documents on its own dates (`align_documents`).
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import fields, is_dataclass
 
 import numpy as np
 
 from stockfuse import autodiff as ad
 from stockfuse.autodiff import Parameter, Tensor
-from stockfuse.data import EmbeddingTable
+from stockfuse.data import (
+    DOWN, FLAT, NO_LABEL, UP, DocumentDay, EmbeddingTable, Panel, PriceSeries,
+)
 from stockfuse.encoders import LEAKY_SLOPE, encode_documents, fold_indicators
-from stockfuse.errors import NumericError, ShapeError
+from stockfuse.errors import (
+    ConfigError, DataError, MissingEmbeddingError, NumericError, ShapeError,
+)
 from stockfuse.predictor import aggregate_features
+
+log = logging.getLogger("stockfuse.data")  # the warnings `build_panel` logs
 
 NEG_MASK = -1e30  # score bias of a non-neighbour in `gat_encode`'s dense softmax
 
@@ -271,3 +282,105 @@ def load_embeddings(path, dim: int | None = None) -> EmbeddingTable:
                 table = EmbeddingTable(dim=dim if dim is not None else len(vec))
             table.put(str(obj["symbol"]), str(obj["date"]), vec)
     return table if table is not None else EmbeddingTable(dim=dim if dim is not None else 1536)
+
+
+def compute_labels(series: PriceSeries, lower: float, upper: float) -> np.ndarray:
+    """Per-date trend classes from close-to-close returns.
+
+    Entry t labels the move into date t: up if the return is >= upper, down
+    if <= lower (both boundaries inclusive), flat in between. Entry 0 is
+    NO_LABEL; series shorter than 2 yield all NO_LABEL.
+    """
+    if not lower < 0 < upper:
+        raise ConfigError(f"thresholds must straddle zero, got ({lower}, {upper})")
+    labels = np.full(len(series), NO_LABEL, dtype=np.int64)
+    if len(series) < 2:
+        return labels
+    r = series.close[1:] / series.close[:-1] - 1.0
+    labels[1:] = np.where(r >= upper, UP, np.where(r <= lower, DOWN, FLAT))
+    return labels
+
+
+def align_documents(
+    series: PriceSeries, days: list[DocumentDay], table: EmbeddingTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-trading-date embedding matrix and presence mask for one symbol.
+
+    Dates with documents take the cached (already pooled) vector; dates
+    without get the zero vector and mask 0. Documents on non-trading dates
+    are dropped with a warning.
+    """
+    date_index = {d: i for i, d in enumerate(series.dates)}
+    matrix = np.zeros((len(series), table.dim), dtype=np.float64)
+    mask = np.zeros(len(series), dtype=np.int64)
+    missing = []
+    for day in days:
+        if day.symbol != series.symbol or not day.texts:
+            continue
+        pos = date_index.get(day.date)
+        if pos is None:
+            log.warning(
+                "dropping documents for (%s, %s): not a trading date", day.symbol, day.date
+            )
+            continue
+        vec = table.get(day.symbol, day.date)
+        if vec is None:
+            missing.append((day.symbol, day.date))
+            continue
+        matrix[pos] = vec
+        mask[pos] = 1
+    if missing:
+        raise MissingEmbeddingError(missing)
+    return matrix, mask
+
+
+def build_panel(series_list, doc_days, table: EmbeddingTable, label_spec) -> Panel:
+    """The panel one stock at a time: scatter, fill, label and align each in turn.
+
+    A stock's missing dates take its last observed prices, or its first ones
+    before it was first observed. The missing embeddings of every stock are
+    named together, after the last stock.
+    """
+    if not series_list:
+        raise DataError("no price series to assemble")
+    if any(len(s) == 0 for s in series_list):
+        raise DataError("a price series has no rows")
+    symbols = sorted(s.symbol for s in series_list)
+    by_symbol = {s.symbol: s for s in series_list}
+    calendar = sorted({d for s in series_list for d in s.dates})
+    n, T = len(symbols), len(calendar)
+    cal_index = {d: i for i, d in enumerate(calendar)}
+    close, open_, high = np.zeros((n, T)), np.zeros((n, T)), np.zeros((n, T))
+    observed = np.zeros((n, T), dtype=bool)
+    doc_emb = np.zeros((n, T, table.dim))
+    doc_mask = np.zeros((n, T), dtype=np.int64)
+    labels = np.full((n, T), NO_LABEL, dtype=np.int64)
+    days_by_symbol: dict[str, list[DocumentDay]] = {}
+    for day in doc_days:
+        days_by_symbol.setdefault(day.symbol, []).append(day)
+    missing = []
+    for i, sym in enumerate(symbols):
+        ser = by_symbol[sym]
+        pos = np.array([cal_index[d] for d in ser.dates])
+        close[i, pos], open_[i, pos], high[i, pos] = ser.close, ser.open, ser.high
+        observed[i, pos] = True
+        last = np.maximum.accumulate(np.where(observed[i], np.arange(T), -1))
+        last = np.where(last < 0, int(pos.min()), last)
+        for arr in (close, open_, high):
+            arr[i] = arr[i, last]
+        labels[i, pos] = compute_labels(ser, *label_spec)
+        try:
+            mat, msk = align_documents(ser, days_by_symbol.get(sym, []), table)
+        except MissingEmbeddingError as exc:
+            missing += exc.keys
+            continue
+        doc_emb[i, pos] = mat
+        doc_mask[i, pos] = msk
+    if missing:
+        raise MissingEmbeddingError(missing)
+    if not observed.all():
+        log.warning("forward-filled %d missing (stock, date) price cells", (~observed).sum())
+    return Panel(
+        symbols=symbols, calendar=calendar, close=close, open=open_, high=high,
+        doc_emb=doc_emb, doc_mask=doc_mask, observed=observed, labels=labels,
+    )

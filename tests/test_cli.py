@@ -1,12 +1,14 @@
 import json
 
 import numpy as np
+import orjson
 import pytest
 
 from stockfuse.cli import run_command
 from stockfuse.container import load_bundle, save_bundle
 from stockfuse.data import load_split, save_split
 from stockfuse.errors import FormatError
+from stockfuse.evaluation import EvalReport, write_reports
 from stockfuse.metrics import chance_band
 
 
@@ -42,6 +44,25 @@ def trained(tmp_path_factory):
 def test_train_writes_summary(trained):
     summary = json.loads((trained / "run" / "summary.json").read_text())
     assert summary["epochs"] == 10 and 0.0 <= summary["test_acc"] <= 1.0
+
+
+def test_zero_epoch_summary_is_json_naming_no_checkpoint(trained, tmp_path):
+    """With no epoch run there is no best validation MCC and no checkpoint file."""
+    assert run_command(train_args(trained / "data", tmp_path / "run", "--epochs", "0")) == 0
+    summary = orjson.loads((tmp_path / "run" / "summary.json").read_bytes())
+    assert summary["epochs"] == 0 and summary["best_valid_mcc"] is None
+    assert summary["checkpoint"] is None and not (tmp_path / "run" / "checkpoint.sfb").exists()
+    assert json.loads((trained / "run" / "summary.json").read_text())["checkpoint"] == str(
+        trained / "run" / "checkpoint.sfb"
+    )
+
+
+def test_report_json_writes_non_finite_as_null(tmp_path):
+    nan = float("nan")
+    report = EvalReport("full", [0], [nan], [0.5], nan, nan, 0.5, 0.0, 0.0, 0, 0)
+    _, json_path = write_reports([report], tmp_path)
+    (row,) = orjson.loads(json_path.read_bytes())
+    assert row["acc_values"] == [None] and row["acc_mean"] is None and row["mcc_mean"] == 0.5
 
 
 def test_eval_exit_0(trained, tmp_path):

@@ -1,6 +1,7 @@
 import json
 import logging
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -92,7 +93,14 @@ class TestLoadPrices:
         assert "rejected 2 malformed rows (lines [2, 4])" in caplog.text
 
 
+def one_stock_panel(series, days=(), table=None, label_spec=(-0.01, 0.01)):
+    table = table if table is not None else D.EmbeddingTable(dim=2)
+    return D.build_panel([series], list(days), table, label_spec)
+
+
 class TestComputeLabels:
+    """The labels `build_panel` gives one fully observed stock."""
+
     def make(self, closes):
         n = len(closes)
         return D.PriceSeries(
@@ -103,28 +111,27 @@ class TestComputeLabels:
             close=np.asarray(closes, dtype=float),
         )
 
+    def labels(self, closes):
+        return one_stock_panel(self.make(closes)).labels[0].tolist()
+
     def test_up_at_inno_thresholds(self):
-        labels = D.compute_labels(self.make([100.0, 101.2]), -0.01, 0.01)
-        assert labels.tolist() == [D.NO_LABEL, D.UP]
+        assert self.labels([100.0, 101.2]) == [D.NO_LABEL, D.UP]
 
     def test_zero_return_flat(self):
-        labels = D.compute_labels(self.make([100.0, 100.0]), -0.01, 0.01)
-        assert labels.tolist() == [D.NO_LABEL, D.FLAT]
+        assert self.labels([100.0, 100.0]) == [D.NO_LABEL, D.FLAT]
 
     def test_down_boundary_inclusive(self):
-        labels = D.compute_labels(self.make([100.0, 99.0]), -0.01, 0.01)
-        assert labels.tolist() == [D.NO_LABEL, D.DOWN]
+        assert self.labels([100.0, 99.0]) == [D.NO_LABEL, D.DOWN]
 
     def test_up_boundary_inclusive(self):
-        labels = D.compute_labels(self.make([100.0, 101.0]), -0.01, 0.01)
-        assert labels.tolist() == [D.NO_LABEL, D.UP]
+        assert self.labels([100.0, 101.0]) == [D.NO_LABEL, D.UP]
 
     def test_short_series(self):
-        assert D.compute_labels(self.make([100.0]), -0.01, 0.01).tolist() == [D.NO_LABEL]
+        assert self.labels([100.0]) == [D.NO_LABEL]
 
     def test_bad_thresholds(self):
         with pytest.raises(ConfigError):
-            D.compute_labels(self.make([1.0, 2.0]), 0.01, 0.02)
+            one_stock_panel(self.make([1.0, 2.0]), label_spec=(0.01, 0.02))
 
 
 def day(sym, date, texts):
@@ -132,6 +139,8 @@ def day(sym, date, texts):
 
 
 class TestAlignDocuments:
+    """The documents `build_panel` aligns on one fully observed stock."""
+
     def series(self, n=5):
         closes = np.linspace(10, 11, n)
         return D.PriceSeries(
@@ -140,18 +149,22 @@ class TestAlignDocuments:
             open=closes, high=closes, close=closes,
         )
 
+    def align(self, days, table):
+        panel = one_stock_panel(self.series(), days, table)
+        return panel.doc_emb[0], panel.doc_mask[0]
+
     def test_fill_rule(self):
         table = D.EmbeddingTable(dim=3)
         table.put("S", "2020-01-02", [1.0, 2.0, 3.0])
         table.put("S", "2020-01-04", [4.0, 5.0, 6.0])
         days = [day("S", "2020-01-02", ["a"]), day("S", "2020-01-04", ["b"])]
-        matrix, mask = D.align_documents(self.series(), days, table)
+        matrix, mask = self.align(days, table)
         assert mask.tolist() == [0, 1, 0, 1, 0]
         npt.assert_array_equal(matrix[[0, 2, 4]], 0.0)
         npt.assert_array_equal(matrix[1], [1.0, 2.0, 3.0])
 
     def test_no_documents_at_all(self):
-        matrix, mask = D.align_documents(self.series(), [], D.EmbeddingTable(dim=4))
+        matrix, mask = self.align([], D.EmbeddingTable(dim=4))
         assert matrix.shape == (5, 4) and not matrix.any() and not mask.any()
 
     def test_mean_pooled_entry_passthrough(self, rng):
@@ -159,23 +172,126 @@ class TestAlignDocuments:
         table = D.EmbeddingTable(dim=6)
         table.put("S", "2020-01-03", vectors.mean(axis=0))
         days = [day("S", "2020-01-03", ["x", "y", "z"])]
-        matrix, mask = D.align_documents(self.series(), days, table)
+        matrix, mask = self.align(days, table)
         npt.assert_allclose(matrix[2], vectors.mean(axis=0), atol=1e-12)
 
     def test_missing_embedding_error(self):
         days = [day("S", "2020-01-02", ["a"])]
         with pytest.raises(MissingEmbeddingError, match="2020-01-02"):
-            D.align_documents(self.series(), days, D.EmbeddingTable(dim=3))
+            self.align(days, D.EmbeddingTable(dim=3))
 
     def test_non_trading_day_dropped(self, caplog):
         table = D.EmbeddingTable(dim=3)
         table.put("S", "2020-06-01", [1.0, 1.0, 1.0])
         with caplog.at_level(logging.WARNING):
-            matrix, mask = D.align_documents(
-                self.series(), [day("S", "2020-06-01", ["a"])], table
-            )
+            matrix, mask = self.align([day("S", "2020-06-01", ["a"])], table)
         assert not mask.any()
         assert "not a trading date" in caplog.text
+
+
+PANEL_ARRAYS = ("close", "open", "high", "features", "labels", "observed", "doc_emb", "doc_mask")
+
+
+def assert_same_panel(panel, expected):
+    """Same symbols and calendar, and every array of the same dtype, shape and bytes."""
+    assert (panel.symbols, panel.calendar) == (expected.symbols, expected.calendar)
+    for name in PANEL_ARRAYS:
+        a, b = getattr(panel, name), getattr(expected, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+def build_logged(build, *args):
+    """`build(*args)` (its panel or its MissingEmbeddingError) and the warnings it logged."""
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("stockfuse.data")
+    logger.addHandler(handler)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a 0/0 return would warn
+            try:
+                result = build(*args)
+            except MissingEmbeddingError as exc:
+                result = exc
+    finally:
+        logger.removeHandler(handler)
+    return result, [r.getMessage() for r in records]
+
+
+PANEL_SYMBOLS = ("AAA", "BBB", "CCC", "DDD")
+PANEL_DATES = tuple(f"2021-03-{d:02d}" for d in range(1, 11))
+# exact ratios on both thresholds (101/100, 99/100) beside arbitrary prices
+PRICES = st.one_of(st.sampled_from([99.0, 100.0, 101.0, 100.5]), st.floats(1.0, 1000.0))
+
+
+@st.composite
+def panel_inputs(draw):
+    """Stocks that start late and skip dates, and documents on traded and untraded
+    dates, of unknown symbols, with empty `texts`, and some without a vector."""
+    series = []
+    for symbol in draw(st.lists(st.sampled_from(PANEL_SYMBOLS), min_size=1, max_size=4,
+                                unique=True)):
+        dates = sorted(draw(st.lists(st.sampled_from(PANEL_DATES), min_size=1, unique=True)))
+        o, h, c = (np.array(draw(st.lists(PRICES, min_size=len(dates), max_size=len(dates))))
+                   for _ in range(3))
+        series.append(D.PriceSeries(symbol, dates, o, h, c))
+    keys = st.tuples(st.sampled_from(PANEL_SYMBOLS + ("ZZZ",)),
+                     st.sampled_from(PANEL_DATES + ("2021-04-01",)))
+    docs = draw(st.lists(st.tuples(keys, st.lists(st.just("text"), max_size=2)), max_size=16))
+    unembedded = draw(st.sets(st.integers(0, 15), max_size=2))
+    table = D.EmbeddingTable(dim=2)
+    for k, ((symbol, date), _) in enumerate(docs):
+        if k not in unembedded:
+            table.put(symbol, date, draw(st.lists(st.floats(-9.0, 9.0), min_size=2, max_size=2)))
+    days = [D.DocumentDay(symbol, date, texts) for (symbol, date), texts in docs]
+    label_spec = draw(st.sampled_from([(-0.01, 0.01), (-0.005, 0.02)]))
+    return draw(st.permutations(series)), days, table, label_spec
+
+
+@settings(max_examples=300)
+@given(panel_inputs())
+def test_build_panel_equals_the_per_stock_reference(inputs):
+    """Same panel bytes, the same warnings in the same order, or the same missing keys."""
+    panel, logged = build_logged(D.build_panel, *inputs)
+    expected, expected_logged = build_logged(ref.build_panel, *inputs)
+    assert logged == expected_logged
+    if isinstance(expected, MissingEmbeddingError):
+        assert isinstance(panel, MissingEmbeddingError) and panel.keys == expected.keys
+    else:
+        assert_same_panel(panel, expected)
+
+
+class TestBuildPanel:
+    @pytest.mark.parametrize("n_stocks, n_days", [(200, 150), (100, 250)])
+    def test_benchmark_shapes_equal_the_per_stock_reference(self, n_stocks, n_days):
+        series, days, table, _, _ = synth_dataset(n_stocks, n_days, 64, 2.0, 0.3, 0.1, 10, seed=4)
+        args = (series, days, table, (-0.01, 0.01))
+        assert_same_panel(D.build_panel(*args), ref.build_panel(*args))
+
+    def test_series_without_rows_is_a_data_error(self):
+        empty = D.PriceSeries("E", [], np.array([]), np.array([]), np.array([]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="no rows: E"):
+                D.build_panel([make_series(5), empty], [], D.EmbeddingTable(dim=2), (-0.01, 0.01))
+
+    def test_missing_embeddings_of_every_stock_named(self):
+        a, b = make_series(5, "A"), make_series(5, "B")
+        days = [day("B", b.dates[3], ["x"]), day("A", a.dates[1], ["y"]), day("A", a.dates[2], [])]
+        with pytest.raises(MissingEmbeddingError) as info:
+            D.build_panel([b, a], days, D.EmbeddingTable(dim=2), (-0.01, 0.01))
+        assert info.value.keys == [("A", a.dates[1]), ("B", b.dates[3])]
+
+    def test_errors_in_order_series_thresholds_embeddings(self):
+        days = [day("S", make_series(5).dates[1], ["x"])]  # no vector for it
+        table = D.EmbeddingTable(dim=2)
+        with pytest.raises(DataError, match="no price series"):
+            D.build_panel([], days, table, (0.01, 0.02))
+        with pytest.raises(ConfigError, match="straddle zero"):
+            D.build_panel([make_series(5)], days, table, (0.01, 0.02))
+        with pytest.raises(MissingEmbeddingError):
+            D.build_panel([make_series(5)], days, table, (-0.01, 0.01))
 
 
 def make_series(n, symbol="S", start_price=100.0, seed=0):
@@ -248,7 +364,7 @@ class TestBuildWindows:
 
     def test_label_is_day_after_window(self):
         series = make_series(30)
-        labels = D.compute_labels(series, -0.01, 0.01)
+        labels = ref.compute_labels(series, -0.01, 0.01)
         refs = D.window_refs(series_panel(30), 10)
         assert len(refs) == 20
         npt.assert_array_equal(refs.label, labels[refs.start + 10])
@@ -419,9 +535,11 @@ class TestSynthDataset:
         series, days, table, graph, truth = synth_dataset(
             6, 120, 10, doc_signal, missing, conflict, 2, seed=seed
         )
+        panel = D.build_panel(series, days, table, (-0.01, 0.01))
+        assert [s.symbol for s in series] == panel.symbols
+        assert panel.observed.all()  # so calendar position t + 1 is the series' next date
         xs, ys = [], []
-        for ser in series:
-            labels = D.compute_labels(ser, -0.01, 0.01)
+        for ser, labels in zip(series, panel.labels):
             for t, date in enumerate(ser.dates[:-1]):
                 vec = table.get(ser.symbol, date)
                 if vec is not None and labels[t + 1] != D.NO_LABEL:
@@ -447,11 +565,9 @@ class TestSynthDataset:
         assert _lstsq_probe_accuracy(x[:n], y[:n], x[n:], y[n:]) > 0.8
 
     def test_all_three_classes_present(self):
-        series, *_ = synth_dataset(6, 150, 8, 1.0, 0.5, 0.1, 2, seed=11)
-        counts = np.zeros(3, dtype=int)
-        for ser in series:
-            labels = D.compute_labels(ser, -0.01, 0.01)
-            counts += np.bincount(labels[1:], minlength=3)
+        series, days, table, _, _ = synth_dataset(6, 150, 8, 1.0, 0.5, 0.1, 2, seed=11)
+        labels = D.build_panel(series, days, table, (-0.01, 0.01)).labels
+        counts = np.bincount(labels[labels != D.NO_LABEL], minlength=3)
         assert (counts > 0).all()
 
     def test_rate_validation(self):

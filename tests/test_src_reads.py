@@ -1,8 +1,9 @@
 """`src/` holds only what production reads.
 
 Every module-level function, class and constant of the package is read
-somewhere in `src/` besides its definition, or is listed in UNREAD with the
-reason it stays. Test hooks and oracles live in `tests/` instead. The
+somewhere in `src/` besides its definition, and every parameter of a function
+in `src/` is read in that function's body, or the name is listed in UNREAD
+with the reason it stays. Test hooks and oracles live in `tests/` instead. The
 third-party packages `src/` imports are the ones `pyproject.toml` declares.
 """
 
@@ -20,6 +21,8 @@ UNREAD = {
     ("autodiff", "sigmoid"): "tests/reference.py's gates and perfbench/trace.py's patch read it; "
                              "it goes once the tracer stops patching it (ROADMAP item 1)",
     ("metrics", "chance_band"): "perfbench/workloads.py's one-epoch chance check reads it",
+    ("data", "build_dataset", "graph"): "perfbench/workloads.py passes it positionally; it "
+                                        "goes with the next change to the benchmark",
 }
 
 
@@ -54,13 +57,35 @@ def _unread():
     }
 
 
+def _unread_parameters():
+    """(module, function, parameter) of each parameter its function's body never loads."""
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+                      if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(fn, "name", "<lambda>")
+            unread.update((path.stem, name, p) for p in params if p not in loaded)
+    return unread
+
+
 def test_every_module_level_name_is_read_in_src():
     assert _unread() - set(UNREAD) == set()
 
 
+def test_every_parameter_is_read_in_its_function():
+    assert _unread_parameters() - set(UNREAD) == set()
+
+
 def test_unread_allowlist_is_current():
     """An entry whose name is gone, or now read in `src/`, is dropped."""
-    assert set(UNREAD) - _unread() == set()
+    assert set(UNREAD) - _unread() - _unread_parameters() == set()
 
 
 def test_third_party_imports_are_the_declared_dependencies():

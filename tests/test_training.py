@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from perfbench.trace import Tracer, instrumented
-from stockfuse.config import VARIANTS, TrainConfig
+from stockfuse.config import VARIANTS, TrainConfig, load_run_config
 from stockfuse.container import load_bundle, save_bundle
 from stockfuse.data import build_dataset
 from stockfuse import autodiff as ad
@@ -131,6 +133,25 @@ def test_checkpoint_meta_of_wrong_type_refused(tmp_path, edit):
 
 def test_config_from_dict_keeps_well_typed_values():
     cfg = tiny_config().replace(lr=1, grad_clip=None, head_dim=4)
+    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+
+
+# a value other than TrainConfig's default for every field, as an INI [train] line writes it
+NON_DEFAULT_TRAIN = {
+    "d": 8, "ws": 5, "heads": 3, "head_dim": 4, "gat_heads": 1, "gat_layers": 2,
+    "fusion_layers": 3, "epochs": 7, "batch_size": 32, "lr": 0.003, "warmup_frac": 0.25,
+    "seed": 11, "precision": "float32", "grad_clip": 1.5,
+}
+
+
+def test_every_train_field_round_trips_through_an_ini_line(tmp_path):
+    assert set(NON_DEFAULT_TRAIN) == {f.name for f in dataclasses.fields(TrainConfig)}
+    ini = tmp_path / "run.ini"
+    ini.write_text("[train]\n" + "".join(f"{k} = {v}\n" for k, v in NON_DEFAULT_TRAIN.items()))
+    cfg = load_run_config(ini).train
+    for name, value in NON_DEFAULT_TRAIN.items():
+        assert getattr(TrainConfig(), name) != value, name
+        assert getattr(cfg, name) == value and type(getattr(cfg, name)) is type(value), name
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
 
